@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, EmptyDomainError
+from .errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
 from .streamline import Streamline, StreamlineSet, arc_length
 
@@ -64,6 +64,8 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     direction falls back to the normalized mean of per-tract unit chords,
     sign-aligned to the first tract.
     """
+    if not math.isfinite(r2_threshold):
+        raise InvalidSpecError(f"r2_threshold must be finite, got {r2_threshold}")
     if len(sset) < 3:
         raise DegenerateGeometryError("line of action needs at least 3 streamlines")
     pts = tract_endpoints(sset)

@@ -1,6 +1,11 @@
 """Command-line pipeline: phantom generation, tracking, filtering, metrics,
 architecture, and method comparison.
 
+Each run parameter is a field of formats.RunConfig or of a library config it
+nests; its flag stores under that run-config key. A flag beats the --config
+file, which beats the library default. Every value is checked by the config
+or function that uses it, wherever it came from.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.
 """
@@ -15,11 +20,11 @@ import numpy as np
 
 from . import architecture as arch_mod
 from . import formats, metrics as metrics_mod, stats
-from .errors import ArityError, DataError, FrameMismatchError, MuscleTractError, NumericError
-from .phantom import SHAPES, PhantomSpec, make_phantom
-from .sampling import FSSConfig, SeedSet, fss_filter, seeds_2d, seeds_3d
+from .errors import ArityError, DataError, FrameMismatchError, MuscleTractError
+from .phantom import PhantomSpec, make_phantom
+from .sampling import SeedSet, fss_filter, seeds_2d, seeds_3d
 from .streamline import StreamlineSet
-from .tracking import TrackingConfig, reconstruct
+from .tracking import reconstruct
 
 METRIC_COLUMNS = ("sc", "sdcv", "fl_median", "ml", "fl_ml_ratio", "pa_median", "pcsa")
 
@@ -39,24 +44,11 @@ def _parse_dims(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_config(args) -> formats.RunConfig:
-    if getattr(args, "config", None):
-        return formats.load_run_config(args.config)
-    return formats.RunConfig()
-
-
-def _pick(flag_value, config_value):
-    return config_value if flag_value is None else flag_value
-
-
-def _tracking_config(args, cfg: formats.RunConfig) -> TrackingConfig:
-    return TrackingConfig(
-        step_mm=_pick(getattr(args, "step", None), cfg.step_mm),
-        max_angle_deg=_pick(getattr(args, "max_angle", None), cfg.max_angle_deg),
-        fa_min=_pick(getattr(args, "fa_min", None), cfg.fa_min),
-        min_length_mm=_pick(getattr(args, "min_length", None), cfg.min_length_mm),
-        max_extrap_fraction=_pick(getattr(args, "max_extrap", None), cfg.max_extrap_fraction),
-    )
+def _run_config(args) -> formats.RunConfig:
+    """The --config file's values, or the defaults, with every run-parameter
+    flag given applied on top."""
+    cfg = formats.load_run_config(args.config) if args.config else formats.RunConfig()
+    return cfg.updated({key: value for key, value in vars(args).items() if key in formats.RUN_KEYS})
 
 
 def _check_frame(sset: StreamlineSet, mask) -> None:
@@ -73,23 +65,30 @@ def _check_frame(sset: StreamlineSet, mask) -> None:
     raise FrameMismatchError("no streamline point falls inside the mask grid")
 
 
+def _even_picks(n: int, k: int) -> np.ndarray:
+    """k indices spread evenly over range(n), starting at 0."""
+    return (np.arange(k) * n) // k
+
+
 def _subsample_exact(sset: StreamlineSet, k: int, mask) -> StreamlineSet:
     n = len(sset)
     if n < k:
         raise ArityError(f"only {n} streamlines available, need {k}")
-    picks = (np.arange(k) * n) // k
-    return StreamlineSet([sset.streamlines[i] for i in picks], mask=mask)
+    return StreamlineSet([sset.streamlines[i] for i in _even_picks(n, k)], mask=mask)
 
 
-def _make_seeds(strategy: str, mask, spacing: float, n_slices: int) -> SeedSet:
+def _make_seeds(strategy: str, mask, cfg: formats.RunConfig) -> SeedSet:
     if strategy == "3ds":
-        return seeds_3d(mask, spacing)
-    return seeds_2d(mask, n_slices)
+        return seeds_3d(mask, cfg.spacing_mm)
+    return seeds_2d(mask, cfg.n_slices)
+
+
+_SHAPE_ALIASES = {"box": "box_unipennate", "fusiform": "fusiform", "arc": "curved_arc"}
 
 
 def cmd_phantom(args) -> int:
     spec = PhantomSpec(
-        shape=args.shape,
+        shape=_SHAPE_ALIASES[args.shape],
         pennation_deg=args.pennation,
         dims_mm=args.dims,
         voxel_mm=args.voxel,
@@ -124,28 +123,21 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _load_config(args)
+    cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
     field = formats.load_field(args.field)
-    tracking = _tracking_config(args, cfg)
-    spacing = _pick(args.spacing, cfg.spacing_mm)
-    n_slices = _pick(args.n_slices, cfg.n_slices)
-    target = _pick(args.target_candidates, cfg.n_candidates)
-
-    seeds = _make_seeds(args.strategy, mask, spacing, n_slices)
-    if len(seeds) > target:
-        picks = (np.arange(target) * len(seeds)) // target
-        seeds = SeedSet(seeds.points[picks], seeds.strategy)
-    sset = reconstruct(field, mask, seeds, tracking)
+    seeds = _make_seeds(args.strategy, mask, cfg)
+    if len(seeds) > cfg.n_candidates:
+        seeds = SeedSet(seeds.points[_even_picks(len(seeds), cfg.n_candidates)], seeds.strategy)
+    sset = reconstruct(field, mask, seeds, cfg.tracking)
     formats.save_streamlines(args.out, sset)
     print(f"track: {len(seeds)} seeds -> {len(sset)} streamlines -> {args.out}")
     return 0
 
 
 def cmd_filter(args) -> int:
-    cfg = _load_config(args)
+    cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
-    k = _pick(args.k, cfg.k)
 
     if args.method == "fss":
         if not args.candidates:
@@ -153,13 +145,7 @@ def cmd_filter(args) -> int:
         candidates = formats.load_streamlines(args.candidates)
         _check_frame(candidates, mask)
         candidates.mask = mask
-        fss_cfg = FSSConfig(
-            n_candidates=max(len(candidates), k),
-            k=k,
-            m=_pick(args.m, cfg.m),
-            init_rule=_pick(args.init_rule, cfg.init_rule),
-        )
-        out, trace = fss_filter(candidates, fss_cfg)
+        out, trace = fss_filter(candidates, cfg.fss)
         if args.trace:
             formats.write_csv(
                 args.trace,
@@ -173,12 +159,8 @@ def cmd_filter(args) -> int:
         if not args.field:
             raise DataError(f"--field is required for method {args.method}")
         field = formats.load_field(args.field)
-        tracking = _tracking_config(args, cfg)
-        seeds = _make_seeds(
-            args.method, mask, _pick(args.spacing, cfg.spacing_mm), _pick(args.n_slices, cfg.n_slices)
-        )
-        tracked = reconstruct(field, mask, seeds, tracking)
-        out = _subsample_exact(tracked, k, mask)
+        tracked = reconstruct(field, mask, _make_seeds(args.method, mask, cfg), cfg.tracking)
+        out = _subsample_exact(tracked, cfg.fss.k, mask)
 
     formats.save_streamlines(args.out, out)
     print(f"filter[{args.method}]: {len(out)} streamlines -> {args.out}")
@@ -186,12 +168,11 @@ def cmd_filter(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    cfg = _load_config(args)
+    cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
     sset = formats.load_streamlines(args.streamlines)
     _check_frame(sset, mask)
-    support = _pick(args.sdcv_support, cfg.sdcv_support)
-    dmap, tm = metrics_mod.density(sset, mask, sdcv_support=support)
+    dmap, tm = metrics_mod.density(sset, mask, sdcv_support=cfg.sdcv_support)
     formats.write_csv(
         args.out_csv,
         ["sc", "sd_mean", "sdcv", "sdcv_defined"],
@@ -204,13 +185,15 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_arch(args) -> int:
-    cfg = _load_config(args)
+    name = args.name or Path(args.streamlines).stem
+    if any(c in name for c in ",\n\r"):
+        raise DataError(f"name {name!r} must not contain a comma or a line break")
+    cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
     sset = formats.load_streamlines(args.streamlines)
     _check_frame(sset, mask)
-    loa = arch_mod.line_of_action(sset, r2_threshold=_pick(args.r2_threshold, cfg.r2_threshold))
+    loa = arch_mod.line_of_action(sset, r2_threshold=cfg.r2_threshold)
     arch = arch_mod.summarize(mask, sset, loa)
-    name = args.name or Path(args.streamlines).stem
     formats.write_csv(
         args.out,
         ARCH_HEADER,
@@ -353,8 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="muscletract", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Run-parameter flags store under their run-config key and are absent from
+    # the namespace unless given, so only given flags override the config.
+    def run_flag(p, *names, **kw):
+        p.add_argument(*names, default=argparse.SUPPRESS, **kw)
+
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config")
+    tracking = argparse.ArgumentParser(add_help=False, parents=[config])
+    run_flag(tracking, "--spacing", dest="spacing_mm", type=float)
+    run_flag(tracking, "--n-slices", dest="n_slices", type=int)
+    run_flag(tracking, "--step", dest="step_mm", type=float)
+    run_flag(tracking, "--max-angle", dest="max_angle_deg", type=float)
+    run_flag(tracking, "--fa-min", dest="fa_min", type=float)
+    run_flag(tracking, "--min-length", dest="min_length_mm", type=float)
+    run_flag(tracking, "--max-extrap", dest="max_extrap_fraction", type=float)
+
     p = sub.add_parser("phantom", help="generate a synthetic phantom")
-    p.add_argument("--shape", choices=["box", "fusiform", "arc"], default="box")
+    p.add_argument("--shape", choices=tuple(_SHAPE_ALIASES), default="box")
     p.add_argument("--pennation", type=float, default=10.0)
     p.add_argument("--dims", type=_parse_dims, default=(20.0, 12.0, 60.0))
     p.add_argument("--voxel", type=float, default=1.0)
@@ -368,58 +367,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-truth", required=True)
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("track", help="track candidate streamlines")
+    p = sub.add_parser("track", help="track candidate streamlines", parents=[tracking])
     p.add_argument("--field", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--strategy", choices=["2ds", "3ds"], default="3ds")
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--n-slices", type=int)
-    p.add_argument("--target-candidates", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--max-angle", type=float)
-    p.add_argument("--fa-min", type=float)
-    p.add_argument("--min-length", type=float)
-    p.add_argument("--max-extrap", type=float)
-    p.add_argument("--config")
+    run_flag(p, "--target-candidates", dest="n_candidates", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("filter", help="sample k streamlines (fss filters, 2ds/3ds re-track)")
+    p = sub.add_parser(
+        "filter", help="sample k streamlines (fss filters, 2ds/3ds re-track)", parents=[tracking]
+    )
     p.add_argument("--method", choices=["fss", "2ds", "3ds"], required=True)
-    p.add_argument("-k", type=int)
+    run_flag(p, "-k", dest="k", type=int)
     p.add_argument("--candidates")
     p.add_argument("--mask", required=True)
     p.add_argument("--field")
-    p.add_argument("--m", type=int)
-    p.add_argument("--init-rule", choices=["longest", "index"])
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--n-slices", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--max-angle", type=float)
-    p.add_argument("--fa-min", type=float)
-    p.add_argument("--min-length", type=float)
-    p.add_argument("--max-extrap", type=float)
+    run_flag(p, "--m", dest="m", type=int)
+    run_flag(p, "--init-rule", dest="init_rule", choices=["longest", "index"])
     p.add_argument("--trace")
-    p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("metrics", help="coverage / density metrics")
+    p = sub.add_parser("metrics", help="coverage / density metrics", parents=[config])
     p.add_argument("--streamlines", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--sdcv-support", choices=["all", "nonzero"])
+    run_flag(p, "--sdcv-support", dest="sdcv_support", choices=["all", "nonzero"])
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-density")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("arch", help="muscle architecture record")
+    p = sub.add_parser("arch", help="muscle architecture record", parents=[config])
     p.add_argument("--streamlines", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--r2-threshold", type=float)
+    run_flag(p, "--r2-threshold", dest="r2_threshold", type=float)
     p.add_argument("--name")
-    p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_arch)
 
@@ -437,22 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SHAPE_ALIASES = {"box": "box_unipennate", "fusiform": "fusiform", "arc": "curved_arc"}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "shape", None) in _SHAPE_ALIASES:
-        args.shape = _SHAPE_ALIASES[args.shape]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except MuscleTractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

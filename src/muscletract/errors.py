@@ -62,6 +62,3 @@ class DegenerateGeometryError(NumericError):
 class DegenerateDistributionError(NumericError):
     """Zero variance where a spread statistic is required."""
 
-
-class RunawayExtrapolationError(NumericError):
-    """Endpoint tangent failed to exit the mask within the search limit."""

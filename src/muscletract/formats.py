@@ -11,20 +11,32 @@ All formats are little-endian with a 4-byte magic and a u32 version:
   DENS  density volume: MSKV header, payload 1*float32 per voxel, x-fastest.
 
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
+
+A run-config file holds flat key=value lines. Each key is a field of the
+config that owns the parameter, which also holds its default and its check:
+
+  TrackingConfig  step_mm, max_angle_deg, fa_min, min_length_mm,
+                  max_extrap_fraction
+  FSSConfig       k, m, init_rule
+  RunConfig       n_candidates, spacing_mm, n_slices, r2_threshold,
+                  sdcv_support
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .architecture import R2_THRESHOLD_DEFAULT
+from .errors import ConfigError, FormatError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap
+from .sampling import FSSConfig
 from .streamline import Streamline, StreamlineSet
+from .tracking import TrackingConfig
 
 FORMAT_VERSION = 1
 
@@ -146,7 +158,7 @@ def load_field(path) -> OrientationField:
     if active.any():
         norms = np.linalg.norm(directions[active], axis=1)
         worst = float(np.abs(norms - 1.0).max())
-        if worst > 1e-4:
+        if not worst <= 1e-4:  # NaN fails
             raise FormatError(f"{path}: non-unit directions where fa > 0 (worst {worst:.3g})")
         if worst > 5e-7:
             # Foreign writers may carry only file-level precision; our own
@@ -197,48 +209,48 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 @dataclass
 class RunConfig:
-    """Typed view of a key=value run-config file; unknown keys are rejected."""
+    """The tracking and FSS configs plus the five run parameters that no
+    library config owns. The library functions that take spacing_mm,
+    n_slices, r2_threshold and sdcv_support check them."""
 
+    tracking: TrackingConfig = field(default_factory=TrackingConfig)
+    fss: FSSConfig = field(default_factory=FSSConfig)
     n_candidates: int = 10000
-    k: int = 3000
-    m: int = 12
-    init_rule: str = "longest"
-    step_mm: float = 0.1
-    max_angle_deg: float = 10.0
-    fa_min: float = 0.1
-    min_length_mm: float = 10.0
-    max_extrap_fraction: float = 0.30
-    poly_order: int = 3
-    r2_threshold: float = 0.9
-    sdcv_support: str = "all"
     spacing_mm: float = 1.0
     n_slices: int = 5
-    out_dir: str = "."
+    r2_threshold: float = R2_THRESHOLD_DEFAULT
+    sdcv_support: str = "all"
 
     def __post_init__(self):
-        if self.init_rule not in ("longest", "index"):
-            raise ConfigError(f"init_rule must be 'longest' or 'index', got {self.init_rule!r}")
-        if self.sdcv_support not in ("all", "nonzero"):
-            raise ConfigError(f"sdcv_support must be 'all' or 'nonzero', got {self.sdcv_support!r}")
-        if self.poly_order != 3:
-            raise ConfigError("poly_order must be 3")
-        positive = (
-            "n_candidates", "k", "m", "step_mm", "max_angle_deg", "fa_min",
-            "min_length_mm", "max_extrap_fraction", "spacing_mm", "n_slices",
+        if not self.n_candidates >= 1:
+            raise InvalidSpecError(f"n_candidates must be positive, got {self.n_candidates}")
+
+    def updated(self, values: dict) -> RunConfig:
+        """A copy with the run parameters in values replaced, each checked by its owner."""
+        def owned_by(owner):
+            return {key: v for key, v in values.items() if RUN_KEYS[key][0] is owner}
+
+        return replace(
+            self,
+            tracking=replace(self.tracking, **owned_by(TrackingConfig)),
+            fss=replace(self.fss, **owned_by(FSSConfig)),
+            **owned_by(RunConfig),
         )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.k > self.n_candidates:
-            raise ConfigError("k cannot exceed n_candidates")
-        if not 0 < self.max_extrap_fraction < 1:
-            raise ConfigError("max_extrap_fraction must be in (0, 1)")
+
+
+# Run-config key -> (the config that declares it, its value type).
+RUN_KEYS: dict[str, tuple[type, type]] = {
+    f.name: (owner, type(f.default))
+    for owner in (TrackingConfig, FSSConfig, RunConfig)
+    for f in fields(owner)
+    if f.name not in ("tracking", "fss")
+}
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a plain-text key=value file; '#' starts a comment."""
-    types = {f.name: f.type for f in fields(RunConfig)}
-    kwargs = {}
+    """Parse a plain-text key=value file; '#' starts a comment. Values the
+    owning config rejects, and k > n_candidates, raise ConfigError."""
+    values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -246,15 +258,16 @@ def load_run_config(path) -> RunConfig:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in text.split("=", 1))
-        if key not in types:
+        if key not in RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if types[key] == "int":
-                kwargs[key] = int(value)
-            elif types[key] == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            values[key] = RUN_KEYS[key][1](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return RunConfig(**kwargs)
+    try:
+        cfg = RunConfig().updated(values)
+    except InvalidSpecError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if cfg.fss.k > cfg.n_candidates:
+        raise ConfigError(f"{path}: k cannot exceed n_candidates")
+    return cfg

@@ -20,6 +20,8 @@ def _vec3(value, name: str) -> np.ndarray:
         v = np.full(3, float(v))
     if v.shape != (3,):
         raise InvalidSpecError(f"{name} must be a scalar or length-3 vector")
+    if not np.isfinite(v).all():
+        raise InvalidSpecError(f"{name} must be finite")
     return v
 
 
@@ -128,6 +130,8 @@ class OrientationField:
             raise InvalidSpecError("directions must have shape (nx, ny, nz, 3)")
         if f.shape != d.shape[:3]:
             raise InvalidSpecError("fa grid must match directions grid")
+        if not np.isfinite(f).all():
+            raise InvalidSpecError("fa must be finite")
         self.directions = d
         self.fa = f
         self.voxel_size = _vec3(self.voxel_size, "voxel_size")
@@ -143,7 +147,7 @@ class OrientationField:
         if active.any():
             norms = np.linalg.norm(self.directions[active], axis=1)
             worst = float(np.abs(norms - 1.0).max())
-            if worst > tol:
+            if not worst <= tol:  # NaN fails
                 raise InvalidSpecError(
                     f"directions must be unit-norm where fa > 0 (worst deviation {worst:.3g})"
                 )

@@ -28,6 +28,7 @@ step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,17 +67,17 @@ class SeedSet:
 
 @dataclass
 class FSSConfig:
-    """Candidate count, output count k, resample count m, and the init rule."""
+    """Output count k, resample count m, and the init rule. fss_filter checks
+    k against the candidate count it is given."""
 
-    n_candidates: int = 10000
     k: int = 3000
     m: int = DEFAULT_RESAMPLE_POINTS
     init_rule: str = "longest"
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n_candidates:
-            raise InvalidSpecError(f"need 1 <= k <= n_candidates, got k={self.k}, n={self.n_candidates}")
-        if self.m < 2:
+        if not self.k >= 1:
+            raise InvalidSpecError(f"need k >= 1, got k={self.k}")
+        if not self.m >= 2:
             raise InvalidSpecError(f"need m >= 2, got {self.m}")
         if self.init_rule not in ("longest", "index"):
             raise InvalidSpecError(f"init_rule must be 'longest' or 'index', got {self.init_rule!r}")
@@ -100,8 +101,8 @@ def seeds_3d(mask: VoxelMask, spacing_mm: float) -> SeedSet:
     lattice is anchored at the occupied bounding-box minimum so an isolated
     in-mask voxel always contributes its center.
     """
-    if spacing_mm <= 0:
-        raise InvalidSpecError("spacing must be positive")
+    if not 0 < spacing_mm < math.inf:
+        raise InvalidSpecError(f"spacing must be positive and finite, got {spacing_mm}")
     occ = mask.occupied_indices()
     if len(occ) == 0:
         raise EmptyDomainError("mask has no occupied voxels")

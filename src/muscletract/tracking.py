@@ -32,16 +32,14 @@ class TrackingConfig:
     fa_min: float = 0.1
     min_length_mm: float = 10.0
     max_extrap_fraction: float = 0.30
-    poly_order: int = 3
 
     def __post_init__(self):
+        # Comparisons are written so that NaN fails them.
         for name in ("step_mm", "max_angle_deg", "fa_min", "min_length_mm"):
-            if getattr(self, name) <= 0:
-                raise InvalidSpecError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidSpecError(f"{name} must be positive and finite")
         if not 0.0 < self.max_extrap_fraction < 1.0:
             raise InvalidSpecError("max_extrap_fraction must be in (0, 1)")
-        if self.poly_order != 3:
-            raise InvalidSpecError("only third-order polynomial fitting is supported")
 
 
 def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
@@ -110,7 +108,8 @@ def track(
 
     diag = mask.diagonal
     max_steps = int(math.ceil(math.pi * diag / cfg.step_mm)) + 4
-    chunk = max(256, min(4096, int(6e7 / (max_steps * 24)) or 1))
+    # Each half-track buffer holds max_steps * chunk * 3 float64s: keep it within 6e7 bytes.
+    chunk = max(1, min(4096, int(6e7 / (max_steps * 24))))
 
     out: list[Streamline] = []
     next_id = 0

@@ -96,9 +96,7 @@ def ensemble():
         mask, field, _ = mt.make_phantom(spec)
         cfg = mt.TrackingConfig()
         cands = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0), cfg)
-        fss, trace = mt.fss_filter(
-            cands, mt.FSSConfig(n_candidates=len(cands), k=ENSEMBLE_K)
-        )
+        fss, trace = mt.fss_filter(cands, mt.FSSConfig(k=ENSEMBLE_K))
         base3 = _subsample_exact(cands, ENSEMBLE_K, mask)
         base2 = _subsample_exact(
             mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg), ENSEMBLE_K, mask
@@ -188,7 +186,7 @@ def oracle_runs():
         cands = random_streamline_set(rng)
         per_set = {"cands": cands, "runs": {}}
         for k in (1, 10, 50, 100):
-            out, trace = mt.fss_filter(cands, mt.FSSConfig(n_candidates=100, k=k))
+            out, trace = mt.fss_filter(cands, mt.FSSConfig(k=k))
             per_set["runs"][k] = {
                 "ids": list(trace.selected_ids),
                 "trace": trace,

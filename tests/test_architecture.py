@@ -13,7 +13,7 @@ from muscletract.architecture import (
     pennation_angle,
     summarize,
 )
-from muscletract.errors import DegenerateGeometryError, EmptyDomainError
+from muscletract.errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from muscletract.grid import VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import seeds_3d
@@ -126,6 +126,12 @@ class TestLineOfAction:
         r2 = line_of_action(sset).r2
         assert line_of_action(sset, r2_threshold=r2 - 1e-6).source == "endpoint_fit"
         assert line_of_action(sset, r2_threshold=r2 + 1e-6).source == "mean_direction"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_threshold_rejected(self, bad):
+        sset = segment_cloud(np.random.default_rng(15), 10, (0, 0, 1.0), spread=1.0)
+        with pytest.raises(InvalidSpecError):
+            line_of_action(sset, r2_threshold=bad)
 
 
 class TestPennationAngle:

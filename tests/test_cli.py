@@ -1,8 +1,11 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from muscletract.cli import main
+from muscletract.cli import build_parser, main
 from muscletract.formats import (
+    RUN_KEYS,
     load_density,
     load_field,
     load_mask,
@@ -338,3 +341,124 @@ class TestExitCodes:
         ])
         assert code == 0
         assert len(load_streamlines(out)) > 0
+
+
+@pytest.fixture(scope="module")
+def small_box(tmp_path_factory):
+    """10x6x20 box phantom and its candidate streamlines at 2 mm spacing."""
+    d = tmp_path_factory.mktemp("small_box")
+    files = {"mask": d / "m.mskv", "field": d / "f.ornt", "cand": d / "cand.strl"}
+    assert run([
+        "phantom", "--shape", "box", "--dims", "10x6x20", "--out-mask", files["mask"],
+        "--out-field", files["field"], "--out-truth", d / "t.txt",
+    ]) == 0
+    assert run([
+        "track", "--field", files["field"], "--mask", files["mask"], "--spacing", "2",
+        "--out", files["cand"],
+    ]) == 0
+    return files
+
+
+def _command(f, kind, out):
+    return {
+        "track": ["track", "--field", f["field"], "--mask", f["mask"], "--out", out],
+        "fss": ["filter", "--method", "fss", "--candidates", f["cand"], "--mask", f["mask"],
+                "--out", out],
+        "2ds": ["filter", "--method", "2ds", "--field", f["field"], "--mask", f["mask"],
+                "--out", out],
+        "3ds": ["filter", "--method", "3ds", "--field", f["field"], "--mask", f["mask"],
+                "--out", out],
+        "arch": ["arch", "--streamlines", f["cand"], "--mask", f["mask"], "--out", out],
+    }[kind]
+
+
+class TestRunParameters:
+    @pytest.mark.parametrize("kind, extra, config", [
+        ("track", ["--target-candidates", "0"], None),
+        ("track", ["--target-candidates", "-5"], None),
+        ("track", [], "n_candidates=0\n"),
+        ("2ds", ["-k", "0"], None),
+        ("3ds", ["-k", "-3"], None),
+        ("fss", ["-k", "0"], None),
+        ("track", ["--step", "nan"], None),
+        ("track", ["--max-angle", "nan"], None),
+        ("track", ["--spacing", "nan"], None),
+        ("arch", ["--r2-threshold", "nan"], None),
+        ("track", [], "out_dir=/nonexistent\n"),
+        ("track", [], "poly_order=3\n"),
+    ])
+    def test_bad_value_exits_3_without_output(self, small_box, tmp_path, capsys, kind, extra, config):
+        out = tmp_path / "out"
+        argv = _command(small_box, kind, out) + extra
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", tmp_path / "run.cfg"]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_flag_overrides_file_value(self, small_box, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=7\nspacing_mm=3\n")
+        outs = {}
+        for label, extra in {
+            "file": ["--config", cfg], "flags": ["--config", cfg, "-k", "5", "--spacing", "2"],
+            "plain": ["-k", "5", "--spacing", "2"],
+        }.items():
+            out = tmp_path / f"{label}.strl"
+            assert run(_command(small_box, "3ds", out) + extra) == 0
+            outs[label] = load_streamlines(out)
+        assert len(outs["file"]) == 7
+        assert len(outs["flags"]) == 5
+        assert [s.points.tolist() for s in outs["flags"]] == [
+            s.points.tolist() for s in outs["plain"]
+        ]
+
+    def test_target_candidates_below_default_k(self, small_box, tmp_path):
+        out = tmp_path / "c.strl"
+        assert run(_command(small_box, "track", out) + ["--target-candidates", "20"]) == 0
+        assert 0 < len(load_streamlines(out)) <= 20
+
+    def test_run_parameter_flags_store_under_run_config_keys(self):
+        # Run-parameter flags default to SUPPRESS so that only given flags
+        # override the config; every other option keeps a real default.
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = set()
+        for parser in sub.choices.values():
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                if action.default is argparse.SUPPRESS:
+                    dests.add(action.dest)
+                else:
+                    assert action.dest not in RUN_KEYS
+        assert dests == set(RUN_KEYS)
+        assert len(RUN_KEYS) == 13
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_csv_breaking_name_rejected(self, small_box, tmp_path, name):
+        out = tmp_path / "arch.csv"
+        assert run(_command(small_box, "arch", out) + ["--name", name]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which, offset, message", [
+        ("mask", 20, "voxel_size must be finite"),  # voxel_size[0]
+        ("mask", 32, "origin must be finite"),  # origin[0]
+        ("field", 44 + 12, "fa must be finite"),  # fa of voxel (0, 0, 0)
+        ("field", 44 + 16 * 5, "non-unit directions"),  # direction x of voxel (5, 0, 0)
+    ])
+    def test_nan_in_loaded_grid_exits_3(self, small_box, tmp_path, capsys, which, offset, message):
+        files = dict(small_box)
+        raw = bytearray(files[which].read_bytes())
+        raw[offset : offset + 4] = np.float32(np.nan).tobytes()
+        files[which] = tmp_path / files[which].name
+        files[which].write_bytes(bytes(raw))
+        out = tmp_path / "c.strl"
+        capsys.readouterr()
+        assert run(_command(files, "track", out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from muscletract.errors import ConfigError, FormatError
+from muscletract.errors import ConfigError, FormatError, InvalidSpecError
 from muscletract.formats import (
     RunConfig,
     fmt_float,
@@ -114,6 +114,16 @@ class TestMaskRoundTrip:
         payload = path.read_bytes()[-8:]
         assert payload == bytes([0, 1, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("offset", [20, 36])  # voxel_size[0], origin[1]
+    def test_nan_header_rejected(self, tmp_path, offset):
+        path = tmp_path / "m.mskv"
+        save_mask(path, VoxelMask(np.ones((2, 3, 4), dtype=bool)))
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidSpecError):
+            load_mask(path)
+
     def test_bad_occupancy_byte_rejected(self, tmp_path):
         path = tmp_path / "m.mskv"
         save_mask(path, VoxelMask(np.ones((2, 2, 2), dtype=bool)))
@@ -133,18 +143,41 @@ class TestFieldRoundTrip:
             save_field(p2, load_field(p1))
             assert p1.read_bytes() == p2.read_bytes()
 
+    @staticmethod
+    def write_raw(path, d, fa):
+        header = b"ORNT" + struct.pack("<I", 1)
+        header += np.asarray(fa.shape, dtype="<u4").tobytes()
+        header += np.ones(3, dtype="<f4").tobytes() + np.zeros(3, dtype="<f4").tobytes()
+        payload = np.concatenate([d, fa[..., None]], axis=3).transpose(2, 1, 0, 3).reshape(-1, 4)
+        path.write_bytes(header + payload.astype("<f4").tobytes())
+
     def test_non_unit_direction_rejected(self, tmp_path):
         dims = (2, 2, 2)
         d = np.zeros(dims + (3,))
         d[..., 2] = 1.7  # not unit where fa > 0
         fa = np.full(dims, 0.5)
         path = tmp_path / "f.ornt"
-        header = b"ORNT" + struct.pack("<I", 1)
-        header += np.asarray(dims, dtype="<u4").tobytes()
-        header += np.ones(3, dtype="<f4").tobytes() + np.zeros(3, dtype="<f4").tobytes()
-        payload = np.concatenate([d, fa[..., None]], axis=3).transpose(2, 1, 0, 3).reshape(-1, 4)
-        path.write_bytes(header + payload.astype("<f4").tobytes())
+        self.write_raw(path, d, fa)
         with pytest.raises(FormatError):
+            load_field(path)
+
+    def test_nan_direction_rejected(self, tmp_path):
+        d = np.zeros((2, 2, 2, 3))
+        d[..., 2] = 1.0
+        d[1, 0, 1, 0] = np.nan
+        path = tmp_path / "f.ornt"
+        self.write_raw(path, d, np.full((2, 2, 2), 0.5))
+        with pytest.raises(FormatError):
+            load_field(path)
+
+    def test_nan_fa_rejected(self, tmp_path):
+        d = np.zeros((2, 2, 2, 3))
+        d[..., 2] = 1.0
+        fa = np.full((2, 2, 2), 0.5)
+        fa[0, 1, 0] = np.nan
+        path = tmp_path / "f.ornt"
+        self.write_raw(path, d, fa)
+        with pytest.raises(InvalidSpecError):
             load_field(path)
 
 
@@ -190,16 +223,16 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.n_candidates == 10000
-        assert cfg.k == 3000
-        assert cfg.m == 12
-        assert cfg.step_mm == 0.1
+        assert cfg.fss.k == 3000
+        assert cfg.fss.m == 12
+        assert cfg.tracking.step_mm == 0.1
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("k = 500\nstep_mm=0.2\n# comment\nsdcv_support=nonzero\n")
         cfg = load_run_config(path)
-        assert cfg.k == 500
-        assert cfg.step_mm == 0.2
+        assert cfg.fss.k == 500
+        assert cfg.tracking.step_mm == 0.2
         assert cfg.sdcv_support == "nonzero"
         assert cfg.n_candidates == 10000
 
@@ -222,8 +255,35 @@ class TestRunConfig:
             load_run_config(path)
 
     def test_degenerate_values_rejected(self, tmp_path):
-        for text in ("step_mm=0\n", "max_extrap_fraction=1.5\n", "init_rule=up\n", "poly_order=2\n"):
+        for text in (
+            "step_mm=0\n", "max_extrap_fraction=1.5\n", "init_rule=up\n", "fa_min=nan\n",
+            "k=0\n", "m=1\n", "n_candidates=0\n",
+        ):
             path = tmp_path / "run.cfg"
             path.write_text(text)
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match="run.cfg"):
                 load_run_config(path)
+
+    @pytest.mark.parametrize("text", ["poly_order=3\n", "out_dir=/nonexistent\n"])
+    def test_knobs_without_effect_are_unknown(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_run_config(path)
+
+    def test_updated_routes_each_key_to_its_owner(self):
+        cfg = RunConfig().updated({"step_mm": 0.5, "k": 7, "init_rule": "index", "n_slices": 3})
+        assert cfg.tracking.step_mm == 0.5
+        assert cfg.fss.k == 7
+        assert cfg.fss.init_rule == "index"
+        assert cfg.n_slices == 3
+        assert cfg.tracking.fa_min == RunConfig().tracking.fa_min
+
+    def test_updated_checks_values(self):
+        for values in ({"step_mm": float("nan")}, {"k": 0}, {"n_candidates": -5}):
+            with pytest.raises(InvalidSpecError):
+                RunConfig().updated(values)
+
+    def test_updated_allows_k_above_n_candidates(self):
+        cfg = RunConfig().updated({"n_candidates": 2400})
+        assert cfg.fss.k == 3000

@@ -135,6 +135,12 @@ class TestSeeds3D:
         with pytest.raises(InvalidSpecError):
             seeds_3d(mask, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_spacing_rejected(self, bad):
+        mask = VoxelMask(np.ones((4, 4, 4), dtype=bool))
+        with pytest.raises(InvalidSpecError):
+            seeds_3d(mask, bad)
+
 
 # ---------------------------------------------------------------------------
 # seeds_2d
@@ -202,30 +208,30 @@ def small_candidates():
 class TestFSSFilter:
     def test_exhaustion_returns_all_in_traversal_order(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(n_candidates=5, k=5))
+        out, trace = fss_filter(cands, FSSConfig(k=5))
         assert sorted(s.id for s in out) == [0, 1, 2, 3, 4]
         assert list(trace.selected_ids) == [s.id for s in out]
 
     def test_k1_longest_wins(self):
         cands = small_candidates()
-        out, _ = fss_filter(cands, FSSConfig(n_candidates=5, k=1))
+        out, _ = fss_filter(cands, FSSConfig(k=1))
         assert out.streamlines[0].id == 0  # 30 mm beats the rest
 
     def test_k1_longest_tie_breaks_to_lowest_id(self):
         a = straight(0.0, 0.0, 20.0, 3)
         b = straight(5.0, 0.0, 20.0, 1)
         c = straight(9.0, 0.0, 12.0, 2)
-        out, _ = fss_filter(StreamlineSet([a, b, c]), FSSConfig(n_candidates=3, k=1))
+        out, _ = fss_filter(StreamlineSet([a, b, c]), FSSConfig(k=1))
         assert out.streamlines[0].id == 1
 
     def test_index_init_rule(self):
         cands = small_candidates()
-        out, _ = fss_filter(cands, FSSConfig(n_candidates=5, k=1, init_rule="index"))
+        out, _ = fss_filter(cands, FSSConfig(k=1, init_rule="index"))
         assert out.streamlines[0].id == 0
 
     def test_matches_naive_oracle_on_handbuilt_set(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(n_candidates=5, k=3))
+        out, trace = fss_filter(cands, FSSConfig(k=3))
         want = naive_farthest_first(cands.streamlines, 3)
         assert list(trace.selected_ids) == want
 
@@ -241,12 +247,12 @@ class TestFSSFilter:
                 sls.append(line(start + stops[:, None] * direction, i))
             cands = StreamlineSet(sls)
             for k in (1, 5, 18):
-                out, trace = fss_filter(cands, FSSConfig(n_candidates=18, k=k))
+                out, trace = fss_filter(cands, FSSConfig(k=k))
                 assert list(trace.selected_ids) == naive_farthest_first(sls, k)
 
     def test_selection_distance_monotone(self):
         cands = small_candidates()
-        _, trace = fss_filter(cands, FSSConfig(n_candidates=5, k=5))
+        _, trace = fss_filter(cands, FSSConfig(k=5))
         d = trace.selection_distance
         assert d[0] == np.inf
         assert (np.diff(d[1:]) <= 1e-12).all()
@@ -257,7 +263,7 @@ class TestFSSFilter:
             line(np.cumsum(rng.uniform(-2, 2, (6, 3)) + [1, 0, 0], axis=0), i)
             for i in range(25)
         ]
-        out, trace = fss_filter(StreamlineSet(sls), FSSConfig(n_candidates=25, k=10))
+        out, trace = fss_filter(StreamlineSet(sls), FSSConfig(k=10))
         stack = stack_resampled(out, 12)
         final = trace.selection_distance[-1]
         for i in range(len(stack)):
@@ -267,7 +273,7 @@ class TestFSSFilter:
 
     def test_duplicate_suppression(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(n_candidates=5, k=5))
+        out, trace = fss_filter(cands, FSSConfig(k=5))
         ids = list(trace.selected_ids)
         # ids 1 (near-dup) and 2 (exact flip of 0) trail every distinct streamline
         assert ids[0] == 0
@@ -276,21 +282,21 @@ class TestFSSFilter:
 
     def test_determinism(self):
         cands = small_candidates()
-        r1 = fss_filter(cands, FSSConfig(n_candidates=5, k=4))
-        r2 = fss_filter(cands, FSSConfig(n_candidates=5, k=4))
+        r1 = fss_filter(cands, FSSConfig(k=4))
+        r2 = fss_filter(cands, FSSConfig(k=4))
         assert list(r1[1].selected_ids) == list(r2[1].selected_ids)
         assert np.array_equal(r1[1].selection_distance, r2[1].selection_distance)
 
     def test_k_exceeding_candidates_rejected(self):
         cands = small_candidates()
         with pytest.raises(ArityError):
-            fss_filter(cands, FSSConfig(n_candidates=10, k=8))
+            fss_filter(cands, FSSConfig(k=8))
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpecError):
-            FSSConfig(n_candidates=10, k=0)
+            FSSConfig(k=0)
         with pytest.raises(InvalidSpecError):
-            FSSConfig(n_candidates=10, k=20)
+            FSSConfig(k=float("nan"))
         with pytest.raises(InvalidSpecError):
             FSSConfig(m=1)
         with pytest.raises(InvalidSpecError):
@@ -298,7 +304,7 @@ class TestFSSFilter:
 
     def test_output_keeps_original_geometry(self):
         cands = small_candidates()
-        out, _ = fss_filter(cands, FSSConfig(n_candidates=5, k=2))
+        out, _ = fss_filter(cands, FSSConfig(k=2))
         by_id = {s.id: s for s in cands}
         for s in out:
             assert np.array_equal(s.points, by_id[s.id].points)
@@ -338,7 +344,7 @@ class TestPrunedUpdate:
     def test_matches_unpruned_loop_on_phantom(self, arc_candidates, m):
         n, k = len(arc_candidates), 500
         assert n > 1500
-        _, trace = fss_filter(arc_candidates, FSSConfig(n_candidates=n, k=k, m=m))
+        _, trace = fss_filter(arc_candidates, FSSConfig(k=k, m=m))
         ids, dists = unpruned_fss(arc_candidates.streamlines, k, m)
         assert np.array_equal(trace.selected_ids, ids)
         assert np.array_equal(trace.selection_distance, dists)
@@ -354,7 +360,7 @@ class TestPrunedUpdate:
             lengths = [arc_length(s) for s in cands]
             assert lengths.count(max(lengths)) >= 9  # the longest rule meets a tie
             for k in (1, 9, n // 2, n):
-                _, trace = fss_filter(cands, FSSConfig(n_candidates=n, k=k, m=m, init_rule=init_rule))
+                _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
                 ids, dists = unpruned_fss(cands.streamlines, k, m, init_rule)
                 assert np.array_equal(trace.selected_ids, ids)
                 assert np.array_equal(trace.selection_distance, dists)

@@ -8,6 +8,7 @@ from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
 from muscletract.streamline import Streamline, arc_length
+from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
     _ray_exit_distance,
@@ -158,8 +159,31 @@ class TestTrack:
             TrackingConfig(step_mm=0.0)
         with pytest.raises(InvalidSpecError):
             TrackingConfig(max_extrap_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "name", ["step_mm", "max_angle_deg", "fa_min", "min_length_mm", "max_extrap_fraction"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_config_rejected(self, name, bad):
         with pytest.raises(InvalidSpecError):
-            TrackingConfig(poly_order=2)
+            TrackingConfig(**{name: bad})
+
+    def test_buffer_stays_within_budget_at_fine_steps(self, monkeypatch):
+        # 3 voxels of 100 mm: a 520 mm diagonal, ~163k steps at 0.01 mm.
+        mask = VoxelMask(np.ones((3, 3, 3), dtype=bool), voxel_size=100.0)
+        field = OrientationField(
+            np.tile([0.0, 0.0, 1.0], (3, 3, 3, 1)), np.ones((3, 3, 3)), voxel_size=100.0
+        )
+        seeds = SeedSet(np.random.default_rng(0).uniform(1.0, 299.0, (300, 3)), "3ds")
+        buffers = []
+
+        def fake_propagate(field, mask, starts, init_dirs, cfg, max_steps):
+            buffers.append(max_steps * len(starts) * 3 * 8)
+            return [np.empty((0, 3))] * len(starts)
+
+        monkeypatch.setattr(tracking, "_propagate", fake_propagate)
+        track(field, mask, seeds, TrackingConfig(step_mm=0.01))
+        assert buffers and max(buffers) <= 6e7
 
 
 class TestFitPoly3:
