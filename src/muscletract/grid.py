@@ -25,6 +25,13 @@ def _vec3(value, name: str) -> np.ndarray:
     return v
 
 
+def _voxel_size(value) -> np.ndarray:
+    v = _vec3(value, "voxel_size")
+    if (v <= 0).any():
+        raise InvalidSpecError("voxel_size must be positive")
+    return v
+
+
 @dataclass
 class VoxelMask:
     """Boolean occupancy over a regular grid; defines muscle extent."""
@@ -40,10 +47,8 @@ class VoxelMask:
         if occ.dtype != np.bool_:
             occ = occ.astype(bool)
         self.occupancy = occ
-        self.voxel_size = _vec3(self.voxel_size, "voxel_size")
+        self.voxel_size = _voxel_size(self.voxel_size)
         self.origin = _vec3(self.origin, "origin")
-        if (self.voxel_size <= 0).any():
-            raise InvalidSpecError("voxel_size must be positive")
         if min(occ.shape) < 1:
             raise InvalidSpecError("grid dims must be positive")
 
@@ -134,7 +139,7 @@ class OrientationField:
             raise InvalidSpecError("fa must be finite")
         self.directions = d
         self.fa = f
-        self.voxel_size = _vec3(self.voxel_size, "voxel_size")
+        self.voxel_size = _voxel_size(self.voxel_size)
         self.origin = _vec3(self.origin, "origin")
         self.validate_units(tol=1e-6)
 

@@ -37,19 +37,24 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # Comparisons are written so that NaN and inf fail them.
         if self.shape not in SHAPES:
             raise InvalidSpecError(f"unknown phantom shape {self.shape!r}")
         if not 0.0 <= self.pennation_deg < 90.0:
-            raise InvalidSpecError("pennation must be in [0, 90) degrees")
-        if min(self.dims_mm) <= 0 or self.voxel_mm <= 0:
-            raise InvalidSpecError("dimensions and voxel size must be positive")
+            raise InvalidSpecError("pennation_deg must be in [0, 90) degrees")
+        if not all(0 < d < math.inf for d in self.dims_mm):
+            raise InvalidSpecError("dims_mm must be positive and finite")
+        if not 0 < self.voxel_mm < math.inf:
+            raise InvalidSpecError("voxel_mm must be positive and finite")
         if self.shape == "curved_arc":
-            if self.arc_radius_mm - self.arc_thickness_mm / 2 <= 0:
-                raise InvalidSpecError("arc inner radius must be positive")
+            if not 0 < self.arc_thickness_mm < math.inf:
+                raise InvalidSpecError("arc_thickness_mm must be positive and finite")
+            if not 0 < self.arc_radius_mm - self.arc_thickness_mm / 2 < math.inf:
+                raise InvalidSpecError("arc_radius_mm must be finite and exceed half the thickness")
             if not 0 < self.arc_sweep_deg <= 350:
-                raise InvalidSpecError("arc sweep must be in (0, 350] degrees")
-        if self.jitter_deg < 0:
-            raise InvalidSpecError("jitter must be non-negative")
+                raise InvalidSpecError("arc_sweep_deg must be in (0, 350] degrees")
+        if not 0 <= self.jitter_deg < math.inf:
+            raise InvalidSpecError("jitter_deg must be non-negative and finite")
 
 
 @dataclass

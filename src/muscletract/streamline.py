@@ -28,7 +28,7 @@ def _as_points(points) -> np.ndarray:
 
 def polyline_length(points: np.ndarray) -> float:
     """Total chord length of an (n, 3) point array."""
-    seg = np.diff(points, axis=0)
+    seg = points[1:] - points[:-1]
     return float(np.sqrt((seg * seg).sum(axis=1)).sum())
 
 

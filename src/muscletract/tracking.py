@@ -7,6 +7,26 @@ sign-aligned with the previous step, and propagation stops when the angle
 between adjacent steps exceeds the gate, anisotropy drops below the floor, or
 the next point would leave the mask. Seeds are propagated in lockstep batches;
 the result is independent of batching and ordered by seed index.
+
+Each stage runs over all tracks at once, and its output is bit-identical to
+taking one Euler step, one fit and one ray at a time (the form that
+tests/reference_tracking.py keeps as the oracle):
+
+- Propagation advances in voxel runs. The field is nearest-neighbour, so
+  inside one voxel every step after the first uses the same aligned vector v:
+  its anisotropy check has already passed, its angle check reduces to
+  v.v >= cos(gate) (still evaluated: a fine gate can fail it), and its target
+  is the current, occupied voxel until a step crosses a face. A run adds s*v
+  to the previous point one step at a time, the same float additions the
+  step loop makes, and locates each point with the loop's own
+  floor((q - origin) / voxel_size). The step that crosses a face gets the
+  loop's in-grid and occupancy test.
+- The cubic fit calls lstsq once per track, with one Vandermonde design per
+  point count; a solve with many right-hand sides, or stacked, rounds
+  differently.
+- Extrapolation runs one voxel traversal (Amanatides & Woo 1987) over all
+  endpoints. The tangent norms come from a stacked matmul, which rounds like
+  np.linalg.norm of one vector; an elementwise sum of squares does not.
 """
 
 from __future__ import annotations
@@ -42,10 +62,23 @@ class TrackingConfig:
             raise InvalidSpecError("max_extrap_fraction must be in (0, 1)")
 
 
+# Upper bound on the bytes of the points one propagation pass computes ahead.
+_RUN_BYTES = 1 << 22
+
+
 def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
-    """March one half-track per seed; returns per-seed point arrays (seed excluded)."""
+    """March one half-track per seed; returns per-seed point arrays (seed excluded).
+
+    Each pass takes every live track through one voxel: the first step does
+    the full lookup and checks, and the track then continues in a straight
+    run to the first step that leaves the voxel, which gets the in-grid and
+    occupancy test. The module docstring says why this equals one step at a
+    time bit for bit. The run length only sets how many steps a pass may
+    take; a run still inside its voxel goes on in the next pass.
+    """
     n = len(starts)
     buf = np.empty((max_steps, n, 3))
+    flat = buf.reshape(-1)
     counts = np.zeros(n, dtype=np.int64)
 
     p = starts.copy()
@@ -53,11 +86,15 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     active = np.arange(n)
     cos_gate = math.cos(math.radians(cfg.max_angle_deg))
     dims = np.asarray(mask.dims)
+    origin, vs = mask.origin[:, None], mask.voxel_size[:, None]
+    per_voxel = int(math.ceil(float(np.linalg.norm(mask.voxel_size)) / cfg.step_mm)) + 1
+    run = max(1, min(max_steps, per_voxel, _RUN_BYTES // (24 * max(n, 1))))
+    offsets = np.arange(run)[:, None]
 
-    for step in range(max_steps):
-        if active.size == 0:
-            break
-        idx = np.floor((p[active] - mask.origin) / mask.voxel_size).astype(np.int64)
+    while active.size:
+        m = len(active)
+        here = p[active]
+        idx = np.floor((here - mask.origin) / mask.voxel_size).astype(np.int64)
         v = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         fa = field.fa[idx[:, 0], idx[:, 1], idx[:, 2]]
         alive = fa >= cfg.fa_min
@@ -66,20 +103,45 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         v = np.where(dot[:, None] < 0, -v, v)
         cosang = (v * prev[active]).sum(axis=1)
         alive &= cosang >= cos_gate
+        # Every later step in this voxel compares v with itself.
+        limit = np.where((v * v).sum(axis=1) >= cos_gate, run, 1)
+        limit = np.minimum(limit, max_steps - counts[active])
 
-        nxt = p[active] + cfg.step_mm * v
-        nidx = np.floor((nxt - mask.origin) / mask.voxel_size).astype(np.int64)
+        # The run is laid out (step, coordinate, track), so that every
+        # elementwise pass runs over rows of m contiguous values. Each point
+        # is the previous one plus s*v, added in sequence as the loop does.
+        sv = (cfg.step_mm * v).T
+        q = np.empty((run, 3, m))
+        np.add(here.T, sv, out=q[0])
+        for j in range(1, run):
+            np.add(q[j - 1], sv, out=q[j])
+        qidx = np.floor((q - origin) / vs).astype(np.int64)
+        moved = qidx != idx.T
+        left = moved[:, 0] | moved[:, 1] | moved[:, 2]
+        cross = np.where(left.any(axis=0), left.argmax(axis=0), run)
+
+        # The step that leaves the voxel, if the run gets that far.
+        exits = np.flatnonzero(alive & (cross < limit))
+        nidx = qidx[cross[exits], :, exits]
         in_grid = ((nidx >= 0) & (nidx < dims)).all(axis=1)
         safe = np.clip(nidx, 0, dims - 1)
-        alive &= in_grid & mask.occupancy[safe[:, 0], safe[:, 1], safe[:, 2]]
+        entered = np.zeros(m, dtype=bool)
+        entered[exits] = in_grid & mask.occupancy[safe[:, 0], safe[:, 1], safe[:, 2]]
 
-        survivors = active[alive]
-        if survivors.size:
-            p[survivors] = nxt[alive]
-            prev[survivors] = v[alive]
-            buf[step, survivors] = nxt[alive]
-            counts[survivors] = step + 1
-        active = survivors
+        take = np.where(alive, np.minimum(cross, limit) + entered, 0)
+        emit = np.flatnonzero(offsets < take)
+        step, col = np.divmod(emit, m)
+        dest = 3 * ((counts[active][col] + step) * n + active[col])
+        src = 3 * m * step + col
+        for c in range(3):
+            flat[dest + c] = q.reshape(-1)[src + c * m]
+        counts[active] += take
+
+        go = np.flatnonzero(alive & ((cross >= limit) | entered))
+        survivors = active[go]
+        p[survivors] = q[take[go] - 1, :, go]
+        prev[survivors] = v[go]
+        active = survivors[counts[survivors] < max_steps]
 
     return [buf[: counts[i], i].copy() for i in range(n)]
 
@@ -128,6 +190,27 @@ def track(
     return StreamlineSet(out, mask=mask)
 
 
+def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
+    """Least-squares cubic fit of one (n, 3) track, n >= 5, sampled back at
+    its own parameter values.
+
+    designs maps a point count to its Vandermonde design and is filled on
+    first use, so that tracks of one length share one design. Each track
+    still gets its own lstsq call: a solve with many right-hand sides rounds
+    differently.
+    """
+    n = len(points)
+    if n < 5:
+        raise DegenerateGeometryError("cubic fit needs at least 5 points")
+    design = designs.get(n)
+    if design is None:
+        design = designs[n] = np.vander(np.linspace(0.0, 1.0, n), 4, increasing=True)
+    coef, _, rank, _ = np.linalg.lstsq(design, points, rcond=None)
+    if rank < 4:
+        raise DegenerateGeometryError("rank-deficient cubic fit")
+    return design @ coef
+
+
 def fit_poly3(s: Streamline) -> tuple[Streamline, float]:
     """Least-squares cubic fit of each coordinate against a parameter t in
     [0, 1], sampled back at the same parameter values.
@@ -140,58 +223,91 @@ def fit_poly3(s: Streamline) -> tuple[Streamline, float]:
     Returns the fitted streamline (same point count) and the RMS residual of
     the fit in mm.
     """
-    pts = s.points
-    if len(pts) < 5:
-        raise DegenerateGeometryError("cubic fit needs at least 5 points")
-    if polyline_length(pts) <= 0.0:
+    out = _fit_cubic(s.points, {})
+    if polyline_length(s.points) <= 0.0:
         raise DegenerateGeometryError("cannot fit near-coincident points")
-
-    t = np.linspace(0.0, 1.0, len(pts))
-    design = np.vander(t, 4, increasing=True)
-    coef, _, rank, _ = np.linalg.lstsq(design, pts, rcond=None)
-    if rank < 4:
-        raise DegenerateGeometryError("rank-deficient cubic fit")
-    out = design @ coef
-    resid = out - pts
+    resid = out - s.points
     rms = float(np.sqrt((resid * resid).sum(axis=1).mean()))
     return Streamline(out, id=s.id), rms
 
 
-def _ray_exit_distance(mask: VoxelMask, start: np.ndarray, direction: np.ndarray, max_dist: float):
-    """Distance along a unit ray to the first voxel-face exit from the occupied
-    region, or None if no exit within max_dist."""
+def _ray_exits(mask: VoxelMask, starts: np.ndarray, directions: np.ndarray, max_dist: float):
+    """Distance along each unit ray to its first voxel-face exit from the
+    occupied region: 0 where the ray starts outside it, NaN where no exit
+    lies within max_dist.
+
+    One voxel traversal (Amanatides & Woo 1987) steps every unfinished ray
+    across one face per iteration.
+    """
     eps = 1e-9
-    idx = mask.world_to_index(start + eps * direction)[0]
-    if not mask.indices_occupied(idx[None])[0]:
-        return 0.0
+    idx = mask.world_to_index(starts + eps * directions)
+    tau = np.zeros(len(starts))
+    active = np.flatnonzero(mask.indices_occupied(idx))
 
     dims = np.asarray(mask.dims)
     vs = mask.voxel_size
-    t_max = np.full(3, np.inf)
-    t_delta = np.full(3, np.inf)
-    step = np.zeros(3, dtype=np.int64)
-    for a in range(3):
-        if direction[a] > 0:
-            face = mask.origin[a] + (idx[a] + 1) * vs[a]
-            t_max[a] = (face - start[a]) / direction[a]
-            t_delta[a] = vs[a] / direction[a]
-            step[a] = 1
-        elif direction[a] < 0:
-            face = mask.origin[a] + idx[a] * vs[a]
-            t_max[a] = (face - start[a]) / direction[a]
-            t_delta[a] = -vs[a] / direction[a]
-            step[a] = -1
+    d, p, idx = directions[active], starts[active], idx[active]
+    step = np.sign(d).astype(np.int64)
+    face = mask.origin + (idx + (step > 0)) * vs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(step != 0, (face - p) / d, np.inf)
+        t_delta = np.where(step > 0, vs / d, np.where(step < 0, -vs / d, np.inf))
 
-    idx = idx.copy()
-    while True:
-        a = int(np.argmin(t_max))
-        tau = float(t_max[a])
-        if tau > max_dist:
-            return None
-        idx[a] += step[a]
-        if not (0 <= idx[a] < dims[a]) or not mask.occupancy[idx[0], idx[1], idx[2]]:
-            return max(tau, 0.0)
-        t_max[a] += t_delta[a]
+    rows = np.arange(len(active))
+    while rows.size:
+        a = np.argmin(t_max[rows], axis=1)
+        t = t_max[rows, a]
+        far = t > max_dist
+        tau[active[rows[far]]] = np.nan
+        rows, a, t = rows[~far], a[~far], t[~far]
+        idx[rows, a] += step[rows, a]
+        moved = idx[rows, a]
+        safe = np.clip(idx[rows], 0, dims - 1)
+        stay = (moved >= 0) & (moved < dims[a])
+        stay &= mask.occupancy[safe[:, 0], safe[:, 1], safe[:, 2]]
+        tau[active[rows[~stay]]] = np.where(0.0 > t[~stay], 0.0, t[~stay])
+        rows, a = rows[stay], a[stay]
+        t_max[rows, a] += t_delta[rows, a]
+    return tau
+
+
+def _surface_exits(tracks, mask: VoxelMask, cfg: TrackingConfig):
+    """Where both terminal tangents of every track leave the mask.
+
+    Returns (exits, extend, accepted, ran_away): exits (n, 2, 3) holds the
+    exit points beyond the first and the last point, and extend (n, 2) marks
+    those that lie more than 1e-12 mm out. accepted is False where a tangent
+    ran away (no exit within twice the mask diagonal; such a track is not
+    extended) or where the added length exceeds cfg.max_extrap_fraction of
+    the track's arc length.
+    """
+    anchors = np.array([(p[0], p[-1]) for p in tracks]).reshape(-1, 3)
+    d = anchors - np.array([(p[1], p[-2]) for p in tracks]).reshape(-1, 3)
+    # A stacked matmul rounds each squared norm like np.linalg.norm of one vector.
+    norm = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    if (norm == 0.0).any():
+        raise DegenerateGeometryError("zero-length terminal segment")
+    tangents = d / norm[:, None]
+
+    tau = _ray_exits(mask, anchors, tangents, 2.0 * mask.diagonal)
+    exits = (anchors + tau[:, None] * tangents).reshape(-1, 2, 3)
+    tau = tau.reshape(-1, 2)
+    ran_away = np.isnan(tau).any(axis=1)
+    extend = (tau > 1e-12) & ~ran_away[:, None]
+    added = np.where(extend, tau, 0.0)
+    lengths = np.array([polyline_length(p) for p in tracks])
+    accepted = ~ran_away & (added[:, 0] + added[:, 1] <= cfg.max_extrap_fraction * lengths)
+    return exits, extend, accepted, ran_away
+
+
+def _extended(points: np.ndarray, exits: np.ndarray, extend: np.ndarray) -> np.ndarray:
+    """points with the exit point of each end marked in extend added."""
+    pieces = [points]
+    if extend[0]:
+        pieces.insert(0, exits[:1])
+    if extend[1]:
+        pieces.append(exits[1:])
+    return np.concatenate(pieces) if len(pieces) > 1 else points
 
 
 def extrapolate_to_surface(
@@ -204,33 +320,10 @@ def extrapolate_to_surface(
     a tangent fails to exit the mask within twice its diagonal.
     """
     cfg = cfg or TrackingConfig()
-    pts = s.points
-    original = polyline_length(pts)
-    max_dist = 2.0 * mask.diagonal
-
-    tangents = []
-    for anchor, inner in ((pts[0], pts[1]), (pts[-1], pts[-2])):
-        d = anchor - inner
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            raise DegenerateGeometryError("zero-length terminal segment")
-        tangents.append(d / norm)
-
-    tau_start = _ray_exit_distance(mask, pts[0], tangents[0], max_dist)
-    tau_end = _ray_exit_distance(mask, pts[-1], tangents[1], max_dist)
-    if tau_start is None or tau_end is None:
-        log.warning("extrapolation ran away for streamline %d; rejecting", s.id)
-        return s, False
-
-    pieces = [pts]
-    if tau_start > 1e-12:
-        pieces.insert(0, (pts[0] + tau_start * tangents[0])[None])
-    if tau_end > 1e-12:
-        pieces.append((pts[-1] + tau_end * tangents[1])[None])
-    added = (tau_start if tau_start > 1e-12 else 0.0) + (tau_end if tau_end > 1e-12 else 0.0)
-    out = Streamline(np.concatenate(pieces), id=s.id) if len(pieces) > 1 else s
-    accepted = added <= cfg.max_extrap_fraction * original
-    return out, accepted
+    exits, extend, accepted, _ = _surface_exits([s.points], mask, cfg)
+    if extend.any():
+        s = Streamline(_extended(s.points, exits[0], extend[0]), id=s.id)
+    return s, bool(accepted[0])
 
 
 def reconstruct(
@@ -243,17 +336,32 @@ def reconstruct(
 
     This is the pipeline order used ahead of any filtering: smoothing and
     endpoint extrapolation happen before streamlines are sampled or compared.
+    Logs one INFO line with what each stage dropped.
     """
     cfg = cfg or TrackingConfig()
-    tracked = track(field, mask, seeds, cfg)
+    tracks = [s.points for s in track(field, mask, seeds, cfg)]
+    # Each fit, and then each output, takes the place of the array it was
+    # made from, so that the points are held about once, not once per stage.
+    designs: dict = {}
+    unfitted = 0
+    for i, points in enumerate(tracks):
+        if len(points) >= 5:
+            tracks[i] = _fit_cubic(points, designs)
+        else:
+            unfitted += 1
+    exits, extend, accepted, ran_away = _surface_exits(tracks, mask, cfg)
     out: list[Streamline] = []
-    next_id = 0
-    for s in tracked:
-        if len(s) >= 5:
-            s, _ = fit_poly3(s)
-        s, accepted = extrapolate_to_surface(s, mask, cfg)
-        if not accepted:
-            continue
-        out.append(Streamline(s.points, id=next_id))
-        next_id += 1
+    for i in np.flatnonzero(accepted):
+        out.append(Streamline(_extended(tracks[i], exits[i], extend[i]), id=len(out)))
+        tracks[i] = None
+
+    n_in = int(mask.points_in_mask(seeds.points).sum())
+    rejected, away = len(tracks) - len(out), int(ran_away.sum())
+    log.info(
+        "reconstruct: %d seeds, %d outside the mask; %d tracks under min_length_mm; "
+        "%d fits skipped (< 5 points); %d extrapolations rejected (%d ran away, "
+        "%d over max_extrap_fraction); %d streamlines",
+        len(seeds), len(seeds) - n_in, n_in - len(tracks), unfitted,
+        rejected, away, rejected - away, len(out),
+    )
     return StreamlineSet(out, mask=mask)

@@ -54,6 +54,24 @@ class TestPhantomCommand:
         inside = f.fa > 0
         assert np.allclose(f.directions[inside], [0.0, 0.0, 1.0], atol=1e-6)
 
+    @pytest.mark.parametrize("extra, field", [
+        (["--voxel", "nan"], "voxel_mm"),
+        (["--dims", "nanx12x60"], "dims_mm"),
+        (["--shape", "arc", "--arc-radius", "nan"], "arc_radius_mm"),
+        (["--shape", "arc", "--arc-thickness", "nan"], "arc_thickness_mm"),
+        (["--jitter", "nan"], "jitter_deg"),
+        (["--jitter", "inf"], "jitter_deg"),
+    ])
+    def test_nonfinite_value_exits_3_naming_its_field(self, tmp_path, capsys, extra, field):
+        mask = tmp_path / "m.mskv"
+        capsys.readouterr()
+        code = run(["phantom", *extra, "--out-mask", mask, "--out-field", tmp_path / "f.ornt",
+                    "--out-truth", tmp_path / "t.txt"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+        assert not mask.exists()
+
     def test_mask_round_trip_byte_exact(self, phantom_files, tmp_path):
         mask, _, _ = phantom_files
         resaved = tmp_path / "resaved.mskv"

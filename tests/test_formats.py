@@ -144,10 +144,10 @@ class TestFieldRoundTrip:
             assert p1.read_bytes() == p2.read_bytes()
 
     @staticmethod
-    def write_raw(path, d, fa):
+    def write_raw(path, d, fa, voxel_size=(1.0, 1.0, 1.0)):
         header = b"ORNT" + struct.pack("<I", 1)
         header += np.asarray(fa.shape, dtype="<u4").tobytes()
-        header += np.ones(3, dtype="<f4").tobytes() + np.zeros(3, dtype="<f4").tobytes()
+        header += np.asarray(voxel_size, dtype="<f4").tobytes() + np.zeros(3, dtype="<f4").tobytes()
         payload = np.concatenate([d, fa[..., None]], axis=3).transpose(2, 1, 0, 3).reshape(-1, 4)
         path.write_bytes(header + payload.astype("<f4").tobytes())
 
@@ -168,6 +168,15 @@ class TestFieldRoundTrip:
         path = tmp_path / "f.ornt"
         self.write_raw(path, d, np.full((2, 2, 2), 0.5))
         with pytest.raises(FormatError):
+            load_field(path)
+
+    @pytest.mark.parametrize("voxel_size", [(1.0, -1.0, 1.0), (0.0, 0.0, 0.0)])
+    def test_nonpositive_voxel_size_rejected(self, tmp_path, voxel_size):
+        d = np.zeros((2, 2, 2, 3))
+        d[..., 2] = 1.0
+        path = tmp_path / "f.ornt"
+        self.write_raw(path, d, np.full((2, 2, 2), 0.5), voxel_size)
+        with pytest.raises(InvalidSpecError, match="voxel_size must be positive"):
             load_field(path)
 
     def test_nan_fa_rejected(self, tmp_path):

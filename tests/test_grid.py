@@ -46,6 +46,14 @@ class TestOrientationField:
         with pytest.raises(InvalidSpecError):
             OrientationField(d, fa, origin=np.nan)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, (1.0, -0.5, 1.0)])
+    def test_nonpositive_voxel_size_rejected(self, bad):
+        d, fa = unit_field()
+        with pytest.raises(InvalidSpecError, match="voxel_size must be positive"):
+            OrientationField(d, fa, voxel_size=bad)
+        with pytest.raises(InvalidSpecError, match="voxel_size must be positive"):
+            VoxelMask(np.ones((2, 2, 2), dtype=bool), voxel_size=bad)
+
     def test_validate_units_rejects_nan(self):
         d, fa = unit_field()
         field = OrientationField(d, fa)

@@ -40,6 +40,21 @@ class TestBoxPhantom:
             PhantomSpec(shape="cylinder")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field, shape, value", [
+    ("pennation_deg", "box_unipennate", None),
+    ("dims_mm", "box_unipennate", lambda x: (20.0, x, 60.0)),
+    ("voxel_mm", "fusiform", None),
+    ("arc_radius_mm", "curved_arc", None),
+    ("arc_thickness_mm", "curved_arc", None),
+    ("arc_sweep_deg", "curved_arc", None),
+    ("jitter_deg", "box_unipennate", None),
+])
+def test_nonfinite_spec_value_names_its_field(field, shape, value, bad):
+    with pytest.raises(InvalidSpecError, match=field):
+        PhantomSpec(shape=shape, **{field: value(bad) if value else bad})
+
+
 class TestBoxMedianFiberLength:
     def test_unclipped_majority_gives_midline_length(self):
         # W=20, L=40 at 10 deg: unclipped mass fraction 0.65 > 0.5

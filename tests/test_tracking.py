@@ -1,8 +1,11 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
+import reference_tracking as ref
 from muscletract.errors import DegenerateGeometryError, InvalidSpecError
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
@@ -11,7 +14,10 @@ from muscletract.streamline import Streamline, arc_length
 from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
-    _ray_exit_distance,
+    _fit_cubic,
+    _propagate,
+    _ray_exits,
+    _surface_exits,
     extrapolate_to_surface,
     fit_poly3,
     reconstruct,
@@ -290,10 +296,10 @@ class TestExtrapolate:
 
     def test_ray_exit_respects_max_dist(self):
         mask, _ = uniform_box(dims=(10, 10, 30))
-        p = np.array([5.0, 5.0, 15.0])
-        d = np.array([0.0, 0.0, 1.0])
-        assert _ray_exit_distance(mask, p, d, max_dist=100.0) == pytest.approx(15.0)
-        assert _ray_exit_distance(mask, p, d, max_dist=3.0) is None
+        p = np.array([[5.0, 5.0, 15.0]])
+        d = np.array([[0.0, 0.0, 1.0]])
+        assert _ray_exits(mask, p, d, max_dist=100.0)[0] == pytest.approx(15.0)
+        assert np.isnan(_ray_exits(mask, p, d, max_dist=3.0)[0])
 
     def test_frame_mismatch_raises(self):
         mask, field = uniform_box(dims=(10, 10, 30))
@@ -321,3 +327,184 @@ class TestReconstruct:
                 tangent /= np.linalg.norm(tangent)
                 assert not mask.points_in_mask((anchor + 0.01 * tangent)[None])[0]
                 assert mask.points_in_mask((anchor - 0.01 * tangent)[None])[0]
+
+
+def jittered_arc(voxel=1.0):
+    spec = PhantomSpec(shape="curved_arc", arc_radius_mm=14.0, arc_sweep_deg=100.0,
+                       arc_thickness_mm=6.0, dims_mm=(20.0, 12.0, 20.0), voxel_mm=voxel,
+                       jitter_deg=0.8, seed=5)
+    return make_phantom(spec)[:2]
+
+
+def reframed(mask, field, voxel_size, origin):
+    """The same voxels on anisotropic voxels and a shifted origin."""
+    return (VoxelMask(mask.occupancy, voxel_size, origin),
+            OrientationField(field.directions, field.fa, voxel_size, origin))
+
+
+def shortened(mask, field):
+    """Every third voxel's direction 2.8e-7 short of unit norm. Against a
+    0.05 degree gate (cos = 1 - 3.8e-7) the step into such a voxel passes,
+    but v.v fails, so the next step ends the track."""
+    d = field.directions.copy()
+    d[np.indices(field.dims).sum(axis=0) % 3 == 0] *= 1.0 - 2.8e-7
+    return mask, OrientationField(d, field.fa)
+
+
+def some_seeds(mask, spacing, limit=300):
+    pts = seeds_3d(mask, spacing).points
+    return SeedSet(pts[:: max(1, len(pts) // limit)], "3ds")
+
+
+CASES = {
+    "box": lambda: make_phantom(PhantomSpec(dims_mm=(20.0, 12.0, 40.0)))[:2],
+    "jittered_arc": jittered_arc,
+    "fusiform_0.7mm": lambda: make_phantom(
+        PhantomSpec(shape="fusiform", voxel_mm=0.7, dims_mm=(12.0, 10.0, 36.0)))[:2],
+    "arc_0.7mm": lambda: jittered_arc(voxel=0.7),
+    "anisotropic_shifted": lambda: reframed(*jittered_arc(), (0.8, 1.1, 0.6), (-3.2, 5.5, 1.25)),
+    "short_directions": lambda: shortened(*CASES["box"]()),
+}
+CONFIGS = {
+    "default": TrackingConfig(),
+    "step_over_voxel": TrackingConfig(step_mm=1.3, min_length_mm=1.0),
+    "gate_0.05deg": TrackingConfig(max_angle_deg=0.05, min_length_mm=0.2),
+    "tight_extrap": TrackingConfig(max_extrap_fraction=0.02),
+}
+
+
+def assert_same_streamlines(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.id == b.id
+        assert np.array_equal(a.points, b.points)
+
+
+class TestMatchesStepwiseReference:
+    """The batched stages against tests/reference_tracking.py, bit for bit."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reconstruct(self, case, cfg_name):
+        mask, field = CASES[case]()
+        seeds = some_seeds(mask, 1.0)
+        cfg = CONFIGS[cfg_name]
+        assert_same_streamlines(reconstruct(field, mask, seeds, cfg),
+                                ref.reconstruct(field, mask, seeds, cfg))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_track(self, case):
+        mask, field = CASES[case]()
+        seeds = some_seeds(mask, 1.0)
+        got = track(field, mask, seeds)
+        assert len(got) > 0
+        assert_same_streamlines(got, ref.track(field, mask, seeds, TrackingConfig()))
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 7, 2000])
+    @pytest.mark.parametrize("cfg_name", ["default", "step_over_voxel", "gate_0.05deg"])
+    def test_propagate_kernel(self, max_steps, cfg_name):
+        mask, field = jittered_arc(voxel=0.7)
+        starts = some_seeds(mask, 1.0).points
+        starts = starts[mask.points_in_mask(starts)]
+        idx = mask.world_to_index(starts)
+        v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
+        cfg = CONFIGS[cfg_name]
+        for sign in (1.0, -1.0):
+            got = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
+            want = ref.propagate(field, mask, starts, sign * v0, cfg, max_steps)
+            assert len(got) == len(want) == len(starts)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert max(map(len, got)) == min(max_steps, max(map(len, want)))
+
+    def test_fit_kernel_shares_designs_across_lengths(self):
+        rng = np.random.default_rng(7)
+        designs = {}
+        for n in (5, 6, 5, 40, 6, 333, 40):
+            pts = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+            assert np.array_equal(_fit_cubic(pts, designs), ref.fit_poly3(pts))
+        assert sorted(designs) == [5, 6, 40, 333]
+
+    def test_ray_exits_kernel(self):
+        mask, _ = reframed(*jittered_arc(), (0.8, 1.1, 0.6), (-3.2, 5.5, 1.25))
+        rng = np.random.default_rng(11)
+        lo, hi = mask.origin, mask.origin + mask.world_extent
+        starts = rng.uniform(lo, hi, (400, 3))
+        dirs = rng.normal(size=(400, 3))
+        dirs[::7, rng.integers(0, 3)] = 0.0  # rays parallel to a face
+        dirs[::11] = [0.0, 0.0, -1.0]
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        assert not mask.points_in_mask(starts).all()
+        for max_dist in (2.0 * mask.diagonal, 1.5):
+            got = _ray_exits(mask, starts, dirs, max_dist)
+            want = [ref.ray_exit_distance(mask, p, d, max_dist) for p, d in zip(starts, dirs)]
+            assert np.array_equal(got, [np.nan if w is None else w for w in want], equal_nan=True)
+
+    def test_rank_deficient_fit_raises(self):
+        pts = np.cumsum(np.ones((6, 3)), axis=0)
+        flat = np.vander(np.zeros(6), 4, increasing=True)
+        with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
+            _fit_cubic(pts, {6: flat})
+
+    def test_zero_terminal_segment_raises(self):
+        mask, _ = uniform_box(dims=(10, 10, 30))
+        good = np.column_stack([np.full(11, 5.5), np.full(11, 5.5), np.linspace(5, 25, 11)])
+        stalled = np.concatenate([good, good[-1:]])
+        cfg = TrackingConfig()
+        with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
+            ref.extrapolate(stalled, mask, cfg)
+        with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
+            _surface_exits([good, stalled], mask, cfg)
+        with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
+            extrapolate_to_surface(Streamline(stalled[::-1]), mask, cfg)
+
+    def test_no_tracks(self):
+        mask, field = uniform_box(dims=(10, 10, 30))
+        seeds = SeedSet(np.array([[50.0, 50.0, 50.0]]), "3ds")
+        assert len(reconstruct(field, mask, seeds)) == 0
+
+
+class TestReconstructLog:
+    def expected(self, field, mask, seeds, cfg, ran_away_all=False):
+        n_in = int(mask.points_in_mask(seeds.points).sum())
+        tracked = ref.track(field, mask, seeds, cfg)
+        unfitted = sum(len(s) < 5 for s in tracked)
+        over = away = 0
+        for s in tracked:
+            pts = ref.fit_poly3(s.points) if len(s) >= 5 else s.points
+            _, accepted, ran_away = ref.extrapolate(pts, mask, cfg)
+            away += ran_away or ran_away_all
+            over += not accepted and not ran_away and not ran_away_all
+        kept = len(tracked) - over - away
+        return (
+            f"reconstruct: {len(seeds)} seeds, {len(seeds) - n_in} outside the mask; "
+            f"{n_in - len(tracked)} tracks under min_length_mm; {unfitted} fits skipped "
+            f"(< 5 points); {over + away} extrapolations rejected ({away} ran away, "
+            f"{over} over max_extrap_fraction); {kept} streamlines"
+        )
+
+    def test_one_info_line_with_the_counts(self, caplog):
+        mask, field = jittered_arc()
+        pts = seeds_3d(mask, 1.0).points
+        seeds = SeedSet(np.concatenate([pts, [[-5.0, 0.0, 0.0], [500.0, 1.0, 1.0]]]), "3ds")
+        cfg = TrackingConfig(step_mm=2.0, min_length_mm=5.0, max_extrap_fraction=0.1)
+        with caplog.at_level(logging.INFO, logger="muscletract.tracking"):
+            out = reconstruct(field, mask, seeds, cfg)
+        lines = [r for r in caplog.records if r.getMessage().startswith("reconstruct:")]
+        assert len(lines) == 1 and lines[0].levelno == logging.INFO
+        message = lines[0].getMessage()
+        assert message == self.expected(field, mask, seeds, cfg)
+        counts = [int(x) for x in re.findall(r"\d+", message)]
+        assert counts[0] == len(seeds) and counts[1] == 2 and counts[-1] == len(out)
+        assert all(c > 0 for c in counts[2:5]), message  # every drop reason is exercised
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_ran_away_counted_apart(self, caplog, monkeypatch):
+        mask, field = jittered_arc()
+        seeds = some_seeds(mask, 2.0, limit=60)
+        monkeypatch.setattr(tracking, "_ray_exits",
+                            lambda mask, starts, directions, max_dist: np.full(len(starts), np.nan))
+        with caplog.at_level(logging.INFO, logger="muscletract.tracking"):
+            assert len(reconstruct(field, mask, seeds)) == 0
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("reconstruct:")]
+        assert record.getMessage() == self.expected(
+            field, mask, seeds, TrackingConfig(), ran_away_all=True)
