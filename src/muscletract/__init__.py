@@ -32,15 +32,7 @@ from .stats import (
     t_one_sample,
     t_paired,
 )
-from .streamline import (
-    ResampledStreamline,
-    Streamline,
-    StreamlineSet,
-    arc_length,
-    flip,
-    mdf,
-    resample,
-)
+from .streamline import Streamline, StreamlineSet, arc_length
 from .tracking import TrackingConfig, extrapolate_to_surface, fit_poly3, reconstruct, track
 
 __version__ = "0.1.0"
@@ -56,7 +48,6 @@ __all__ = [
     "OrientationField",
     "PairedSample",
     "PhantomSpec",
-    "ResampledStreamline",
     "SeedSet",
     "Streamline",
     "StreamlineSet",
@@ -70,18 +61,15 @@ __all__ = [
     "density",
     "extrapolate_to_surface",
     "fit_poly3",
-    "flip",
     "fss_filter",
     "group_fractions",
     "line_of_action",
     "make_phantom",
-    "mdf",
     "muscle_length",
     "muscle_volume",
     "pennation_angle",
     "percent_diff",
     "reconstruct",
-    "resample",
     "seeds_2d",
     "seeds_3d",
     "skewness",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import Streamline, StreamlineSet, arc_length
+from .streamline import Streamline, StreamlineSet, arc_lengths
 
 R2_THRESHOLD_DEFAULT = 0.9
 
@@ -51,8 +51,9 @@ def muscle_volume(mask: VoxelMask) -> float:
 
 
 def tract_endpoints(sset: StreamlineSet) -> np.ndarray:
-    """Both endpoints of every tract as a (2n, 3) array."""
-    return np.array([p for s in sset for p in (s.points[0], s.points[-1])])
+    """Both endpoints of every tract as a (2n, 3) array, first and last of
+    each tract in turn."""
+    return np.stack(sset.endpoints(), axis=1).reshape(-1, 3)
 
 
 def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAULT) -> LineOfAction:
@@ -84,7 +85,8 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     if r2 > r2_threshold:
         return LineOfAction(centroid, direction, r2, "endpoint_fit")
 
-    chords = np.array([s.points[-1] - s.points[0] for s in sset])
+    first, last = sset.endpoints()
+    chords = last - first
     norms = np.linalg.norm(chords, axis=1)
     if (norms == 0).any():
         raise DegenerateGeometryError("zero-length tract chord")
@@ -97,21 +99,29 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     return LineOfAction(centroid, mean_dir / norm, r2, "mean_direction")
 
 
+def _pennation_angles(chords: np.ndarray, direction: np.ndarray) -> list[float]:
+    """Angle in [0, 90] degrees between each (n, 3) chord and a unit direction.
+
+    Each stacked matmul is a dot product of one pair of 3-vectors, so the
+    norms and cosines round exactly as for one chord at a time.
+    """
+    norms = np.sqrt((chords[:, None, :] @ chords[:, :, None])[:, 0, 0])
+    if (norms == 0.0).any():
+        raise DegenerateGeometryError("zero-length tract chord")
+    cos = np.abs((chords[:, None, :] @ direction[:, None])[:, 0, 0] / norms)
+    return [math.degrees(math.acos(min(1.0, c))) for c in cos.tolist()]
+
+
 def pennation_angle(s: Streamline, loa: LineOfAction) -> float:
     """Angle in [0, 90] degrees between the tract chord and the line of action."""
-    chord = s.points[-1] - s.points[0]
-    norm = np.linalg.norm(chord)
-    if norm == 0.0:
-        raise DegenerateGeometryError("zero-length tract chord")
-    cos = abs(float(chord @ loa.direction) / norm)
-    return math.degrees(math.acos(min(1.0, cos)))
+    return _pennation_angles((s.points[-1] - s.points[0])[None], loa.direction)[0]
 
 
 def muscle_length(sset: StreamlineSet, loa: LineOfAction) -> float:
     """Extent of all tract points projected on the line of action, in mm."""
     if len(sset) == 0:
         raise EmptyDomainError("streamline set is empty")
-    proj = np.concatenate([s.points @ loa.direction for s in sset])
+    proj = sset.points @ loa.direction
     return float(proj.max() - proj.min())
 
 
@@ -132,8 +142,9 @@ def summarize(mask: VoxelMask, sset: StreamlineSet, loa: LineOfAction) -> Muscle
     if len(sset) == 0:
         raise EmptyDomainError("streamline set is empty")
     mv = muscle_volume(mask)
-    fl_median = float(np.median([arc_length(s) for s in sset]))
-    pa_median = float(np.median([pennation_angle(s, loa) for s in sset]))
+    fl_median = float(np.median(arc_lengths(sset.points, sset.offsets)))
+    first, last = sset.endpoints()
+    pa_median = float(np.median(_pennation_angles(last - first, loa.direction)))
     ml = muscle_length(sset, loa)
     return MuscleArchitecture(
         mv=mv,

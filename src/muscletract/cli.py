@@ -6,6 +6,9 @@ nests; its flag stores under that run-config key. A flag beats the --config
 file, which beats the library default. Every value is checked by the config
 or function that uses it, wherever it came from.
 
+Log records of the library (what each stage dropped, and why) go to stderr
+at --log-level and above; stdout and the output files do not depend on it.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.
 """
@@ -13,6 +16,7 @@ degenerate error.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -23,7 +27,7 @@ from . import formats, metrics as metrics_mod, stats
 from .errors import ArityError, DataError, FrameMismatchError, MuscleTractError
 from .phantom import PhantomSpec, make_phantom
 from .sampling import SeedSet, fss_filter, seeds_2d, seeds_3d
-from .streamline import StreamlineSet
+from .streamline import StreamlineSet, blocks
 from .tracking import reconstruct
 
 METRIC_COLUMNS = ("sc", "sdcv", "fl_median", "ml", "fl_ml_ratio", "pa_median", "pcsa")
@@ -54,15 +58,14 @@ def _run_config(args) -> formats.RunConfig:
 def _check_frame(sset: StreamlineSet, mask) -> None:
     """STRL files carry no grid header; reject sets that lie entirely outside
     the mask grid's bounding box."""
-    if len(sset) == 0:
-        return
-    lo = mask.origin
-    hi = mask.origin + mask.world_extent
-    for s in sset:
-        inside = ((s.points >= lo) & (s.points <= hi)).all(axis=1)
-        if inside.any():
+    lo, hi = mask.origin, mask.origin + mask.world_extent
+    for a, b in blocks(sset.offsets):
+        pts = sset.points[sset.offsets[a] : sset.offsets[b]]
+        ok = (pts >= lo) & (pts <= hi)
+        if (ok[:, 0] & ok[:, 1] & ok[:, 2]).any():
             return
-    raise FrameMismatchError("no streamline point falls inside the mask grid")
+    if len(sset):
+        raise FrameMismatchError("no streamline point falls inside the mask grid")
 
 
 def _even_picks(n: int, k: int) -> np.ndarray:
@@ -74,7 +77,7 @@ def _subsample_exact(sset: StreamlineSet, k: int, mask) -> StreamlineSet:
     n = len(sset)
     if n < k:
         raise ArityError(f"only {n} streamlines available, need {k}")
-    return StreamlineSet([sset.streamlines[i] for i in _even_picks(n, k)], mask=mask)
+    return sset.take(_even_picks(n, k), mask=mask)
 
 
 def _make_seeds(strategy: str, mask, cfg: formats.RunConfig) -> SeedSet:
@@ -334,6 +337,9 @@ def cmd_fractions(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="muscletract", description=__doc__)
+    parser.add_argument(
+        "--log-level", choices=["debug", "info", "warning", "error"], default="warning"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Run-parameter flags store under their run-config key and are absent from
@@ -422,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level.upper(), format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except MuscleTractError as exc:

@@ -20,10 +20,18 @@ config that owns the parameter, which also holds its default and its check:
   FSSConfig       k, m, init_rule
   RunConfig       n_candidates, spacing_mm, n_slices, r2_threshold,
                   sdcv_support
+
+Each value has one check, in its owner, whether it came from a file or a
+flag: TrackingConfig, FSSConfig and n_candidates check theirs when a config
+is built, and spacing_mm, n_slices, r2_threshold and sdcv_support are checked
+by the library function that uses them (seeds_3d, seeds_2d, line_of_action,
+density). So a file with sdcv_support=bogus serves `track`, which never uses
+it, and `metrics` exits 3 naming the key. Loading a file adds k <= n_candidates.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -35,7 +43,7 @@ from .errors import ConfigError, FormatError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap
 from .sampling import FSSConfig
-from .streamline import Streamline, StreamlineSet
+from .streamline import StreamlineSet
 from .tracking import TrackingConfig
 
 FORMAT_VERSION = 1
@@ -57,33 +65,49 @@ def _read_header(fh, magic: bytes, path) -> None:
         raise FormatError(f"{path}: unsupported version {version}")
 
 
-def save_streamlines(path, sset: StreamlineSet | list[Streamline]) -> None:
-    streamlines = list(sset)
+def save_streamlines(path, sset: StreamlineSet) -> None:
     with open(path, "wb") as fh:
         fh.write(b"STRL")
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(streamlines)))
-        for s in streamlines:
-            pts = np.ascontiguousarray(s.points, dtype="<f4")
-            fh.write(struct.pack("<I", len(pts)))
-            fh.write(pts.tobytes())
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(sset)))
+        for s in sset:
+            fh.write(struct.pack("<I", len(s.points)))
+            fh.write(np.ascontiguousarray(s.points, dtype="<f4").tobytes())
 
 
 def load_streamlines(path) -> StreamlineSet:
-    """Load streamlines; ids are assigned by file order."""
+    """Load streamlines; ids are assigned by file order.
+
+    A first pass reads only the point counts; the coordinates are then read
+    one streamline at a time into one float64 buffer, so the raw file is never
+    held next to it.
+    """
     with open(path, "rb") as fh:
         _read_header(fh, b"STRL", path)
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "count"))
-        out = []
+        fd, start = fh.fileno(), fh.tell()
+        size = os.fstat(fd).st_size
+        counts, pos = [], start
         for i in range(count):
-            (npoints,) = struct.unpack("<I", _read_exact(fh, 4, "npoints"))
+            head = os.pread(fd, 4, pos)
+            if len(head) != 4:
+                raise FormatError("truncated file while reading npoints")
+            (npoints,) = struct.unpack("<I", head)
             if npoints < 2:
                 raise FormatError(f"{path}: streamline {i} has {npoints} points")
-            raw = _read_exact(fh, npoints * 12, f"streamline {i}")
-            pts = np.frombuffer(raw, dtype="<f4").reshape(npoints, 3).astype(np.float64)
-            out.append(Streamline(pts, id=i))
-        if fh.read(1):
+            pos += 4 + 12 * npoints
+            if pos > size:
+                raise FormatError(f"truncated file while reading streamline {i}")
+            counts.append(npoints)
+        if pos < size:
             raise FormatError(f"{path}: trailing bytes after {count} streamlines")
-    return StreamlineSet(out)
+
+        points = np.empty((sum(counts), 3))
+        pos, row = start, 0
+        for n in counts:
+            raw = os.pread(fd, 12 * n, pos + 4)
+            points[row : row + n] = np.frombuffer(raw, dtype="<f4").reshape(-1, 3)
+            pos, row = pos + 4 + 12 * n, row + n
+    return StreamlineSet.packed(points, counts)
 
 
 def _write_grid_header(fh, magic: bytes, dims, voxel_size, origin) -> None:

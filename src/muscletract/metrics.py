@@ -9,15 +9,18 @@ non-uniformity measure the samplings are compared on.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import Streamline, StreamlineSet
+from .streamline import Streamline, StreamlineSet, blocks
 
 SDCV_SUPPORTS = ("all", "nonzero")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -44,72 +47,94 @@ class TractMetrics:
     sdcv_defined: bool = True
 
 
-def _crossing_samples(points: np.ndarray, voxel_size, origin) -> np.ndarray:
-    """Sample points just before and after every voxel-face crossing.
+# A segment in a voxel-face plane meets that plane at t = 0/0; its NaN samples
+# fall in no voxel, and its vertices and other crossings cover it.
+@np.errstate(invalid="ignore")
+def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.ndarray:
+    """Sorted distinct keys s * V + v, one for each in-mask voxel v (flat,
+    C order, V voxels in the grid) that streamline s of a packed block passes
+    through, however briefly.
 
-    Together with the vertices these hit every voxel the polyline passes
-    through, however briefly, so voxelization is exact rather than limited by
-    a finite walking step.
+    The voxels are looked up at the vertices and at sample points just
+    before and after every voxel-face crossing, so voxelization is exact
+    rather than limited by a finite walking step.
     """
-    p0 = points[:-1]
-    seg = np.diff(points, axis=0)
+    dims, origin, vs = mask.dims, mask.origin, mask.voxel_size
+    n_vox = mask.occupancy.size
+    occupied = mask.occupancy.reshape(-1)
+
+    def keys(pts, owner):
+        idx = np.floor((pts - origin) / vs).astype(np.int64)
+        # Negative indices wrap to huge unsigned ones, so one test bounds both sides.
+        ok = idx.view(np.uint64) < np.asarray(dims, dtype=np.uint64)
+        inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
+        flat = np.where(inside, (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2], 0)
+        hit = inside & occupied[flat]
+        return (owner * n_vox + flat)[hit]
+
+    sid = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    # Drop the segments that join one streamline to the next.
+    inner = np.ones(len(points) - 1, dtype=bool)
+    inner[offsets[1:-1] - 1] = False
+    p0 = points[:-1][inner]
+    seg = (points[1:] - points[:-1])[inner]
+    seg_sid = sid[:-1][inner]
     seg_len = np.sqrt((seg * seg).sum(axis=1))
-    chunks = []
+    found = [keys(points, sid)]
     for a in range(3):
-        c0 = (p0[:, a] - origin[a]) / voxel_size[a]
-        c1 = c0 + seg[:, a] / voxel_size[a]
-        lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
-        first, last = np.ceil(lo), np.floor(hi)
+        c0 = (p0[:, a] - origin[a]) / vs[a]
+        c1 = c0 + seg[:, a] / vs[a]
+        first, last = np.ceil(np.minimum(c0, c1)), np.floor(np.maximum(c0, c1))
         counts = np.maximum(0, last - first + 1).astype(np.int64)
         total = int(counts.sum())
         if total == 0:
             continue
         seg_idx = np.repeat(np.arange(len(p0)), counts)
-        within = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
+        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         planes = np.repeat(first, counts) + within
         t = (planes - c0[seg_idx]) / (c1 - c0)[seg_idx]
         dt = 1e-7 / np.maximum(seg_len[seg_idx], 1e-12)
         for sign in (-1.0, 1.0):
             ts = np.clip(t + sign * dt, 0.0, 1.0)
-            chunks.append(p0[seg_idx] + ts[:, None] * seg[seg_idx])
-    if not chunks:
-        return points
-    return np.concatenate([points] + chunks)
+            found.append(keys(p0[seg_idx] + ts[:, None] * seg[seg_idx], seg_sid[seg_idx]))
+    return np.unique(np.concatenate(found))
 
 
 def voxelize(s: Streamline, mask: VoxelMask) -> np.ndarray:
-    """In-mask voxel indices the streamline passes through, each listed once.
+    """In-mask voxel indices the streamline passes through, each listed once,
+    in lexicographic order.
 
     Equivalent to walking the polyline at an arbitrarily fine arc step: the
     voxel set is computed from the vertices plus exact face-crossing points.
     """
-    samples = _crossing_samples(s.points, mask.voxel_size, mask.origin)
-    idx = mask.world_to_index(samples)
-    idx = idx[mask.indices_occupied(idx)]
-    if len(idx) == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.unique(idx, axis=0)
+    flat = _voxel_keys(s.points, np.array([0, len(s.points)]), mask)
+    return np.column_stack(np.unravel_index(flat, mask.dims)).astype(np.int64)
 
 
-def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> np.ndarray:
-    counts = np.zeros(mask.dims, dtype=np.int64)
-    for s in sset:
-        idx = voxelize(s, mask)
-        counts[idx[:, 0], idx[:, 1], idx[:, 2]] += 1
-    return counts
+def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> tuple[np.ndarray, int]:
+    """Distinct-streamline count of every voxel, and how many streamlines
+    cross no in-mask voxel.
+
+    Keys are built for one block of streamlines at a time (streamline.blocks),
+    which bounds the memory they take.
+    """
+    n_vox = mask.occupancy.size
+    counts = np.zeros(n_vox, dtype=np.int64)
+    missed = 0
+    for lo, hi in blocks(sset.offsets):
+        offsets = sset.offsets[lo : hi + 1]
+        found = _voxel_keys(sset.points[offsets[0] : offsets[-1]], offsets - offsets[0], mask)
+        counts += np.bincount(found % n_vox, minlength=n_vox)
+        missed += hi - lo - len(np.unique(found // n_vox))
+    return counts.reshape(mask.dims), missed
 
 
 def coverage(sset: StreamlineSet, mask: VoxelMask) -> float:
     """Fraction of occupied voxels crossed by at least one streamline."""
     if mask.n_occupied == 0:
         raise EmptyDomainError("mask has no occupied voxels")
-    crossed = np.zeros(mask.dims, dtype=bool)
-    for s in sset:
-        idx = voxelize(s, mask)
-        crossed[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return float(crossed[mask.occupancy].sum() / mask.n_occupied)
+    counts, _ = _count_grid(sset, mask)
+    return float((counts[mask.occupancy] > 0).sum() / mask.n_occupied)
 
 
 def density(
@@ -125,7 +150,8 @@ def density(
     if mask.n_occupied == 0:
         raise EmptyDomainError("mask has no occupied voxels")
 
-    counts = _count_grid(sset, mask)
+    counts, missed = _count_grid(sset, mask)
+    log.info("density: %d of %d streamlines cross no in-mask voxel", missed, len(sset))
     occ_counts = counts[mask.occupancy]
     sc = float((occ_counts > 0).sum() / mask.n_occupied)
     sd_mean = float(occ_counts.mean())

@@ -38,7 +38,7 @@ from .grid import VoxelMask
 from .streamline import (
     DEFAULT_RESAMPLE_POINTS,
     StreamlineSet,
-    arc_length,
+    arc_lengths,
     mdf_rows,
     stack_resampled,
 )
@@ -157,18 +157,18 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
     docstring cannot skip, instead of to all n candidates; the trace counts
     the evaluations made.
     """
-    sls = sorted(candidates.streamlines, key=lambda s: s.id)
-    n = len(sls)
+    n = len(candidates)
     if n == 0:
         raise EmptyDomainError("candidate set is empty")
     if cfg.k > n:
         raise ArityError(f"k={cfg.k} exceeds candidate count {n}")
 
-    coords = np.ascontiguousarray(stack_resampled(sls, cfg.m).transpose(2, 1, 0))
+    # Candidates are traversed in id order, so ties break to the lowest id.
+    order = np.argsort(candidates.ids, kind="stable")
+    coords = np.ascontiguousarray(stack_resampled(candidates, cfg.m)[order].transpose(2, 1, 0))
 
     if cfg.init_rule == "longest":
-        lengths = np.array([arc_length(s) for s in sls])
-        first = int(np.argmax(lengths))
+        first = int(np.argmax(arc_lengths(candidates.points, candidates.offsets)[order]))
     else:
         first = 0
 
@@ -199,10 +199,10 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
         dmin[j] = -np.inf
         picked[:, :, step] = coords[:, :, j]
 
-    chosen = [sls[i] for i in selected]
+    rows = order[selected]
     trace = FSSTrace(
-        selected_ids=np.array([s.id for s in chosen], dtype=np.int64),
+        selected_ids=candidates.ids[rows],
         selection_distance=distances,
         mdf_evaluations=evaluations,
     )
-    return StreamlineSet(chosen, mask=candidates.mask), trace
+    return candidates.take(rows, mask=candidates.mask), trace

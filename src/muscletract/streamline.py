@@ -1,14 +1,36 @@
-"""Polyline geometry for fiber tracts.
+"""Packed streamline storage and polyline geometry for fiber tracts.
 
-A streamline is an ordered 3D polyline in world millimeters. This module
-provides arc length, fixed-count resampling, orientation flipping, and the
-minimum average direct-flip (MDF) distance between equal-length resampled
-streamlines, which is the distance index the farthest-first filter runs on.
+A streamline is an ordered 3D polyline in world millimeters with at least two
+points and positive arc length. A StreamlineSet packs n of them the way
+nibabel's ArraySequence does: one (N, 3) float64 point buffer, n + 1 int64
+offsets (streamline i is points[offsets[i]:offsets[i + 1]]) and n int64 ids.
+A set is validated once, over its whole buffer; iterating over it yields
+Streamline views into the buffer, which are not validated again.
+
+Work over a set runs in blocks of whole streamlines holding at most
+BLOCK_POINTS points, read when the work starts. A streamline longer than the
+budget forms a block of its own. So the temporaries of a batched step are
+bounded by the budget, not by the size of the set. Resampling sorts the
+streamlines by point count and pads every row of a block to its longest
+streamline, and the padding counts against the budget.
+
+Batched results equal the per-streamline computation bit for bit (the form
+that tests/reference_streamline.py keeps as the oracle):
+
+- resampling runs the per-streamline cumulative chord length as one
+  np.add.accumulate along padded rows (accumulation is sequential, and the
+  padding adds exact zeros after the last point);
+- arc lengths reduce the streamlines of one point count as rows of one
+  array, which numpy sums in the same pairwise order as a single streamline.
+
+The module also holds the minimum average direct-flip (MDF) distance kernel
+between equal-count resampled streamlines that the farthest-first filter runs
+on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,20 +38,45 @@ from .errors import ArityError, InvalidStreamlineError
 
 DEFAULT_RESAMPLE_POINTS = 12
 
-
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidStreamlineError(f"expected (n, 3) points, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise InvalidStreamlineError("streamline contains non-finite coordinates")
-    return pts
+# Points that one block of a batched step over a set may hold, padding included.
+BLOCK_POINTS = 1 << 16
 
 
-def polyline_length(points: np.ndarray) -> float:
-    """Total chord length of an (n, 3) point array."""
-    seg = points[1:] - points[:-1]
-    return float(np.sqrt((seg * seg).sum(axis=1)).sum())
+def blocks(offsets: np.ndarray):
+    """(lo, hi) ranges of consecutive streamlines of a packed buffer that
+    hold at most BLOCK_POINTS points, or one streamline that alone holds more."""
+    lo, n = 0, len(offsets) - 1
+    while lo < n:
+        hi = int(np.searchsorted(offsets, offsets[lo] + BLOCK_POINTS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
+    """Every streamline finite, of two or more points and positive length.
+
+    A streamline has zero length exactly when (seg * seg).sum(1) is zero for
+    all of its segments, the test a summed chord length of zero reduces to;
+    as a sum of squares, it is zero where every squared component is.
+    """
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
+    if offsets[-1] != len(points):
+        raise InvalidStreamlineError(f"point counts add up to {offsets[-1]}, not {len(points)}")
+    if (np.diff(offsets) < 2).any():
+        raise InvalidStreamlineError("streamline needs at least two points")
+    for lo, hi in blocks(offsets):
+        base = offsets[lo]
+        pts = points[base : offsets[hi]]
+        if not np.isfinite(pts).all():
+            raise InvalidStreamlineError("streamline contains non-finite coordinates")
+        sq = pts[1:] - pts[:-1]
+        sq *= sq
+        moved = np.concatenate([[0], np.cumsum((sq[:, 0] > 0) | (sq[:, 1] > 0) | (sq[:, 2] > 0))])
+        # Segments offsets[i] .. offsets[i + 1] - 2 belong to streamline i.
+        if (moved[offsets[lo + 1 : hi + 1] - 1 - base] == moved[offsets[lo:hi] - base]).any():
+            raise InvalidStreamlineError("streamline has zero arc length")
 
 
 @dataclass(frozen=True)
@@ -40,103 +87,195 @@ class Streamline:
     id: int = -1
 
     def __post_init__(self):
-        pts = _as_points(self.points)
-        if len(pts) < 2:
-            raise InvalidStreamlineError("streamline needs at least two points")
-        if polyline_length(pts) <= 0.0:
-            raise InvalidStreamlineError("streamline has zero arc length")
+        pts = np.asarray(self.points, dtype=np.float64)
+        _validate(pts, np.array([0, pts.size // 3]))
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class ResampledStreamline:
-    """Fixed-count equal-arc-spacing representation used by MDF and FSS."""
-
-    points: np.ndarray
-    source_id: int = -1
-
-    def __post_init__(self):
-        pts = _as_points(self.points)
-        if len(pts) < 2:
-            raise InvalidStreamlineError("resampled streamline needs at least two points")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
+def _view(points: np.ndarray, sid: int) -> Streamline:
+    """A Streamline over points that a validated set already checked."""
+    s = object.__new__(Streamline)
+    object.__setattr__(s, "points", points)
+    object.__setattr__(s, "id", sid)
+    return s
 
 
-@dataclass
 class StreamlineSet:
-    """A list of streamlines sharing one coordinate frame (optional mask ref)."""
+    """Streamlines sharing one coordinate frame, packed as described in the
+    module docstring, with an optional mask reference."""
 
-    streamlines: list[Streamline] = field(default_factory=list)
-    mask: object | None = None
-
-    def __post_init__(self):
-        ids = [s.id for s in self.streamlines]
-        if len(set(ids)) != len(ids):
-            raise InvalidStreamlineError("streamline ids within a set must be unique")
-
-    def __len__(self) -> int:
-        return len(self.streamlines)
-
-    def __iter__(self):
-        return iter(self.streamlines)
+    def __init__(self, streamlines=(), mask=None):
+        sls = list(streamlines)
+        points = np.concatenate([s.points for s in sls]) if sls else np.empty((0, 3))
+        self._pack(points, [len(s.points) for s in sls], [s.id for s in sls], mask)
 
     @classmethod
-    def from_arrays(cls, arrays, mask=None) -> "StreamlineSet":
-        return cls([Streamline(a, id=i) for i, a in enumerate(arrays)], mask=mask)
+    def packed(cls, points, counts, ids=None, mask=None) -> StreamlineSet:
+        """A set over an (N, 3) point buffer that holds streamlines of the
+        given point counts one after another; ids default to 0..n-1. A
+        float64 buffer is used as given, not copied."""
+        sset = cls.__new__(cls)
+        sset._pack(np.asarray(points, dtype=np.float64), counts,
+                   np.arange(len(counts)) if ids is None else ids, mask)
+        return sset
+
+    def _pack(self, points, counts, ids, mask) -> None:
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if len(ids) != len(counts):
+            raise InvalidStreamlineError(f"{len(ids)} ids for {len(counts)} streamlines")
+        _validate(points, offsets)
+        if len(np.unique(ids)) != len(ids):
+            raise InvalidStreamlineError("streamline ids within a set must be unique")
+        self.points, self.offsets, self.ids, self.mask = points, offsets, ids, mask
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Point count of every streamline."""
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        bounds = zip(self.ids.tolist(), self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        for sid, lo, hi in bounds:
+            yield _view(self.points[lo:hi], sid)
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last point of every streamline, as two (n, 3) arrays."""
+        return self.points[self.offsets[:-1]], self.points[self.offsets[1:] - 1]
+
+    def take(self, rows, mask=None) -> StreamlineSet:
+        """The streamlines at the given positions, in that order, with their
+        ids; copied one block at a time."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, counts = self.offsets[rows], self.counts[rows]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        points = np.empty((offsets[-1], 3))
+        for lo, hi in blocks(offsets):
+            src = np.repeat(starts[lo:hi] - offsets[lo:hi], counts[lo:hi])
+            points[offsets[lo] : offsets[hi]] = self.points[src + np.arange(offsets[lo], offsets[hi])]
+        return StreamlineSet.packed(points, counts, self.ids[rows], mask)
 
 
 def arc_length(s: Streamline | np.ndarray) -> float:
     """Sum of distances between consecutive points, in millimeters."""
-    pts = s.points if isinstance(s, (Streamline, ResampledStreamline)) else _as_points(s)
+    pts = s.points if isinstance(s, Streamline) else np.asarray(s, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
+        raise InvalidStreamlineError("arc length needs finite (n, 3) points")
     if len(pts) < 2:
         raise InvalidStreamlineError("arc length needs at least two points")
-    return polyline_length(pts)
+    seg = pts[1:] - pts[:-1]
+    return float(np.sqrt((seg * seg).sum(axis=1)).sum())
 
 
-def resample_points(points: np.ndarray, m: int) -> np.ndarray:
-    """Place m points at equal arc-length spacing along a polyline.
+def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """arc_length of every streamline of a packed buffer, bit for bit.
+
+    The streamlines of one point count c are summed as the rows of a
+    (g, c - 1) array, which numpy reduces row by row in the pairwise order
+    it uses for one (c - 1)-vector. Squared segment lengths are summed x,
+    then y, then z, as (seg * seg).sum(1) does.
+    """
+    counts = np.diff(offsets)
+    order = np.argsort(counts, kind="stable")
+    ends = np.flatnonzero(np.diff(counts[order])) + 1
+    out = np.zeros(len(counts))
+    for group in np.split(order, ends):
+        c = int(counts[group[0]]) if len(group) else 0
+        if c < 2:
+            continue
+        step = max(1, BLOCK_POINTS // c)
+        for lo in range(0, len(group), step):
+            rows = group[lo : lo + step]
+            seg = np.diff(points[offsets[rows, None] + np.arange(c)], axis=1)
+            sq = seg[..., 0] * seg[..., 0]
+            sq += seg[..., 1] * seg[..., 1]
+            sq += seg[..., 2] * seg[..., 2]
+            out[rows] = np.sqrt(sq).sum(axis=1)
+    return out
+
+
+def _padded_runs(counts: np.ndarray, budget: int):
+    """(lo, hi) ranges of ascending counts whose padded size
+    (hi - lo) * counts[hi - 1] is at most budget, or one row each."""
+    lo, n = 0, len(counts)
+    while lo < n:
+        size = np.arange(1, min(n - lo, budget) + 1) * counts[lo : lo + budget]
+        hi = lo + max(1, int(np.searchsorted(size, budget, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _count_at_most(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """np.searchsorted(row, t, side="right") for every target t of every
+    ascending row, by one bisection over all of them."""
+    width = rows.shape[1]
+    r = np.arange(len(rows))[:, None]
+    lo, hi = np.zeros(targets.shape, dtype=np.int64), np.full(targets.shape, width)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) // 2
+        right = (lo < hi) & (rows[r, np.minimum(mid, width - 1)] <= targets)
+        hi = np.where(right, hi, mid)  # where lo == hi, mid is hi
+        lo = np.where(right, mid + 1, lo)
+    return lo
+
+
+def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m: int):
+    """Resample the streamlines starting at starts, with counts points each.
+
+    Each row is padded to the longest with copies of its last point, so the
+    padding adds zero-length segments that leave the cumulative length exact.
+    Squared segment lengths are summed x, then y, then z, as (seg * seg).sum(1)
+    does.
+    """
+    width = int(counts.max())
+    r = np.arange(len(starts))[:, None]
+    at = starts[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)
+    sq = np.zeros((len(starts), width - 1))
+    for c in range(3):
+        p = points[:, c][at]
+        d = p[:, 1:] - p[:, :-1]
+        sq += d * d
+    seg_len = np.sqrt(sq)
+    cum = np.zeros((len(starts), width))
+    np.add.accumulate(seg_len, axis=1, out=cum[:, 1:])
+
+    targets = np.linspace(0.0, cum[r[:, 0], counts - 1], m, axis=1)
+    idx = np.clip(_count_at_most(cum, targets) - 1, 0, counts[:, None] - 2)
+    length = seg_len[r, idx]
+    frac = (targets - cum[r, idx]) / np.where(length > 0.0, length, 1.0)
+    at = starts[:, None] + idx
+    out = points[at] + frac[..., None] * (points[at + 1] - points[at])
+    out[:, 0] = points[starts]
+    out[:, -1] = points[starts + counts - 1]
+    return out
+
+
+def stack_resampled(sset: StreamlineSet, m: int = DEFAULT_RESAMPLE_POINTS) -> np.ndarray:
+    """Place m points at equal arc-length spacing along every streamline of
+    a set, as an (n, m, 3) array.
 
     Parameterizes by cumulative chord length; the two endpoints are copied
     exactly from the input.
     """
     if m < 2:
         raise ArityError(f"resample needs m >= 2, got {m}")
-    pts = _as_points(points)
-    seg = np.diff(pts, axis=0)
-    seg_len = np.sqrt((seg * seg).sum(axis=1))
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = cum[-1]
-    if total <= 0.0:
-        raise InvalidStreamlineError("cannot resample a zero-length streamline")
-
-    targets = np.linspace(0.0, total, m)
-    idx = np.searchsorted(cum, targets, side="right") - 1
-    idx = np.clip(idx, 0, len(seg_len) - 1)
-    denom = np.where(seg_len[idx] > 0.0, seg_len[idx], 1.0)
-    frac = (targets - cum[idx]) / denom
-    out = pts[idx] + frac[:, None] * seg[idx]
-    out[0] = pts[0]
-    out[-1] = pts[-1]
+    counts = sset.counts
+    order = np.argsort(counts, kind="stable")
+    out = np.empty((len(counts), m, 3))
+    for lo, hi in _padded_runs(counts[order], BLOCK_POINTS):
+        rows = order[lo:hi]
+        out[rows] = _resample_rows(sset.points, sset.offsets[rows], counts[rows], m)
     return out
 
 
-def resample(s: Streamline, m: int = DEFAULT_RESAMPLE_POINTS) -> ResampledStreamline:
-    """Uniformly resample a streamline to m points (default 12)."""
-    return ResampledStreamline(resample_points(s.points, m), source_id=s.id)
-
-
-def flip(r: ResampledStreamline) -> ResampledStreamline:
-    """Reverse point order; flip(flip(r)) == r."""
-    return ResampledStreamline(r.points[::-1].copy(), source_id=r.source_id)
-
-
-def _palindromic_mean(d: np.ndarray) -> np.ndarray | float:
+def _palindromic_mean(d: np.ndarray) -> np.ndarray:
     # Sums per-point distances by palindromic index pairs so the result is
     # bit-identical under argument swap and under flipping both operands.
     # The pair sums are laid out C-contiguous whatever the layout of d, so
@@ -147,25 +286,6 @@ def _palindromic_mean(d: np.ndarray) -> np.ndarray | float:
     if m % 2:
         total = total + d[..., half]
     return total / m
-
-
-def _paired_mean_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return float(_palindromic_mean(np.sqrt(((p - q) ** 2).sum(axis=1))))
-
-
-def mdf(a: ResampledStreamline, b: ResampledStreamline) -> float:
-    """Minimum average direct-flip distance between two resampled streamlines.
-
-    min(d_direct, d_flipped) where d_direct is the mean pointwise Euclidean
-    distance and d_flipped pairs one operand with the other reversed.
-    Symmetric in its arguments at the bit level.
-    """
-    pa, pb = a.points, b.points
-    if len(pa) != len(pb):
-        raise ArityError(f"MDF needs equal point counts, got {len(pa)} and {len(pb)}")
-    direct = _paired_mean_distance(pa, pb)
-    flipped = _paired_mean_distance(pa, pb[::-1])
-    return min(direct, flipped)
 
 
 def _mean_distances(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -179,22 +299,10 @@ def mdf_rows(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
     """MDF from every streamline of a (3, m, n) coordinate stack to one (m, 3)
     streamline.
 
-    The stack is structure-of-arrays: coords[c, i, s] is coordinate c of point
-    i of streamline s, so each arithmetic pass runs over n contiguous values.
-    Any strided view works too (batch_mdf_to_one passes one). Bit-identical to
-    calling mdf() per pair in either argument order.
+    MDF is min(d_direct, d_flipped), where d_direct is the mean pointwise
+    Euclidean distance and d_flipped pairs one operand with the other
+    reversed; it is symmetric in its arguments at the bit level. The stack is
+    structure-of-arrays: coords[c, i, s] is coordinate c of point i of
+    streamline s, so each arithmetic pass runs over n contiguous values.
     """
     return np.minimum(_mean_distances(coords, q), _mean_distances(coords, q[::-1]))
-
-
-def batch_mdf_to_one(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """MDF from every streamline in an (n, m, 3) stack to one (m, 3) streamline.
-
-    Bit-identical to calling mdf() per pair in either argument order.
-    """
-    return mdf_rows(stack.transpose(2, 1, 0), q)
-
-
-def stack_resampled(streamlines, m: int = DEFAULT_RESAMPLE_POINTS) -> np.ndarray:
-    """Resample a sequence of streamlines into an (n, m, 3) array."""
-    return np.stack([resample_points(s.points, m) for s in streamlines])

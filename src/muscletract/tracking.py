@@ -27,6 +27,10 @@ tests/reference_tracking.py keeps as the oracle):
 - Extrapolation runs one voxel traversal (Amanatides & Woo 1987) over all
   endpoints. The tangent norms come from a stacked matmul, which rounds like
   np.linalg.norm of one vector; an elementwise sum of squares does not.
+
+track writes every batch of tracks into one packed buffer that grows in
+place, and reconstruct fits and extends those tracks in that same buffer, so
+the points are held once, not once per stage.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import Streamline, StreamlineSet, polyline_length
+from .streamline import Streamline, StreamlineSet, arc_lengths
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +71,8 @@ _RUN_BYTES = 1 << 22
 
 
 def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
-    """March one half-track per seed; returns per-seed point arrays (seed excluded).
+    """March one half-track per seed; returns the points of every half-track
+    (seed excluded), packed in seed order, and the count of each.
 
     Each pass takes every live track through one voxel: the first step does
     the full lookup and checks, and the track then continues in a straight
@@ -143,7 +148,32 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         prev[survivors] = v[go]
         active = survivors[counts[survivors] < max_steps]
 
-    return [buf[: counts[i], i].copy() for i in range(n)]
+    # Point j of half-track i sits at flat row j * n + i of the step-major buffer.
+    rows = np.repeat(np.arange(n) - n * (np.cumsum(counts) - counts), counts)
+    rows += n * np.arange(len(rows))
+    return buf.reshape(-1, 3).take(rows, axis=0), counts
+
+
+def _pack_in_place(buf, offsets, rows, head=0, tail=0) -> np.ndarray:
+    """Move the tracks at rows (ascending) to the front of buf, leaving one
+    free row before each track whose head is set and one after each whose
+    tail is set; returns their new point counts. buf must have the room.
+
+    Closing the gaps left by the other tracks moves every track towards the
+    front, so that pass runs first to last; opening the free rows moves them
+    towards the back, so that pass runs last to first. Neither pass
+    overwrites a track it has yet to move.
+    """
+    starts, counts = offsets[rows], offsets[rows + 1] - offsets[rows]
+    packed = np.cumsum(counts) - counts
+    new_counts = counts + head + tail
+    opened = np.cumsum(new_counts) - new_counts + head
+    moves = list(zip(starts.tolist(), packed.tolist(), counts.tolist()))
+    moves += reversed(list(zip(packed.tolist(), opened.tolist(), counts.tolist())))
+    for src, dst, n in moves:
+        if src != dst:
+            buf[dst : dst + n] = buf[src : src + n]
+    return new_counts
 
 
 def track(
@@ -168,26 +198,38 @@ def track(
         log.info("track: skipped %d of %d seeds outside the mask", skipped, len(pts))
     pts = pts[inside]
 
-    diag = mask.diagonal
-    max_steps = int(math.ceil(math.pi * diag / cfg.step_mm)) + 4
+    max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
     # Each half-track buffer holds max_steps * chunk * 3 float64s: keep it within 6e7 bytes.
     chunk = max(1, min(4096, int(6e7 / (max_steps * 24))))
-
-    out: list[Streamline] = []
-    next_id = 0
+    # The tracks of every chunk go straight into one buffer that grows in
+    # place (ndarray.resize), so that no chunk is copied again.
+    buf, pos, kept = np.empty((0, 3)), 0, []
     for lo in range(0, len(pts), chunk):
         batch = pts[lo : lo + chunk]
         idx = np.floor((batch - mask.origin) / mask.voxel_size).astype(np.int64)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
-        fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
-        bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
-        for seed, a, b in zip(batch, fwd, bwd):
-            points = np.concatenate([b[::-1], seed[None], a])
-            if len(points) < 2 or polyline_length(points) < cfg.min_length_mm:
-                continue
-            out.append(Streamline(points, id=next_id))
-            next_id += 1
-    return StreamlineSet(out, mask=mask)
+        fwd, n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
+        bwd, n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
+        counts = n_bwd + 1 + n_fwd
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        buf.resize((pos + offsets[-1], 3), refcheck=False)
+        tracks = buf[pos:]
+        # Each track is its backward half reversed, the seed, its forward half.
+        at = offsets[:-1] + n_bwd
+        tracks[at] = batch
+        tracks[np.repeat(at + 1 - (np.cumsum(n_fwd) - n_fwd), n_fwd) + np.arange(len(fwd))] = fwd
+        tracks[np.repeat(at - 1 + (np.cumsum(n_bwd) - n_bwd), n_bwd) - np.arange(len(bwd))] = bwd
+        del fwd, bwd
+        # A one-point track has length 0, below every min_length_mm.
+        keep = np.flatnonzero(arc_lengths(tracks, offsets) >= cfg.min_length_mm)
+        kept.append(_pack_in_place(tracks, offsets, keep))
+        pos += int(kept[-1].sum())
+        del tracks
+    counts = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    # Two spare rows per track, for reconstruct to add exit points in place.
+    buf.resize((pos + 2 * len(counts), 3), refcheck=False)
+    return StreamlineSet.packed(buf[:pos], counts, mask=mask)
 
 
 def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
@@ -224,8 +266,6 @@ def fit_poly3(s: Streamline) -> tuple[Streamline, float]:
     the fit in mm.
     """
     out = _fit_cubic(s.points, {})
-    if polyline_length(s.points) <= 0.0:
-        raise DegenerateGeometryError("cannot fit near-coincident points")
     resid = out - s.points
     rms = float(np.sqrt((resid * resid).sum(axis=1).mean()))
     return Streamline(out, id=s.id), rms
@@ -271,8 +311,9 @@ def _ray_exits(mask: VoxelMask, starts: np.ndarray, directions: np.ndarray, max_
     return tau
 
 
-def _surface_exits(tracks, mask: VoxelMask, cfg: TrackingConfig):
-    """Where both terminal tangents of every track leave the mask.
+def _surface_exits(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask, cfg: TrackingConfig):
+    """Where both terminal tangents of every track of a packed buffer leave
+    the mask.
 
     Returns (exits, extend, accepted, ran_away): exits (n, 2, 3) holds the
     exit points beyond the first and the last point, and extend (n, 2) marks
@@ -281,8 +322,9 @@ def _surface_exits(tracks, mask: VoxelMask, cfg: TrackingConfig):
     extended) or where the added length exceeds cfg.max_extrap_fraction of
     the track's arc length.
     """
-    anchors = np.array([(p[0], p[-1]) for p in tracks]).reshape(-1, 3)
-    d = anchors - np.array([(p[1], p[-2]) for p in tracks]).reshape(-1, 3)
+    first, last = offsets[:-1], offsets[1:] - 1
+    anchors = np.stack([points[first], points[last]], axis=1).reshape(-1, 3)
+    d = anchors - np.stack([points[first + 1], points[last - 1]], axis=1).reshape(-1, 3)
     # A stacked matmul rounds each squared norm like np.linalg.norm of one vector.
     norm = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     if (norm == 0.0).any():
@@ -295,19 +337,20 @@ def _surface_exits(tracks, mask: VoxelMask, cfg: TrackingConfig):
     ran_away = np.isnan(tau).any(axis=1)
     extend = (tau > 1e-12) & ~ran_away[:, None]
     added = np.where(extend, tau, 0.0)
-    lengths = np.array([polyline_length(p) for p in tracks])
+    lengths = arc_lengths(points, offsets)
     accepted = ~ran_away & (added[:, 0] + added[:, 1] <= cfg.max_extrap_fraction * lengths)
     return exits, extend, accepted, ran_away
 
 
-def _extended(points: np.ndarray, exits: np.ndarray, extend: np.ndarray) -> np.ndarray:
-    """points with the exit point of each end marked in extend added."""
-    pieces = [points]
-    if extend[0]:
-        pieces.insert(0, exits[:1])
-    if extend[1]:
-        pieces.append(exits[1:])
-    return np.concatenate(pieces) if len(pieces) > 1 else points
+def _with_exits(buf, offsets, exits, extend, rows) -> np.ndarray:
+    """Pack the tracks at rows into the front of buf, adding at each end the
+    exit point that extend marks; returns their point counts."""
+    head, tail = extend[rows, 0], extend[rows, 1]
+    counts = _pack_in_place(buf, offsets, rows, head, tail)
+    first = np.cumsum(counts) - counts
+    buf[first[head]] = exits[rows[head], 0]
+    buf[(first + counts - 1)[tail]] = exits[rows[tail], 1]
+    return counts
 
 
 def extrapolate_to_surface(
@@ -320,9 +363,12 @@ def extrapolate_to_surface(
     a tangent fails to exit the mask within twice its diagonal.
     """
     cfg = cfg or TrackingConfig()
-    exits, extend, accepted, _ = _surface_exits([s.points], mask, cfg)
+    offsets = np.array([0, len(s.points)])
+    exits, extend, accepted, _ = _surface_exits(s.points, offsets, mask, cfg)
     if extend.any():
-        s = Streamline(_extended(s.points, exits[0], extend[0]), id=s.id)
+        buf = np.concatenate([s.points, np.empty((2, 3))])
+        (n,) = _with_exits(buf, offsets, exits, extend, np.array([0]))
+        s = Streamline(buf[:n], id=s.id)
     return s, bool(accepted[0])
 
 
@@ -339,29 +385,30 @@ def reconstruct(
     Logs one INFO line with what each stage dropped.
     """
     cfg = cfg or TrackingConfig()
-    tracks = [s.points for s in track(field, mask, seeds, cfg)]
-    # Each fit, and then each output, takes the place of the array it was
-    # made from, so that the points are held about once, not once per stage.
+    tracked = track(field, mask, seeds, cfg)
+    # The tracked points lead a buffer with room for the exit points, and
+    # each stage below rewrites that buffer in place.
+    points, offsets, buf = tracked.points, tracked.offsets, tracked.points.base
     designs: dict = {}
     unfitted = 0
-    for i, points in enumerate(tracks):
-        if len(points) >= 5:
-            tracks[i] = _fit_cubic(points, designs)
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        if b - a >= 5:
+            points[a:b] = _fit_cubic(points[a:b], designs)
         else:
             unfitted += 1
-    exits, extend, accepted, ran_away = _surface_exits(tracks, mask, cfg)
-    out: list[Streamline] = []
-    for i in np.flatnonzero(accepted):
-        out.append(Streamline(_extended(tracks[i], exits[i], extend[i]), id=len(out)))
-        tracks[i] = None
+    exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
+    counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
+    n_tracks, away = len(tracked), int(ran_away.sum())
+    del tracked, points
+    out = StreamlineSet.packed(buf[: counts.sum()], counts, mask=mask)
 
     n_in = int(mask.points_in_mask(seeds.points).sum())
-    rejected, away = len(tracks) - len(out), int(ran_away.sum())
+    rejected = n_tracks - len(out)
     log.info(
         "reconstruct: %d seeds, %d outside the mask; %d tracks under min_length_mm; "
         "%d fits skipped (< 5 points); %d extrapolations rejected (%d ran away, "
         "%d over max_extrap_fraction); %d streamlines",
-        len(seeds), len(seeds) - n_in, n_in - len(tracks), unfitted,
+        len(seeds), len(seeds) - n_in, n_in - n_tracks, unfitted,
         rejected, away, rejected - away, len(out),
     )
-    return StreamlineSet(out, mask=mask)
+    return out

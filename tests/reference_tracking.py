@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from muscletract.errors import DegenerateGeometryError
-from muscletract.streamline import Streamline, StreamlineSet, polyline_length
+from muscletract.streamline import Streamline, StreamlineSet, arc_length
 from muscletract.tracking import TrackingConfig
 
 
@@ -68,7 +68,7 @@ def track(field, mask, seeds, cfg):
     out = []
     for seed, a, b in zip(pts, fwd, bwd):
         points = np.concatenate([b[::-1], seed[None], a])
-        if len(points) < 2 or polyline_length(points) < cfg.min_length_mm:
+        if len(points) < 2 or arc_length(points) < cfg.min_length_mm:
             continue
         out.append(Streamline(points, id=len(out)))
     return StreamlineSet(out, mask=mask)
@@ -126,7 +126,7 @@ def ray_exit_distance(mask, start, direction, max_dist):
 def extrapolate(points, mask, cfg):
     """Extend both ends of one track to the mask surface; returns
     (points, accepted, ran_away)."""
-    original = polyline_length(points)
+    original = arc_length(points)
     max_dist = 2.0 * mask.diagonal
     tangents = []
     for anchor, inner in ((points[0], points[1]), (points[-1], points[-2])):

@@ -28,16 +28,13 @@ from muscletract.formats import (
 )
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.metrics import DensityMap
-from muscletract.streamline import (
-    Streamline,
-    StreamlineSet,
-    arc_length,
-    batch_mdf_to_one,
-    flip,
-    mdf,
-    resample,
-    stack_resampled,
-)
+from muscletract.streamline import Streamline, StreamlineSet, arc_length, mdf_rows, stack_resampled
+from reference_streamline import mdf, resample
+
+
+def mdf_to_one(stack, q):
+    """MDF from every streamline of an (n, m, 3) stack to one (m, 3) streamline."""
+    return mdf_rows(stack.transpose(2, 1, 0), q)
 
 mpmath.mp.dps = 40
 
@@ -110,7 +107,7 @@ def ensemble():
                 "runs": runs,
                 "fss_fl_median": float(np.median([arc_length(s) for s in fss])),
                 "random_fl_median": float(
-                    np.median([arc_length(cands.streamlines[j]) for j in sub])
+                    np.median([arc_length(s) for s in cands.take(sub)])
                 ),
                 "trace": trace,
                 "selected_stack": stack_resampled(fss, 12),
@@ -199,7 +196,7 @@ def oracle_runs():
 def test_criterion_3_fss_oracle_equivalence(oracle_runs):
     mismatches = 0
     for per_set in oracle_runs:
-        sls = per_set["cands"].streamlines
+        sls = list(per_set["cands"])
         want_full = naive_farthest_first_ids(sls, 100)
         for k in (1, 10, 50, 100):
             if per_set["runs"][k]["ids"] != want_full[:k]:
@@ -220,7 +217,7 @@ def _check_trace(trace, stack):
     if len(stack) > 1:
         final = d[-1]
         for i in range(len(stack)):
-            row = batch_mdf_to_one(stack, stack[i])
+            row = mdf_to_one(stack, stack[i])
             row[i] = np.inf
             assert row.min() >= final
 
@@ -244,13 +241,16 @@ def test_criterion_5_mdf_properties():
     worst_sym = 0.0
     worst_flip = 0.0
     worst_ident = 0.0
+    def lib_mdf(p, q):
+        return float(mdf_rows(p.T[:, :, None], q)[0])
+
     for _ in range(n):
-        a = mt.ResampledStreamline(np.cumsum(rng.uniform(-2, 2, (12, 3)), axis=0))
-        b = mt.ResampledStreamline(np.cumsum(rng.uniform(-2, 2, (12, 3)), axis=0))
-        d = mdf(a, b)
-        worst_sym = max(worst_sym, abs(mdf(b, a) - d))
-        worst_flip = max(worst_flip, abs(mdf(flip(a), b) - d), abs(mdf(a, flip(b)) - d))
-        worst_ident = max(worst_ident, mdf(a, flip(a)), mdf(a, a))
+        a = np.cumsum(rng.uniform(-2, 2, (12, 3)), axis=0)
+        b = np.cumsum(rng.uniform(-2, 2, (12, 3)), axis=0)
+        d = lib_mdf(a, b)
+        worst_sym = max(worst_sym, abs(lib_mdf(b, a) - d))
+        worst_flip = max(worst_flip, abs(lib_mdf(a[::-1], b) - d), abs(lib_mdf(a, b[::-1]) - d))
+        worst_ident = max(worst_ident, lib_mdf(a, a[::-1]), lib_mdf(a, a))
     ok = worst_sym == 0.0 and worst_flip <= 1e-12 and worst_ident <= 1e-12
     report(
         5,

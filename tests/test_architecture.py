@@ -17,7 +17,7 @@ from muscletract.errors import DegenerateGeometryError, EmptyDomainError, Invali
 from muscletract.grid import VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import seeds_3d
-from muscletract.streamline import Streamline, StreamlineSet
+from muscletract.streamline import Streamline, StreamlineSet, arc_length
 from muscletract.tracking import reconstruct
 
 
@@ -343,3 +343,28 @@ def arch_with(mv, pcsa, loa):
         mv=mv, fl_median=30.0, ml=60.0, fl_ml_ratio=0.5, pa_median=10.0,
         pcsa=pcsa, loa=loa, arch_type="pennate",
     )
+
+
+class TestBatchedMatchesOneTractAtATime:
+    """summarize reads FL, PA and ML from the packed buffer; each must equal,
+    bit for bit, the value computed one tract at a time."""
+
+    def tracts(self):
+        mask, field, _ = make_phantom(PhantomSpec(shape="curved_arc", jitter_deg=1.0, seed=3))
+        return mask, reconstruct(field, mask, seeds_3d(mask, 2.0))
+
+    def test_summarize(self):
+        mask, sset = self.tracts()
+        loa = line_of_action(sset)
+        arch = summarize(mask, sset, loa)
+
+        def angle(s):
+            chord = s.points[-1] - s.points[0]
+            cos = abs(float(chord @ loa.direction) / np.linalg.norm(chord))
+            return math.degrees(math.acos(min(1.0, cos)))
+
+        assert arch.fl_median == float(np.median([arc_length(s) for s in sset]))
+        assert arch.pa_median == float(np.median([angle(s) for s in sset]))
+        assert [pennation_angle(s, loa) for s in sset] == [angle(s) for s in sset]
+        proj = np.concatenate([s.points @ loa.direction for s in sset])
+        assert arch.ml == float(proj.max() - proj.min())

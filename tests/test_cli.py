@@ -1,4 +1,6 @@
 import argparse
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from muscletract.formats import (
     save_mask,
     save_streamlines,
 )
+import muscletract.streamline as streamline_mod
 from muscletract.grid import VoxelMask
 from muscletract.streamline import Streamline, StreamlineSet
 
@@ -480,3 +483,62 @@ class TestBoundaries:
         assert run(_command(files, "track", out)) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFrameCheck:
+    def lines(self, tmp_path, arrays, monkeypatch):
+        # One streamline per block, so the check must look past the first.
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 2)
+        save_mask(tmp_path / "m.mskv", VoxelMask(np.ones((4, 4, 4), dtype=bool)))
+        save_streamlines(tmp_path / "s.strl",
+                         StreamlineSet([Streamline(a, i) for i, a in enumerate(arrays)]))
+        return run(["metrics", "--streamlines", tmp_path / "s.strl", "--mask", tmp_path / "m.mskv",
+                    "--out-csv", tmp_path / "x.csv"])
+
+    def test_set_wholly_outside_exits_3(self, tmp_path, monkeypatch):
+        far = [[(100.0 + i, 100.0, 100.0), (101.0 + i, 100.0, 100.0)] for i in range(3)]
+        assert self.lines(tmp_path, far, monkeypatch) == 3
+
+    def test_only_inside_point_on_last_streamline_accepted(self, tmp_path, monkeypatch):
+        far = [[(100.0 + i, 100.0, 100.0), (101.0 + i, 100.0, 100.0)] for i in range(3)]
+        last = [(100.0, 100.0, 100.0), (4.0, 4.0, 4.0)]  # the grid's far corner
+        assert self.lines(tmp_path, far + [last], monkeypatch) == 0
+
+
+class TestLogging:
+    def cli(self, *args):
+        return subprocess.run([sys.executable, "-m", "muscletract", *map(str, args)],
+                              capture_output=True, text=True)
+
+    def test_info_lines_on_stderr_only(self, small_box, tmp_path):
+        out = tmp_path / "c.strl"
+        track = ["track", "--field", small_box["field"], "--mask", small_box["mask"],
+                 "--spacing", "2", "--out", out]
+        metrics = ["metrics", "--streamlines", out, "--mask", small_box["mask"],
+                   "--out-csv", tmp_path / "m.csv"]
+        quiet = [self.cli(*track), self.cli(*metrics)]
+        written = [out.read_bytes(), (tmp_path / "m.csv").read_bytes()]
+        loud = [self.cli("--log-level", "info", *track), self.cli("--log-level", "info", *metrics)]
+        assert [p.returncode for p in quiet + loud] == [0, 0, 0, 0]
+        assert [p.stdout for p in loud] == [p.stdout for p in quiet]
+        assert [out.read_bytes(), (tmp_path / "m.csv").read_bytes()] == written
+        assert [p.stderr for p in quiet] == ["", ""]
+        n = len(load_streamlines(out))
+        assert "INFO muscletract.tracking: reconstruct: " in loud[0].stderr
+        assert loud[0].stderr.rstrip().endswith(f"; {n} streamlines")
+        assert loud[1].stderr == (
+            f"INFO muscletract.metrics: density: 0 of {n} streamlines cross no in-mask voxel\n"
+        )
+
+
+def test_config_value_is_checked_by_the_command_that_uses_it(small_box, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sdcv_support=bogus\n")
+    assert run(_command(small_box, "track", tmp_path / "c.strl") + ["--config", cfg]) == 0
+    capsys.readouterr()
+    code = run(["metrics", "--streamlines", tmp_path / "c.strl", "--mask", small_box["mask"],
+                "--out-csv", tmp_path / "m.csv", "--config", cfg])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "sdcv_support" in err[0]
+    assert not (tmp_path / "m.csv").exists()

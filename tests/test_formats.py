@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from muscletract.errors import ConfigError, FormatError, InvalidSpecError
+from muscletract.errors import ConfigError, FormatError, InvalidSpecError, InvalidStreamlineError
 from muscletract.formats import (
     RunConfig,
     fmt_float,
@@ -68,7 +68,7 @@ class TestStreamlineRoundTrip:
         path = tmp_path / "s.strl"
         save_streamlines(path, StreamlineSet([Streamline(pts, id=0)]))
         got = load_streamlines(path)
-        assert np.array_equal(got.streamlines[0].points, pts)
+        assert np.array_equal(next(iter(got)).points, pts)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.strl"
@@ -95,6 +95,31 @@ class TestStreamlineRoundTrip:
         path.write_bytes(b"STRL" + struct.pack("<II", 1, 1) + payload)
         with pytest.raises(FormatError):
             load_streamlines(path)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[0, 0, 0], [np.nan, 1, 1]]), InvalidStreamlineError),
+        (np.array([[2, 2, 2], [2, 2, 2], [2, 2, 2]]), InvalidStreamlineError),
+        (None, FormatError),  # the last record cut short
+    ])
+    def test_bad_later_streamline_rejected(self, tmp_path, bad, error):
+        good = [np.array([[0, 0, 0], [1, 0, 0]]), np.array([[0, 1, 0], [0, 2, 0], [0, 3, 0]])]
+        records = b"".join(
+            struct.pack("<I", len(a)) + np.asarray(a, dtype="<f4").tobytes()
+            for a in good + ([bad] if bad is not None else [good[0]])
+        )
+        path = tmp_path / "b.strl"
+        path.write_bytes(b"STRL" + struct.pack("<II", 1, 3) + records[: len(records) - (bad is None)])
+        with pytest.raises(error):
+            load_streamlines(path)
+
+    def test_loads_into_one_buffer(self, tmp_path):
+        path = tmp_path / "s.strl"
+        sset = random_streamlines(np.random.default_rng(4), n=6)
+        save_streamlines(path, sset)
+        got = load_streamlines(path)
+        assert got.points.flags.c_contiguous and got.points.dtype == np.float64
+        assert np.array_equal(got.points, sset.points)
+        assert np.array_equal(got.offsets, sset.offsets) and list(got.ids) == list(range(6))
 
 
 class TestMaskRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from muscletract.errors import EmptyDomainError, InvalidSpecError
 from muscletract.grid import VoxelMask
 from muscletract.metrics import coverage, density, voxelize
-from muscletract.streamline import Streamline, StreamlineSet
+from muscletract.streamline import Streamline, StreamlineSet, arc_length
 
 
 def fine_step_voxel_walk(points, mask, step=0.01):
@@ -218,3 +218,101 @@ class TestInvariants:
             moved[src] -= 1
             moved[dst] += 1
             assert sdcv(moved) <= sdcv(counts) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched voxel-key kernel against one-streamline voxelization
+# ---------------------------------------------------------------------------
+
+import logging  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import muscletract.streamline as streamline_mod  # noqa: E402
+import reference_streamline as ref  # noqa: E402
+
+
+def aniso_mask(rng):
+    """Anisotropic voxels with a non-zero origin, about two thirds occupied."""
+    occ = rng.random((9, 7, 11)) < 0.65
+    return VoxelMask(occ, voxel_size=(0.7, 1.3, 0.9), origin=(-2.5, 3.25, 1.0))
+
+
+def adversarial_set(mask, rng):
+    o, v = mask.origin, mask.voxel_size
+    face = o + v * np.array([2.0, 3.0, 4.0])  # a voxel corner: on three faces at once
+    arrays = [
+        np.array([o + v * 0.5, o + v * 1.5]),  # 2-point line
+        np.repeat(o + v * rng.uniform(0, 6, (8, 3)), 3, axis=0),  # repeated points
+        np.array([face, face + v * [3.0, 0.0, 0.0], face + v * [3.0, 2.0, 0.0]]),  # on faces
+        np.array([face + v * [0.0, 0.5, 0.0], face + v * [4.0, 0.5, 0.0]]),  # in a face plane
+        np.array([o - 50.0, o - 40.0, o - 45.0]),  # wholly outside the mask
+        o + v * np.cumsum(rng.normal(0, 0.05, (3000, 3)), axis=0) + v * 4,  # very long
+        o + v * rng.uniform(-1, 8, (5, 3)),  # crosses the grid boundary
+    ]
+    return StreamlineSet([Streamline(a, i) for i, a in enumerate(arrays)])
+
+
+def assert_kernel_matches_reference(sset, mask):
+    want = ref.density_counts(sset, mask)
+    dmap, tm = density(sset, mask)
+    assert np.array_equal(dmap.counts, want)
+    assert coverage(sset, mask) == (want[mask.occupancy] > 0).sum() / mask.n_occupied
+    for s in sset:
+        assert np.array_equal(voxelize(s, mask), ref.voxelize(s.points, mask))
+
+
+walks = st.lists(
+    st.tuples(st.integers(2, 30), st.integers(0, 2**31 - 1), st.booleans()),
+    min_size=0,
+    max_size=10,
+)
+
+
+class TestKernelMatchesReference:
+    @given(walks, st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sets(self, specs, mask_seed):
+        mask = aniso_mask(np.random.default_rng(mask_seed))
+        sls = []
+        for i, (n, seed, snap) in enumerate(specs):
+            rng = np.random.default_rng(seed)
+            idx = np.cumsum(rng.uniform(-2, 2, (n, 3)), axis=0) + 4
+            if snap:  # vertices on voxel faces
+                idx = np.round(idx)
+            pts = mask.origin + mask.voxel_size * idx
+            if arc_length(pts) > 0:
+                sls.append(Streamline(pts, i))
+        assert_kernel_matches_reference(StreamlineSet(sls), mask)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adversarial_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = aniso_mask(rng)
+        assert_kernel_matches_reference(adversarial_set(mask, rng), mask)
+
+    @pytest.mark.parametrize("budget", [1, 3, 40])
+    def test_counts_do_not_depend_on_the_block_budget(self, monkeypatch, budget):
+        # A budget below the 3000-point streamline leaves it a block of its own.
+        rng = np.random.default_rng(4)
+        mask = aniso_mask(rng)
+        sset = adversarial_set(mask, rng)
+        want, tm = density(sset, mask)
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        got, tm_small = density(sset, mask)
+        assert np.array_equal(got.counts, want.counts) and tm_small == tm
+        assert np.array_equal(got.counts, ref.density_counts(sset, mask))
+
+    def test_info_line_counts_streamlines_with_no_voxel(self, caplog):
+        mask = full_mask((4, 4, 4))
+        sset = StreamlineSet([
+            sl([(0.5, 0.5, 0.5), (3.5, 0.5, 0.5)], 0),
+            sl([(10.0, 10.0, 10.0), (12.0, 10.0, 10.0)], 1),
+            sl([(-3.0, 0.5, 0.5), (-1.0, 0.5, 0.5)], 2),
+        ])
+        with caplog.at_level(logging.INFO, logger="muscletract.metrics"):
+            density(sset, mask)
+        (record,) = [r for r in caplog.records if r.name == "muscletract.metrics"]
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == "density: 2 of 3 streamlines cross no in-mask voxel"

@@ -10,15 +10,13 @@ from muscletract.errors import (
 )
 from muscletract.grid import VoxelMask
 from muscletract.sampling import FSSConfig, fss_filter, seeds_2d, seeds_3d
-from muscletract.streamline import (
-    Streamline,
-    StreamlineSet,
-    arc_length,
-    batch_mdf_to_one,
-    mdf,
-    resample,
-    stack_resampled,
-)
+from muscletract.streamline import Streamline, StreamlineSet, arc_length, mdf_rows, stack_resampled
+from reference_streamline import mdf, resample
+
+
+def mdf_to_one(stack, q):
+    """MDF from every streamline of an (n, m, 3) stack to one (m, 3) streamline."""
+    return mdf_rows(stack.transpose(2, 1, 0), q)
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +52,16 @@ def unpruned_fss(streamlines, k, m=12, init_rule="longest"):
     """Incremental farthest-first loop that evaluates MDF from every pick to
     every candidate: the update fss_filter prunes, with nothing skipped."""
     sls = sorted(streamlines, key=lambda s: s.id)
-    stack = stack_resampled(sls, m)
+    stack = stack_resampled(StreamlineSet(sls), m)
     first = int(np.argmax([arc_length(s) for s in sls])) if init_rule == "longest" else 0
     picks, dists = [first], [np.inf]
-    dmin = batch_mdf_to_one(stack, stack[first])
+    dmin = mdf_to_one(stack, stack[first])
     dmin[first] = -np.inf
     for _ in range(1, k):
         j = int(np.argmax(dmin))
         picks.append(j)
         dists.append(dmin[j])
-        np.minimum(dmin, batch_mdf_to_one(stack, stack[j]), out=dmin)
+        np.minimum(dmin, mdf_to_one(stack, stack[j]), out=dmin)
         dmin[j] = -np.inf
     return np.array([sls[i].id for i in picks]), np.array(dists)
 
@@ -215,24 +213,24 @@ class TestFSSFilter:
     def test_k1_longest_wins(self):
         cands = small_candidates()
         out, _ = fss_filter(cands, FSSConfig(k=1))
-        assert out.streamlines[0].id == 0  # 30 mm beats the rest
+        assert next(iter(out)).id == 0  # 30 mm beats the rest
 
     def test_k1_longest_tie_breaks_to_lowest_id(self):
         a = straight(0.0, 0.0, 20.0, 3)
         b = straight(5.0, 0.0, 20.0, 1)
         c = straight(9.0, 0.0, 12.0, 2)
         out, _ = fss_filter(StreamlineSet([a, b, c]), FSSConfig(k=1))
-        assert out.streamlines[0].id == 1
+        assert next(iter(out)).id == 1
 
     def test_index_init_rule(self):
         cands = small_candidates()
         out, _ = fss_filter(cands, FSSConfig(k=1, init_rule="index"))
-        assert out.streamlines[0].id == 0
+        assert next(iter(out)).id == 0
 
     def test_matches_naive_oracle_on_handbuilt_set(self):
         cands = small_candidates()
         out, trace = fss_filter(cands, FSSConfig(k=3))
-        want = naive_farthest_first(cands.streamlines, 3)
+        want = naive_farthest_first(list(cands), 3)
         assert list(trace.selected_ids) == want
 
     def test_matches_naive_oracle_on_random_sets(self):
@@ -267,7 +265,7 @@ class TestFSSFilter:
         stack = stack_resampled(out, 12)
         final = trace.selection_distance[-1]
         for i in range(len(stack)):
-            d = batch_mdf_to_one(stack, stack[i])
+            d = mdf_to_one(stack, stack[i])
             d[i] = np.inf
             assert d.min() >= final - 1e-12
 
@@ -345,7 +343,7 @@ class TestPrunedUpdate:
         n, k = len(arc_candidates), 500
         assert n > 1500
         _, trace = fss_filter(arc_candidates, FSSConfig(k=k, m=m))
-        ids, dists = unpruned_fss(arc_candidates.streamlines, k, m)
+        ids, dists = unpruned_fss(list(arc_candidates), k, m)
         assert np.array_equal(trace.selected_ids, ids)
         assert np.array_equal(trace.selection_distance, dists)
         assert trace.mdf_evaluations < 0.5 * n * k  # the pruning skips work here
@@ -361,7 +359,7 @@ class TestPrunedUpdate:
             assert lengths.count(max(lengths)) >= 9  # the longest rule meets a tie
             for k in (1, 9, n // 2, n):
                 _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
-                ids, dists = unpruned_fss(cands.streamlines, k, m, init_rule)
+                ids, dists = unpruned_fss(list(cands), k, m, init_rule)
                 assert np.array_equal(trace.selected_ids, ids)
                 assert np.array_equal(trace.selection_distance, dists)
 

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from muscletract.errors import ArityError, InvalidStreamlineError
 from muscletract.streamline import (
-    ResampledStreamline,
     Streamline,
     StreamlineSet,
     arc_length,
-    batch_mdf_to_one,
-    flip,
-    mdf,
-    resample,
-    resample_points,
+    mdf_rows,
     stack_resampled,
 )
+from reference_streamline import ResampledStreamline, flip, mdf, resample
+
+
+def mdf_to_one(stack, q):
+    """MDF from every streamline of an (n, m, 3) stack to one (m, 3) streamline."""
+    return mdf_rows(stack.transpose(2, 1, 0), q)
 
 
 def naive_arc_length(points):
@@ -142,7 +143,7 @@ class TestResample:
         pts = np.cumsum(rng.uniform(-1, 1, (30, 3)) + [0.2, 0, 0], axis=0)
         s = Streamline(pts)
         for m in (2, 4, 8, 12, 24):
-            assert arc_length(resample(s, m)) <= arc_length(s) + 1e-12
+            assert arc_length(resample(s, m).points) <= arc_length(s) + 1e-12
 
     def test_length_preserved_on_smooth_arc(self):
         # arc-length monotonicity in m and 1% preservation hold on smooth tracts
@@ -152,10 +153,10 @@ class TestResample:
         total = arc_length(s)
         prev = 0.0
         for m in (2, 3, 4, 6, 12, 24, 48):
-            cur = arc_length(resample(s, m))
+            cur = arc_length(resample(s, m).points)
             assert cur >= prev - 1e-12
             prev = cur
-        assert arc_length(resample(s, 12)) >= 0.99 * total
+        assert arc_length(resample(s, 12).points) >= 0.99 * total
 
 
 class TestFlip:
@@ -219,7 +220,7 @@ class TestMDF:
         rng = np.random.default_rng(9)
         rs = [random_resampled(rng) for _ in range(20)]
         stack = np.stack([r.points for r in rs])
-        d = batch_mdf_to_one(stack, rs[3].points)
+        d = mdf_to_one(stack, rs[3].points)
         assert d[3] == 0.0
         assert (d >= 0).all()
 
@@ -231,10 +232,10 @@ class TestMDF:
         rs = [random_resampled(rng, m) for _ in range(30)]
         stack = np.stack([r.points for r in rs])
         for q in (rs[0], rs[7], flip(rs[7])):
-            row = batch_mdf_to_one(stack, q.points)
+            row = mdf_to_one(stack, q.points)
             assert np.array_equal(row, [mdf(r, q) for r in rs])
             assert np.array_equal(row, [mdf(q, r) for r in rs])
-            assert np.array_equal(row, batch_mdf_to_one(stack[:, ::-1], q.points))
+            assert np.array_equal(row, mdf_to_one(stack[:, ::-1], q.points))
 
 
 class TestStreamlineSet:
@@ -244,19 +245,132 @@ class TestStreamlineSet:
         with pytest.raises(InvalidStreamlineError):
             StreamlineSet([a, b])
 
-    def test_from_arrays_assigns_ids(self):
-        sset = StreamlineSet.from_arrays([np.array([[0, 0, 0], [1, 0, 0]])] * 3)
+    def test_packed_assigns_ids(self):
+        pts = np.array([[0, 0, 0], [1, 0, 0]] * 3, dtype=float)
+        sset = StreamlineSet.packed(pts, [2, 2, 2])
         assert [s.id for s in sset] == [0, 1, 2]
 
     def test_stack_resampled_shape(self):
-        sset = StreamlineSet.from_arrays(
-            [np.array([[0, 0, 0], [1, 0, 0]]), np.array([[0, 0, 0], [0, 2, 0], [0, 4, 0]])]
-        )
-        stack = stack_resampled(sset, 12)
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 2, 0], [0, 4, 0]], dtype=float)
+        stack = stack_resampled(StreamlineSet.packed(pts, [2, 3]), 12)
         assert stack.shape == (2, 12, 3)
 
 
 def test_resample_points_handles_duplicate_vertices():
     pts = np.array([(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)], dtype=float)
-    out = resample_points(pts, 5)
+    out = stack_resampled(StreamlineSet([Streamline(pts)]), 5)[0]
     assert np.allclose(out[:, 0], [0, 0.5, 1.0, 1.5, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# packed sets against the one-streamline reference
+# ---------------------------------------------------------------------------
+
+import muscletract.streamline as streamline_mod  # noqa: E402
+from muscletract.streamline import arc_lengths, blocks  # noqa: E402
+from reference_streamline import resample_points  # noqa: E402
+
+
+def adversarial_polylines(rng):
+    """2-point lines, repeated consecutive points, integer (voxel-face)
+    coordinates, axis-parallel segments and very unequal lengths."""
+    out = [np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]), np.array([(2.0, 3.0, 4.0), (2.0, 3.0, 9.5)])]
+    walk = np.cumsum(rng.uniform(-1, 1, (30, 3)), axis=0)
+    out.append(np.repeat(walk, rng.integers(1, 4, len(walk)), axis=0))  # repeated points
+    out.append(np.floor(np.cumsum(rng.uniform(-2, 2, (25, 3)), axis=0)))  # on voxel faces
+    steps = np.zeros((40, 3))
+    steps[np.arange(40), rng.integers(0, 3, 40)] = rng.choice([-1.0, 1.0], 40)
+    out.append(np.cumsum(steps, axis=0))  # face-parallel unit moves
+    out.append(np.cumsum(rng.normal(0, 0.1, (5000, 3)), axis=0))  # very long
+    out.append(np.array([(0.0, 0.0, 0.0), (1e-160, 0.0, 0.0)]))  # squares just above zero
+    return out
+
+
+def packed(arrays):
+    return StreamlineSet.packed(np.concatenate(arrays), [len(a) for a in arrays])
+
+
+def assert_matches_reference(arrays, m):
+    sset = packed(arrays)
+    stack = stack_resampled(sset, m)
+    for a, got in zip(arrays, stack):
+        assert np.array_equal(got, resample_points(a, m))
+    want = [arc_length(a) for a in arrays]
+    assert np.array_equal(arc_lengths(sset.points, sset.offsets), want)
+
+
+polylines = st.lists(
+    st.tuples(
+        st.integers(2, 40),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda specs: [
+    # a random walk, its values rounded to a grid step (0 keeps them as drawn)
+    (lambda w: np.round(w / q) * q if q else w)(
+        np.cumsum(np.random.default_rng(seed).uniform(-3, 3, (n, 3)), axis=0)
+    ) + [0.0, 0.0, 0.5 * i]
+    for i, (n, seed, q) in enumerate(specs)
+])
+
+
+class TestPackedMatchesReference:
+    @given(polylines, st.sampled_from([2, 3, 12, 17]))
+    @settings(max_examples=60, deadline=None)
+    def test_resampling_and_lengths(self, arrays, m):
+        arrays = [a for a in arrays if arc_length(a) > 0]
+        if arrays:
+            assert_matches_reference(arrays, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 17, 64])
+    def test_adversarial_sets(self, m):
+        assert_matches_reference(adversarial_polylines(np.random.default_rng(m)), m)
+
+    @pytest.mark.parametrize("budget", [1, 5, 64])
+    def test_results_do_not_depend_on_the_block_budget(self, monkeypatch, budget):
+        arrays = adversarial_polylines(np.random.default_rng(3))
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        assert_matches_reference(arrays, 12)
+        out = packed(arrays).take([5, 0, 3])
+        assert [len(s) for s in out] == [5000, 2, len(arrays[3])]
+        assert all(np.array_equal(s.points, arrays[i]) for s, i in zip(out, [5, 0, 3]))
+
+
+class TestPackedSet:
+    def test_blocks_keep_a_long_streamline_alone(self, monkeypatch):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 7)
+        offsets = np.cumsum([0, 3, 50, 2, 2, 3, 4])
+        assert list(blocks(offsets)) == [(0, 1), (1, 2), (2, 5), (5, 6)]
+
+    def test_iteration_yields_views_with_ids(self):
+        pts = np.arange(21, dtype=float).reshape(7, 3)
+        sset = StreamlineSet.packed(pts, [2, 5], ids=[7, 3])
+        views = list(sset)
+        assert [s.id for s in views] == [7, 3] and [len(s) for s in views] == [2, 5]
+        assert all(np.shares_memory(s.points, sset.points) for s in views)
+        first, last = sset.endpoints()
+        assert np.array_equal(first, pts[[0, 2]]) and np.array_equal(last, pts[[1, 6]])
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [
+        "nan", "one_point", "zero_length", "underflowing_squares",
+    ])
+    def test_each_streamline_checked_once_for_the_set(self, monkeypatch, where, bad):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 4)  # each streamline its own block
+        arrays = [np.array([(0.0, 0, 0), (1, 0, 0), (2, 0, 0)]) + i for i in range(3)]
+        arrays[where] = {
+            "nan": np.array([(0.0, 0, 0), (np.nan, 0, 0), (2, 0, 0)]),
+            "one_point": np.array([(0.0, 0, 0)]),
+            "zero_length": np.array([(1.0, 1, 1)] * 3),
+            "underflowing_squares": np.array([(0.0, 0, 0), (1e-200, 0, 0)]),
+        }[bad]
+        with pytest.raises(InvalidStreamlineError):
+            packed(arrays)
+
+    def test_counts_must_cover_the_buffer(self):
+        with pytest.raises(InvalidStreamlineError):
+            StreamlineSet.packed(np.zeros((5, 3)) + np.arange(5)[:, None], [2, 2])
+        with pytest.raises(InvalidStreamlineError):
+            StreamlineSet.packed(np.arange(12.0).reshape(4, 3), [2, 2], ids=[1])

@@ -79,7 +79,7 @@ class TestTrack:
         cfg = TrackingConfig()
         sset = track(field, mask, seeds, cfg)
         assert len(sset) == 1
-        length = arc_length(sset.streamlines[0])
+        length = arc_length(next(iter(sset)))
         assert abs(length - 60.0) <= 2 * cfg.step_mm
 
     def test_low_fa_seed_produces_nothing(self):
@@ -118,7 +118,7 @@ class TestTrack:
             seg = np.diff(want, axis=0)
             if float(np.sqrt((seg * seg).sum(1)).sum()) < cfg.min_length_mm:
                 continue
-            s = got.streamlines[emitted]
+            s = list(got)[emitted]
             emitted += 1
             assert s.points.shape == want.shape
             assert np.abs(s.points - want).max() < 1e-9
@@ -146,7 +146,7 @@ class TestTrack:
         cfg = TrackingConfig()
         seeds = SeedSet(np.array([[10.5, 10.5, 30.5], [10.5, 10.5, 7.5]]), "3ds")
         sset = track(field, mask, seeds, cfg)
-        a, b = sset.streamlines
+        a, b = sset
         for ends in (0, -1):
             assert np.abs(a.points[ends] - b.points[ends]).max() <= cfg.step_mm + 1e-9
 
@@ -185,7 +185,7 @@ class TestTrack:
 
         def fake_propagate(field, mask, starts, init_dirs, cfg, max_steps):
             buffers.append(max_steps * len(starts) * 3 * 8)
-            return [np.empty((0, 3))] * len(starts)
+            return np.empty((0, 3)), np.zeros(len(starts), dtype=np.int64)
 
         monkeypatch.setattr(tracking, "_propagate", fake_propagate)
         track(field, mask, seeds, TrackingConfig(step_mm=0.01))
@@ -321,7 +321,7 @@ class TestReconstruct:
         assert ids == list(range(len(sset)))
         # extrapolated endpoints sit on the mask boundary: a nudge outward
         # along the terminal tangent leaves the mask, a nudge inward stays
-        for s in sset.streamlines[::17]:
+        for s in list(sset)[::17]:
             for anchor, inner in ((s.points[0], s.points[1]), (s.points[-1], s.points[-2])):
                 tangent = anchor - inner
                 tangent /= np.linalg.norm(tangent)
@@ -410,7 +410,8 @@ class TestMatchesStepwiseReference:
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         cfg = CONFIGS[cfg_name]
         for sign in (1.0, -1.0):
-            got = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
+            points, counts = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
+            got = np.split(points, np.cumsum(counts)[:-1])
             want = ref.propagate(field, mask, starts, sign * v0, cfg, max_steps)
             assert len(got) == len(want) == len(starts)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -453,7 +454,7 @@ class TestMatchesStepwiseReference:
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
             ref.extrapolate(stalled, mask, cfg)
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
-            _surface_exits([good, stalled], mask, cfg)
+            _surface_exits(np.concatenate([good, stalled]), np.array([0, 11, 23]), mask, cfg)
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
             extrapolate_to_surface(Streamline(stalled[::-1]), mask, cfg)
 
