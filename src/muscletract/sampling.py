@@ -3,31 +3,47 @@
 FSS reduces a candidate streamline set to k streamlines by farthest-first
 traversal under the MDF distance: each step selects the remaining streamline
 whose minimum distance to the already-selected set is largest. Each remaining
-streamline x caches that minimum, dmin[x], and the selected streamline that
-attains it, owner(x).
+streamline x caches that minimum, dmin[x].
 
-The update after a new pick skips most candidates by the triangle inequality.
-MDF is a metric on flip-equivalence classes: the direct distance D is a mean
-of Euclidean point distances and is unchanged when both operands are flipped,
-so D(a, sb) + D(b, tc) = D(a, sb) + D(sb, stc) >= D(a, stc) >= MDF(a, c) for
-flips s, t. Hence MDF(new, x) >= MDF(new, owner(x)) - dmin[x], and a
-candidate with MDF(new, owner(x)) >= 2 * dmin[x] cannot get closer to the
-selected set. Each step computes MDF from the new pick to the selected
-streamlines and evaluates it only for the candidates that fail this test.
+The update after a new pick skips most candidates by a centroid bound (the
+bound-based pruning of Elkan, ICML 2003, applied to farthest-first
+traversal). For two resampled streamlines a and b of m points,
 
-Computed MDF values carry rounding error, so the test keeps a margin: x is
-skipped only when MDF(new, owner(x)) > 2 * (1 + r) * dmin[x] + 1e-150 mm,
-with r = 8 * (m + 8) * 2**-53. An m-point MDF evaluation is within about
-(m + 4) * 2**-53 of its exact value, relative, and any r above twice that
-suffices; the absolute term covers squared point differences that underflow.
-A skipped candidate then has a computed MDF to the new pick no smaller than
-its cached minimum, so the selected ids and selection distances are
-bit-identical to those of an update that evaluates every candidate at every
-step.
+    MDF(a, b) >= |mean(a) - mean(b)|,
+
+because the direct distance is a mean of norms, (1/m) sum |a_i - b_i|, which
+is at least the norm of the mean, |(1/m) sum (a_i - b_i)|; the flipped
+distance pairs a with b reversed, which has the same mean. So a candidate
+whose centroid lies farther than dmin[x] from the new pick's cannot get
+closer to the selected set. Each step computes one centroid distance per
+candidate and evaluates MDF only where the test below cannot skip it.
+
+Computed values carry rounding error, so x is skipped only when its computed
+centroid distance exceeds dmin[x] + delta, with
+delta = 16 * (m + 8) * 2**-53 * M + 1e-150 mm and M the largest coordinate
+magnitude of the resampled candidates. A computed centroid is within
+m * 2**-53 * M of its exact value, so a centroid distance is within about
+3.5 * (m + 5) * 2**-53 * M; an m-point MDF evaluation is within
+(m + 8) * 2**-53 of its exact value, relative, and no MDF exceeds
+2 * sqrt(3) * M, so it is within 3.5 * (m + 8) * 2**-53 * M absolute. delta
+covers both, scaling with the coordinates as their rounding does; its
+absolute part covers squared point differences that underflow. A skipped
+candidate then has a computed MDF to the new pick no smaller than its cached
+minimum, so the selected ids and selection distances are bit-identical to
+those of an update that evaluates every candidate at every step.
+
+The first pick under init_rule "longest" reuses the resampler's segment-length
+totals. A total sums the same c - 1 segment lengths as arc_length, in
+sequence instead of pairwise; both sums are within (c - 2) * 2**-53 of the
+exact sum, relative, so they differ by less than 2 * (c + 8) * 2**-53 times
+the total. So only a candidate whose total lies within twice that margin
+(taken at the largest point count) below the largest total can be the
+longest, and arc_length is computed for those candidates alone.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,13 +51,9 @@ import numpy as np
 
 from .errors import ArityError, EmptyDomainError, InsufficientExtentError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import (
-    DEFAULT_RESAMPLE_POINTS,
-    StreamlineSet,
-    arc_lengths,
-    mdf_rows,
-    stack_resampled,
-)
+from .streamline import DEFAULT_RESAMPLE_POINTS, StreamlineSet, _lengths, _resample_set, mdf_rows
+
+log = logging.getLogger(__name__)
 
 # Absolute part of the pruning margin, in mm: covers the error of a squared
 # point difference that underflows to a subnormal or zero.
@@ -152,10 +164,10 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
     minimum MDF to the selected set, and ties break to the lowest id. Output
     order is selection order.
 
-    Step t evaluates MDF from the new pick to the t selected streamlines and
-    to the candidates that the triangle-inequality test of the module
-    docstring cannot skip, instead of to all n candidates; the trace counts
-    the evaluations made.
+    Each step evaluates MDF from the new pick only to the candidates that the
+    centroid bound of the module docstring cannot skip, instead of to all n
+    candidates; the trace counts the evaluations made, and one INFO line
+    reports them against n * k.
     """
     n = len(candidates)
     if n == 0:
@@ -165,10 +177,12 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
 
     # Candidates are traversed in id order, so ties break to the lowest id.
     order = np.argsort(candidates.ids, kind="stable")
-    coords = np.ascontiguousarray(stack_resampled(candidates, cfg.m)[order].transpose(2, 1, 0))
+    stack, totals = _resample_set(candidates, cfg.m)
+    coords = np.ascontiguousarray(stack[order].transpose(2, 1, 0))
+    del stack
 
     if cfg.init_rule == "longest":
-        first = int(np.argmax(arc_lengths(candidates.points, candidates.offsets)[order]))
+        first = _longest(candidates, order, totals[order])
     else:
         first = 0
 
@@ -177,10 +191,8 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
     selected[0] = first
     distances[0] = np.inf
 
-    skip_factor = 2.0 * (1.0 + 8 * (cfg.m + 8) * 2.0**-53)
-    picked = np.empty((3, cfg.m, cfg.k))
-    picked[:, :, 0] = coords[:, :, first]
-    owner = np.zeros(n, dtype=np.intp)
+    slack = 16 * (cfg.m + 8) * 2.0**-53 * float(np.abs(coords).max()) + _UNDERFLOW_MARGIN
+    centroids = coords.mean(axis=1)
     dmin = mdf_rows(coords, coords[:, :, first].T)
     dmin[first] = -np.inf
     evaluations = n
@@ -188,17 +200,18 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
         j = int(np.argmax(dmin))
         selected[step] = j
         distances[step] = dmin[j]
-        q = coords[:, :, j].T
-        to_picked = mdf_rows(picked[:, :, :step], q)
-        live = np.flatnonzero(to_picked[owner] <= dmin * skip_factor + _UNDERFLOW_MARGIN)
-        upd = mdf_rows(coords[:, :, live], q)
-        evaluations += step + len(live)
-        closer = upd < dmin[live]
-        dmin[live[closer]] = upd[closer]
-        owner[live[closer]] = step
         dmin[j] = -np.inf
-        picked[:, :, step] = coords[:, :, j]
+        gap = centroids - centroids[:, j, None]
+        gap *= gap
+        live = np.flatnonzero(np.sqrt(gap[0] + gap[1] + gap[2]) <= dmin + slack)
+        upd = mdf_rows(coords[:, :, live], coords[:, :, j].T)
+        evaluations += len(live)
+        dmin[live] = np.minimum(dmin[live], upd)
 
+    log.info(
+        "fss_filter: %d candidates, k=%d; %d MDF evaluations (%.2f%% of n*k)",
+        n, cfg.k, evaluations, 100.0 * evaluations / (n * cfg.k),
+    )
     rows = order[selected]
     trace = FSSTrace(
         selected_ids=candidates.ids[rows],
@@ -206,3 +219,19 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
         mdf_evaluations=evaluations,
     )
     return candidates.take(rows, mask=candidates.mask), trace
+
+
+def _longest(candidates: StreamlineSet, order: np.ndarray, estimates: np.ndarray) -> int:
+    """Position in id order of the candidate of largest arc_length, the
+    lowest id among equals.
+
+    estimates are the resampler's sequential sums of the segment lengths, in
+    id order; arc_length is computed only for the candidates whose estimate
+    lies within the margin of the module docstring of the largest.
+    """
+    top = float(estimates.max())
+    margin = 4 * (int(candidates.counts.max()) + 8) * 2.0**-53 * top
+    near = np.flatnonzero(estimates >= top - margin)
+    rows = order[near]
+    exact = _lengths(candidates.points, candidates.offsets[rows], candidates.counts[rows])
+    return int(near[np.argmax(exact)])

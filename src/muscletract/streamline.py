@@ -129,6 +129,9 @@ class StreamlineSet:
         if len(ids) != len(counts):
             raise InvalidStreamlineError(f"{len(ids)} ids for {len(counts)} streamlines")
         _validate(points, offsets)
+        self._assign(points, offsets, ids, mask)
+
+    def _assign(self, points, offsets, ids, mask) -> None:
         if len(np.unique(ids)) != len(ids):
             raise InvalidStreamlineError("streamline ids within a set must be unique")
         self.points, self.offsets, self.ids, self.mask = points, offsets, ids, mask
@@ -152,7 +155,10 @@ class StreamlineSet:
 
     def take(self, rows, mask=None) -> StreamlineSet:
         """The streamlines at the given positions, in that order, with their
-        ids; copied one block at a time."""
+        ids; copied one block at a time.
+
+        The copied rows were validated with this set, so only the uniqueness
+        of the taken ids is checked again."""
         rows = np.asarray(rows, dtype=np.int64)
         starts, counts = self.offsets[rows], self.counts[rows]
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -160,7 +166,9 @@ class StreamlineSet:
         for lo, hi in blocks(offsets):
             src = np.repeat(starts[lo:hi] - offsets[lo:hi], counts[lo:hi])
             points[offsets[lo] : offsets[hi]] = self.points[src + np.arange(offsets[lo], offsets[hi])]
-        return StreamlineSet.packed(points, counts, self.ids[rows], mask)
+        out = StreamlineSet.__new__(StreamlineSet)
+        out._assign(points, offsets, self.ids[rows], mask)
+        return out
 
 
 def arc_length(s: Streamline | np.ndarray) -> float:
@@ -175,14 +183,18 @@ def arc_length(s: Streamline | np.ndarray) -> float:
 
 
 def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """arc_length of every streamline of a packed buffer, bit for bit.
+    """arc_length of every streamline of a packed buffer, bit for bit."""
+    return _lengths(points, offsets[:-1], np.diff(offsets))
 
-    The streamlines of one point count c are summed as the rows of a
+
+def _lengths(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """arc_length of the polylines of counts points starting at starts.
+
+    The polylines of one point count c are summed as the rows of a
     (g, c - 1) array, which numpy reduces row by row in the pairwise order
     it uses for one (c - 1)-vector. Squared segment lengths are summed x,
     then y, then z, as (seg * seg).sum(1) does.
     """
-    counts = np.diff(offsets)
     order = np.argsort(counts, kind="stable")
     ends = np.flatnonzero(np.diff(counts[order])) + 1
     out = np.zeros(len(counts))
@@ -193,7 +205,7 @@ def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         step = max(1, BLOCK_POINTS // c)
         for lo in range(0, len(group), step):
             rows = group[lo : lo + step]
-            seg = np.diff(points[offsets[rows, None] + np.arange(c)], axis=1)
+            seg = np.diff(points[starts[rows, None] + np.arange(c)], axis=1)
             sq = seg[..., 0] * seg[..., 0]
             sq += seg[..., 1] * seg[..., 1]
             sq += seg[..., 2] * seg[..., 2]
@@ -227,12 +239,14 @@ def _count_at_most(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m: int):
-    """Resample the streamlines starting at starts, with counts points each.
+    """Resample the streamlines starting at starts, with counts points each;
+    returns the (g, m, 3) points and every streamline's total length.
 
     Each row is padded to the longest with copies of its last point, so the
     padding adds zero-length segments that leave the cumulative length exact.
     Squared segment lengths are summed x, then y, then z, as (seg * seg).sum(1)
-    does.
+    does, so a total sums the segment lengths that arc_length sums, but in
+    sequence rather than pairwise.
     """
     width = int(counts.max())
     r = np.arange(len(starts))[:, None]
@@ -246,7 +260,8 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     cum = np.zeros((len(starts), width))
     np.add.accumulate(seg_len, axis=1, out=cum[:, 1:])
 
-    targets = np.linspace(0.0, cum[r[:, 0], counts - 1], m, axis=1)
+    totals = cum[r[:, 0], counts - 1]
+    targets = np.linspace(0.0, totals, m, axis=1)
     idx = np.clip(_count_at_most(cum, targets) - 1, 0, counts[:, None] - 2)
     length = seg_len[r, idx]
     frac = (targets - cum[r, idx]) / np.where(length > 0.0, length, 1.0)
@@ -254,7 +269,7 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     out = points[at] + frac[..., None] * (points[at + 1] - points[at])
     out[:, 0] = points[starts]
     out[:, -1] = points[starts + counts - 1]
-    return out
+    return out, totals
 
 
 def stack_resampled(sset: StreamlineSet, m: int = DEFAULT_RESAMPLE_POINTS) -> np.ndarray:
@@ -264,15 +279,23 @@ def stack_resampled(sset: StreamlineSet, m: int = DEFAULT_RESAMPLE_POINTS) -> np
     Parameterizes by cumulative chord length; the two endpoints are copied
     exactly from the input.
     """
+    return _resample_set(sset, m)[0]
+
+
+def _resample_set(sset: StreamlineSet, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """stack_resampled, and every streamline's segment lengths summed in
+    sequence: within 2 * (c + 8) * 2**-53 of its arc_length, relative, for
+    c points (both sum the same c - 1 non-negative terms)."""
     if m < 2:
         raise ArityError(f"resample needs m >= 2, got {m}")
     counts = sset.counts
     order = np.argsort(counts, kind="stable")
     out = np.empty((len(counts), m, 3))
+    totals = np.empty(len(counts))
     for lo, hi in _padded_runs(counts[order], BLOCK_POINTS):
         rows = order[lo:hi]
-        out[rows] = _resample_rows(sset.points, sset.offsets[rows], counts[rows], m)
-    return out
+        out[rows], totals[rows] = _resample_rows(sset.points, sset.offsets[rows], counts[rows], m)
+    return out, totals
 
 
 def _palindromic_mean(d: np.ndarray) -> np.ndarray:

@@ -31,6 +31,26 @@ tests/reference_tracking.py keeps as the oracle):
 track writes every batch of tracks into one packed buffer that grows in
 place, and reconstruct fits and extends those tracks in that same buffer, so
 the points are held once, not once per stage.
+
+Two length tests are settled by bounds, and arc_length is computed only for
+the tracks a bound leaves undecided (the tests against the oracle include
+cases where a bound is tight, so that only its margin keeps the result
+exact):
+
+- Step count. Each segment of a raw track of c points is one Euler step s*v,
+  with v from a voxel whose anisotropy passes fa_min, so its length is s*|v|
+  and the track's lies in (c - 1) * s * [min |v|, max |v|] over those
+  voxels; directions are unit only to within 1e-6, so the norms are read
+  from the field. A computed segment differs from s*|v| by the rounding of
+  one addition to a point and one subtraction back, at most
+  8 * 2**-53 * (R + s * max |v|) for coordinates of magnitude up to R, the
+  mask's; the summed length adds 2 * (c + 16) * 2**-53, relative. A track
+  whose whole range lies on one side of min_length_mm is kept or dropped
+  without measuring it.
+- Chord. A polyline is at least as long as its chord. A track whose added
+  extrapolation length is at most max_extrap_fraction times its chord,
+  less 2 * (c + 16) * 2**-53 of that for rounding, is accepted without
+  measuring it.
 """
 
 from __future__ import annotations
@@ -44,7 +64,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import Streamline, StreamlineSet, arc_lengths
+from .streamline import BLOCK_POINTS, Streamline, StreamlineSet, _lengths
 
 log = logging.getLogger(__name__)
 
@@ -176,6 +196,46 @@ def _pack_in_place(buf, offsets, rows, head=0, tail=0) -> np.ndarray:
     return new_counts
 
 
+def _step_range(field: OrientationField, mask: VoxelMask, cfg: TrackingConfig):
+    """(low, high, slack): every computed segment length of a raw track lies
+    in [low - slack, high + slack], up to the relative rounding that
+    _long_enough allows for.
+
+    low and high are step_mm times the smallest and largest norm of the
+    field vectors whose anisotropy passes fa_min, read one slab of at most
+    BLOCK_POINTS voxels at a time; slack covers the rounding of one step's
+    addition to a point and the subtraction back, at coordinates of the
+    mask's largest magnitude.
+    """
+    sq_lo, sq_hi = math.inf, 0.0
+    per_slab = max(1, BLOCK_POINTS // (field.dims[1] * field.dims[2]))
+    for a in range(0, field.dims[0], per_slab):
+        usable = field.fa[a : a + per_slab] >= cfg.fa_min
+        if usable.any():
+            d = field.directions[a : a + per_slab]
+            sq = np.einsum("...i,...i->...", d, d)[usable]
+            sq_lo, sq_hi = min(sq_lo, float(sq.min())), max(sq_hi, float(sq.max()))
+    if sq_hi == 0.0:  # no usable vector: every track is one point
+        return 0.0, 0.0, 0.0
+    low, high = cfg.step_mm * math.sqrt(sq_lo), cfg.step_mm * math.sqrt(sq_hi)
+    reach = float(np.max(np.abs(mask.origin) + mask.world_extent))
+    return low, high, 8 * 2.0**-53 * (reach + high)
+
+
+def _long_enough(points, offsets, counts, step_range, min_length: float) -> np.ndarray:
+    """arc_lengths(points, offsets) >= min_length for the raw tracks of a
+    packed buffer, with exact lengths only for the tracks that the
+    step-count bound of the module docstring leaves undecided."""
+    low, high, slack = step_range
+    segments = counts - 1  # every track holds its seed
+    rel = 2 * (counts + 16) * 2.0**-53
+    keep = segments * (low - slack) * (1.0 - rel) >= min_length
+    unsure = np.flatnonzero(~keep & (segments * (high + slack) * (1.0 + rel) >= min_length))
+    if unsure.size:
+        keep[unsure] = _lengths(points, offsets[unsure], counts[unsure]) >= min_length
+    return keep
+
+
 def track(
     field: OrientationField,
     mask: VoxelMask,
@@ -198,6 +258,7 @@ def track(
         log.info("track: skipped %d of %d seeds outside the mask", skipped, len(pts))
     pts = pts[inside]
 
+    step_range = _step_range(field, mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
     # Each half-track buffer holds max_steps * chunk * 3 float64s: keep it within 6e7 bytes.
     chunk = max(1, min(4096, int(6e7 / (max_steps * 24))))
@@ -221,8 +282,7 @@ def track(
         tracks[np.repeat(at + 1 - (np.cumsum(n_fwd) - n_fwd), n_fwd) + np.arange(len(fwd))] = fwd
         tracks[np.repeat(at - 1 + (np.cumsum(n_bwd) - n_bwd), n_bwd) - np.arange(len(bwd))] = bwd
         del fwd, bwd
-        # A one-point track has length 0, below every min_length_mm.
-        keep = np.flatnonzero(arc_lengths(tracks, offsets) >= cfg.min_length_mm)
+        keep = np.flatnonzero(_long_enough(tracks, offsets, counts, step_range, cfg.min_length_mm))
         kept.append(_pack_in_place(tracks, offsets, keep))
         pos += int(kept[-1].sum())
         del tracks
@@ -337,8 +397,18 @@ def _surface_exits(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask, cfg
     ran_away = np.isnan(tau).any(axis=1)
     extend = (tau > 1e-12) & ~ran_away[:, None]
     added = np.where(extend, tau, 0.0)
-    lengths = arc_lengths(points, offsets)
-    accepted = ~ran_away & (added[:, 0] + added[:, 1] <= cfg.max_extrap_fraction * lengths)
+    added = added[:, 0] + added[:, 1]
+    # The chord bound of the module docstring accepts most tracks; the rest
+    # are measured.
+    counts = last + 1 - first
+    span = points[last] - points[first]
+    chord = np.sqrt((span * span).sum(axis=1))
+    rel = 2 * (counts + 16) * 2.0**-53
+    accepted = ~ran_away & (added <= cfg.max_extrap_fraction * chord * (1.0 - rel))
+    unsure = np.flatnonzero(~ran_away & ~accepted)
+    if unsure.size:
+        lengths = _lengths(points, first[unsure], counts[unsure])
+        accepted[unsure] = added[unsure] <= cfg.max_extrap_fraction * lengths
     return exits, extend, accepted, ran_away
 
 

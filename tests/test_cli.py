@@ -1,4 +1,5 @@
 import argparse
+import re
 import subprocess
 import sys
 
@@ -529,6 +530,25 @@ class TestLogging:
         assert loud[1].stderr == (
             f"INFO muscletract.metrics: density: 0 of {n} streamlines cross no in-mask voxel\n"
         )
+
+    def test_fss_evaluations_on_stderr_only(self, small_box, tmp_path):
+        n = len(load_streamlines(small_box["cand"]))
+        out, trace = tmp_path / "fss.strl", tmp_path / "trace.csv"
+        runs = []
+        for level in ([], ["--log-level", "info"]):
+            argv = [*level, *_command(small_box, "fss", out), "-k", "40", "--trace", trace]
+            runs.append((self.cli(*argv), out.read_bytes(), trace.read_bytes()))
+        (quiet, *quiet_files), (loud, *loud_files) = runs
+        assert quiet.returncode == loud.returncode == 0
+        assert quiet.stdout == loud.stdout and quiet_files == loud_files
+        assert quiet.stderr == ""
+        line = re.fullmatch(
+            rf"INFO muscletract\.sampling: fss_filter: {n} candidates, k=40; (\d+) MDF "
+            r"evaluations \((\d+\.\d\d)% of n\*k\)\n", loud.stderr)
+        assert line, loud.stderr
+        evaluations = int(line.group(1))
+        assert n <= evaluations < n * 40
+        assert line.group(2) == f"{100.0 * evaluations / (n * 40):.2f}"
 
 
 def test_config_value_is_checked_by_the_command_that_uses_it(small_box, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,14 @@ from muscletract.errors import (
 )
 from muscletract.grid import VoxelMask
 from muscletract.sampling import FSSConfig, fss_filter, seeds_2d, seeds_3d
-from muscletract.streamline import Streamline, StreamlineSet, arc_length, mdf_rows, stack_resampled
+from muscletract.streamline import (
+    Streamline,
+    StreamlineSet,
+    _resample_set,
+    arc_length,
+    mdf_rows,
+    stack_resampled,
+)
 from reference_streamline import mdf, resample
 
 
@@ -346,7 +355,7 @@ class TestPrunedUpdate:
         ids, dists = unpruned_fss(list(arc_candidates), k, m)
         assert np.array_equal(trace.selected_ids, ids)
         assert np.array_equal(trace.selection_distance, dists)
-        assert trace.mdf_evaluations < 0.5 * n * k  # the pruning skips work here
+        assert trace.mdf_evaluations <= 0.05 * n * k  # the pruning skips work here
 
     @pytest.mark.parametrize("m", [2, 3, 12, 17])
     @pytest.mark.parametrize("init_rule", ["longest", "index"])
@@ -363,3 +372,133 @@ class TestPrunedUpdate:
                 assert np.array_equal(trace.selected_ids, ids)
                 assert np.array_equal(trace.selection_distance, dists)
 
+
+
+def assert_matches_unpruned(cands, ks, m=12):
+    for init_rule in ("longest", "index"):
+        for k in ks:
+            _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
+            ids, dists = unpruned_fss(list(cands), k, m, init_rule)
+            assert np.array_equal(trace.selected_ids, ids), (init_rule, k)
+            assert np.array_equal(trace.selection_distance, dists), (init_rule, k)
+
+
+def wiggly(rng, n_points=12, offset=0.0):
+    return offset + np.cumsum(rng.uniform(-1.0, 1.0, (n_points, 3)) + [0.0, 0.0, 1.0], axis=0)
+
+
+def centroid_gaps(cands, m=12):
+    """|mean(a) - mean(b)| and MDF(a, b) over all pairs of a set, by the oracle."""
+    rs = [resample(s, m) for s in cands]
+    cen = np.array([r.points.mean(axis=0) for r in rs])
+    gap = np.linalg.norm(cen[:, None] - cen[None], axis=2)
+    return gap, np.array([[mdf(a, b) for b in rs] for a in rs])
+
+
+class TestCentroidBound:
+    """Sets where MDF(a, b) = |mean(a) - mean(b)| in exact arithmetic, so only
+    the margin keeps the pruned traversal equal to the unpruned one."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_translated_copies(self, offset):
+        rng = np.random.default_rng(5)
+        base = resample(line(wiggly(rng, 40, offset), 0), 12).points
+        shifts = rng.normal(size=(30, 3)) * rng.choice([1e-3, 0.1, 3.0], (30, 1))
+        shifts[5] = shifts[4] * 2.0  # collinear shifts: one copy between two others
+        shifts = np.concatenate([np.zeros((1, 3)), shifts])
+        cands = StreamlineSet([line(base + t, i) for i, t in enumerate(shifts)])
+        gap, d = centroid_gaps(cands)
+        assert np.allclose(d, gap, rtol=1e-9, atol=1e-9 * (1.0 + offset))  # the bound is tight
+        assert_matches_unpruned(cands, (1, 2, 9, len(cands) // 2, len(cands)))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_symmetric_translations(self, offset):
+        # Clusters {x - t, x, x + t}: in exact arithmetic x is |t| from both
+        # neighbours, by MDF and by centroids alike. When both neighbours are
+        # picked before x, rounding alone decides whether the second pick
+        # lowers dmin[x].
+        rng = np.random.default_rng(21)
+        arrays = []
+        for _ in range(60):
+            x = resample(line(wiggly(rng, 30, offset), 0), 12).points + rng.uniform(-80, 80, 3)
+            t = rng.normal(size=3) * rng.choice([1e-3, 0.1, 1.0])
+            arrays += [x - t, x, x + t]
+        cands = StreamlineSet([line(a, i) for i, a in enumerate(arrays)])
+        assert_matches_unpruned(cands, (len(cands),))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_reversed_and_translated_reversed_copies(self, offset):
+        rng = np.random.default_rng(6)
+        arrays = []
+        for _ in range(8):
+            a = resample(line(wiggly(rng, 25, offset), 0), 12).points
+            t = rng.normal(size=3) * 0.01
+            arrays += [a, a[::-1].copy(), a + t, (a + t)[::-1].copy()]
+        cands = StreamlineSet([line(a, i) for i, a in enumerate(arrays)])
+        assert_matches_unpruned(cands, (1, 2, 8, 16, len(cands)))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_symmetric_arcs_share_one_centroid(self, offset):
+        # Arcs rotated about their common centroid, and point reflections of
+        # them through it: every centroid distance is 0 (up to rounding), so
+        # the bound skips nothing and the MDFs order the picks alone.
+        t = np.linspace(0.0, np.pi, 12)
+        arc = np.column_stack([10 * np.cos(t), 10 * np.sin(t), np.zeros(12)])
+        arc -= arc.mean(axis=0)
+        arrays = []
+        for angle in np.linspace(0.0, np.pi, 7, endpoint=False):
+            c, s_ = np.cos(angle), np.sin(angle)
+            rot = arc @ np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]]).T
+            arrays += [rot + offset, offset - rot, (rot + offset)[::-1].copy()]
+        cands = StreamlineSet([line(a, i) for i, a in enumerate(arrays)])
+        gap, d = centroid_gaps(cands)
+        assert gap.max() < 1e-9 * (1.0 + offset) and d.max() > 5.0
+        assert_matches_unpruned(cands, (1, 2, 5, len(cands)))
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 17])
+    def test_adversarial_sets_offset_by_1e4_mm(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(2):
+            cands = adversarial_candidates(rng)
+            far = StreamlineSet([line(s.points + 1e4, s.id) for s in cands])
+            assert_matches_unpruned(far, (1, 9, len(far) // 2, len(far)), m)
+
+
+class TestLongestPick:
+    def test_equal_lengths_by_different_sums(self):
+        # Each streamline and its reverse have one arc length in exact
+        # arithmetic; summed pairwise (arc_length) or in sequence (the
+        # resampler's estimate) they may differ in the last bits, and in
+        # some sets the two sums rank the candidates differently.
+        rng = np.random.default_rng(8)
+        disagree = 0
+        for _ in range(40):
+            arrays = []
+            for _ in range(3):
+                a = wiggly(rng, int(rng.integers(150, 400)))
+                arrays += [a, a[::-1].copy()]
+            ids = rng.permutation(len(arrays))
+            cands = StreamlineSet([line(a, int(i)) for a, i in zip(arrays, ids)])
+            by_id = sorted(cands, key=lambda s: s.id)
+            exact = [arc_length(s) for s in by_id]
+            want = by_id[int(np.argmax(exact))].id
+            _, estimates = _resample_set(StreamlineSet(by_id), 12)
+            disagree += by_id[int(np.argmax(estimates))].id != want
+            _, trace = fss_filter(cands, FSSConfig(k=1))
+            assert trace.selected_ids[0] == want
+            assert_matches_unpruned(cands, (len(cands),))
+        assert disagree > 0  # the estimates alone would pick wrongly here
+
+
+class TestFSSLog:
+    def test_one_info_line_with_the_evaluations(self, caplog):
+        cands = small_candidates()
+        with caplog.at_level(logging.INFO, logger="muscletract.sampling"):
+            _, trace = fss_filter(cands, FSSConfig(k=3))
+        (record,) = [r for r in caplog.records if r.name == "muscletract.sampling"]
+        assert record.levelno == logging.INFO
+        share = 100.0 * trace.mdf_evaluations / 15
+        assert record.getMessage() == (
+            f"fss_filter: 5 candidates, k=3; {trace.mdf_evaluations} MDF evaluations "
+            f"({share:.2f}% of n*k)"
+        )

@@ -374,3 +374,21 @@ class TestPackedSet:
             StreamlineSet.packed(np.zeros((5, 3)) + np.arange(5)[:, None], [2, 2])
         with pytest.raises(InvalidStreamlineError):
             StreamlineSet.packed(np.arange(12.0).reshape(4, 3), [2, 2], ids=[1])
+
+    def test_take_copies_rows_without_validating_them_again(self, monkeypatch):
+        arrays = adversarial_polylines(np.random.default_rng(4))
+        sset = StreamlineSet.packed(np.concatenate(arrays), [len(a) for a in arrays],
+                                    ids=np.arange(len(arrays)) * 3 + 1)
+        rows = [6, 0, 5, 2]
+
+        def fail(points, offsets):
+            raise AssertionError("take validated its rows again")
+
+        monkeypatch.setattr(streamline_mod, "_validate", fail)
+        out = sset.take(rows)
+        assert list(out.ids) == [sset.ids[r] for r in rows]
+        assert out.points.tobytes() == np.concatenate([arrays[r] for r in rows]).tobytes()
+        assert list(out.offsets) == list(np.cumsum([0] + [len(arrays[r]) for r in rows]))
+        assert not np.shares_memory(out.points, sset.points)
+        with pytest.raises(InvalidStreamlineError):
+            sset.take([1, 1])  # ids within a set stay unique

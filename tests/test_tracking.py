@@ -10,13 +10,15 @@ from muscletract.errors import DegenerateGeometryError, InvalidSpecError
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
-from muscletract.streamline import Streamline, arc_length
+from muscletract.streamline import Streamline, arc_length, arc_lengths
 from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
     _fit_cubic,
+    _long_enough,
     _propagate,
     _ray_exits,
+    _step_range,
     _surface_exits,
     extrapolate_to_surface,
     fit_poly3,
@@ -509,3 +511,127 @@ class TestReconstructLog:
         (record,) = [r for r in caplog.records if r.getMessage().startswith("reconstruct:")]
         assert record.getMessage() == self.expected(
             field, mask, seeds, TrackingConfig(), ran_away_all=True)
+
+
+def unit_within_1e6(mask, field):
+    """Every direction rescaled by a factor in [1 - 0.9e-6, 1 + 0.9e-6]."""
+    scale = 1.0 + np.random.default_rng(12).uniform(-0.9e-6, 0.9e-6, field.dims)
+    return mask, OrientationField(field.directions * scale[..., None], field.fa)
+
+
+STEP_CASES = {  # (mask and field, step)
+    # unit z on exact quarter-millimetre steps: every length is exactly a
+    # whole number of steps
+    "box_quarter_steps": (lambda: uniform_box(dims=(6, 6, 30)), 0.25),
+    "norms_within_1e-6": (lambda: unit_within_1e6(*jittered_arc()), 0.1),
+    "anisotropic_shifted": (CASES["anisotropic_shifted"], 0.1),
+    "step_over_voxel": (jittered_arc, 1.3),
+    "origin_1e4": (lambda: reframed(*uniform_box(dims=(6, 6, 30)), 1.0, (1e4, -2e4, 3e3)), 0.1),
+}
+
+
+def raw_tracks(case):
+    mask, field = STEP_CASES[case][0]()
+    cfg = TrackingConfig(step_mm=STEP_CASES[case][1], min_length_mm=1e-9)
+    sset = track(field, mask, some_seeds(mask, 1.0), cfg)
+    return mask, field, cfg, sset
+
+
+class TestStepCountBound:
+    """track's min_length_mm test against exact lengths where the bound is
+    tight: lengths at whole numbers of steps, and every length the tracks
+    have, with its neighbours one ulp away."""
+
+    @pytest.mark.parametrize("case", sorted(STEP_CASES))
+    def test_matches_exact_lengths_at_every_boundary(self, case):
+        mask, field, cfg, sset = raw_tracks(case)
+        counts = sset.counts
+        lengths = arc_lengths(sset.points, sset.offsets)
+        step_range = _step_range(field, mask, cfg)
+        wholes = (np.unique(counts) - 1) * cfg.step_mm
+        limits = np.unique(np.concatenate([lengths, wholes]))
+        limits = np.concatenate([limits, np.nextafter(limits, 0), np.nextafter(limits, np.inf)])
+        rng = np.random.default_rng(0)
+        for limit in rng.choice(limits, min(len(limits), 300), replace=False):
+            got = _long_enough(sset.points, sset.offsets, counts, step_range, limit)
+            assert np.array_equal(got, lengths >= limit), limit
+
+    @pytest.mark.parametrize("case", sorted(STEP_CASES))
+    def test_track_at_whole_steps_matches_reference(self, case):
+        mask, field, cfg, sset = raw_tracks(case)
+        seeds = some_seeds(mask, 1.0)
+        for c in np.unique(sset.counts)[:: max(1, len(np.unique(sset.counts)) // 6)]:
+            tight = TrackingConfig(step_mm=cfg.step_mm, min_length_mm=float((c - 1) * cfg.step_mm))
+            got = track(field, mask, seeds, tight)
+            assert_same_streamlines(got, ref.track(field, mask, seeds, tight))
+
+    def test_long_zigzag_in_a_small_box(self):
+        # Up to 40 000 Euler steps of 0.1 mm, up or down at random, inside
+        # one voxel: the rounding of the summed length, not that of the
+        # coordinates, sets the margin.
+        mask, field = uniform_box(dims=(1, 1, 1))
+        cfg = TrackingConfig()
+        rng = np.random.default_rng(14)
+        tracks = []
+        for c in (20001, 40001, 40000):
+            z = [0.5]
+            for up in rng.random(c - 1) < 0.5:
+                z.append(z[-1] + (0.1 if (up and z[-1] < 0.85) or z[-1] < 0.15 else -0.1))
+            tracks.append(np.column_stack([np.full(c, 0.5), np.full(c, 0.5), z]))
+        points = np.concatenate(tracks)
+        offsets = np.cumsum([0] + [len(t) for t in tracks])
+        counts = np.diff(offsets)
+        lengths = arc_lengths(points, offsets)
+        wholes = (counts - 1) * cfg.step_mm
+        step_range = _step_range(field, mask, cfg)
+        for limit in np.concatenate([lengths, wholes, np.nextafter(wholes, 0), np.nextafter(wholes, 1e9)]):
+            got = _long_enough(points, offsets, counts, step_range, limit)
+            assert np.array_equal(got, lengths >= limit), limit
+
+
+class TestChordBound:
+    """The extrapolation test against exact lengths on straight tracks, where
+    the chord equals the arc length, with max_extrap_fraction set to each
+    track's added/length ratio and its neighbours."""
+
+    def straight_tracks(self, mask):
+        rng = np.random.default_rng(13)
+        lo, hi = mask.origin + 1.0, mask.origin + mask.world_extent - 1.0
+        tracks = []
+        while len(tracks) < 40:
+            a, b = rng.uniform(lo, hi, (2, 3))
+            if np.linalg.norm(b - a) > 25.0:
+                tracks.append(a + np.linspace(0.0, 1.0, int(rng.integers(5, 80)))[:, None] * (b - a))
+        return tracks
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-1e4, 2e3, 1e4)])
+    def test_matches_reference_where_the_fraction_lands(self, origin):
+        mask, _ = reframed(*uniform_box(dims=(20, 20, 60)), (1.0, 0.7, 1.3), origin)
+        tracks = self.straight_tracks(mask)
+        points = np.concatenate(tracks)
+        offsets = np.cumsum([0] + [len(t) for t in tracks])
+        fractions = []
+        for t in tracks:
+            ends = [(t[0], t[0] - t[1]), (t[-1], t[-1] - t[-2])]
+            taus = [ref.ray_exit_distance(mask, p, d / np.linalg.norm(d), 2.0 * mask.diagonal)
+                    for p, d in ends]
+            added = sum(tau for tau in taus if tau > 1e-12)
+            fractions.append(added / arc_length(t))
+        fractions = np.array([f for f in fractions if 0.0 < f < 1.0])
+        assert len(fractions) > 20
+        for f in np.concatenate([fractions, np.nextafter(fractions, 0), np.nextafter(fractions, 1)]):
+            cfg = TrackingConfig(max_extrap_fraction=float(f))
+            _, _, accepted, _ = _surface_exits(points, offsets, mask, cfg)
+            want = [ref.extrapolate(t, mask, cfg)[1] for t in tracks]
+            assert accepted.tolist() == want, f
+
+
+@pytest.mark.parametrize("case", ["box", "jittered_arc"])
+def test_bounds_decide_most_tracks(monkeypatch, case):
+    mask, field = CASES[case]()
+    measured = []
+    real = tracking._lengths
+    monkeypatch.setattr(tracking, "_lengths",
+                        lambda p, starts, counts: measured.append(len(counts)) or real(p, starts, counts))
+    out = reconstruct(field, mask, some_seeds(mask, 1.0))
+    assert len(out) > 100 and sum(measured) <= 0.05 * len(out)
