@@ -213,19 +213,35 @@ def cmd_arch(args) -> int:
     return 0
 
 
+def _first_row(path) -> dict[str, str]:
+    """The first data row of a CSV file, by column name."""
+    header, rows = formats.read_csv(path)
+    if not rows:
+        raise DataError(f"{path}: no data row")
+    return dict(zip(header, rows[0]))
+
+
+def _column(rec: dict[str, str], key: str, path, kind=float):
+    """rec[key] converted by kind; a missing or unparseable value is a DataError."""
+    if key not in rec:
+        raise DataError(f"{path}: missing column {key!r}")
+    try:
+        return kind(rec[key])
+    except ValueError:
+        raise DataError(f"{path}: bad {key} value {rec[key]!r}") from None
+
+
 def _load_run(path: Path) -> dict[str, float]:
-    header, rows = formats.read_csv(path / "metrics.csv")
-    m = dict(zip(header, rows[0]))
-    header, rows = formats.read_csv(path / "arch.csv")
-    a = dict(zip(header, rows[0]))
+    m_path, a_path = path / "metrics.csv", path / "arch.csv"
+    m, a = _first_row(m_path), _first_row(a_path)
     return {
-        "sc": float(m["sc"]),
-        "sdcv": float(m["sdcv"]),
-        "fl_median": float(a["fl_median_mm"]),
-        "ml": float(a["ml_mm"]),
-        "fl_ml_ratio": float(a["fl_ml_ratio"]),
-        "pa_median": float(a["pa_median_deg"]),
-        "pcsa": float(a["pcsa_mm2"]),
+        "sc": _column(m, "sc", m_path),
+        "sdcv": _column(m, "sdcv", m_path),
+        "fl_median": _column(a, "fl_median_mm", a_path),
+        "ml": _column(a, "ml_mm", a_path),
+        "fl_ml_ratio": _column(a, "fl_ml_ratio", a_path),
+        "pa_median": _column(a, "pa_median_deg", a_path),
+        "pcsa": _column(a, "pcsa_mm2", a_path),
     }
 
 
@@ -236,7 +252,11 @@ def cmd_compare(args) -> int:
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise DataError(f"run spec must be label:instance:dir, got {spec!r}")
-        label, instance, path = parts[0], int(parts[1]), Path(parts[2])
+        label, path = parts[0], Path(parts[2])
+        try:
+            instance = int(parts[1])
+        except ValueError:
+            raise DataError(f"run spec {spec!r}: instance must be an integer") from None
         runs.setdefault(label, {})[instance] = _load_run(path)
         mask_path = path / "mask.mskv"
         if mask_path.exists():
@@ -288,6 +308,28 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _arch_record(rec: dict[str, str], path) -> arch_mod.MuscleArchitecture:
+    """The architecture record of one row of an `arch` CSV file."""
+    def col(key, kind=float):
+        return _column(rec, key, path, kind)
+
+    return arch_mod.MuscleArchitecture(
+        mv=col("mv_mm3"),
+        fl_median=col("fl_median_mm"),
+        ml=col("ml_mm"),
+        fl_ml_ratio=col("fl_ml_ratio"),
+        pa_median=col("pa_median_deg"),
+        pcsa=col("pcsa_mm2"),
+        loa=arch_mod.LineOfAction(
+            np.zeros(3),
+            np.array([col("loa_x"), col("loa_y"), col("loa_z")]),
+            col("r2"),
+            col("loa_source", str),
+        ),
+        arch_type=col("arch_type", str),
+    )
+
+
 def cmd_fractions(args) -> int:
     group_of: dict[str, str] = {}
     for lineno, line in enumerate(Path(args.groups).read_text(encoding="utf-8").splitlines(), 1):
@@ -304,25 +346,10 @@ def cmd_fractions(args) -> int:
         header, rows = formats.read_csv(csv_path)
         for row in rows:
             rec = dict(zip(header, row))
-            name = rec["name"]
+            name = _column(rec, "name", csv_path, str)
             if name not in group_of:
                 raise DataError(f"{csv_path}: muscle {name!r} missing from the group table")
-            arch = arch_mod.MuscleArchitecture(
-                mv=float(rec["mv_mm3"]),
-                fl_median=float(rec["fl_median_mm"]),
-                ml=float(rec["ml_mm"]),
-                fl_ml_ratio=float(rec["fl_ml_ratio"]),
-                pa_median=float(rec["pa_median_deg"]),
-                pcsa=float(rec["pcsa_mm2"]),
-                loa=arch_mod.LineOfAction(
-                    np.zeros(3),
-                    np.array([float(rec["loa_x"]), float(rec["loa_y"]), float(rec["loa_z"])]),
-                    float(rec["r2"]),
-                    rec["loa_source"],
-                ),
-                arch_type=rec["arch_type"],
-            )
-            records.append((group_of[name], name, arch))
+            records.append((group_of[name], name, _arch_record(rec, csv_path)))
 
     fr = arch_mod.group_fractions([(g, a) for g, _, a in records])
     rows = [["volume_fraction", g, "", v] for g, v in sorted(fr.volume_fraction.items())]
@@ -437,7 +464,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

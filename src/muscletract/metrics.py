@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import Streamline, StreamlineSet, blocks
+from .streamline import Streamline, StreamlineSet, _distinct, blocks
 
 SDCV_SUPPORTS = ("all", "nonzero")
 
@@ -97,7 +97,7 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
         for sign in (-1.0, 1.0):
             ts = np.clip(t + sign * dt, 0.0, 1.0)
             found.append(keys(p0[seg_idx] + ts[:, None] * seg[seg_idx], seg_sid[seg_idx]))
-    return np.unique(np.concatenate(found))
+    return _distinct(np.concatenate(found))
 
 
 def voxelize(s: Streamline, mask: VoxelMask) -> np.ndarray:
@@ -125,7 +125,7 @@ def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> tuple[np.ndarray, int]:
         offsets = sset.offsets[lo : hi + 1]
         found = _voxel_keys(sset.points[offsets[0] : offsets[-1]], offsets - offsets[0], mask)
         counts += np.bincount(found % n_vox, minlength=n_vox)
-        missed += hi - lo - len(np.unique(found // n_vox))
+        missed += hi - lo - len(_distinct(found // n_vox))
     return counts.reshape(mask.dims), missed
 
 

@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import ArityError, EmptyDomainError, InsufficientExtentError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import DEFAULT_RESAMPLE_POINTS, StreamlineSet, _lengths, _resample_set, mdf_rows
+from .streamline import (DEFAULT_RESAMPLE_POINTS, StreamlineSet, _distinct, _lengths, _resample_set,
+                         mdf_rows)
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +142,7 @@ def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
     extents = occ.max(axis=0) - occ.min(axis=0) + 1
     axis = 2 - int(np.argmax(extents[::-1]))
 
-    occupied_slices = np.unique(occ[:, axis])
+    occupied_slices = _distinct(occ[:, axis])
     if len(occupied_slices) < n_slices:
         raise InsufficientExtentError(
             f"mask has {len(occupied_slices)} occupied slices, need {n_slices}"

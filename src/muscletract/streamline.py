@@ -5,7 +5,10 @@ points and positive arc length. A StreamlineSet packs n of them the way
 nibabel's ArraySequence does: one (N, 3) float64 point buffer, n + 1 int64
 offsets (streamline i is points[offsets[i]:offsets[i + 1]]) and n int64 ids.
 A set is validated once, over its whole buffer; iterating over it yields
-Streamline views into the buffer, which are not validated again.
+Streamline views into the buffer, which are not validated again. A set built
+from streamlines that are valid by construction (the rows of a validated set,
+or the raw tracks of tracking.track) is not validated at all; only its ids
+are checked for uniqueness.
 
 Work over a set runs in blocks of whole streamlines holding at most
 BLOCK_POINTS points, read when the work starts. A streamline longer than the
@@ -51,6 +54,17 @@ def blocks(offsets: np.ndarray):
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as np.unique(a) gives
+    them. np.unique's test for a masked array imports numpy.ma (~14 ms of
+    start-up) on its first call; one sort and one comparison pass do not."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
@@ -131,8 +145,16 @@ class StreamlineSet:
         _validate(points, offsets)
         self._assign(points, offsets, ids, mask)
 
+    @classmethod
+    def _trusted(cls, points, offsets, ids, mask) -> StreamlineSet:
+        """A set over streamlines that are valid by construction: only the
+        uniqueness of the ids is checked."""
+        sset = cls.__new__(cls)
+        sset._assign(points, offsets, ids, mask)
+        return sset
+
     def _assign(self, points, offsets, ids, mask) -> None:
-        if len(np.unique(ids)) != len(ids):
+        if len(_distinct(ids)) != len(ids):
             raise InvalidStreamlineError("streamline ids within a set must be unique")
         self.points, self.offsets, self.ids, self.mask = points, offsets, ids, mask
 
@@ -166,9 +188,7 @@ class StreamlineSet:
         for lo, hi in blocks(offsets):
             src = np.repeat(starts[lo:hi] - offsets[lo:hi], counts[lo:hi])
             points[offsets[lo] : offsets[hi]] = self.points[src + np.arange(offsets[lo], offsets[hi])]
-        out = StreamlineSet.__new__(StreamlineSet)
-        out._assign(points, offsets, self.ids[rows], mask)
-        return out
+        return StreamlineSet._trusted(points, offsets, self.ids[rows], mask)
 
 
 def arc_length(s: Streamline | np.ndarray) -> float:

@@ -32,6 +32,15 @@ track writes every batch of tracks into one packed buffer that grows in
 place, and reconstruct fits and extends those tracks in that same buffer, so
 the points are held once, not once per stage.
 
+reconstruct validates its output once; track builds its set without
+validating it, because raw tracks are valid by construction. They are
+finite: every seed lies in the mask, whose grid is finite, and every later
+point is the previous one plus s*v, with s finite and v from a voxel whose
+anisotropy passes fa_min > 0, where OrientationField holds finite unit
+vectors. They have positive length, hence two or more points: _long_enough
+keeps only tracks of arc length >= min_length_mm, which TrackingConfig
+requires to be > 0.
+
 Two length tests are settled by bounds, and arc_length is computed only for
 the tracks a bound leaves undecided (the tests against the oracle include
 cases where a bound is tight, so that only its margin keeps the result
@@ -289,7 +298,10 @@ def track(
     counts = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
     # Two spare rows per track, for reconstruct to add exit points in place.
     buf.resize((pos + 2 * len(counts), 3), refcheck=False)
-    return StreamlineSet.packed(buf[:pos], counts, mask=mask)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # Valid by construction (module docstring): not validated again.
+    return StreamlineSet._trusted(buf[:pos], offsets, np.arange(len(counts)), mask)
 
 
 def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from muscletract.architecture import (
     LineOfAction,
+    _median,
     group_fractions,
     line_of_action,
     muscle_length,
@@ -193,6 +197,21 @@ class TestMuscleLength:
         loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
         assert muscle_length(sset, loa) == pytest.approx(60.0, rel=0.02)
         assert muscle_length_from_mask(mask, loa) == pytest.approx(59.0, rel=0.02)
+
+
+class TestMedian:
+    """The median that summarize uses, against np.median, bit for bit."""
+
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True))))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median(self, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = float(np.median(x))
+            got = _median(x.tolist())
+        assert got == want or math.isnan(got) and math.isnan(want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(want)
 
 
 class TestSummarize:

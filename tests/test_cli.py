@@ -1,11 +1,14 @@
 import argparse
+import importlib
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muscletract.__main__ as entry
 from muscletract.cli import build_parser, main
 from muscletract.formats import (
     RUN_KEYS,
@@ -284,6 +287,38 @@ class TestCompareCommand:
         code = run(["compare", f"fss:0:{a0}", "--out", tmp_path / "c.csv"])
         assert code == 3
 
+    def _rejected(self, tmp_path, capsys, specs) -> str:
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert run(["compare", *specs, "--out", out]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    def test_non_integer_instance_exits_3(self, tmp_path, capsys):
+        a0 = _fake_run_dir(tmp_path, "a0", 0.9, 0.3, 50.0)
+        b0 = _fake_run_dir(tmp_path, "b0", 0.8, 0.4, 55.0)
+        err = self._rejected(tmp_path, capsys, [f"fss:x:{a0}", f"3ds:0:{b0}"])
+        assert f"fss:x:{a0}" in err
+
+    def test_header_only_csv_exits_3(self, tmp_path, capsys):
+        a0 = _fake_run_dir(tmp_path, "a0", 0.9, 0.3, 50.0)
+        b0 = _fake_run_dir(tmp_path, "b0", 0.8, 0.4, 55.0)
+        (b0 / "metrics.csv").write_text("sc,sd_mean,sdcv,sdcv_defined\n")
+        err = self._rejected(tmp_path, capsys, [f"fss:0:{a0}", f"3ds:0:{b0}"])
+        assert str(b0 / "metrics.csv") in err
+
+    def test_missing_column_exits_3(self, tmp_path, capsys):
+        a0 = _fake_run_dir(tmp_path, "a0", 0.9, 0.3, 50.0)
+        b0 = _fake_run_dir(tmp_path, "b0", 0.8, 0.4, 55.0)
+        header, rows = read_csv(b0 / "arch.csv")
+        keep = [i for i, name in enumerate(header) if name != "ml_mm"]
+        (b0 / "arch.csv").write_text(
+            "".join(",".join(r[i] for i in keep) + "\n" for r in [header, *rows]))
+        err = self._rejected(tmp_path, capsys, [f"fss:0:{a0}", f"3ds:0:{b0}"])
+        assert str(b0 / "arch.csv") in err and "ml_mm" in err
+
 
 class TestFractionsCommand:
     def test_sums_to_one(self, tmp_path):
@@ -310,6 +345,31 @@ class TestFractionsCommand:
         for group in ("wrist_flexors", "finger_extensors"):
             pcsa = [float(r[3]) for r in rows if r[0] == "pcsa_fraction" and r[1] == group]
             assert sum(pcsa) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("column, value", [("mv_mm3", "abc"), ("pcsa_mm2", None)])
+    def test_bad_or_missing_column_exits_3(self, tmp_path, capsys, column, value):
+        import muscletract.formats as fmts
+
+        header = ["name", "mv_mm3", "fl_median_mm", "ml_mm", "fl_ml_ratio", "pa_median_deg",
+                  "pcsa_mm2", "loa_x", "loa_y", "loa_z", "r2", "loa_source", "arch_type"]
+        row = ["fcr", 100.0, 30.0, 60.0, 0.5, 10.0, 3.0, 0.0, 0.0, 1.0, 0.95, "endpoint_fit",
+               "pennate"]
+        at = header.index(column)
+        if value is None:
+            del header[at], row[at]
+        else:
+            row[at] = value
+        arch_csv = tmp_path / "arch.csv"
+        fmts.write_csv(arch_csv, header, [row])
+        groups = tmp_path / "groups.txt"
+        groups.write_text("fcr=flexors\n")
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert run(["fractions", arch_csv, "--groups", groups, "--out", out]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(arch_csv) in err[0] and column in err[0]
 
     def test_missing_muscle_rejected(self, tmp_path):
         import muscletract.formats as fmts
@@ -562,3 +622,88 @@ def test_config_value_is_checked_by_the_command_that_uses_it(small_box, tmp_path
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "sdcv_support" in err[0]
     assert not (tmp_path / "m.csv").exists()
+
+
+# One command per line, each run in a directory of its own; the commands
+# before the error cases build every file the later ones read.
+PIPELINE = [
+    ("phantom --dims 8x6x16 --out-mask m.mskv --out-field f.ornt --out-truth t.txt", 0),
+    ("track --field f.ornt --mask m.mskv --min-length 3 --out c.strl", 0),
+    ("filter --method fss --candidates c.strl --mask m.mskv -k 20 --trace trace.csv "
+     "--out fss.strl", 0),
+    ("filter --method 2ds --field f.ornt --mask m.mskv -k 10 --min-length 3 --out 2ds.strl", 0),
+    ("metrics --streamlines fss.strl --mask m.mskv --out-csv metrics.csv --out-density d.dens", 0),
+    ("arch --streamlines fss.strl --mask m.mskv --out arch.csv", 0),
+    ("compare fss:0:a0 fss:1:a1 3ds:0:b0 3ds:1:b1 --out compare.csv", 0),
+    ("fractions arch.csv --groups groups.txt --out fractions.csv", 0),
+    ("filter --method bogus --mask m.mskv --out x.strl", 2),
+    ("metrics --streamlines missing.strl --mask m.mskv --out-csv x.csv", 3),
+    ("filter --method 2ds --field f.ornt --mask m.mskv --n-slices 500 --out x.strl", 4),
+]
+COLD_START = ("track", "filter --method fss", "filter --method 2ds", "metrics", "arch")
+
+
+@pytest.fixture(scope="module")
+def two_exits(tmp_path_factory):
+    """PIPELINE run twice with stdout and stderr as pipes and --log-level
+    info: through `python -X importtime -m muscletract`, which ends by
+    os._exit, and through sys.exit(cli.main()), which tears the interpreter
+    down; the two processes of a command run side by side. Returns each
+    run's directory and (exit code, stdout, stderr, importtime lines) per
+    command, with the importtime lines taken out of stderr."""
+    old = "import sys; from muscletract.cli import main; sys.exit(main())"
+    prefixes = {"fast": ["-X", "importtime", "-m", "muscletract"], "old": ["-c", old]}
+    dirs = {name: tmp_path_factory.mktemp(name) for name in prefixes}
+    for d in dirs.values():
+        (d / "groups.txt").write_text("fss=flexors\n")
+        for run_dir, values in (("a0", (0.95, 0.30, 45.0)), ("a1", (0.93, 0.32, 46.0)),
+                                ("b0", (0.85, 0.40, 50.0)), ("b1", (0.84, 0.42, 52.0))):
+            _fake_run_dir(d, run_dir, *values)
+    results = {name: [] for name in prefixes}
+    for line, _ in PIPELINE:
+        procs = {
+            name: subprocess.Popen(
+                [sys.executable, *prefixes[name], "--log-level", "info", *line.split()],
+                cwd=dirs[name], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for name in prefixes
+        }
+        for name, proc in procs.items():
+            out, err = proc.communicate()
+            err = err.splitlines(keepends=True)
+            imports = [e for e in err if e.startswith("import time:")]
+            results[name].append((proc.returncode, out,
+                                  "".join(e for e in err if e not in imports), imports))
+    return {name: (dirs[name], results[name]) for name in prefixes}
+
+
+def test_cold_start_imports_no_numpy_ma(two_exits):
+    _, results = two_exits["fast"]
+    for (line, code), (got, _, _, imports) in zip(PIPELINE, results):
+        assert got == code, line
+        if line.startswith(COLD_START):
+            assert imports, line
+            modules = [i.rsplit("|", 1)[1].strip() for i in imports]
+            assert "numpy.core" in modules or "numpy" in modules, line
+            assert not [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")], line
+
+
+def test_fast_exit_keeps_output_and_exit_codes(two_exits):
+    (fast_dir, fast), (old_dir, old) = two_exits["fast"], two_exits["old"]
+    assert [r[0] for r in fast] == [code for _, code in PIPELINE]
+    for (line, _), a, b in zip(PIPELINE, fast, old):
+        assert a[:3] == b[:3], line
+    assert "INFO muscletract.tracking: reconstruct: " in fast[1][2]
+    assert fast[2][1].startswith("filter[fss]: 20 streamlines")
+    files = sorted(p.name for p in fast_dir.iterdir() if p.is_file())
+    assert files == sorted(p.name for p in old_dir.iterdir() if p.is_file())
+    assert {"c.strl", "fss.strl", "2ds.strl", "d.dens", "compare.csv", "fractions.csv"} <= set(files)
+    for name in files:
+        assert (fast_dir / name).read_bytes() == (old_dir / name).read_bytes(), name
+
+
+def test_console_script_shares_the_fast_exit():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["muscletract"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is entry.run

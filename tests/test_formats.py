@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+import muscletract.formats as formats_mod
+import muscletract.streamline as streamline_mod
 from muscletract.errors import ConfigError, FormatError, InvalidSpecError, InvalidStreamlineError
 from muscletract.formats import (
     RunConfig,
@@ -21,7 +23,7 @@ from muscletract.formats import (
 )
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.metrics import DensityMap
-from muscletract.streamline import Streamline, StreamlineSet
+from muscletract.streamline import BLOCK_POINTS, Streamline, StreamlineSet
 
 
 def random_streamlines(rng, n=5):
@@ -120,6 +122,68 @@ class TestStreamlineRoundTrip:
         assert got.points.flags.c_contiguous and got.points.dtype == np.float64
         assert np.array_equal(got.points, sset.points)
         assert np.array_equal(got.offsets, sset.offsets) and list(got.ids) == list(range(6))
+
+
+def strl_bytes(sset) -> bytes:
+    """A STRL file as the format describes it, one record at a time."""
+    records = [struct.pack("<I", len(s.points)) + s.points.astype("<f4").tobytes() for s in sset]
+    return b"STRL" + struct.pack("<II", 1, len(sset)) + b"".join(records)
+
+
+def walk(rng, counts) -> StreamlineSet:
+    pts = np.cumsum(rng.uniform(-1, 1, (sum(counts), 3)), axis=0)
+    return StreamlineSet.packed(pts, counts)
+
+
+class TestStreamlineBlocks:
+    """STRL records are read and written one streamline.blocks range at a time."""
+
+    @pytest.mark.parametrize("counts", [
+        [BLOCK_POINTS // 3 + 5] * 5,  # blocks end inside the budget, streamlines straddle it
+        [3, BLOCK_POINTS + 7, 4],  # one streamline longer than the budget
+        [],
+    ], ids=["straddling", "longer_than_budget", "empty"])
+    def test_save_load_save_byte_exact(self, tmp_path, counts):
+        sset = walk(np.random.default_rng(len(counts)), counts)
+        p1, p2 = tmp_path / "a.strl", tmp_path / "b.strl"
+        save_streamlines(p1, sset)
+        assert p1.read_bytes() == strl_bytes(sset)
+        got = load_streamlines(p1)
+        assert np.array_equal(got.offsets, sset.offsets)
+        assert np.array_equal(got.points, sset.points.astype(np.float32).astype(np.float64))
+        save_streamlines(p2, got)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    @pytest.mark.parametrize("budget, head_bytes", [(2, 4), (7, 5), (40, 13), (1 << 16, 1 << 16)])
+    def test_small_blocks_and_header_reads(self, tmp_path, monkeypatch, budget, head_bytes):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        monkeypatch.setattr(formats_mod, "_HEAD_BYTES", head_bytes)
+        rng = np.random.default_rng(budget)
+        path = tmp_path / "s.strl"
+        for _ in range(10):
+            sset = walk(rng, rng.integers(2, 30, int(rng.integers(1, 12))).tolist())
+            save_streamlines(path, sset)
+            assert path.read_bytes() == strl_bytes(sset)
+            got = load_streamlines(path)
+            assert np.array_equal(got.offsets, sset.offsets)
+            assert np.array_equal(got.points, sset.points.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("head_bytes", [4, 9, 1 << 16])
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw: raw[:-(12 * 4 + 2)], "truncated file while reading npoints"),
+        (lambda raw: raw[:-5], "truncated file while reading streamline 2"),
+        (lambda raw: raw[:40] + struct.pack("<I", 1) + raw[44:],
+         "{path}: streamline 1 has 1 points"),
+        (lambda raw: raw + b"z", "{path}: trailing bytes after 3 streamlines"),
+    ], ids=["header", "body", "npoints", "trailing"])
+    def test_errors_keep_their_messages(self, tmp_path, monkeypatch, head_bytes, cut, message):
+        monkeypatch.setattr(formats_mod, "_HEAD_BYTES", head_bytes)
+        path = tmp_path / "s.strl"
+        save_streamlines(path, walk(np.random.default_rng(0), [2, 4, 4]))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(FormatError) as exc:
+            load_streamlines(path)
+        assert str(exc.value) == message.format(path=path)
 
 
 class TestMaskRoundTrip:

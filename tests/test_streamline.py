@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from muscletract.errors import ArityError, InvalidStreamlineError
 from muscletract.streamline import (
     Streamline,
     StreamlineSet,
+    _distinct,
     arc_length,
     mdf_rows,
     stack_resampled,
@@ -392,3 +394,36 @@ class TestPackedSet:
         assert not np.shares_memory(out.points, sset.points)
         with pytest.raises(InvalidStreamlineError):
             sset.take([1, 1])  # ids within a set stay unique
+
+
+@st.composite
+def int_arrays(draw):
+    """int32 or int64 arrays of up to 300 values, empty ones included, drawn
+    from {-1, 0, 1}, from -3..3 or from the whole range of the type."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    spread = draw(st.sampled_from([1, 3, int(np.iinfo(dtype).max)]))
+    return draw(hnp.arrays(dtype, st.integers(0, 300), elements=st.integers(-spread, spread)))
+
+
+class TestDistinct:
+    """The sort-based kernel that replaces np.unique, against np.unique."""
+
+    @given(int_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique(self, a):
+        got, want = _distinct(a), np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_edges(self, dtype):
+        info = np.iinfo(dtype)
+        for a in ([], [7], [5] * 1000, [info.min, info.max, 0, -1, info.min, info.max],
+                  np.arange(50)[::-1], np.arange(50).reshape(5, 10) % 7):
+            a = np.asarray(a, dtype=dtype)
+            got, want = _distinct(a), np.unique(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_leaves_input_untouched(self):
+        a = np.array([3, 1, 3, 2])
+        _distinct(a)
+        assert a.tolist() == [3, 1, 3, 2]

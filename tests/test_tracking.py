@@ -10,7 +10,8 @@ from muscletract.errors import DegenerateGeometryError, InvalidSpecError
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
-from muscletract.streamline import Streamline, arc_length, arc_lengths
+import muscletract.streamline as streamline_mod
+from muscletract.streamline import Streamline, _validate, arc_length, arc_lengths
 from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
@@ -635,3 +636,33 @@ def test_bounds_decide_most_tracks(monkeypatch, case):
                         lambda p, starts, counts: measured.append(len(counts)) or real(p, starts, counts))
     out = reconstruct(field, mask, some_seeds(mask, 1.0))
     assert len(out) > 100 and sum(measured) <= 0.05 * len(out)
+
+
+class TestOneValidation:
+    """track builds its set unvalidated, on the argument of the module
+    docstring; so reconstruct validates only its own output."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_track_output_is_valid(self, case, cfg_name):
+        mask, field = CASES[case]()
+        got = track(field, mask, some_seeds(mask, 1.0), CONFIGS[cfg_name])
+        _validate(got.points, got.offsets)
+
+    @pytest.mark.parametrize("case", sorted(STEP_CASES))
+    def test_raw_tracks_at_the_smallest_length_are_valid(self, case):
+        _, _, _, sset = raw_tracks(case)
+        assert len(sset) > 0
+        _validate(sset.points, sset.offsets)
+
+    def test_reconstruct_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(points, offsets):
+            calls.append(len(offsets) - 1)
+            _validate(points, offsets)
+
+        monkeypatch.setattr(streamline_mod, "_validate", counted)
+        mask, field = CASES["jittered_arc"]()
+        out = reconstruct(field, mask, some_seeds(mask, 1.0))
+        assert len(out) > 0 and calls == [len(out)]
