@@ -1,11 +1,15 @@
 """Farthest streamline sampling and muscle-architecture analytics.
 
-Library layout: streamline geometry and the MDF distance (streamline), seeding
-baselines and the farthest-first filter (sampling), synthetic phantoms
-(phantom), the deterministic tracker with fitting and extrapolation
-(tracking), coverage/density metrics (metrics), per-muscle architecture
-(architecture), comparison statistics (stats), and file formats plus the CLI
-(formats, cli).
+Library layout: the packed streamline container, arc lengths and the MDF
+distance (streamline), seeding baselines and the farthest-first filter
+(sampling), synthetic phantoms (phantom), the deterministic tracker with
+fitting and extrapolation (tracking), coverage/density metrics (metrics),
+per-muscle architecture (architecture), comparison statistics (stats), and
+file formats plus the CLI (formats, cli).
+
+Streamlines travel between the stages as one StreamlineSet: a packed point
+buffer with offsets and ids, whose iteration yields each streamline's (c, 3)
+points.
 """
 
 from .architecture import (
@@ -15,11 +19,10 @@ from .architecture import (
     line_of_action,
     muscle_length,
     muscle_volume,
-    pennation_angle,
     summarize,
 )
 from .grid import OrientationField, VoxelMask
-from .metrics import DensityMap, TractMetrics, coverage, density, voxelize
+from .metrics import DensityMap, TractMetrics, coverage, density
 from .phantom import GroundTruth, PhantomSpec, make_phantom
 from .sampling import FSSConfig, FSSTrace, SeedSet, fss_filter, seeds_2d, seeds_3d
 from .stats import (
@@ -32,8 +35,8 @@ from .stats import (
     t_one_sample,
     t_paired,
 )
-from .streamline import Streamline, StreamlineSet, arc_length
-from .tracking import TrackingConfig, extrapolate_to_surface, fit_poly3, reconstruct, track
+from .streamline import StreamlineSet, arc_lengths
+from .tracking import TrackingConfig, reconstruct, track
 
 __version__ = "0.1.0"
 
@@ -49,25 +52,21 @@ __all__ = [
     "PairedSample",
     "PhantomSpec",
     "SeedSet",
-    "Streamline",
     "StreamlineSet",
     "TTestResult",
     "TrackingConfig",
     "TractMetrics",
     "VoxelMask",
-    "arc_length",
+    "arc_lengths",
     "bland_altman",
     "coverage",
     "density",
-    "extrapolate_to_surface",
-    "fit_poly3",
     "fss_filter",
     "group_fractions",
     "line_of_action",
     "make_phantom",
     "muscle_length",
     "muscle_volume",
-    "pennation_angle",
     "percent_diff",
     "reconstruct",
     "seeds_2d",
@@ -77,5 +76,4 @@ __all__ = [
     "t_one_sample",
     "t_paired",
     "track",
-    "voxelize",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import Streamline, StreamlineSet, arc_lengths
+from .streamline import StreamlineSet, arc_lengths
 
 R2_THRESHOLD_DEFAULT = 0.9
 
@@ -112,24 +112,11 @@ def _pennation_angles(chords: np.ndarray, direction: np.ndarray) -> list[float]:
     return [math.degrees(math.acos(min(1.0, c))) for c in cos.tolist()]
 
 
-def pennation_angle(s: Streamline, loa: LineOfAction) -> float:
-    """Angle in [0, 90] degrees between the tract chord and the line of action."""
-    return _pennation_angles((s.points[-1] - s.points[0])[None], loa.direction)[0]
-
-
 def muscle_length(sset: StreamlineSet, loa: LineOfAction) -> float:
     """Extent of all tract points projected on the line of action, in mm."""
     if len(sset) == 0:
         raise EmptyDomainError("streamline set is empty")
     proj = sset.points @ loa.direction
-    return float(proj.max() - proj.min())
-
-
-def muscle_length_from_mask(mask: VoxelMask, loa: LineOfAction) -> float:
-    """Sensitivity variant: extent of occupied voxel centers along the line of action."""
-    if mask.n_occupied == 0:
-        raise EmptyDomainError("mask has no occupied voxels")
-    proj = mask.voxel_centers(mask.occupied_indices()) @ loa.direction
     return float(proj.max() - proj.min())
 
 

@@ -331,15 +331,8 @@ def _arch_record(rec: dict[str, str], path) -> arch_mod.MuscleArchitecture:
 
 
 def cmd_fractions(args) -> int:
-    group_of: dict[str, str] = {}
-    for lineno, line in enumerate(Path(args.groups).read_text(encoding="utf-8").splitlines(), 1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise DataError(f"{args.groups}:{lineno}: expected muscle=group")
-        name, group = (p.strip() for p in text.split("=", 1))
-        group_of[name] = group
+    group_of = {name: group for _, name, group in
+                formats.key_value_lines(args.groups, "muscle=group")}
 
     records = []
     for csv_path in args.arch_csvs:

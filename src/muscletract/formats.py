@@ -137,7 +137,7 @@ def load_streamlines(path) -> StreamlineSet:
             if fh.readinto(words) != words.nbytes:
                 raise FormatError(f"truncated file while reading streamline {lo}")
             points[offsets[lo] : offsets[hi]] = words[coords].reshape(-1, 3)
-    return StreamlineSet.packed(points, counts)
+    return StreamlineSet(points, counts)
 
 
 def _write_grid_header(fh, magic: bytes, dims, voxel_size, origin) -> None:
@@ -301,17 +301,28 @@ RUN_KEYS: dict[str, tuple[type, type]] = {
 }
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse a plain-text key=value file; '#' starts a comment. Values the
-    owning config rejects, and k > n_candidates, raise ConfigError."""
-    values = {}
+def key_value_lines(path, expected: str = "key=value"):
+    """(line number, key, value) of every key=value line of a text file.
+
+    '#' starts a comment, blank lines are skipped, and each line splits at
+    its first '='; key and value are stripped. A line without '=' raises
+    ConfigError naming path:line and the expected form.
+    """
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected {expected}, got {line!r}")
         key, value = (part.strip() for part in text.split("=", 1))
+        yield lineno, key, value
+
+
+def load_run_config(path) -> RunConfig:
+    """Parse a run-config file of key=value lines (key_value_lines). Values
+    the owning config rejects, and k > n_candidates, raise ConfigError."""
+    values = {}
+    for lineno, key, value in key_value_lines(path):
         if key not in RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import Streamline, StreamlineSet, _distinct, blocks
+from .streamline import StreamlineSet, _distinct, blocks
 
 SDCV_SUPPORTS = ("all", "nonzero")
 
@@ -98,17 +98,6 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
             ts = np.clip(t + sign * dt, 0.0, 1.0)
             found.append(keys(p0[seg_idx] + ts[:, None] * seg[seg_idx], seg_sid[seg_idx]))
     return _distinct(np.concatenate(found))
-
-
-def voxelize(s: Streamline, mask: VoxelMask) -> np.ndarray:
-    """In-mask voxel indices the streamline passes through, each listed once,
-    in lexicographic order.
-
-    Equivalent to walking the polyline at an arbitrarily fine arc step: the
-    voxel set is computed from the vertices plus exact face-crossing points.
-    """
-    flat = _voxel_keys(s.points, np.array([0, len(s.points)]), mask)
-    return np.column_stack(np.unravel_index(flat, mask.dims)).astype(np.int64)
 
 
 def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> tuple[np.ndarray, int]:

@@ -33,12 +33,13 @@ minimum, so the selected ids and selection distances are bit-identical to
 those of an update that evaluates every candidate at every step.
 
 The first pick under init_rule "longest" reuses the resampler's segment-length
-totals. A total sums the same c - 1 segment lengths as arc_length, in
-sequence instead of pairwise; both sums are within (c - 2) * 2**-53 of the
-exact sum, relative, so they differ by less than 2 * (c + 8) * 2**-53 times
-the total. So only a candidate whose total lies within twice that margin
-(taken at the largest point count) below the largest total can be the
-longest, and arc_length is computed for those candidates alone.
+totals. A total sums the same c - 1 segment lengths as the arc length
+(streamline.arc_lengths), in sequence instead of pairwise; both sums are
+within (c - 2) * 2**-53 of the exact sum, relative, so they differ by less
+than 2 * (c + 8) * 2**-53 times the total. So only a candidate whose total
+lies within twice that margin (taken at the largest point count) below the
+largest total can be the longest, and the arc length is computed for those
+candidates alone.
 """
 
 from __future__ import annotations
@@ -223,12 +224,12 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
 
 
 def _longest(candidates: StreamlineSet, order: np.ndarray, estimates: np.ndarray) -> int:
-    """Position in id order of the candidate of largest arc_length, the
+    """Position in id order of the candidate of largest arc length, the
     lowest id among equals.
 
     estimates are the resampler's sequential sums of the segment lengths, in
-    id order; arc_length is computed only for the candidates whose estimate
-    lies within the margin of the module docstring of the largest.
+    id order; the arc length is computed only for the candidates whose
+    estimate lies within the margin of the module docstring of the largest.
     """
     top = float(estimates.max())
     margin = 4 * (int(candidates.counts.max()) + 8) * 2.0**-53 * top

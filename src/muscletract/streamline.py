@@ -4,8 +4,10 @@ A streamline is an ordered 3D polyline in world millimeters with at least two
 points and positive arc length. A StreamlineSet packs n of them the way
 nibabel's ArraySequence does: one (N, 3) float64 point buffer, n + 1 int64
 offsets (streamline i is points[offsets[i]:offsets[i + 1]]) and n int64 ids.
-A set is validated once, over its whole buffer; iterating over it yields
-Streamline views into the buffer, which are not validated again. A set built
+It is the only streamline container: every stage of the pipeline, from the
+tracker to the architecture reductions, takes and returns one. A set is
+validated once, over its whole buffer, when it is built; iterating over it
+yields each streamline's (c, 3) points as a view into the buffer. A set built
 from streamlines that are valid by construction (the rows of a validated set,
 or the raw tracks of tracking.track) is not validated at all; only its ids
 are checked for uniqueness.
@@ -32,8 +34,6 @@ on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,53 +93,19 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
             raise InvalidStreamlineError("streamline has zero arc length")
 
 
-@dataclass(frozen=True)
-class Streamline:
-    """Ordered polyline (>= 2 points, positive length) with a stable id."""
-
-    points: np.ndarray
-    id: int = -1
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        _validate(pts, np.array([0, pts.size // 3]))
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def _view(points: np.ndarray, sid: int) -> Streamline:
-    """A Streamline over points that a validated set already checked."""
-    s = object.__new__(Streamline)
-    object.__setattr__(s, "points", points)
-    object.__setattr__(s, "id", sid)
-    return s
-
-
 class StreamlineSet:
     """Streamlines sharing one coordinate frame, packed as described in the
     module docstring, with an optional mask reference."""
 
-    def __init__(self, streamlines=(), mask=None):
-        sls = list(streamlines)
-        points = np.concatenate([s.points for s in sls]) if sls else np.empty((0, 3))
-        self._pack(points, [len(s.points) for s in sls], [s.id for s in sls], mask)
-
-    @classmethod
-    def packed(cls, points, counts, ids=None, mask=None) -> StreamlineSet:
+    def __init__(self, points, counts, ids=None, mask=None):
         """A set over an (N, 3) point buffer that holds streamlines of the
         given point counts one after another; ids default to 0..n-1. A
-        float64 buffer is used as given, not copied."""
-        sset = cls.__new__(cls)
-        sset._pack(np.asarray(points, dtype=np.float64), counts,
-                   np.arange(len(counts)) if ids is None else ids, mask)
-        return sset
-
-    def _pack(self, points, counts, ids, mask) -> None:
+        float64 buffer is used as given, not copied. Every streamline is
+        validated (_validate), and the ids must be unique."""
+        points = np.asarray(points, dtype=np.float64)
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ids = np.asarray(np.arange(len(counts)) if ids is None else ids, dtype=np.int64).reshape(-1)
         if len(ids) != len(counts):
             raise InvalidStreamlineError(f"{len(ids)} ids for {len(counts)} streamlines")
         _validate(points, offsets)
@@ -167,9 +133,11 @@ class StreamlineSet:
         return len(self.ids)
 
     def __iter__(self):
-        bounds = zip(self.ids.tolist(), self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-        for sid, lo, hi in bounds:
-            yield _view(self.points[lo:hi], sid)
+        """Each streamline's (c, 3) points, in set order, as views into the
+        buffer; the ids are self.ids."""
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self.points[lo:hi]
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """First and last point of every streamline, as two (n, 3) arrays."""
@@ -191,24 +159,16 @@ class StreamlineSet:
         return StreamlineSet._trusted(points, offsets, self.ids[rows], mask)
 
 
-def arc_length(s: Streamline | np.ndarray) -> float:
-    """Sum of distances between consecutive points, in millimeters."""
-    pts = s.points if isinstance(s, Streamline) else np.asarray(s, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
-        raise InvalidStreamlineError("arc length needs finite (n, 3) points")
-    if len(pts) < 2:
-        raise InvalidStreamlineError("arc length needs at least two points")
-    seg = pts[1:] - pts[:-1]
-    return float(np.sqrt((seg * seg).sum(axis=1)).sum())
-
-
 def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """arc_length of every streamline of a packed buffer, bit for bit."""
+    """Arc length of every streamline of a packed buffer, in millimeters: the
+    sum of the distances between consecutive points."""
     return _lengths(points, offsets[:-1], np.diff(offsets))
 
 
 def _lengths(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """arc_length of the polylines of counts points starting at starts.
+    """Arc length of the polylines of counts points starting at starts,
+    bit for bit as np.sqrt((seg * seg).sum(1)).sum() of one polyline's
+    segments seg.
 
     The polylines of one point count c are summed as the rows of a
     (g, c - 1) array, which numpy reduces row by row in the pairwise order
@@ -265,7 +225,7 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     Each row is padded to the longest with copies of its last point, so the
     padding adds zero-length segments that leave the cumulative length exact.
     Squared segment lengths are summed x, then y, then z, as (seg * seg).sum(1)
-    does, so a total sums the segment lengths that arc_length sums, but in
+    does, so a total sums the segment lengths that arc_lengths sums, but in
     sequence rather than pairwise.
     """
     width = int(counts.max())
@@ -292,20 +252,15 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     return out, totals
 
 
-def stack_resampled(sset: StreamlineSet, m: int = DEFAULT_RESAMPLE_POINTS) -> np.ndarray:
-    """Place m points at equal arc-length spacing along every streamline of
-    a set, as an (n, m, 3) array.
+def _resample_set(sset: StreamlineSet, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m points at equal arc-length spacing along every streamline of a set,
+    as an (n, m, 3) array, and every streamline's segment lengths summed in
+    sequence: within 2 * (c + 8) * 2**-53 of its arc length, relative, for
+    c points (both sum the same c - 1 non-negative terms).
 
     Parameterizes by cumulative chord length; the two endpoints are copied
     exactly from the input.
     """
-    return _resample_set(sset, m)[0]
-
-
-def _resample_set(sset: StreamlineSet, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """stack_resampled, and every streamline's segment lengths summed in
-    sequence: within 2 * (c + 8) * 2**-53 of its arc_length, relative, for
-    c points (both sum the same c - 1 non-negative terms)."""
     if m < 2:
         raise ArityError(f"resample needs m >= 2, got {m}")
     counts = sset.counts

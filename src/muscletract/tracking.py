@@ -29,8 +29,8 @@ tests/reference_tracking.py keeps as the oracle):
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
 track writes every batch of tracks into one packed buffer that grows in
-place, and reconstruct fits and extends those tracks in that same buffer, so
-the points are held once, not once per stage.
+place, and reconstruct grows that buffer by two rows per track and fits and
+extends the tracks in it, so the points are held once, not once per stage.
 
 reconstruct validates its output once; track builds its set without
 validating it, because raw tracks are valid by construction. They are
@@ -41,10 +41,10 @@ vectors. They have positive length, hence two or more points: _long_enough
 keeps only tracks of arc length >= min_length_mm, which TrackingConfig
 requires to be > 0.
 
-Two length tests are settled by bounds, and arc_length is computed only for
-the tracks a bound leaves undecided (the tests against the oracle include
-cases where a bound is tight, so that only its margin keeps the result
-exact):
+Two length tests are settled by bounds, and the arc length (streamline.
+arc_lengths) is computed only for the tracks a bound leaves undecided (the
+tests against the oracle include cases where a bound is tight, so that only
+its margin keeps the result exact):
 
 - Step count. Each segment of a raw track of c points is one Euler step s*v,
   with v from a voxel whose anisotropy passes fa_min, so its length is s*|v|
@@ -73,7 +73,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import BLOCK_POINTS, Streamline, StreamlineSet, _lengths
+from .streamline import BLOCK_POINTS, StreamlineSet, _lengths
 
 log = logging.getLogger(__name__)
 
@@ -255,7 +255,8 @@ def track(
 
     Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
     shorter than cfg.min_length_mm are discarded. Output ids run 0..n-1 in
-    seed order.
+    seed order. The set's points array owns its memory (it is no view), so
+    it can be grown in place with ndarray.resize, as reconstruct does.
     """
     cfg = cfg or TrackingConfig()
     mask.require_same_frame(field, "orientation field")
@@ -296,12 +297,11 @@ def track(
         pos += int(kept[-1].sum())
         del tracks
     counts = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
-    # Two spare rows per track, for reconstruct to add exit points in place.
-    buf.resize((pos + 2 * len(counts), 3), refcheck=False)
+    buf.resize((pos, 3), refcheck=False)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(buf[:pos], offsets, np.arange(len(counts)), mask)
+    return StreamlineSet._trusted(buf, offsets, np.arange(len(counts)), mask)
 
 
 def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
@@ -323,24 +323,6 @@ def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
     if rank < 4:
         raise DegenerateGeometryError("rank-deficient cubic fit")
     return design @ coef
-
-
-def fit_poly3(s: Streamline) -> tuple[Streamline, float]:
-    """Least-squares cubic fit of each coordinate against a parameter t in
-    [0, 1], sampled back at the same parameter values.
-
-    The parameter is the normalized point index; the tracker emits points at
-    equal arc steps, so this is the normalized arc-length parameter of the
-    polylines the pipeline fits. A fixed parameter grid makes the operation
-    exactly idempotent on its own output.
-
-    Returns the fitted streamline (same point count) and the RMS residual of
-    the fit in mm.
-    """
-    out = _fit_cubic(s.points, {})
-    resid = out - s.points
-    rms = float(np.sqrt((resid * resid).sum(axis=1).mean()))
-    return Streamline(out, id=s.id), rms
 
 
 def _ray_exits(mask: VoxelMask, starts: np.ndarray, directions: np.ndarray, max_dist: float):
@@ -435,25 +417,6 @@ def _with_exits(buf, offsets, exits, extend, rows) -> np.ndarray:
     return counts
 
 
-def extrapolate_to_surface(
-    s: Streamline, mask: VoxelMask, cfg: TrackingConfig | None = None
-) -> tuple[Streamline, bool]:
-    """Extend both endpoints along their terminal tangents to the mask surface.
-
-    Returns (streamline, accepted); accepted is False when the total added
-    length exceeds cfg.max_extrap_fraction of the original arc length, or when
-    a tangent fails to exit the mask within twice its diagonal.
-    """
-    cfg = cfg or TrackingConfig()
-    offsets = np.array([0, len(s.points)])
-    exits, extend, accepted, _ = _surface_exits(s.points, offsets, mask, cfg)
-    if extend.any():
-        buf = np.concatenate([s.points, np.empty((2, 3))])
-        (n,) = _with_exits(buf, offsets, exits, extend, np.array([0]))
-        s = Streamline(buf[:n], id=s.id)
-    return s, bool(accepted[0])
-
-
 def reconstruct(
     field: OrientationField,
     mask: VoxelMask,
@@ -468,9 +431,12 @@ def reconstruct(
     """
     cfg = cfg or TrackingConfig()
     tracked = track(field, mask, seeds, cfg)
-    # The tracked points lead a buffer with room for the exit points, and
-    # each stage below rewrites that buffer in place.
-    points, offsets, buf = tracked.points, tracked.offsets, tracked.points.base
+    n_tracks, offsets, buf = len(tracked), tracked.offsets, tracked.points
+    del tracked
+    # Room for the two exit points a track may gain; each stage below
+    # rewrites this buffer in place.
+    buf.resize((offsets[-1] + 2 * n_tracks, 3), refcheck=False)
+    points = buf[: offsets[-1]]
     designs: dict = {}
     unfitted = 0
     for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
@@ -480,9 +446,9 @@ def reconstruct(
             unfitted += 1
     exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
     counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
-    n_tracks, away = len(tracked), int(ran_away.sum())
-    del tracked, points
-    out = StreamlineSet.packed(buf[: counts.sum()], counts, mask=mask)
+    away = int(ran_away.sum())
+    del points
+    out = StreamlineSet(buf[: counts.sum()], counts, mask=mask)
 
     n_in = int(mask.points_in_mask(seeds.points).sum())
     rejected = n_tracks - len(out)

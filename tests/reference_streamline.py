@@ -1,9 +1,11 @@
 """One-streamline-at-a-time reference for muscletract.streamline and the
 voxelization in muscletract.metrics.
 
-These are resampling, MDF, flipping and voxelization written for a single
-streamline or pair. The library runs each over a whole packed set at once;
-tests require its output to equal this reference bit for bit.
+These are arc length, resampling, MDF, flipping and voxelization written for
+a single streamline or pair, each given as an (n, 3) point array (as
+iterating over a StreamlineSet yields them). The library runs each over a
+whole packed set at once; tests require its output to equal this reference
+bit for bit.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from muscletract.errors import ArityError, InvalidStreamlineError
-from muscletract.streamline import DEFAULT_RESAMPLE_POINTS, Streamline
+from muscletract.streamline import DEFAULT_RESAMPLE_POINTS, StreamlineSet
 
 
 def _as_points(points) -> np.ndarray:
@@ -23,12 +25,27 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def pack(arrays, ids=None, mask=None) -> StreamlineSet:
+    """A validated set of the given (n, 3) point arrays, in order."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    points = np.concatenate(arrays) if arrays else np.empty((0, 3))
+    return StreamlineSet(points, [len(a) for a in arrays], ids=ids, mask=mask)
+
+
+def arc_length(points) -> float:
+    """Sum of the distances between consecutive points of one polyline."""
+    pts = _as_points(points)
+    if len(pts) < 2:
+        raise InvalidStreamlineError("arc length needs at least two points")
+    seg = pts[1:] - pts[:-1]
+    return float(np.sqrt((seg * seg).sum(axis=1)).sum())
+
+
 @dataclass(frozen=True)
 class ResampledStreamline:
     """Fixed-count equal-arc-spacing representation used by MDF."""
 
     points: np.ndarray
-    source_id: int = -1
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -63,13 +80,13 @@ def resample_points(points: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def resample(s: Streamline, m: int = DEFAULT_RESAMPLE_POINTS) -> ResampledStreamline:
-    return ResampledStreamline(resample_points(s.points, m), source_id=s.id)
+def resample(points, m: int = DEFAULT_RESAMPLE_POINTS) -> ResampledStreamline:
+    return ResampledStreamline(resample_points(points, m))
 
 
 def flip(r: ResampledStreamline) -> ResampledStreamline:
     """Reverse point order; flip(flip(r)) == r."""
-    return ResampledStreamline(r.points[::-1].copy(), source_id=r.source_id)
+    return ResampledStreamline(r.points[::-1].copy())
 
 
 def _palindromic_mean(d: np.ndarray) -> float:
@@ -134,7 +151,7 @@ def voxelize(points: np.ndarray, mask) -> np.ndarray:
 def density_counts(streamlines, mask) -> np.ndarray:
     """Distinct-streamline count of every voxel, one streamline at a time."""
     counts = np.zeros(mask.dims, dtype=np.int64)
-    for s in streamlines:
-        idx = voxelize(s.points, mask)
+    for points in streamlines:
+        idx = voxelize(points, mask)
         counts[idx[:, 0], idx[:, 1], idx[:, 2]] += 1
     return counts

@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from muscletract.errors import DegenerateGeometryError
-from muscletract.streamline import Streamline, StreamlineSet, arc_length
 from muscletract.tracking import TrackingConfig
+from reference_streamline import arc_length, pack
 
 
 def propagate(field, mask, starts, init_dirs, cfg, max_steps):
@@ -70,8 +70,8 @@ def track(field, mask, seeds, cfg):
         points = np.concatenate([b[::-1], seed[None], a])
         if len(points) < 2 or arc_length(points) < cfg.min_length_mm:
             continue
-        out.append(Streamline(points, id=len(out)))
-    return StreamlineSet(out, mask=mask)
+        out.append(points)
+    return pack(out, mask=mask)
 
 
 def fit_poly3(points):
@@ -155,9 +155,9 @@ def reconstruct(field, mask, seeds, cfg=None):
     """Track, then fit and extrapolate one track at a time."""
     cfg = cfg or TrackingConfig()
     out = []
-    for s in track(field, mask, seeds, cfg):
-        pts = fit_poly3(s.points) if len(s) >= 5 else s.points
+    for pts in track(field, mask, seeds, cfg):
+        pts = fit_poly3(pts) if len(pts) >= 5 else pts
         pts, accepted, _ = extrapolate(pts, mask, cfg)
         if accepted:
-            out.append(Streamline(pts, id=len(out)))
-    return StreamlineSet(out, mask=mask)
+            out.append(pts)
+    return pack(out, mask=mask)

@@ -28,8 +28,8 @@ from muscletract.formats import (
 )
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.metrics import DensityMap
-from muscletract.streamline import Streamline, StreamlineSet, arc_length, mdf_rows, stack_resampled
-from reference_streamline import mdf, resample
+from muscletract.streamline import _resample_set, mdf_rows
+from reference_streamline import arc_length, mdf, pack, resample
 
 
 def mdf_to_one(stack, q):
@@ -105,12 +105,12 @@ def ensemble():
         instances.append(
             {
                 "runs": runs,
-                "fss_fl_median": float(np.median([arc_length(s) for s in fss])),
+                "fss_fl_median": float(np.median(mt.arc_lengths(fss.points, fss.offsets))),
                 "random_fl_median": float(
-                    np.median([arc_length(s) for s in cands.take(sub)])
+                    np.median(mt.arc_lengths(cands.points, cands.offsets)[sub])
                 ),
                 "trace": trace,
-                "selected_stack": stack_resampled(fss, 12),
+                "selected_stack": _resample_set(fss, 12)[0],
             }
         )
     elapsed = time.perf_counter() - t0
@@ -142,20 +142,21 @@ def test_criterion_2_length_bias_reduction(ensemble):
 
 def random_streamline_set(rng, n=100):
     out = []
-    for i in range(n):
+    for _ in range(n):
         start = rng.uniform(0.0, 40.0, 3)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         bend = rng.normal(0.0, 0.15, 3)
         ts = np.linspace(0.0, rng.uniform(6.0, 45.0), rng.integers(4, 9))
         pts = start + ts[:, None] * direction + (ts**2)[:, None] * bend * 0.01
-        out.append(Streamline(pts, id=i))
-    return StreamlineSet(out)
+        out.append(pts)
+    return pack(out)
 
 
-def naive_farthest_first_ids(streamlines, k):
+def naive_farthest_first_ids(cands, k):
     """O(n^2 k) oracle: full scalar-MDF matrix, min-over-selected recomputed
     from scratch at every step (no incremental caching)."""
+    streamlines = list(cands)
     rs = [resample(s, 12) for s in streamlines]
     n = len(rs)
     pair = np.zeros((n, n))
@@ -172,7 +173,7 @@ def naive_farthest_first_ids(streamlines, k):
         dmin = pair[:, selected].min(axis=1)
         dmin[selected] = -np.inf
         selected.append(int(np.argmax(dmin)))
-    return [streamlines[i].id for i in selected]
+    return cands.ids[selected].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +188,7 @@ def oracle_runs():
             per_set["runs"][k] = {
                 "ids": list(trace.selected_ids),
                 "trace": trace,
-                "stack": stack_resampled(out, 12),
+                "stack": _resample_set(out, 12)[0],
             }
         runs.append(per_set)
     return runs
@@ -196,8 +197,7 @@ def oracle_runs():
 def test_criterion_3_fss_oracle_equivalence(oracle_runs):
     mismatches = 0
     for per_set in oracle_runs:
-        sls = list(per_set["cands"])
-        want_full = naive_farthest_first_ids(sls, 100)
+        want_full = naive_farthest_first_ids(per_set["cands"], 100)
         for k in (1, 10, 50, 100):
             if per_set["runs"][k]["ids"] != want_full[:k]:
                 mismatches += 1
@@ -298,11 +298,11 @@ def test_criterion_7_classification():
 
     rng = np.random.default_rng(7)
     scattered = []
-    for i in range(80):
+    for _ in range(80):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        scattered.append(Streamline(np.array([25 * u, -25 * u + rng.normal(0, 0.2, 3)]), id=i))
-    sph = StreamlineSet(scattered)
+        scattered.append(np.array([25 * u, -25 * u + rng.normal(0, 0.2, 3)]))
+    sph = pack(scattered)
     loa_sph = mt.line_of_action(sph)
     arch_sph = mt.summarize(VoxelMask(np.ones((5, 5, 5), dtype=bool)), sph, loa_sph)
 
@@ -381,15 +381,12 @@ def test_criterion_10_formats_and_cli(tmp_path):
     byte_exact = True
 
     for _ in range(25):
-        sls = StreamlineSet(
+        sls = pack(
             [
-                Streamline(
-                    rng.uniform(-50, 50, (int(rng.integers(2, 30)), 3))
-                    .astype(np.float32)
-                    .astype(np.float64),
-                    id=i,
-                )
-                for i in range(int(rng.integers(1, 8)))
+                rng.uniform(-50, 50, (int(rng.integers(2, 30)), 3))
+                .astype(np.float32)
+                .astype(np.float64)
+                for _ in range(int(rng.integers(1, 8)))
             ]
         )
         p1, p2 = tmp_path / "a.strl", tmp_path / "b.strl"

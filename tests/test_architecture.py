@@ -9,24 +9,25 @@ from hypothesis.extra import numpy as hnp
 from muscletract.architecture import (
     LineOfAction,
     _median,
+    _pennation_angles,
     group_fractions,
     line_of_action,
     muscle_length,
-    muscle_length_from_mask,
     muscle_volume,
-    pennation_angle,
     summarize,
 )
 from muscletract.errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from muscletract.grid import VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import seeds_3d
-from muscletract.streamline import Streamline, StreamlineSet, arc_length
 from muscletract.tracking import reconstruct
+from reference_streamline import arc_length, pack
 
 
-def sl(points, sid=0):
-    return Streamline(np.asarray(points, dtype=float), id=sid)
+def pennation(points, loa):
+    """_pennation_angles of the chord of one tract."""
+    pts = np.asarray(points, dtype=float)
+    return _pennation_angles((pts[-1] - pts[0])[None], loa.direction)[0]
 
 
 def segment_cloud(rng, n, direction, spread, length=20.0):
@@ -34,10 +35,10 @@ def segment_cloud(rng, n, direction, spread, length=20.0):
     direction = np.asarray(direction, dtype=float)
     direction /= np.linalg.norm(direction)
     out = []
-    for i in range(n):
+    for _ in range(n):
         c = rng.normal(0, spread, 3)
-        out.append(sl(np.array([c - length / 2 * direction, c + length / 2 * direction]), i))
-    return StreamlineSet(out)
+        out.append(np.array([c - length / 2 * direction, c + length / 2 * direction]))
+    return pack(out)
 
 
 def _rotation(rng):
@@ -76,8 +77,8 @@ class TestMuscleVolume:
 
 class TestLineOfAction:
     def test_collinear_endpoints_r2_one(self):
-        sls = [sl([(0, 0, float(i)), (0, 0, i + 5.0)], i) for i in range(4)]
-        loa = line_of_action(StreamlineSet(sls))
+        sls = [[(0, 0, float(i)), (0, 0, i + 5.0)] for i in range(4)]
+        loa = line_of_action(pack(sls))
         assert loa.r2 == pytest.approx(1.0, abs=1e-12)
         assert loa.source == "endpoint_fit"
         assert abs(loa.direction @ [0, 0, 1]) == pytest.approx(1.0, abs=1e-12)
@@ -85,11 +86,11 @@ class TestLineOfAction:
     def test_spherical_scatter_falls_back(self):
         rng = np.random.default_rng(8)
         sls = []
-        for i in range(60):
+        for _ in range(60):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            sls.append(sl(np.array([20 * u, -20 * u + rng.normal(0, 0.1, 3)]), i))
-        loa = line_of_action(StreamlineSet(sls))
+            sls.append(np.array([20 * u, -20 * u + rng.normal(0, 0.1, 3)]))
+        loa = line_of_action(pack(sls))
         assert loa.r2 < 0.5
         assert loa.source == "mean_direction"
         assert np.linalg.norm(loa.direction) == pytest.approx(1.0, abs=1e-12)
@@ -98,7 +99,7 @@ class TestLineOfAction:
         rng = np.random.default_rng(4)
         sset = segment_cloud(rng, 40, (0.3, 0.1, 1.0), spread=2.0)
         loa = line_of_action(sset)
-        pts = np.array([p for s in sset for p in (s.points[0], s.points[-1])])
+        pts = np.array([p for s in sset for p in (s[0], s[-1])])
         centered = pts - pts.mean(axis=0)
         evals, evecs = np.linalg.eigh(centered.T @ centered / len(pts))
         want_dir = evecs[:, -1]
@@ -107,9 +108,9 @@ class TestLineOfAction:
         assert loa.r2 == pytest.approx(want_r2, abs=1e-9)
 
     def test_needs_three_streamlines(self):
-        sls = [sl([(0, 0, 0), (0, 0, 1)], 0), sl([(1, 0, 0), (1, 0, 1)], 1)]
+        sls = [[(0, 0, 0), (0, 0, 1)], [(1, 0, 0), (1, 0, 1)]]
         with pytest.raises(DegenerateGeometryError):
-            line_of_action(StreamlineSet(sls))
+            line_of_action(pack(sls))
 
     def test_r2_invariant_to_similarity_transform(self):
         rng = np.random.default_rng(14)
@@ -118,9 +119,7 @@ class TestLineOfAction:
         rot = _rotation(rng)
         shift = rng.uniform(-50, 50, 3)
         scale = 2.7
-        moved = StreamlineSet(
-            [sl(scale * (s.points @ rot.T) + shift, s.id) for s in sset]
-        )
+        moved = pack([scale * (s @ rot.T) + shift for s in sset])
         loa2 = line_of_action(moved)
         assert loa2.r2 == pytest.approx(loa.r2, abs=1e-9)
 
@@ -141,16 +140,16 @@ class TestLineOfAction:
 class TestPennationAngle:
     def test_parallel_zero(self):
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
-        assert pennation_angle(sl([(0, 0, 0), (0, 0, 10)]), loa) == pytest.approx(0.0)
+        assert pennation([(0, 0, 0), (0, 0, 10)], loa) == pytest.approx(0.0)
 
     def test_perpendicular_ninety(self):
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
-        assert pennation_angle(sl([(0, 0, 0), (10, 0, 0)]), loa) == pytest.approx(90.0)
+        assert pennation([(0, 0, 0), (10, 0, 0)], loa) == pytest.approx(90.0)
 
     def test_directionless(self):
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
-        up = pennation_angle(sl([(0, 0, 0), (5, 0, 10)]), loa)
-        down = pennation_angle(sl([(5, 0, 10), (0, 0, 0)]), loa)
+        up = pennation([(0, 0, 0), (5, 0, 10)], loa)
+        down = pennation([(5, 0, 10), (0, 0, 0)], loa)
         assert up == down
         assert 0.0 <= up <= 90.0
 
@@ -160,11 +159,11 @@ class TestPennationAngle:
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         loa = LineOfAction(np.zeros(3), d, 1.0, "endpoint_fit")
-        base = pennation_angle(sl(chord), loa)
+        base = pennation(chord, loa)
         for _ in range(5):
             rot = _rotation(rng)
             loa_r = LineOfAction(np.zeros(3), rot @ d, 1.0, "endpoint_fit")
-            got = pennation_angle(sl(chord @ rot.T), loa_r)
+            got = pennation(chord @ rot.T, loa_r)
             assert got == pytest.approx(base, abs=1e-9)
 
     def test_phantom_ten_degrees_against_ground_truth_loa(self):
@@ -172,7 +171,8 @@ class TestPennationAngle:
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
         loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
-        pas = [pennation_angle(s, loa) for s in sset]
+        first, last = sset.endpoints()
+        pas = _pennation_angles(last - first, loa.direction)
         assert np.abs(np.array(pas) - 10.0).max() < 1.0
         assert abs(np.median(pas) - 10.0) < 0.5
 
@@ -180,14 +180,12 @@ class TestPennationAngle:
 class TestMuscleLength:
     def test_single_parallel_tract(self):
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
-        sset = StreamlineSet([sl([(3, 3, 0), (3, 3, 60)], 0)])
+        sset = pack([[(3, 3, 0), (3, 3, 60)]])
         assert muscle_length(sset, loa) == 60.0
 
     def test_offset_tracts_same_projection(self):
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
-        sset = StreamlineSet(
-            [sl([(0, 0, 0), (0, 0, 60)], 0), sl([(10, 5, 0), (10, 5, 60)], 1)]
-        )
+        sset = pack([[(0, 0, 0), (0, 0, 60)], [(10, 5, 0), (10, 5, 60)]])
         assert muscle_length(sset, loa) == 60.0
 
     def test_phantom_ml_matches_mask_extent(self):
@@ -196,7 +194,6 @@ class TestMuscleLength:
         sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
         loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
         assert muscle_length(sset, loa) == pytest.approx(60.0, rel=0.02)
-        assert muscle_length_from_mask(mask, loa) == pytest.approx(59.0, rel=0.02)
 
 
 class TestMedian:
@@ -220,7 +217,7 @@ class TestSummarize:
 
     def test_pcsa_cos0(self):
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.95, "endpoint_fit")
-        sset = StreamlineSet([sl([(5, 5, -20), (5, 5, 30)], i) for i in range(3)])
+        sset = pack([[(5, 5, -20), (5, 5, 30)]] * 3)
         arch = summarize(self._mask(), sset, loa)
         assert arch.mv == 1000.0
         assert arch.fl_median == 50.0
@@ -229,7 +226,7 @@ class TestSummarize:
 
     def test_pcsa_cos60(self):
         d = np.array([0.0, math.sin(math.radians(60)), math.cos(math.radians(60))])
-        sset = StreamlineSet([sl([(5, 5, 5), (5, 5 + 50 * d[1], 5 + 50 * d[2])], i) for i in range(3)])
+        sset = pack([[(5, 5, 5), (5, 5 + 50 * d[1], 5 + 50 * d[2])]] * 3)
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.5, "mean_direction")
         arch = summarize(self._mask(), sset, loa)
         assert arch.pa_median == pytest.approx(60.0)
@@ -255,18 +252,18 @@ class TestSummarize:
     def test_low_r2_classifies_non_pennate(self):
         rng = np.random.default_rng(8)
         sls = []
-        for i in range(60):
+        for _ in range(60):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
-            sls.append(sl(np.array([20 * u, -20 * u + rng.normal(0, 0.1, 3)]), i))
-        sset = StreamlineSet(sls)
+            sls.append(np.array([20 * u, -20 * u + rng.normal(0, 0.1, 3)]))
+        sset = pack(sls)
         loa = line_of_action(sset)
         arch = summarize(self._mask(), sset, loa)
         assert arch.arch_type == "non_pennate"
 
     def test_median_of_odd_list_is_an_element(self):
         lengths = [10.0, 30.0, 20.0]
-        sset = StreamlineSet([sl([(0, 0, 0), (0, 0, L)], i) for i, L in enumerate(lengths)])
+        sset = pack([[(0, 0, 0), (0, 0, L)] for L in lengths])
         loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         arch = summarize(self._mask(), sset, loa)
         assert arch.fl_median == 20.0
@@ -378,12 +375,13 @@ class TestBatchedMatchesOneTractAtATime:
         arch = summarize(mask, sset, loa)
 
         def angle(s):
-            chord = s.points[-1] - s.points[0]
+            chord = s[-1] - s[0]
             cos = abs(float(chord @ loa.direction) / np.linalg.norm(chord))
             return math.degrees(math.acos(min(1.0, cos)))
 
         assert arch.fl_median == float(np.median([arc_length(s) for s in sset]))
         assert arch.pa_median == float(np.median([angle(s) for s in sset]))
-        assert [pennation_angle(s, loa) for s in sset] == [angle(s) for s in sset]
-        proj = np.concatenate([s.points @ loa.direction for s in sset])
+        first, last = sset.endpoints()
+        assert _pennation_angles(last - first, loa.direction) == [angle(s) for s in sset]
+        proj = np.concatenate([s @ loa.direction for s in sset])
         assert arch.ml == float(proj.max() - proj.min())

@@ -22,7 +22,7 @@ from muscletract.formats import (
 )
 import muscletract.streamline as streamline_mod
 from muscletract.grid import VoxelMask
-from muscletract.streamline import Streamline, StreamlineSet
+from reference_streamline import pack
 
 
 def run(args):
@@ -126,7 +126,7 @@ class TestTrackAndFilter:
         assert code == 0
         got = load_streamlines(out)
         assert len(got) == n
-        key = lambda sset: sorted(tuple(map(tuple, s.points)) for s in sset)
+        key = lambda sset: sorted(tuple(map(tuple, s)) for s in sset)
         assert key(got) == key(load_streamlines(cand))
 
     def test_reseed_methods_exact_k(self, phantom_files, tmp_path):
@@ -160,10 +160,10 @@ class TestMetricsCommand:
         # 4^3 mask, three hand-built streamlines; SC/SD/SDCV enumerated by hand
         mask_path = tmp_path / "m.mskv"
         save_mask(mask_path, VoxelMask(np.ones((4, 4, 4), dtype=bool)))
-        sls = StreamlineSet([
-            Streamline([(0.5, 0.5, 0.5), (3.5, 0.5, 0.5)], 0),  # 4 voxels along x
-            Streamline([(0.5, 0.5, 0.5), (0.5, 3.5, 0.5)], 1),  # 4 voxels along y
-            Streamline([(0.5, 0.5, 0.5), (0.5, 0.5, 3.5)], 2),  # 4 voxels along z
+        sls = pack([
+            [(0.5, 0.5, 0.5), (3.5, 0.5, 0.5)],  # 4 voxels along x
+            [(0.5, 0.5, 0.5), (0.5, 3.5, 0.5)],  # 4 voxels along y
+            [(0.5, 0.5, 0.5), (0.5, 0.5, 3.5)],  # 4 voxels along z
         ])
         strl_path = tmp_path / "s.strl"
         save_streamlines(strl_path, sls)
@@ -190,7 +190,7 @@ class TestMetricsCommand:
     def test_frame_mismatch_exits_3(self, tmp_path):
         mask_path = tmp_path / "m.mskv"
         save_mask(mask_path, VoxelMask(np.ones((4, 4, 4), dtype=bool)))
-        far = StreamlineSet([Streamline([(100.0, 100.0, 100.0), (101.0, 100.0, 100.0)], 0)])
+        far = pack([[(100.0, 100.0, 100.0), (101.0, 100.0, 100.0)]])
         strl_path = tmp_path / "far.strl"
         save_streamlines(strl_path, far)
         code = run([
@@ -386,6 +386,31 @@ class TestFractionsCommand:
         code = run(["fractions", arch_csv, "--groups", groups, "--out", tmp_path / "o.csv"])
         assert code == 3
 
+    def test_groups_line_without_equals_exits_3(self, tmp_path, capsys):
+        import muscletract.formats as fmts
+
+        arch_csv = tmp_path / "arch.csv"
+        fmts.write_csv(
+            arch_csv,
+            ["name", "mv_mm3", "fl_median_mm", "ml_mm", "fl_ml_ratio", "pa_median_deg",
+             "pcsa_mm2", "loa_x", "loa_y", "loa_z", "r2", "loa_source", "arch_type"],
+            [["pl", 100.0, 30.0, 60.0, 0.5, 10.0, 3.0, 0.0, 0.0, 1.0, 0.95, "endpoint_fit", "pennate"]],
+        )
+        groups = tmp_path / "groups.txt"
+        out = tmp_path / "o.csv"
+        # Comments, blank lines and spaces around '=' are read as in a run config.
+        groups.write_text("# muscle=group\n\n  pl = flexors  # the palmaris\n")
+        assert run(["fractions", arch_csv, "--groups", groups, "--out", out]) == 0
+        assert read_csv(out)[1][0] == ["volume_fraction", "flexors", "", "1"]
+        groups.write_text("# muscle=group\n\npl=flexors\npl flexors\n")
+        out.unlink()
+        capsys.readouterr()
+        assert run(["fractions", arch_csv, "--groups", groups, "--out", out]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {groups}:4: expected muscle=group, got 'pl flexors'"
+        ]
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -403,9 +428,9 @@ class TestExitCodes:
     def test_degenerate_data_is_4(self, tmp_path):
         mask_path = tmp_path / "m.mskv"
         save_mask(mask_path, VoxelMask(np.ones((4, 4, 4), dtype=bool)))
-        sls = StreamlineSet([
-            Streamline([(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)], 0),
-            Streamline([(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)], 1),
+        sls = pack([
+            [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)],
+            [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)],
         ])
         strl = tmp_path / "two.strl"
         save_streamlines(strl, sls)
@@ -494,8 +519,8 @@ class TestRunParameters:
             outs[label] = load_streamlines(out)
         assert len(outs["file"]) == 7
         assert len(outs["flags"]) == 5
-        assert [s.points.tolist() for s in outs["flags"]] == [
-            s.points.tolist() for s in outs["plain"]
+        assert [s.tolist() for s in outs["flags"]] == [
+            s.tolist() for s in outs["plain"]
         ]
 
     def test_target_candidates_below_default_k(self, small_box, tmp_path):
@@ -552,7 +577,7 @@ class TestFrameCheck:
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 2)
         save_mask(tmp_path / "m.mskv", VoxelMask(np.ones((4, 4, 4), dtype=bool)))
         save_streamlines(tmp_path / "s.strl",
-                         StreamlineSet([Streamline(a, i) for i, a in enumerate(arrays)]))
+                         pack(arrays))
         return run(["metrics", "--streamlines", tmp_path / "s.strl", "--mask", tmp_path / "m.mskv",
                     "--out-csv", tmp_path / "x.csv"])
 

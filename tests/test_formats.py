@@ -23,16 +23,16 @@ from muscletract.formats import (
 )
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.metrics import DensityMap
-from muscletract.streamline import BLOCK_POINTS, Streamline, StreamlineSet
+from muscletract.streamline import BLOCK_POINTS, StreamlineSet
+from reference_streamline import pack
 
 
 def random_streamlines(rng, n=5):
     out = []
-    for i in range(n):
+    for _ in range(n):
         npts = int(rng.integers(2, 40))
-        pts = rng.uniform(-50, 50, (npts, 3)).astype(np.float32).astype(np.float64)
-        out.append(Streamline(pts, id=i))
-    return StreamlineSet(out)
+        out.append(rng.uniform(-50, 50, (npts, 3)).astype(np.float32).astype(np.float64))
+    return pack(out)
 
 
 def random_mask(rng):
@@ -68,9 +68,9 @@ class TestStreamlineRoundTrip:
     def test_geometry_preserved(self, tmp_path):
         pts = np.array([[0.5, 1.25, -3.75], [2.0, 4.0, 8.0]])
         path = tmp_path / "s.strl"
-        save_streamlines(path, StreamlineSet([Streamline(pts, id=0)]))
+        save_streamlines(path, pack([pts]))
         got = load_streamlines(path)
-        assert np.array_equal(next(iter(got)).points, pts)
+        assert np.array_equal(next(iter(got)), pts)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.strl"
@@ -86,7 +86,7 @@ class TestStreamlineRoundTrip:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "x.strl"
-        save_streamlines(path, StreamlineSet([Streamline([(0, 0, 0), (1, 0, 0)], id=0)]))
+        save_streamlines(path, pack([[(0, 0, 0), (1, 0, 0)]]))
         path.write_bytes(path.read_bytes() + b"z")
         with pytest.raises(FormatError):
             load_streamlines(path)
@@ -126,13 +126,13 @@ class TestStreamlineRoundTrip:
 
 def strl_bytes(sset) -> bytes:
     """A STRL file as the format describes it, one record at a time."""
-    records = [struct.pack("<I", len(s.points)) + s.points.astype("<f4").tobytes() for s in sset]
+    records = [struct.pack("<I", len(s)) + s.astype("<f4").tobytes() for s in sset]
     return b"STRL" + struct.pack("<II", 1, len(sset)) + b"".join(records)
 
 
 def walk(rng, counts) -> StreamlineSet:
     pts = np.cumsum(rng.uniform(-1, 1, (sum(counts), 3)), axis=0)
-    return StreamlineSet.packed(pts, counts)
+    return StreamlineSet(pts, counts)
 
 
 class TestStreamlineBlocks:

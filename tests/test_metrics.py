@@ -5,8 +5,8 @@ import pytest
 
 from muscletract.errors import EmptyDomainError, InvalidSpecError
 from muscletract.grid import VoxelMask
-from muscletract.metrics import coverage, density, voxelize
-from muscletract.streamline import Streamline, StreamlineSet, arc_length
+from muscletract.metrics import coverage, density
+from reference_streamline import arc_length, pack
 
 
 def fine_step_voxel_walk(points, mask, step=0.01):
@@ -25,8 +25,11 @@ def fine_step_voxel_walk(points, mask, step=0.01):
     return out
 
 
-def sl(points, sid=0):
-    return Streamline(np.asarray(points, dtype=float), id=sid)
+def voxel_set(points, mask):
+    """The in-mask voxels one polyline passes through, however briefly: those
+    that density counts for a set of that one streamline."""
+    counts = density(pack([points]), mask)[0].counts
+    return set(map(tuple, np.argwhere(counts > 0).tolist()))
 
 
 def full_mask(dims):
@@ -34,71 +37,65 @@ def full_mask(dims):
 
 
 class TestVoxelize:
+    """The voxels that density counts for one streamline."""
+
     def test_straight_line_through_five_centers(self):
         mask = full_mask((5, 3, 3))
-        s = sl([(0.5, 1.5, 1.5), (4.5, 1.5, 1.5)])
-        idx = voxelize(s, mask)
-        want = {(x, 1, 1) for x in range(5)}
-        assert set(map(tuple, idx)) == want
+        got = voxel_set([(0.5, 1.5, 1.5), (4.5, 1.5, 1.5)], mask)
+        assert got == {(x, 1, 1) for x in range(5)}
 
     def test_fully_outside_mask_empty(self):
         mask = full_mask((4, 4, 4))
-        s = sl([(10.0, 10.0, 10.0), (12.0, 12.0, 12.0)])
-        assert len(voxelize(s, mask)) == 0
+        assert voxel_set([(10.0, 10.0, 10.0), (12.0, 12.0, 12.0)], mask) == set()
 
     def test_diagonal_matches_fine_step_oracle(self):
         mask = full_mask((4, 4, 4))
-        s = sl([(0.13, 0.21, 0.07), (3.83, 3.42, 3.91)])
-        got = set(map(tuple, voxelize(s, mask)))
-        want = fine_step_voxel_walk(s.points, mask)
-        assert got == want
+        pts = np.array([(0.13, 0.21, 0.07), (3.83, 3.42, 3.91)])
+        assert voxel_set(pts, mask) == fine_step_voxel_walk(pts, mask)
 
     def test_random_polylines_match_oracle(self):
         # 0.5 um oracle step: the crossing-point implementation even catches
         # corner clips a 10 um walk skips
         rng = np.random.default_rng(12)
         mask = full_mask((6, 6, 6))
-        for sid in range(8):
+        for _ in range(8):
             pts = rng.uniform(0.2, 5.8, (5, 3))
-            s = sl(pts, sid)
-            want = fine_step_voxel_walk(pts, mask, step=0.0005)
-            assert set(map(tuple, voxelize(s, mask))) == want
+            assert voxel_set(pts, mask) == fine_step_voxel_walk(pts, mask, step=0.0005)
 
     def test_counts_once_per_voxel(self):
         mask = full_mask((5, 3, 3))
         # doubles back through the same voxels
-        s = sl([(0.5, 1.5, 1.5), (4.5, 1.5, 1.5), (0.5, 1.5, 1.5)])
-        idx = voxelize(s, mask)
-        assert len(idx) == len(np.unique(idx, axis=0)) == 5
+        dmap, _ = density(pack([[(0.5, 1.5, 1.5), (4.5, 1.5, 1.5), (0.5, 1.5, 1.5)]]), mask)
+        assert dmap.counts.max() == 1 and (dmap.counts > 0).sum() == 5
 
 
 class TestCoverage:
     def test_full_coverage(self):
         mask = full_mask((5, 1, 1))
-        sset = StreamlineSet([sl([(0.5, 0.5, 0.5), (4.5, 0.5, 0.5)])])
+        sset = pack([[(0.5, 0.5, 0.5), (4.5, 0.5, 0.5)]])
         assert coverage(sset, mask) == 1.0
 
     def test_empty_set_zero(self):
         mask = full_mask((4, 4, 4))
-        assert coverage(StreamlineSet([]), mask) == 0.0
+        assert coverage(pack([]), mask) == 0.0
 
     def test_nine_of_ten(self):
         occ = np.zeros((10, 1, 1), dtype=bool)
         occ[:, 0, 0] = True
         mask = VoxelMask(occ)
-        sset = StreamlineSet([sl([(0.5, 0.5, 0.5), (8.5, 0.5, 0.5)])])
+        sset = pack([[(0.5, 0.5, 0.5), (8.5, 0.5, 0.5)]])
         assert coverage(sset, mask) == 0.9
 
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyDomainError):
-            coverage(StreamlineSet([]), VoxelMask(np.zeros((2, 2, 2), dtype=bool)))
+            coverage(pack([]), VoxelMask(np.zeros((2, 2, 2), dtype=bool)))
 
 
 class TestDensity:
     def test_uniform_crossings(self):
         mask = full_mask((5, 1, 1))
         line = [(0.5, 0.5, 0.5), (4.5, 0.5, 0.5)]
-        sset = StreamlineSet([sl(line, i) for i in range(3)])
+        sset = pack([line] * 3)
         dmap, tm = density(sset, mask)
         assert tm.sd_mean == 3.0
         assert tm.sdcv == 0.0
@@ -109,7 +106,7 @@ class TestDensity:
         mask = full_mask((2, 1, 1))
         a = [(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)]  # crosses both
         b = [(1.2, 0.2, 0.2), (1.8, 0.8, 0.8)]  # second voxel only
-        sset = StreamlineSet([sl(a, 0), sl(b, 1), sl(b, 2)])
+        sset = pack([a, b, b])
         _, tm = density(sset, mask)
         # counts {1, 3}: mean 2, population sd 1, sdcv 0.5
         assert tm.sd_mean == 2.0
@@ -118,9 +115,7 @@ class TestDensity:
     def test_sdcv_matches_recount_oracle(self):
         rng = np.random.default_rng(5)
         mask = full_mask((8, 8, 8))
-        sset = StreamlineSet(
-            [sl(rng.uniform(0.5, 7.5, (4, 3)), i) for i in range(40)]
-        )
+        sset = pack([rng.uniform(0.5, 7.5, (4, 3)) for _ in range(40)])
         dmap, tm = density(sset, mask)
         # independent recomputation from the count histogram via raw sums
         values, freq = np.unique(dmap.counts[mask.occupancy], return_counts=True)
@@ -132,7 +127,7 @@ class TestDensity:
 
     def test_undefined_sdcv_flagged(self):
         mask = full_mask((3, 3, 3))
-        _, tm = density(StreamlineSet([]), mask)
+        _, tm = density(pack([]), mask)
         assert not tm.sdcv_defined
         assert np.isnan(tm.sdcv)
         assert tm.sd_mean == 0.0
@@ -140,7 +135,7 @@ class TestDensity:
     def test_nonzero_support_switch(self):
         mask = full_mask((4, 1, 1))
         a = [(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)]
-        sset = StreamlineSet([sl(a, 0)])
+        sset = pack([a])
         _, tm_all = density(sset, mask, sdcv_support="all")
         _, tm_nz = density(sset, mask, sdcv_support="nonzero")
         assert tm_all.sd_mean == 0.5  # mean over all voxels regardless of support
@@ -151,12 +146,12 @@ class TestDensity:
     def test_bad_support_rejected(self):
         mask = full_mask((2, 2, 2))
         with pytest.raises(InvalidSpecError):
-            density(StreamlineSet([]), mask, sdcv_support="some")
+            density(pack([]), mask, sdcv_support="some")
 
     def test_normalized_map_in_unit_range(self):
         mask = full_mask((5, 1, 1))
-        sset = StreamlineSet([sl([(0.5, 0.5, 0.5), (2.5, 0.5, 0.5)], 0),
-                              sl([(0.5, 0.5, 0.5), (4.5, 0.5, 0.5)], 1)])
+        sset = pack([[(0.5, 0.5, 0.5), (2.5, 0.5, 0.5)],
+                              [(0.5, 0.5, 0.5), (4.5, 0.5, 0.5)]])
         dmap, _ = density(sset, mask)
         norm = dmap.normalized()
         assert norm.max() == 1.0
@@ -166,7 +161,7 @@ class TestDensity:
         occ = np.zeros((5, 5, 5), dtype=bool)
         occ[1:4, 1:4, 1:4] = True
         mask = VoxelMask(occ)
-        sset = StreamlineSet([sl([(0.5, 0.5, 0.5), (4.5, 4.5, 4.5)])])
+        sset = pack([[(0.5, 0.5, 0.5), (4.5, 4.5, 4.5)]])
         dmap, _ = density(sset, mask)
         assert (dmap.counts[~mask.occupancy] == 0).all()
 
@@ -175,7 +170,7 @@ class TestInvariants:
     def test_coverage_equals_nonzero_density_fraction(self):
         rng = np.random.default_rng(9)
         mask = full_mask((7, 7, 7))
-        sset = StreamlineSet([sl(rng.uniform(0, 7, (5, 3)), i) for i in range(12)])
+        sset = pack([rng.uniform(0, 7, (5, 3)) for _ in range(12)])
         dmap, tm = density(sset, mask)
         assert tm.sc == coverage(sset, mask)
         assert tm.sc == (dmap.counts[mask.occupancy] > 0).sum() / mask.n_occupied
@@ -183,11 +178,11 @@ class TestInvariants:
     def test_adding_streamline_monotone(self):
         rng = np.random.default_rng(10)
         mask = full_mask((6, 6, 6))
-        sls = [sl(rng.uniform(0, 6, (4, 3)), i) for i in range(10)]
+        sls = [rng.uniform(0, 6, (4, 3)) for _ in range(10)]
         prev_counts = np.zeros(mask.dims, dtype=int)
         prev_sc = 0.0
         for upto in range(1, 11):
-            dmap, tm = density(StreamlineSet(sls[:upto]), mask)
+            dmap, tm = density(pack(sls[:upto]), mask)
             assert (dmap.counts >= prev_counts).all()
             assert tm.sc >= prev_sc
             prev_counts, prev_sc = dmap.counts, tm.sc
@@ -196,8 +191,8 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         mask = full_mask((6, 6, 6))
         pts = rng.uniform(0, 6, (7, 3))
-        fwd = StreamlineSet([sl(pts, 0)])
-        rev = StreamlineSet([sl(pts[::-1].copy(), 0)])
+        fwd = pack([pts])
+        rev = pack([pts[::-1].copy()])
         a, _ = density(fwd, mask)
         b, _ = density(rev, mask)
         assert np.array_equal(a.counts, b.counts)
@@ -251,7 +246,7 @@ def adversarial_set(mask, rng):
         o + v * np.cumsum(rng.normal(0, 0.05, (3000, 3)), axis=0) + v * 4,  # very long
         o + v * rng.uniform(-1, 8, (5, 3)),  # crosses the grid boundary
     ]
-    return StreamlineSet([Streamline(a, i) for i, a in enumerate(arrays)])
+    return pack(arrays)
 
 
 def assert_kernel_matches_reference(sset, mask):
@@ -259,8 +254,9 @@ def assert_kernel_matches_reference(sset, mask):
     dmap, tm = density(sset, mask)
     assert np.array_equal(dmap.counts, want)
     assert coverage(sset, mask) == (want[mask.occupancy] > 0).sum() / mask.n_occupied
-    for s in sset:
-        assert np.array_equal(voxelize(s, mask), ref.voxelize(s.points, mask))
+    for points in sset:
+        alone = density(pack([points]), mask)[0].counts
+        assert np.array_equal(np.argwhere(alone > 0), ref.voxelize(points, mask))
 
 
 walks = st.lists(
@@ -276,15 +272,15 @@ class TestKernelMatchesReference:
     def test_random_sets(self, specs, mask_seed):
         mask = aniso_mask(np.random.default_rng(mask_seed))
         sls = []
-        for i, (n, seed, snap) in enumerate(specs):
+        for n, seed, snap in specs:
             rng = np.random.default_rng(seed)
             idx = np.cumsum(rng.uniform(-2, 2, (n, 3)), axis=0) + 4
             if snap:  # vertices on voxel faces
                 idx = np.round(idx)
             pts = mask.origin + mask.voxel_size * idx
             if arc_length(pts) > 0:
-                sls.append(Streamline(pts, i))
-        assert_kernel_matches_reference(StreamlineSet(sls), mask)
+                sls.append(pts)
+        assert_kernel_matches_reference(pack(sls), mask)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adversarial_sets(self, seed):
@@ -306,10 +302,10 @@ class TestKernelMatchesReference:
 
     def test_info_line_counts_streamlines_with_no_voxel(self, caplog):
         mask = full_mask((4, 4, 4))
-        sset = StreamlineSet([
-            sl([(0.5, 0.5, 0.5), (3.5, 0.5, 0.5)], 0),
-            sl([(10.0, 10.0, 10.0), (12.0, 10.0, 10.0)], 1),
-            sl([(-3.0, 0.5, 0.5), (-1.0, 0.5, 0.5)], 2),
+        sset = pack([
+            [(0.5, 0.5, 0.5), (3.5, 0.5, 0.5)],
+            [(10.0, 10.0, 10.0), (12.0, 10.0, 10.0)],
+            [(-3.0, 0.5, 0.5), (-1.0, 0.5, 0.5)],
         ])
         with caplog.at_level(logging.INFO, logger="muscletract.metrics"):
             density(sset, mask)

@@ -12,15 +12,8 @@ from muscletract.errors import (
 )
 from muscletract.grid import VoxelMask
 from muscletract.sampling import FSSConfig, fss_filter, seeds_2d, seeds_3d
-from muscletract.streamline import (
-    Streamline,
-    StreamlineSet,
-    _resample_set,
-    arc_length,
-    mdf_rows,
-    stack_resampled,
-)
-from reference_streamline import mdf, resample
+from muscletract.streamline import _resample_set, mdf_rows
+from reference_streamline import arc_length, mdf, pack, resample
 
 
 def mdf_to_one(stack, q):
@@ -32,8 +25,10 @@ def mdf_to_one(stack, q):
 # independent oracles
 # ---------------------------------------------------------------------------
 
-def naive_farthest_first(streamlines, k, m=12, init_rule="longest"):
-    """O(n^2 k) reference: explicit min-over-selected scan per step, scalar MDF."""
+def naive_farthest_first(cands, k, m=12, init_rule="longest"):
+    """O(n^2 k) reference: explicit min-over-selected scan per step, scalar
+    MDF; ties break to the first in set order."""
+    streamlines = list(cands)
     rs = [resample(s, m) for s in streamlines]
     n = len(rs)
     pair = [[mdf(rs[i], rs[j]) for j in range(n)] for i in range(n)]
@@ -54,14 +49,14 @@ def naive_farthest_first(streamlines, k, m=12, init_rule="longest"):
             if dmin > cand_d:
                 cand, cand_d = i, dmin
         selected.append(cand)
-    return [streamlines[i].id for i in selected]
+    return cands.ids[selected].tolist()
 
 
-def unpruned_fss(streamlines, k, m=12, init_rule="longest"):
+def unpruned_fss(cands, k, m=12, init_rule="longest"):
     """Incremental farthest-first loop that evaluates MDF from every pick to
     every candidate: the update fss_filter prunes, with nothing skipped."""
-    sls = sorted(streamlines, key=lambda s: s.id)
-    stack = stack_resampled(StreamlineSet(sls), m)
+    sls = cands.take(np.argsort(cands.ids, kind="stable"))
+    stack, _ = _resample_set(sls, m)
     first = int(np.argmax([arc_length(s) for s in sls])) if init_rule == "longest" else 0
     picks, dists = [first], [np.inf]
     dmin = mdf_to_one(stack, stack[first])
@@ -72,7 +67,7 @@ def unpruned_fss(streamlines, k, m=12, init_rule="longest"):
         dists.append(dmin[j])
         np.minimum(dmin, mdf_to_one(stack, stack[j]), out=dmin)
         dmin[j] = -np.inf
-    return np.array([sls[i].id for i in picks]), np.array(dists)
+    return sls.ids[picks], np.array(dists)
 
 
 def lattice_scan_count(mask, spacing):
@@ -87,15 +82,11 @@ def lattice_scan_count(mask, spacing):
     return count
 
 
-def line(points, sid):
-    return Streamline(np.asarray(points, dtype=float), id=sid)
-
-
-def straight(x0, y0, length, sid, n=12):
+def straight(x0, y0, length, n=12):
     # n=12 with uniform spacing makes resample(s, 12) reproduce the points
     # exactly, so an exact flipped duplicate has MDF exactly 0
     z = np.linspace(0.0, length, n)
-    return line(np.column_stack([np.full(n, x0), np.full(n, y0), z]), sid)
+    return np.column_stack([np.full(n, x0), np.full(n, y0), z])
 
 
 # ---------------------------------------------------------------------------
@@ -204,58 +195,58 @@ class TestSeeds2D:
 
 def small_candidates():
     # two near-duplicates, one exact flipped duplicate, two distant
-    a = straight(0.0, 0.0, 27.5, 0)
-    a_near = line(a.points + [0.05, 0, 0], 1)
-    a_flip = line(a.points[::-1].copy(), 2)
-    far1 = straight(20.0, 0.0, 16.5, 3)
-    far2 = straight(0.0, 20.0, 22.0, 4)
-    return StreamlineSet([a, a_near, a_flip, far1, far2])
+    a = straight(0.0, 0.0, 27.5)
+    a_near = a + [0.05, 0, 0]
+    a_flip = a[::-1].copy()
+    far1 = straight(20.0, 0.0, 16.5)
+    far2 = straight(0.0, 20.0, 22.0)
+    return pack([a, a_near, a_flip, far1, far2])  # ids 0..4
 
 
 class TestFSSFilter:
     def test_exhaustion_returns_all_in_traversal_order(self):
         cands = small_candidates()
         out, trace = fss_filter(cands, FSSConfig(k=5))
-        assert sorted(s.id for s in out) == [0, 1, 2, 3, 4]
-        assert list(trace.selected_ids) == [s.id for s in out]
+        assert sorted(out.ids) == [0, 1, 2, 3, 4]
+        assert list(trace.selected_ids) == list(out.ids)
 
     def test_k1_longest_wins(self):
         cands = small_candidates()
         out, _ = fss_filter(cands, FSSConfig(k=1))
-        assert next(iter(out)).id == 0  # 30 mm beats the rest
+        assert out.ids[0] == 0  # 27.5 mm beats the rest
 
     def test_k1_longest_tie_breaks_to_lowest_id(self):
-        a = straight(0.0, 0.0, 20.0, 3)
-        b = straight(5.0, 0.0, 20.0, 1)
-        c = straight(9.0, 0.0, 12.0, 2)
-        out, _ = fss_filter(StreamlineSet([a, b, c]), FSSConfig(k=1))
-        assert next(iter(out)).id == 1
+        a = straight(0.0, 0.0, 20.0)
+        b = straight(5.0, 0.0, 20.0)
+        c = straight(9.0, 0.0, 12.0)
+        out, _ = fss_filter(pack([a, b, c], ids=[3, 1, 2]), FSSConfig(k=1))
+        assert out.ids[0] == 1
 
     def test_index_init_rule(self):
         cands = small_candidates()
         out, _ = fss_filter(cands, FSSConfig(k=1, init_rule="index"))
-        assert next(iter(out)).id == 0
+        assert out.ids[0] == 0
 
     def test_matches_naive_oracle_on_handbuilt_set(self):
         cands = small_candidates()
         out, trace = fss_filter(cands, FSSConfig(k=3))
-        want = naive_farthest_first(list(cands), 3)
+        want = naive_farthest_first(cands, 3)
         assert list(trace.selected_ids) == want
 
     def test_matches_naive_oracle_on_random_sets(self):
         rng = np.random.default_rng(42)
         for trial in range(5):
             sls = []
-            for i in range(18):
+            for _ in range(18):
                 start = rng.uniform(0, 30, 3)
                 direction = rng.normal(size=3)
                 direction /= np.linalg.norm(direction)
                 stops = np.linspace(0, rng.uniform(5, 40), 6)
-                sls.append(line(start + stops[:, None] * direction, i))
-            cands = StreamlineSet(sls)
+                sls.append(start + stops[:, None] * direction)
+            cands = pack(sls)
             for k in (1, 5, 18):
                 out, trace = fss_filter(cands, FSSConfig(k=k))
-                assert list(trace.selected_ids) == naive_farthest_first(sls, k)
+                assert list(trace.selected_ids) == naive_farthest_first(cands, k)
 
     def test_selection_distance_monotone(self):
         cands = small_candidates()
@@ -266,12 +257,9 @@ class TestFSSFilter:
 
     def test_separation_bound(self):
         rng = np.random.default_rng(3)
-        sls = [
-            line(np.cumsum(rng.uniform(-2, 2, (6, 3)) + [1, 0, 0], axis=0), i)
-            for i in range(25)
-        ]
-        out, trace = fss_filter(StreamlineSet(sls), FSSConfig(k=10))
-        stack = stack_resampled(out, 12)
+        sls = [np.cumsum(rng.uniform(-2, 2, (6, 3)) + [1, 0, 0], axis=0) for _ in range(25)]
+        out, trace = fss_filter(pack(sls), FSSConfig(k=10))
+        stack, _ = _resample_set(out, 12)
         final = trace.selection_distance[-1]
         for i in range(len(stack)):
             d = mdf_to_one(stack, stack[i])
@@ -312,9 +300,9 @@ class TestFSSFilter:
     def test_output_keeps_original_geometry(self):
         cands = small_candidates()
         out, _ = fss_filter(cands, FSSConfig(k=2))
-        by_id = {s.id: s for s in cands}
-        for s in out:
-            assert np.array_equal(s.points, by_id[s.id].points)
+        by_id = dict(zip(cands.ids.tolist(), cands))
+        for sid, s in zip(out.ids.tolist(), out):
+            assert np.array_equal(s, by_id[sid])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +323,7 @@ def adversarial_candidates(rng):
     """Nine straight 40 mm lines on an integer grid (the longest, tied in arc
     length), random polylines, and exact duplicates and reversed copies of
     some of them, under shuffled non-contiguous ids."""
-    arrays = [straight(float(x), float(y), 40.0, 0).points for x in range(3) for y in range(3)]
+    arrays = [straight(float(x), float(y), 40.0) for x in range(3) for y in range(3)]
     for _ in range(25):
         start = rng.uniform(0, 20, 3)
         arrays.append(start + np.cumsum(rng.uniform(-2, 2, (int(rng.integers(2, 9)), 3)), axis=0))
@@ -343,7 +331,7 @@ def adversarial_candidates(rng):
         arrays.append(arrays[i].copy())
         arrays.append(arrays[i][::-1].copy())
     ids = rng.permutation(3 * len(arrays))[: len(arrays)]
-    return StreamlineSet([line(a, int(sid)) for a, sid in zip(arrays, ids)])
+    return pack(arrays, ids=ids)
 
 
 class TestPrunedUpdate:
@@ -352,7 +340,7 @@ class TestPrunedUpdate:
         n, k = len(arc_candidates), 500
         assert n > 1500
         _, trace = fss_filter(arc_candidates, FSSConfig(k=k, m=m))
-        ids, dists = unpruned_fss(list(arc_candidates), k, m)
+        ids, dists = unpruned_fss(arc_candidates, k, m)
         assert np.array_equal(trace.selected_ids, ids)
         assert np.array_equal(trace.selection_distance, dists)
         assert trace.mdf_evaluations <= 0.05 * n * k  # the pruning skips work here
@@ -368,7 +356,7 @@ class TestPrunedUpdate:
             assert lengths.count(max(lengths)) >= 9  # the longest rule meets a tie
             for k in (1, 9, n // 2, n):
                 _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
-                ids, dists = unpruned_fss(list(cands), k, m, init_rule)
+                ids, dists = unpruned_fss(cands, k, m, init_rule)
                 assert np.array_equal(trace.selected_ids, ids)
                 assert np.array_equal(trace.selection_distance, dists)
 
@@ -378,7 +366,7 @@ def assert_matches_unpruned(cands, ks, m=12):
     for init_rule in ("longest", "index"):
         for k in ks:
             _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
-            ids, dists = unpruned_fss(list(cands), k, m, init_rule)
+            ids, dists = unpruned_fss(cands, k, m, init_rule)
             assert np.array_equal(trace.selected_ids, ids), (init_rule, k)
             assert np.array_equal(trace.selection_distance, dists), (init_rule, k)
 
@@ -402,11 +390,11 @@ class TestCentroidBound:
     @pytest.mark.parametrize("offset", [0.0, 1e4])
     def test_translated_copies(self, offset):
         rng = np.random.default_rng(5)
-        base = resample(line(wiggly(rng, 40, offset), 0), 12).points
+        base = resample(wiggly(rng, 40, offset), 12).points
         shifts = rng.normal(size=(30, 3)) * rng.choice([1e-3, 0.1, 3.0], (30, 1))
         shifts[5] = shifts[4] * 2.0  # collinear shifts: one copy between two others
         shifts = np.concatenate([np.zeros((1, 3)), shifts])
-        cands = StreamlineSet([line(base + t, i) for i, t in enumerate(shifts)])
+        cands = pack([base + t for t in shifts])
         gap, d = centroid_gaps(cands)
         assert np.allclose(d, gap, rtol=1e-9, atol=1e-9 * (1.0 + offset))  # the bound is tight
         assert_matches_unpruned(cands, (1, 2, 9, len(cands) // 2, len(cands)))
@@ -420,10 +408,10 @@ class TestCentroidBound:
         rng = np.random.default_rng(21)
         arrays = []
         for _ in range(60):
-            x = resample(line(wiggly(rng, 30, offset), 0), 12).points + rng.uniform(-80, 80, 3)
+            x = resample(wiggly(rng, 30, offset), 12).points + rng.uniform(-80, 80, 3)
             t = rng.normal(size=3) * rng.choice([1e-3, 0.1, 1.0])
             arrays += [x - t, x, x + t]
-        cands = StreamlineSet([line(a, i) for i, a in enumerate(arrays)])
+        cands = pack(arrays)
         assert_matches_unpruned(cands, (len(cands),))
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -431,10 +419,10 @@ class TestCentroidBound:
         rng = np.random.default_rng(6)
         arrays = []
         for _ in range(8):
-            a = resample(line(wiggly(rng, 25, offset), 0), 12).points
+            a = resample(wiggly(rng, 25, offset), 12).points
             t = rng.normal(size=3) * 0.01
             arrays += [a, a[::-1].copy(), a + t, (a + t)[::-1].copy()]
-        cands = StreamlineSet([line(a, i) for i, a in enumerate(arrays)])
+        cands = pack(arrays)
         assert_matches_unpruned(cands, (1, 2, 8, 16, len(cands)))
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -450,7 +438,7 @@ class TestCentroidBound:
             c, s_ = np.cos(angle), np.sin(angle)
             rot = arc @ np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]]).T
             arrays += [rot + offset, offset - rot, (rot + offset)[::-1].copy()]
-        cands = StreamlineSet([line(a, i) for i, a in enumerate(arrays)])
+        cands = pack(arrays)
         gap, d = centroid_gaps(cands)
         assert gap.max() < 1e-9 * (1.0 + offset) and d.max() > 5.0
         assert_matches_unpruned(cands, (1, 2, 5, len(cands)))
@@ -460,14 +448,14 @@ class TestCentroidBound:
         rng = np.random.default_rng(100 + m)
         for _ in range(2):
             cands = adversarial_candidates(rng)
-            far = StreamlineSet([line(s.points + 1e4, s.id) for s in cands])
+            far = pack([s + 1e4 for s in cands], ids=cands.ids)
             assert_matches_unpruned(far, (1, 9, len(far) // 2, len(far)), m)
 
 
 class TestLongestPick:
     def test_equal_lengths_by_different_sums(self):
         # Each streamline and its reverse have one arc length in exact
-        # arithmetic; summed pairwise (arc_length) or in sequence (the
+        # arithmetic; summed pairwise (arc_lengths) or in sequence (the
         # resampler's estimate) they may differ in the last bits, and in
         # some sets the two sums rank the candidates differently.
         rng = np.random.default_rng(8)
@@ -478,12 +466,12 @@ class TestLongestPick:
                 a = wiggly(rng, int(rng.integers(150, 400)))
                 arrays += [a, a[::-1].copy()]
             ids = rng.permutation(len(arrays))
-            cands = StreamlineSet([line(a, int(i)) for a, i in zip(arrays, ids)])
-            by_id = sorted(cands, key=lambda s: s.id)
+            cands = pack(arrays, ids=ids)
+            by_id = cands.take(np.argsort(cands.ids))
             exact = [arc_length(s) for s in by_id]
-            want = by_id[int(np.argmax(exact))].id
-            _, estimates = _resample_set(StreamlineSet(by_id), 12)
-            disagree += by_id[int(np.argmax(estimates))].id != want
+            want = by_id.ids[int(np.argmax(exact))]
+            _, estimates = _resample_set(by_id, 12)
+            disagree += by_id.ids[int(np.argmax(estimates))] != want
             _, trace = fss_filter(cands, FSSConfig(k=1))
             assert trace.selected_ids[0] == want
             assert_matches_unpruned(cands, (len(cands),))

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from muscletract.errors import ArityError, InvalidStreamlineError
-from muscletract.streamline import (
-    Streamline,
-    StreamlineSet,
-    _distinct,
-    arc_length,
-    mdf_rows,
-    stack_resampled,
-)
-from reference_streamline import ResampledStreamline, flip, mdf, resample
+from muscletract.streamline import StreamlineSet, _distinct, _resample_set, arc_lengths, mdf_rows
+from reference_streamline import ResampledStreamline, arc_length, flip, mdf, pack, resample
 
 
 def mdf_to_one(stack, q):
@@ -68,51 +61,57 @@ def finite_points(n):
     ).map(np.array)
 
 
+def length_of(points) -> float:
+    """arc_lengths of a set of one streamline."""
+    sset = pack([points])
+    return float(arc_lengths(sset.points, sset.offsets)[0])
+
+
 class TestArcLength:
+    """arc_lengths, and the checks a set makes of the streamlines it packs."""
+
     def test_345_triangle(self):
-        assert arc_length(Streamline([(0, 0, 0), (3, 4, 0)])) == 5.0
+        assert length_of([(0, 0, 0), (3, 4, 0)]) == 5.0
 
     def test_collinear_segments(self):
-        assert arc_length(Streamline([(0, 0, 0), (1, 0, 0), (2, 0, 0)])) == 2.0
+        assert length_of([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) == 2.0
 
     def test_matches_naive_oracle_on_random_polyline(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 10, (5, 3))
-        got = arc_length(Streamline(pts))
-        want = naive_arc_length(pts)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert length_of(pts) == pytest.approx(naive_arc_length(pts), rel=1e-12)
+        assert length_of(pts) == arc_length(pts)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidStreamlineError):
-            Streamline([(0, 0, 0)])
+            pack([[(0, 0, 0)]])
         with pytest.raises(InvalidStreamlineError):
             arc_length(np.array([[0.0, 0.0, 0.0]]))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidStreamlineError):
-            Streamline([(0, 0, 0), (np.nan, 0, 0)])
+            pack([[(0, 0, 0), (np.nan, 0, 0)]])
 
     def test_zero_length_rejected(self):
         with pytest.raises(InvalidStreamlineError):
-            Streamline([(1, 1, 1), (1, 1, 1)])
+            pack([[(1, 1, 1), (1, 1, 1)]])
 
 
 class TestResample:
     def test_straight_segment_uniform_subdivision(self):
-        s = Streamline([(0, 0, 0), (11, 0, 0)])
-        r = resample(s, 12)
+        r = resample(np.array([(0, 0, 0), (11, 0, 0)]), 12)
         assert np.allclose(r.points[:, 0], np.arange(12.0))
         assert np.allclose(r.points[:, 1:], 0.0)
 
     def test_m2_returns_endpoints(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 10, (7, 3))
-        r = resample(Streamline(pts), 2)
+        r = resample(pts, 2)
         assert np.array_equal(r.points, pts[[0, -1]])
 
     def test_l_shape_against_arc_walk_oracle(self):
         pts = np.array([(0, 0, 0), (4, 0, 0), (4, 4, 0)], dtype=float)
-        r = resample(Streamline(pts), 5)
+        r = resample(pts, 5)
         want = arc_walk_resample(pts, 5)
         assert np.abs(r.points - want).max() < 2e-4
         # arc positions 0, 2, 4, 6, 8 mm land at these exact corners
@@ -122,43 +121,43 @@ class TestResample:
     def test_endpoints_exact(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-5, 5, (9, 3))
-        r = resample(Streamline(pts), 12)
+        r = resample(pts, 12)
         assert np.array_equal(r.points[0], pts[0])
         assert np.array_equal(r.points[-1], pts[-1])
 
     def test_equal_arc_spacing(self):
         rng = np.random.default_rng(13)
         pts = np.cumsum(rng.uniform(0.1, 1.0, (20, 3)), axis=0)
-        r = resample(Streamline(pts), 12)
+        r = resample(pts, 12)
         # consecutive samples sit at equal arc positions along the source curve
-        total = arc_length(Streamline(pts))
+        total = arc_length(pts)
         spacing = total / 11
         chords = np.linalg.norm(np.diff(r.points, axis=0), axis=1)
         assert (chords <= spacing * (1 + 1e-9)).all()
 
     def test_m_below_2_rejected(self):
         with pytest.raises(ArityError):
-            resample(Streamline([(0, 0, 0), (1, 0, 0)]), 1)
+            resample(np.array([(0, 0, 0), (1, 0, 0)]), 1)
+        with pytest.raises(ArityError):
+            _resample_set(pack([[(0, 0, 0), (1, 0, 0)]]), 1)
 
     def test_resampled_shorter_than_source(self):
         rng = np.random.default_rng(17)
         pts = np.cumsum(rng.uniform(-1, 1, (30, 3)) + [0.2, 0, 0], axis=0)
-        s = Streamline(pts)
         for m in (2, 4, 8, 12, 24):
-            assert arc_length(resample(s, m).points) <= arc_length(s) + 1e-12
+            assert arc_length(resample(pts, m).points) <= arc_length(pts) + 1e-12
 
     def test_length_preserved_on_smooth_arc(self):
         # arc-length monotonicity in m and 1% preservation hold on smooth tracts
         t = np.linspace(0, np.pi / 2, 400)
         pts = np.column_stack([30 * np.cos(t), np.zeros_like(t), 30 * np.sin(t)])
-        s = Streamline(pts)
-        total = arc_length(s)
+        total = arc_length(pts)
         prev = 0.0
         for m in (2, 3, 4, 6, 12, 24, 48):
-            cur = arc_length(resample(s, m).points)
+            cur = arc_length(resample(pts, m).points)
             assert cur >= prev - 1e-12
             prev = cur
-        assert arc_length(resample(s, 12).points) >= 0.99 * total
+        assert arc_length(resample(pts, 12).points) >= 0.99 * total
 
 
 class TestFlip:
@@ -242,25 +241,23 @@ class TestMDF:
 
 class TestStreamlineSet:
     def test_duplicate_ids_rejected(self):
-        a = Streamline([(0, 0, 0), (1, 0, 0)], id=1)
-        b = Streamline([(0, 0, 0), (0, 1, 0)], id=1)
         with pytest.raises(InvalidStreamlineError):
-            StreamlineSet([a, b])
+            pack([[(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0)]], ids=[1, 1])
 
     def test_packed_assigns_ids(self):
         pts = np.array([[0, 0, 0], [1, 0, 0]] * 3, dtype=float)
-        sset = StreamlineSet.packed(pts, [2, 2, 2])
-        assert [s.id for s in sset] == [0, 1, 2]
+        sset = StreamlineSet(pts, [2, 2, 2])
+        assert sset.ids.tolist() == [0, 1, 2] and sset.ids.dtype == np.int64
 
     def test_stack_resampled_shape(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 2, 0], [0, 4, 0]], dtype=float)
-        stack = stack_resampled(StreamlineSet.packed(pts, [2, 3]), 12)
-        assert stack.shape == (2, 12, 3)
+        stack, totals = _resample_set(StreamlineSet(pts, [2, 3]), 12)
+        assert stack.shape == (2, 12, 3) and totals.tolist() == [1.0, 4.0]
 
 
 def test_resample_points_handles_duplicate_vertices():
     pts = np.array([(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)], dtype=float)
-    out = stack_resampled(StreamlineSet([Streamline(pts)]), 5)[0]
+    out = _resample_set(pack([pts]), 5)[0][0]
     assert np.allclose(out[:, 0], [0, 0.5, 1.0, 1.5, 2.0])
 
 
@@ -269,7 +266,7 @@ def test_resample_points_handles_duplicate_vertices():
 # ---------------------------------------------------------------------------
 
 import muscletract.streamline as streamline_mod  # noqa: E402
-from muscletract.streamline import arc_lengths, blocks  # noqa: E402
+from muscletract.streamline import blocks  # noqa: E402
 from reference_streamline import resample_points  # noqa: E402
 
 
@@ -288,13 +285,9 @@ def adversarial_polylines(rng):
     return out
 
 
-def packed(arrays):
-    return StreamlineSet.packed(np.concatenate(arrays), [len(a) for a in arrays])
-
-
 def assert_matches_reference(arrays, m):
-    sset = packed(arrays)
-    stack = stack_resampled(sset, m)
+    sset = pack(arrays)
+    stack, _ = _resample_set(sset, m)
     for a, got in zip(arrays, stack):
         assert np.array_equal(got, resample_points(a, m))
     want = [arc_length(a) for a in arrays]
@@ -335,9 +328,9 @@ class TestPackedMatchesReference:
         arrays = adversarial_polylines(np.random.default_rng(3))
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
         assert_matches_reference(arrays, 12)
-        out = packed(arrays).take([5, 0, 3])
+        out = pack(arrays).take([5, 0, 3])
         assert [len(s) for s in out] == [5000, 2, len(arrays[3])]
-        assert all(np.array_equal(s.points, arrays[i]) for s, i in zip(out, [5, 0, 3]))
+        assert all(np.array_equal(s, arrays[i]) for s, i in zip(out, [5, 0, 3]))
 
 
 class TestPackedSet:
@@ -348,10 +341,11 @@ class TestPackedSet:
 
     def test_iteration_yields_views_with_ids(self):
         pts = np.arange(21, dtype=float).reshape(7, 3)
-        sset = StreamlineSet.packed(pts, [2, 5], ids=[7, 3])
+        sset = StreamlineSet(pts, [2, 5], ids=[7, 3])
         views = list(sset)
-        assert [s.id for s in views] == [7, 3] and [len(s) for s in views] == [2, 5]
-        assert all(np.shares_memory(s.points, sset.points) for s in views)
+        assert sset.ids.tolist() == [7, 3] and [len(s) for s in views] == [2, 5]
+        assert all(np.shares_memory(s, sset.points) for s in views)
+        assert np.array_equal(views[1], pts[2:])
         first, last = sset.endpoints()
         assert np.array_equal(first, pts[[0, 2]]) and np.array_equal(last, pts[[1, 6]])
 
@@ -369,18 +363,17 @@ class TestPackedSet:
             "underflowing_squares": np.array([(0.0, 0, 0), (1e-200, 0, 0)]),
         }[bad]
         with pytest.raises(InvalidStreamlineError):
-            packed(arrays)
+            pack(arrays)
 
     def test_counts_must_cover_the_buffer(self):
         with pytest.raises(InvalidStreamlineError):
-            StreamlineSet.packed(np.zeros((5, 3)) + np.arange(5)[:, None], [2, 2])
+            StreamlineSet(np.zeros((5, 3)) + np.arange(5)[:, None], [2, 2])
         with pytest.raises(InvalidStreamlineError):
-            StreamlineSet.packed(np.arange(12.0).reshape(4, 3), [2, 2], ids=[1])
+            StreamlineSet(np.arange(12.0).reshape(4, 3), [2, 2], ids=[1])
 
     def test_take_copies_rows_without_validating_them_again(self, monkeypatch):
         arrays = adversarial_polylines(np.random.default_rng(4))
-        sset = StreamlineSet.packed(np.concatenate(arrays), [len(a) for a in arrays],
-                                    ids=np.arange(len(arrays)) * 3 + 1)
+        sset = pack(arrays, ids=np.arange(len(arrays)) * 3 + 1)
         rows = [6, 0, 5, 2]
 
         def fail(points, offsets):
@@ -394,6 +387,27 @@ class TestPackedSet:
         assert not np.shares_memory(out.points, sset.points)
         with pytest.raises(InvalidStreamlineError):
             sset.take([1, 1])  # ids within a set stay unique
+
+
+class TestIteration:
+    """What iterating over a set yields: its streamlines' points, one (c, 3)
+    view into the buffer each, in set order. Counting the points of a set by
+    summing len() over it relies on this."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_yields_views_that_tile_the_buffer(self, seed):
+        sset = pack(adversarial_polylines(np.random.default_rng(seed)))
+        views = list(sset)
+        assert len(views) == len(sset)
+        assert all(isinstance(v, np.ndarray) and v.shape[1:] == (3,) for v in views)
+        assert [len(v) for v in views] == sset.counts.tolist()
+        assert sum(len(v) for v in sset) == len(sset.points)
+        assert all(np.shares_memory(v, sset.points) for v in views)
+        assert np.array_equal(np.concatenate(views), sset.points)
+
+    def test_empty_set_yields_nothing(self):
+        sset = pack([])
+        assert len(sset) == 0 and list(sset) == []
 
 
 @st.composite

@@ -11,7 +11,7 @@ from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
 import muscletract.streamline as streamline_mod
-from muscletract.streamline import Streamline, _validate, arc_length, arc_lengths
+from muscletract.streamline import _validate, arc_lengths
 from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
@@ -21,11 +21,11 @@ from muscletract.tracking import (
     _ray_exits,
     _step_range,
     _surface_exits,
-    extrapolate_to_surface,
-    fit_poly3,
+    _with_exits,
     reconstruct,
     track,
 )
+from reference_streamline import arc_length
 
 
 def uniform_box(dims=(20, 20, 60), fa=0.5, direction=(0.0, 0.0, 1.0)):
@@ -103,8 +103,8 @@ class TestTrack:
         got = track(field, mask, seeds, cfg)
         for s, seed in zip(got, seeds.points):
             want = scalar_reference_track(field, mask, seed, cfg)
-            assert s.points.shape == want.shape
-            assert np.abs(s.points - want).max() < 1e-9
+            assert s.shape == want.shape
+            assert np.abs(s - want).max() < 1e-9
 
     def test_matches_scalar_reference_curved(self):
         spec = PhantomSpec(shape="curved_arc", arc_radius_mm=20.0, arc_sweep_deg=80.0,
@@ -123,8 +123,8 @@ class TestTrack:
                 continue
             s = list(got)[emitted]
             emitted += 1
-            assert s.points.shape == want.shape
-            assert np.abs(s.points - want).max() < 1e-9
+            assert s.shape == want.shape
+            assert np.abs(s - want).max() < 1e-9
         assert emitted == len(got)
 
     def test_tight_arc_trips_angle_gate(self):
@@ -151,7 +151,7 @@ class TestTrack:
         sset = track(field, mask, seeds, cfg)
         a, b = sset
         for ends in (0, -1):
-            assert np.abs(a.points[ends] - b.points[ends]).max() <= cfg.step_mm + 1e-9
+            assert np.abs(a[ends] - b[ends]).max() <= cfg.step_mm + 1e-9
 
     def test_all_points_inside_mask_and_min_length(self):
         spec = PhantomSpec(shape="box_unipennate", pennation_deg=25.0, dims_mm=(14, 8, 40))
@@ -161,7 +161,7 @@ class TestTrack:
         assert len(sset) > 0
         for s in sset:
             assert arc_length(s) >= cfg.min_length_mm
-            assert mask.points_in_mask(s.points).all()
+            assert mask.points_in_mask(s).all()
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -195,19 +195,33 @@ class TestTrack:
         assert buffers and max(buffers) <= 6e7
 
 
+def fit(points):
+    """_fit_cubic of one track, and the RMS residual of the fit in mm."""
+    pts = np.asarray(points, dtype=float)
+    out = _fit_cubic(pts, {})
+    resid = out - pts
+    return out, float(np.sqrt((resid * resid).sum(axis=1).mean()))
+
+
 class TestFitPoly3:
+    """The cubic fit that reconstruct runs on every track of 5 or more points:
+    each coordinate against the normalized point index t in [0, 1], sampled
+    back at the same t. The tracker emits points at equal arc steps, so t is
+    the normalized arc-length parameter, and a fixed grid makes the fit
+    idempotent on its own output."""
+
     def test_exact_cubic_reproduced(self):
         u = np.linspace(0.0, 1.0, 40)
         pts = np.column_stack([1 + 2 * u - u**3, 0.5 * u**2 + u, 3 * u - 2 * u**2])
-        fitted, rms = fit_poly3(Streamline(pts))
-        assert np.abs(fitted.points - pts).max() < 1e-9
+        fitted, rms = fit(pts)
+        assert np.abs(fitted - pts).max() < 1e-9
         assert rms < 1e-9
 
     def test_straight_line_stays_straight(self):
         t = np.linspace(0.0, 30.0, 25)
         pts = np.column_stack([t * 0.2, t * 0.1, t])
-        fitted, rms = fit_poly3(Streamline(pts))
-        assert np.abs(fitted.points - pts).max() < 1e-9
+        fitted, rms = fit(pts)
+        assert np.abs(fitted - pts).max() < 1e-9
         assert rms < 1e-9
 
     def test_noisy_line_rms_and_normal_equations_oracle(self):
@@ -218,40 +232,55 @@ class TestFitPoly3:
         noise = np.zeros((n, 3))
         noise[1:-1] = rng.normal(0, 0.1, (n - 2, 3))
         pts = clean + noise
-        fitted, rms = fit_poly3(Streamline(pts))
+        fitted, rms = fit(pts)
         noise_rms = float(np.sqrt((noise**2).sum(axis=1).mean()))
         assert rms <= noise_rms
         # independent normal-equations solve of the same least-squares problem
         design = np.vander(t, 4, increasing=True)
         coef = np.linalg.solve(design.T @ design, design.T @ pts)
-        assert np.abs(fitted.points - design @ coef).max() < 1e-8
+        assert np.abs(fitted - design @ coef).max() < 1e-8
 
     def test_idempotent_on_own_output(self):
         t = np.linspace(0, np.pi / 2, 300)
         pts = np.column_stack([30 * np.cos(t), 0.1 * t, 30 * np.sin(t)])
-        f1, _ = fit_poly3(Streamline(pts))
-        f2, _ = fit_poly3(f1)
-        assert np.abs(f2.points - f1.points).max() < 1e-9
+        f1, _ = fit(pts)
+        f2, _ = fit(f1)
+        assert np.abs(f2 - f1).max() < 1e-9
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            fit_poly3(Streamline([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]))
+            fit([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
 
     def test_preserves_point_count(self):
         rng = np.random.default_rng(2)
         pts = np.cumsum(rng.uniform(0, 1, (37, 3)), axis=0)
-        fitted, _ = fit_poly3(Streamline(pts))
+        fitted, _ = fit(pts)
         assert len(fitted) == 37
 
 
+def extend(points, mask, cfg=None):
+    """One track through _surface_exits and _with_exits, as reconstruct runs
+    them: the track with the exit points added at the ends that need one,
+    and whether the added length is accepted."""
+    pts = np.asarray(points, dtype=float)
+    offsets = np.array([0, len(pts)])
+    exits, ext, accepted, _ = _surface_exits(pts, offsets, mask, cfg or TrackingConfig())
+    buf = np.concatenate([pts, np.empty((2, 3))])
+    (n,) = _with_exits(buf, offsets, exits, ext, np.array([0]))
+    return buf[:n], bool(accepted[0])
+
+
 class TestExtrapolate:
+    """Both endpoints extended along their terminal tangents to the mask
+    surface; the extension is rejected when the added length exceeds
+    max_extrap_fraction of the track's arc length."""
+
     def test_already_on_surface_unchanged(self):
         mask, _ = uniform_box(dims=(20, 20, 60))
         pts = np.column_stack([np.full(61, 10.0), np.full(61, 10.0), np.linspace(0.0, 60.0, 61)])
-        s = Streamline(pts)
-        out, accepted = extrapolate_to_surface(s, mask)
+        out, accepted = extend(pts, mask)
         assert accepted
-        assert np.array_equal(out.points, pts)
+        assert np.array_equal(out, pts)
 
     def test_threshold_arithmetic_rejects(self):
         mask, _ = uniform_box(dims=(20, 20, 60))
@@ -260,19 +289,17 @@ class TestExtrapolate:
         occ[:, :, 23:37] = True
         slab = VoxelMask(occ)
         z = np.linspace(25.0, 35.0, 101)
-        s = Streamline(np.column_stack([np.full(101, 10.0), np.full(101, 10.0), z]))
-        out, accepted = extrapolate_to_surface(s, slab)
+        out, accepted = extend(np.column_stack([np.full(101, 10.0), np.full(101, 10.0), z]), slab)
         assert not accepted  # 4 mm added on a 10 mm track: 0.4 > 0.30
-        assert out.points[0, 2] == pytest.approx(23.0)
-        assert out.points[-1, 2] == pytest.approx(37.0)
+        assert out[0, 2] == pytest.approx(23.0)
+        assert out[-1, 2] == pytest.approx(37.0)
 
     def test_boundary_fraction_accepted(self):
         occ = np.zeros((20, 20, 60), dtype=bool)
         occ[:, :, 24:37] = True  # 1.0 + 2.0 mm added on 10 mm = exactly 0.30
         slab = VoxelMask(occ)
         z = np.linspace(25.0, 35.0, 101)
-        s = Streamline(np.column_stack([np.full(101, 10.0), np.full(101, 10.0), z]))
-        out, accepted = extrapolate_to_surface(s, slab)
+        out, accepted = extend(np.column_stack([np.full(101, 10.0), np.full(101, 10.0), z]), slab)
         assert accepted
 
     def test_midfiber_truncated_recovers_analytic_length(self):
@@ -283,19 +310,17 @@ class TestExtrapolate:
         full = 60.0 / math.cos(theta)
         center = np.array([20.0, 10.0, 30.0])
         ts = np.linspace(-0.45 * full, 0.40 * full, 400)  # truncated ~10% at one end
-        s = Streamline(center + ts[:, None] * d)
-        out, accepted = extrapolate_to_surface(s, mask)
+        out, accepted = extend(center + ts[:, None] * d, mask)
         assert accepted
         assert arc_length(out) == pytest.approx(full, rel=0.02)
 
     def test_endpoints_land_on_boundary(self):
         mask, field = uniform_box(dims=(10, 10, 30))
         z = np.linspace(2.0, 28.0, 53)  # 4 mm added on 26 mm stays under 30%
-        s = Streamline(np.column_stack([np.full(53, 5.5), np.full(53, 5.5), z]))
-        out, accepted = extrapolate_to_surface(s, mask)
+        out, accepted = extend(np.column_stack([np.full(53, 5.5), np.full(53, 5.5), z]), mask)
         assert accepted
-        assert out.points[0, 2] == pytest.approx(0.0, abs=1e-9)
-        assert out.points[-1, 2] == pytest.approx(30.0, abs=1e-9)
+        assert out[0, 2] == pytest.approx(0.0, abs=1e-9)
+        assert out[-1, 2] == pytest.approx(30.0, abs=1e-9)
 
     def test_ray_exit_respects_max_dist(self):
         mask, _ = uniform_box(dims=(10, 10, 30))
@@ -320,12 +345,11 @@ class TestReconstruct:
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
         assert len(sset) > 50
-        ids = [s.id for s in sset]
-        assert ids == list(range(len(sset)))
+        assert sset.ids.tolist() == list(range(len(sset)))
         # extrapolated endpoints sit on the mask boundary: a nudge outward
         # along the terminal tangent leaves the mask, a nudge inward stays
         for s in list(sset)[::17]:
-            for anchor, inner in ((s.points[0], s.points[1]), (s.points[-1], s.points[-2])):
+            for anchor, inner in ((s[0], s[1]), (s[-1], s[-2])):
                 tangent = anchor - inner
                 tangent /= np.linalg.norm(tangent)
                 assert not mask.points_in_mask((anchor + 0.01 * tangent)[None])[0]
@@ -378,9 +402,9 @@ CONFIGS = {
 
 def assert_same_streamlines(got, want):
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.id == b.id
-        assert np.array_equal(a.points, b.points)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.points, want.points)
 
 
 class TestMatchesStepwiseReference:
@@ -459,7 +483,7 @@ class TestMatchesStepwiseReference:
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
             _surface_exits(np.concatenate([good, stalled]), np.array([0, 11, 23]), mask, cfg)
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
-            extrapolate_to_surface(Streamline(stalled[::-1]), mask, cfg)
+            extend(stalled[::-1], mask, cfg)
 
     def test_no_tracks(self):
         mask, field = uniform_box(dims=(10, 10, 30))
@@ -474,7 +498,7 @@ class TestReconstructLog:
         unfitted = sum(len(s) < 5 for s in tracked)
         over = away = 0
         for s in tracked:
-            pts = ref.fit_poly3(s.points) if len(s) >= 5 else s.points
+            pts = ref.fit_poly3(s) if len(s) >= 5 else s
             _, accepted, ran_away = ref.extrapolate(pts, mask, cfg)
             away += ran_away or ran_away_all
             over += not accepted and not ran_away and not ran_away_all
@@ -636,6 +660,13 @@ def test_bounds_decide_most_tracks(monkeypatch, case):
                         lambda p, starts, counts: measured.append(len(counts)) or real(p, starts, counts))
     out = reconstruct(field, mask, some_seeds(mask, 1.0))
     assert len(out) > 100 and sum(measured) <= 0.05 * len(out)
+
+
+def test_track_points_own_their_memory():
+    # reconstruct grows them in place, by ndarray.resize, for the exit points.
+    mask, field = CASES["box"]()
+    got = track(field, mask, some_seeds(mask, 1.0))
+    assert got.points.flags.owndata and len(got.points) == got.offsets[-1] > 0
 
 
 class TestOneValidation:
