@@ -27,7 +27,6 @@ from .phantom import GroundTruth, PhantomSpec, make_phantom
 from .sampling import FSSConfig, FSSTrace, SeedSet, fss_filter, seeds_2d, seeds_3d
 from .stats import (
     BlandAltman,
-    PairedSample,
     TTestResult,
     bland_altman,
     percent_diff,
@@ -49,7 +48,6 @@ __all__ = [
     "LineOfAction",
     "MuscleArchitecture",
     "OrientationField",
-    "PairedSample",
     "PhantomSpec",
     "SeedSet",
     "StreamlineSet",

@@ -25,7 +25,6 @@ R2_THRESHOLD_DEFAULT = 0.9
 
 @dataclass
 class LineOfAction:
-    anchor: np.ndarray
     direction: np.ndarray
     r2: float
     source: str  # endpoint_fit | mean_direction
@@ -70,8 +69,7 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     if len(sset) < 3:
         raise DegenerateGeometryError("line of action needs at least 3 streamlines")
     pts = tract_endpoints(sset)
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
+    centered = pts - pts.mean(axis=0)
     total = float((centered * centered).sum() / len(pts))
     if total <= 0.0:
         raise DegenerateGeometryError("all tract endpoints coincide")
@@ -83,7 +81,7 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     r2 = min(1.0, max(0.0, 1.0 - (total - along) / total))
 
     if r2 > r2_threshold:
-        return LineOfAction(centroid, direction, r2, "endpoint_fit")
+        return LineOfAction(direction, r2, "endpoint_fit")
 
     first, last = sset.endpoints()
     chords = last - first
@@ -96,7 +94,7 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     norm = np.linalg.norm(mean_dir)
     if norm == 0.0:
         raise DegenerateGeometryError("tract chords cancel; no mean direction")
-    return LineOfAction(centroid, mean_dir / norm, r2, "mean_direction")
+    return LineOfAction(mean_dir / norm, r2, "mean_direction")
 
 
 def _pennation_angles(chords: np.ndarray, direction: np.ndarray) -> list[float]:
@@ -163,7 +161,6 @@ class GroupFractions:
 
     volume_fraction: dict[str, float]
     pcsa_fraction: list[float]
-    groups: list[str]
 
 
 def group_fractions(records: list[tuple[str, MuscleArchitecture]]) -> GroupFractions:
@@ -183,4 +180,4 @@ def group_fractions(records: list[tuple[str, MuscleArchitecture]]) -> GroupFract
 
     volume_fraction = {g: mv / total_mv for g, mv in group_mv.items()}
     pcsa_fraction = [arch.pcsa / group_pcsa[group] for group, arch in records]
-    return GroupFractions(volume_fraction, pcsa_fraction, [g for g, _ in records])
+    return GroupFractions(volume_fraction, pcsa_fraction)

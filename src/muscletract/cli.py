@@ -73,15 +73,15 @@ def _even_picks(n: int, k: int) -> np.ndarray:
     return (np.arange(k) * n) // k
 
 
-def _subsample_exact(sset: StreamlineSet, k: int, mask) -> StreamlineSet:
+def _subsample_exact(sset: StreamlineSet, k: int) -> StreamlineSet:
     n = len(sset)
     if n < k:
         raise ArityError(f"only {n} streamlines available, need {k}")
-    return sset.take(_even_picks(n, k), mask=mask)
+    return sset.take(_even_picks(n, k))
 
 
-def _make_seeds(strategy: str, mask, cfg: formats.RunConfig) -> SeedSet:
-    if strategy == "3ds":
+def _make_seeds(method: str, mask, cfg: formats.RunConfig) -> SeedSet:
+    if method == "3ds":
         return seeds_3d(mask, cfg.spacing_mm)
     return seeds_2d(mask, cfg.n_slices)
 
@@ -131,7 +131,7 @@ def cmd_track(args) -> int:
     field = formats.load_field(args.field)
     seeds = _make_seeds(args.strategy, mask, cfg)
     if len(seeds) > cfg.n_candidates:
-        seeds = SeedSet(seeds.points[_even_picks(len(seeds), cfg.n_candidates)], seeds.strategy)
+        seeds = SeedSet(seeds.points[_even_picks(len(seeds), cfg.n_candidates)])
     sset = reconstruct(field, mask, seeds, cfg.tracking)
     formats.save_streamlines(args.out, sset)
     print(f"track: {len(seeds)} seeds -> {len(sset)} streamlines -> {args.out}")
@@ -147,7 +147,6 @@ def cmd_filter(args) -> int:
             raise DataError("--candidates is required for method fss")
         candidates = formats.load_streamlines(args.candidates)
         _check_frame(candidates, mask)
-        candidates.mask = mask
         out, trace = fss_filter(candidates, cfg.fss)
         if args.trace:
             formats.write_csv(
@@ -163,7 +162,7 @@ def cmd_filter(args) -> int:
             raise DataError(f"--field is required for method {args.method}")
         field = formats.load_field(args.field)
         tracked = reconstruct(field, mask, _make_seeds(args.method, mask, cfg), cfg.tracking)
-        out = _subsample_exact(tracked, cfg.fss.k, mask)
+        out = _subsample_exact(tracked, cfg.fss.k)
 
     formats.save_streamlines(args.out, out)
     print(f"filter[{args.method}]: {len(out)} streamlines -> {args.out}")
@@ -321,7 +320,6 @@ def _arch_record(rec: dict[str, str], path) -> arch_mod.MuscleArchitecture:
         pa_median=col("pa_median_deg"),
         pcsa=col("pcsa_mm2"),
         loa=arch_mod.LineOfAction(
-            np.zeros(3),
             np.array([col("loa_x"), col("loa_y"), col("loa_z")]),
             col("r2"),
             col("loa_source", str),

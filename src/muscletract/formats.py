@@ -32,6 +32,8 @@ is built, and spacing_mm, n_slices, r2_threshold and sdcv_support are checked
 by the library function that uses them (seeds_3d, seeds_2d, line_of_action,
 density). So a file with sdcv_support=bogus serves `track`, which never uses
 it, and `metrics` exits 3 naming the key. Loading a file adds k <= n_candidates.
+max_angle_deg must lie in (0, 180]: the gate compares cosines, so a larger
+angle would wrap (1000 would gate at 80).
 """
 
 from __future__ import annotations

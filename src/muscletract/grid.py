@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import FrameMismatchError, InvalidSpecError
 
+# Largest deviation from unit norm an OrientationField direction may have
+# where fa > 0.
+UNIT_TOL = 1e-6
+
 
 def _vec3(value, name: str) -> np.ndarray:
     v = np.asarray(value, dtype=np.float64)
@@ -141,18 +145,18 @@ class OrientationField:
         self.fa = f
         self.voxel_size = _voxel_size(self.voxel_size)
         self.origin = _vec3(self.origin, "origin")
-        self.validate_units(tol=1e-6)
+        self.validate_units()
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.fa.shape
 
-    def validate_units(self, tol: float) -> None:
+    def validate_units(self) -> None:
         active = self.fa > 0
         if active.any():
             norms = np.linalg.norm(self.directions[active], axis=1)
             worst = float(np.abs(norms - 1.0).max())
-            if not worst <= tol:  # NaN fails
+            if not worst <= UNIT_TOL:  # NaN fails
                 raise InvalidSpecError(
                     f"directions must be unit-norm where fa > 0 (worst deviation {worst:.3g})"
                 )

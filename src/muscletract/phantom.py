@@ -8,6 +8,8 @@ giving built-in fiber-length heterogeneity (length proportional to radius).
 
 Each phantom ships a GroundTruth record: the analytic fiber length, pennation
 angle, line-of-action direction, and solid volume used by the validation tests.
+Every voxel inside the muscle has anisotropy FA_INSIDE, every voxel outside
+it 0.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import InvalidSpecError
 from .grid import OrientationField, VoxelMask
 
 SHAPES = ("box_unipennate", "fusiform", "curved_arc")
+FA_INSIDE = 0.5
 
 
 @dataclass
@@ -32,7 +35,6 @@ class PhantomSpec:
     arc_radius_mm: float = 30.0
     arc_sweep_deg: float = 90.0
     arc_thickness_mm: float = 10.0
-    fa_inside: float = 0.5
     jitter_deg: float = 0.0
     seed: int = 0
 
@@ -127,7 +129,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[VoxelMask, OrientationField, Ground
 
     if spec.jitter_deg > 0:
         _apply_jitter(field.directions, field.fa > 0, spec.jitter_deg, spec.seed)
-        field.validate_units(tol=1e-6)
+        field.validate_units()
     return mask, field, gt
 
 
@@ -139,7 +141,7 @@ def _make_box(spec: PhantomSpec):
     direction = np.array([math.sin(theta), 0.0, math.cos(theta)])
 
     directions = np.broadcast_to(direction, dims + (3,)).copy()
-    fa = np.full(dims, spec.fa_inside)
+    fa = np.full(dims, FA_INSIDE)
 
     mask = VoxelMask(occ, spec.voxel_mm, 0.0)
     field = OrientationField(directions, fa, spec.voxel_mm, 0.0)
@@ -169,7 +171,7 @@ def _make_fusiform(spec: PhantomSpec):
     directions = np.stack([xt * q, yt * q, np.ones_like(zt)], axis=-1)
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
     directions[~occ] = 0.0
-    fa = np.where(occ, spec.fa_inside, 0.0)
+    fa = np.where(occ, FA_INSIDE, 0.0)
 
     mask = VoxelMask(occ, spec.voxel_mm, 0.0)
     field = OrientationField(directions, fa, spec.voxel_mm, 0.0)
@@ -211,7 +213,7 @@ def _make_arc(spec: PhantomSpec):
     safe_rho = np.maximum(rho, 1e-9)
     directions = np.stack([-rz / safe_rho, np.zeros_like(rho), rx / safe_rho], axis=-1)
     directions[~occ] = 0.0
-    fa = np.where(occ, spec.fa_inside, 0.0)
+    fa = np.where(occ, FA_INSIDE, 0.0)
 
     chord = np.array([math.cos(sweep) - 1.0, 0.0, math.sin(sweep)])
     norm = np.linalg.norm(chord)

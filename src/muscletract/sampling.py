@@ -64,16 +64,12 @@ _UNDERFLOW_MARGIN = 1e-150
 
 @dataclass
 class SeedSet:
-    """Seed points in world mm, tagged with the strategy that produced them."""
+    """Seed points in world mm, as an (n, 3) float64 array."""
 
     points: np.ndarray
-    strategy: str
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.points = pts
-        if self.strategy not in ("2ds", "3ds"):
-            raise InvalidSpecError(f"unknown seeding strategy {self.strategy!r}")
+        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -123,7 +119,7 @@ def seeds_3d(mask: VoxelMask, spacing_mm: float) -> SeedSet:
     stride = np.maximum(1, np.round(spacing_mm / mask.voxel_size).astype(int))
     lo = occ.min(axis=0)
     keep = (((occ - lo) % stride) == 0).all(axis=1)
-    return SeedSet(mask.voxel_centers(occ[keep]), "3ds")
+    return SeedSet(mask.voxel_centers(occ[keep]))
 
 
 def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
@@ -155,7 +151,7 @@ def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
         chosen = np.round(np.linspace(first, last, n_slices)).astype(int)
 
     picks = occ[np.isin(occ[:, axis], chosen)]
-    return SeedSet(mask.voxel_centers(picks), "2ds")
+    return SeedSet(mask.voxel_centers(picks))
 
 
 def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet, FSSTrace]:
@@ -220,7 +216,7 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
         selection_distance=distances,
         mdf_evaluations=evaluations,
     )
-    return candidates.take(rows, mask=candidates.mask), trace
+    return candidates.take(rows), trace
 
 
 def _longest(candidates: StreamlineSet, order: np.ndarray, estimates: np.ndarray) -> int:

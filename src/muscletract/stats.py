@@ -3,7 +3,7 @@
 The two-tailed t-test p-values run on a self-contained Student-t CDF built
 from the regularized incomplete beta function (Lentz continued fraction;
 absolute error well below 1e-10), so no external statistics dependency is
-needed. Normality diagnostics are skewness plus the median-vs-mean gap.
+needed. The normality diagnostic is skewness.
 """
 
 from __future__ import annotations
@@ -125,20 +125,6 @@ def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class PairedSample:
-    """Two equal-length value lists with shared case labels."""
-
-    a: np.ndarray
-    b: np.ndarray
-    labels: list[str] | None = None
-
-    def __post_init__(self):
-        self.a, self.b = _paired(self.a, self.b)
-        if self.labels is not None and len(self.labels) != len(self.a):
-            raise ArityError("labels must match the sample length")
-
-
-@dataclass
 class TTestResult:
     t: float
     df: int
@@ -239,12 +225,3 @@ def percent_diff(a, b) -> float:
     if not ok.any():
         raise DegenerateDistributionError("no cases with nonzero reference value")
     return float((100.0 * (va[ok] - vb[ok]) / vb[ok]).mean())
-
-
-def median_mean_gap(x) -> float:
-    """Relative gap (median - mean) / mean; the report-level normality cue."""
-    v = _values(x)
-    mean = float(v.mean())
-    if mean == 0.0:
-        raise DegenerateDistributionError("mean is zero; relative gap undefined")
-    return (float(np.median(v)) - mean) / mean

@@ -95,9 +95,9 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
 
 class StreamlineSet:
     """Streamlines sharing one coordinate frame, packed as described in the
-    module docstring, with an optional mask reference."""
+    module docstring."""
 
-    def __init__(self, points, counts, ids=None, mask=None):
+    def __init__(self, points, counts, ids=None):
         """A set over an (N, 3) point buffer that holds streamlines of the
         given point counts one after another; ids default to 0..n-1. A
         float64 buffer is used as given, not copied. Every streamline is
@@ -109,20 +109,20 @@ class StreamlineSet:
         if len(ids) != len(counts):
             raise InvalidStreamlineError(f"{len(ids)} ids for {len(counts)} streamlines")
         _validate(points, offsets)
-        self._assign(points, offsets, ids, mask)
+        self._assign(points, offsets, ids)
 
     @classmethod
-    def _trusted(cls, points, offsets, ids, mask) -> StreamlineSet:
+    def _trusted(cls, points, offsets, ids) -> StreamlineSet:
         """A set over streamlines that are valid by construction: only the
         uniqueness of the ids is checked."""
         sset = cls.__new__(cls)
-        sset._assign(points, offsets, ids, mask)
+        sset._assign(points, offsets, ids)
         return sset
 
-    def _assign(self, points, offsets, ids, mask) -> None:
+    def _assign(self, points, offsets, ids) -> None:
         if len(_distinct(ids)) != len(ids):
             raise InvalidStreamlineError("streamline ids within a set must be unique")
-        self.points, self.offsets, self.ids, self.mask = points, offsets, ids, mask
+        self.points, self.offsets, self.ids = points, offsets, ids
 
     @property
     def counts(self) -> np.ndarray:
@@ -143,7 +143,7 @@ class StreamlineSet:
         """First and last point of every streamline, as two (n, 3) arrays."""
         return self.points[self.offsets[:-1]], self.points[self.offsets[1:] - 1]
 
-    def take(self, rows, mask=None) -> StreamlineSet:
+    def take(self, rows) -> StreamlineSet:
         """The streamlines at the given positions, in that order, with their
         ids; copied one block at a time.
 
@@ -156,7 +156,7 @@ class StreamlineSet:
         for lo, hi in blocks(offsets):
             src = np.repeat(starts[lo:hi] - offsets[lo:hi], counts[lo:hi])
             points[offsets[lo] : offsets[hi]] = self.points[src + np.arange(offsets[lo], offsets[hi])]
-        return StreamlineSet._trusted(points, offsets, self.ids[rows], mask)
+        return StreamlineSet._trusted(points, offsets, self.ids[rows])
 
 
 def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:

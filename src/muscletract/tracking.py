@@ -49,9 +49,9 @@ its margin keeps the result exact):
 - Step count. Each segment of a raw track of c points is one Euler step s*v,
   with v from a voxel whose anisotropy passes fa_min, so its length is s*|v|
   and the track's lies in (c - 1) * s * [min |v|, max |v|] over those
-  voxels; directions are unit only to within 1e-6, so the norms are read
-  from the field. A computed segment differs from s*|v| by the rounding of
-  one addition to a point and one subtraction back, at most
+  voxels; directions are unit only to within grid.UNIT_TOL, so the norms
+  are read from the field. A computed segment differs from s*|v| by the
+  rounding of one addition to a point and one subtraction back, at most
   8 * 2**-53 * (R + s * max |v|) for coordinates of magnitude up to R, the
   mask's; the summed length adds 2 * (c + 16) * 2**-53, relative. A track
   whose whole range lies on one side of min_length_mm is kept or dropped
@@ -88,9 +88,12 @@ class TrackingConfig:
 
     def __post_init__(self):
         # Comparisons are written so that NaN fails them.
-        for name in ("step_mm", "max_angle_deg", "fa_min", "min_length_mm"):
+        for name in ("step_mm", "fa_min", "min_length_mm"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidSpecError(f"{name} must be positive and finite")
+        # The gate compares cosines, so an angle over 180 would wrap.
+        if not 0 < self.max_angle_deg <= 180:
+            raise InvalidSpecError("max_angle_deg must be in (0, 180]")
         if not 0.0 < self.max_extrap_fraction < 1.0:
             raise InvalidSpecError("max_extrap_fraction must be in (0, 1)")
 
@@ -261,7 +264,7 @@ def track(
     cfg = cfg or TrackingConfig()
     mask.require_same_frame(field, "orientation field")
 
-    pts = np.asarray(seeds.points, dtype=np.float64).reshape(-1, 3)
+    pts = seeds.points
     inside = mask.points_in_mask(pts)
     skipped = int((~inside).sum())
     if skipped:
@@ -301,7 +304,7 @@ def track(
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(buf, offsets, np.arange(len(counts)), mask)
+    return StreamlineSet._trusted(buf, offsets, np.arange(len(counts)))
 
 
 def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
@@ -448,7 +451,7 @@ def reconstruct(
     counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
     away = int(ran_away.sum())
     del points
-    out = StreamlineSet(buf[: counts.sum()], counts, mask=mask)
+    out = StreamlineSet(buf[: counts.sum()], counts)
 
     n_in = int(mask.points_in_mask(seeds.points).sum())
     rejected = n_tracks - len(out)

@@ -25,11 +25,11 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def pack(arrays, ids=None, mask=None) -> StreamlineSet:
+def pack(arrays, ids=None) -> StreamlineSet:
     """A validated set of the given (n, 3) point arrays, in order."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     points = np.concatenate(arrays) if arrays else np.empty((0, 3))
-    return StreamlineSet(points, [len(a) for a in arrays], ids=ids, mask=mask)
+    return StreamlineSet(points, [len(a) for a in arrays], ids=ids)
 
 
 def arc_length(points) -> float:
@@ -110,6 +110,9 @@ def mdf(a: ResampledStreamline, b: ResampledStreamline) -> float:
     return min(_paired_mean_distance(pa, pb), _paired_mean_distance(pa, pb[::-1]))
 
 
+# A segment in a voxel-face plane meets that plane at t = 0/0, which gives NaN
+# samples; its vertices and other crossings cover it.
+@np.errstate(invalid="ignore")
 def crossing_samples(points: np.ndarray, voxel_size, origin) -> np.ndarray:
     """The vertices plus sample points just before and after every
     voxel-face crossing of one polyline."""
@@ -141,7 +144,9 @@ def crossing_samples(points: np.ndarray, voxel_size, origin) -> np.ndarray:
 
 def voxelize(points: np.ndarray, mask) -> np.ndarray:
     """In-mask voxel indices one polyline passes through, each once, sorted."""
-    idx = mask.world_to_index(crossing_samples(points, mask.voxel_size, mask.origin))
+    samples = crossing_samples(points, mask.voxel_size, mask.origin)
+    # A NaN sample falls in no voxel; drop it before the integer cast.
+    idx = mask.world_to_index(samples[np.isfinite(samples).all(axis=1)])
     idx = idx[mask.indices_occupied(idx)]
     if len(idx) == 0:
         return np.empty((0, 3), dtype=np.int64)

@@ -71,7 +71,7 @@ def track(field, mask, seeds, cfg):
         if len(points) < 2 or arc_length(points) < cfg.min_length_mm:
             continue
         out.append(points)
-    return pack(out, mask=mask)
+    return pack(out)
 
 
 def fit_poly3(points):
@@ -160,4 +160,4 @@ def reconstruct(field, mask, seeds, cfg=None):
         pts, accepted, _ = extrapolate(pts, mask, cfg)
         if accepted:
             out.append(pts)
-    return pack(out, mask=mask)
+    return pack(out)

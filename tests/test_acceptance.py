@@ -94,9 +94,9 @@ def ensemble():
         cfg = mt.TrackingConfig()
         cands = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0), cfg)
         fss, trace = mt.fss_filter(cands, mt.FSSConfig(k=ENSEMBLE_K))
-        base3 = _subsample_exact(cands, ENSEMBLE_K, mask)
+        base3 = _subsample_exact(cands, ENSEMBLE_K)
         base2 = _subsample_exact(
-            mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg), ENSEMBLE_K, mask
+            mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg), ENSEMBLE_K
         )
 
         runs = {m: run_metrics(s, mask) for m, s in (("fss", fss), ("3ds", base3), ("2ds", base2))}
@@ -268,7 +268,7 @@ def _measure_default_phantom(scale=1.0):
     )
     mask, field, gt = mt.make_phantom(spec)
     sset = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0 * scale))
-    loa = mt.LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
+    loa = mt.LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
     return mt.summarize(mask, sset, loa), gt
 
 

@@ -139,15 +139,15 @@ class TestLineOfAction:
 
 class TestPennationAngle:
     def test_parallel_zero(self):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         assert pennation([(0, 0, 0), (0, 0, 10)], loa) == pytest.approx(0.0)
 
     def test_perpendicular_ninety(self):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         assert pennation([(0, 0, 0), (10, 0, 0)], loa) == pytest.approx(90.0)
 
     def test_directionless(self):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         up = pennation([(0, 0, 0), (5, 0, 10)], loa)
         down = pennation([(5, 0, 10), (0, 0, 0)], loa)
         assert up == down
@@ -158,11 +158,11 @@ class TestPennationAngle:
         chord = rng.uniform(-10, 10, (2, 3))
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        loa = LineOfAction(np.zeros(3), d, 1.0, "endpoint_fit")
+        loa = LineOfAction(d, 1.0, "endpoint_fit")
         base = pennation(chord, loa)
         for _ in range(5):
             rot = _rotation(rng)
-            loa_r = LineOfAction(np.zeros(3), rot @ d, 1.0, "endpoint_fit")
+            loa_r = LineOfAction(rot @ d, 1.0, "endpoint_fit")
             got = pennation(chord @ rot.T, loa_r)
             assert got == pytest.approx(base, abs=1e-9)
 
@@ -170,7 +170,7 @@ class TestPennationAngle:
         spec = PhantomSpec()
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
-        loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
+        loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         first, last = sset.endpoints()
         pas = _pennation_angles(last - first, loa.direction)
         assert np.abs(np.array(pas) - 10.0).max() < 1.0
@@ -179,12 +179,12 @@ class TestPennationAngle:
 
 class TestMuscleLength:
     def test_single_parallel_tract(self):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         sset = pack([[(3, 3, 0), (3, 3, 60)]])
         assert muscle_length(sset, loa) == 60.0
 
     def test_offset_tracts_same_projection(self):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         sset = pack([[(0, 0, 0), (0, 0, 60)], [(10, 5, 0), (10, 5, 60)]])
         assert muscle_length(sset, loa) == 60.0
 
@@ -192,7 +192,7 @@ class TestMuscleLength:
         spec = PhantomSpec()
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
-        loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
+        loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         assert muscle_length(sset, loa) == pytest.approx(60.0, rel=0.02)
 
 
@@ -216,7 +216,7 @@ class TestSummarize:
         return VoxelMask(np.ones((10, 10, 10), dtype=bool))
 
     def test_pcsa_cos0(self):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.95, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 0.95, "endpoint_fit")
         sset = pack([[(5, 5, -20), (5, 5, 30)]] * 3)
         arch = summarize(self._mask(), sset, loa)
         assert arch.mv == 1000.0
@@ -227,7 +227,7 @@ class TestSummarize:
     def test_pcsa_cos60(self):
         d = np.array([0.0, math.sin(math.radians(60)), math.cos(math.radians(60))])
         sset = pack([[(5, 5, 5), (5, 5 + 50 * d[1], 5 + 50 * d[2])]] * 3)
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.5, "mean_direction")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 0.5, "mean_direction")
         arch = summarize(self._mask(), sset, loa)
         assert arch.pa_median == pytest.approx(60.0)
         assert arch.pcsa == pytest.approx(1000.0 * 0.5 / 50.0)
@@ -264,7 +264,7 @@ class TestSummarize:
     def test_median_of_odd_list_is_an_element(self):
         lengths = [10.0, 30.0, 20.0]
         sset = pack([[(0, 0, 0), (0, 0, L)] for L in lengths])
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         arch = summarize(self._mask(), sset, loa)
         assert arch.fl_median == 20.0
 
@@ -277,7 +277,7 @@ class TestScaleLaw:
         for spec, spacing in ((spec1, 2.0), (spec2, 4.0)):
             mask, field, gt = make_phantom(spec)
             sset = reconstruct(field, mask, seeds_3d(mask, spacing))
-            loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
+            loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
             results.append(summarize(mask, sset, loa))
         a, b = results
         assert b.mv == pytest.approx(8 * a.mv, rel=1e-12)
@@ -291,7 +291,7 @@ class TestFlMlBand:
         spec = PhantomSpec(shape="box_unipennate", pennation_deg=25.0, dims_mm=(10, 8, 60))
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
-        loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
+        loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         arch = summarize(mask, sset, loa)
         assert 0.2 <= arch.fl_ml_ratio <= 0.6
 
@@ -299,14 +299,14 @@ class TestFlMlBand:
         spec = PhantomSpec(shape="box_unipennate", pennation_deg=0.0, dims_mm=(10, 8, 40))
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
-        loa = LineOfAction(np.zeros(3), gt.line_of_action, 1.0, "endpoint_fit")
+        loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         arch = summarize(mask, sset, loa)
         assert 0.0 < arch.fl_ml_ratio <= 1.0
 
 
 class TestGroupFractions:
     def _arch(self, mv, pcsa):
-        loa = LineOfAction(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
         return arch_with(mv, pcsa, loa)
 
     def test_single_record(self):
@@ -343,8 +343,9 @@ class TestGroupFractions:
         ]
         fr = group_fractions(records)
         assert sum(fr.volume_fraction.values()) == pytest.approx(1.0, abs=1e-12)
-        for g in set(fr.groups):
-            total = sum(f for grp, f in zip(fr.groups, fr.pcsa_fraction) if grp == g)
+        groups = [g for g, _ in records]
+        for g in set(groups):
+            total = sum(f for grp, f in zip(groups, fr.pcsa_fraction) if grp == g)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_rejected(self):

@@ -346,7 +346,9 @@ class TestFractionsCommand:
             pcsa = [float(r[3]) for r in rows if r[0] == "pcsa_fraction" and r[1] == group]
             assert sum(pcsa) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("column, value", [("mv_mm3", "abc"), ("pcsa_mm2", None)])
+    @pytest.mark.parametrize("column, value", [
+        ("mv_mm3", "abc"), ("pcsa_mm2", None), ("loa_x", "abc"), ("loa_source", None),
+    ])
     def test_bad_or_missing_column_exits_3(self, tmp_path, capsys, column, value):
         import muscletract.formats as fmts
 
@@ -493,6 +495,8 @@ class TestRunParameters:
         ("arch", ["--r2-threshold", "nan"], None),
         ("track", [], "out_dir=/nonexistent\n"),
         ("track", [], "poly_order=3\n"),
+        ("track", ["--max-angle", "1000"], None),
+        ("track", [], "max_angle_deg=1000\n"),
     ])
     def test_bad_value_exits_3_without_output(self, small_box, tmp_path, capsys, kind, extra, config):
         out = tmp_path / "out"

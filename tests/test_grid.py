@@ -59,4 +59,4 @@ class TestOrientationField:
         field = OrientationField(d, fa)
         field.directions[0, 0, 0, 0] = np.nan
         with pytest.raises(InvalidSpecError):
-            field.validate_units(tol=1e-6)
+            field.validate_units()

@@ -98,7 +98,6 @@ class TestSeeds3D:
         mask = VoxelMask(np.ones((10, 10, 10), dtype=bool))
         seeds = seeds_3d(mask, 1.0)
         assert len(seeds) == 1000
-        assert seeds.strategy == "3ds"
 
     def test_single_voxel_always_contributes_center(self):
         occ = np.zeros((8, 8, 8), dtype=bool)

@@ -7,10 +7,8 @@ import pytest
 from muscletract.errors import ArityError, DegenerateDistributionError
 from muscletract.stats import (
     BlandAltman,
-    PairedSample,
     bland_altman,
     betainc_regularized,
-    median_mean_gap,
     percent_diff,
     skewness,
     t_one_sample,
@@ -225,18 +223,3 @@ class TestPercentDiff:
         with pytest.warns(RuntimeWarning):
             got = percent_diff([1.0, 2.0, 3.0], [0.0, 2.0, 3.0])
         assert got == 0.0
-
-
-class TestPairedSample:
-    def test_validation(self):
-        ps = PairedSample([1.0, 2.0], [3.0, 4.0], labels=["a", "b"])
-        assert len(ps.a) == 2
-        with pytest.raises(ArityError):
-            PairedSample([1.0], [2.0])
-        with pytest.raises(ArityError):
-            PairedSample([1.0, 2.0], [3.0, 4.0], labels=["only-one"])
-
-
-def test_median_mean_gap_sign():
-    assert median_mean_gap([1.0, 2.0, 3.0]) == 0.0
-    assert median_mean_gap([1.0, 2.0, 100.0]) < 0.0  # long right tail drags the mean up

@@ -78,7 +78,7 @@ def scalar_reference_track(field, mask, seed, cfg):
 class TestTrack:
     def test_uniform_field_spans_mask(self):
         mask, field = uniform_box()
-        seeds = SeedSet(np.array([[10.0, 10.0, 30.0]]), "3ds")
+        seeds = SeedSet(np.array([[10.0, 10.0, 30.0]]))
         cfg = TrackingConfig()
         sset = track(field, mask, seeds, cfg)
         assert len(sset) == 1
@@ -87,19 +87,19 @@ class TestTrack:
 
     def test_low_fa_seed_produces_nothing(self):
         mask, field = uniform_box(fa=0.05)
-        seeds = SeedSet(np.array([[10.0, 10.0, 30.0]]), "3ds")
+        seeds = SeedSet(np.array([[10.0, 10.0, 30.0]]))
         assert len(track(field, mask, seeds)) == 0
 
     def test_seed_outside_mask_skipped(self):
         mask, field = uniform_box()
-        seeds = SeedSet(np.array([[10.0, 10.0, 30.0], [100.0, 100.0, 100.0]]), "3ds")
+        seeds = SeedSet(np.array([[10.0, 10.0, 30.0], [100.0, 100.0, 100.0]]))
         sset = track(field, mask, seeds)
         assert len(sset) == 1
 
     def test_matches_scalar_reference_uniform(self):
         mask, field = uniform_box(dims=(8, 8, 30))
         cfg = TrackingConfig(min_length_mm=1.0)
-        seeds = SeedSet(np.array([[4.5, 4.5, 15.5], [1.5, 2.5, 3.5]]), "3ds")
+        seeds = SeedSet(np.array([[4.5, 4.5, 15.5], [1.5, 2.5, 3.5]]))
         got = track(field, mask, seeds, cfg)
         for s, seed in zip(got, seeds.points):
             want = scalar_reference_track(field, mask, seed, cfg)
@@ -147,7 +147,7 @@ class TestTrack:
     def test_bidirectional_symmetry_in_uniform_field(self):
         mask, field = uniform_box()
         cfg = TrackingConfig()
-        seeds = SeedSet(np.array([[10.5, 10.5, 30.5], [10.5, 10.5, 7.5]]), "3ds")
+        seeds = SeedSet(np.array([[10.5, 10.5, 30.5], [10.5, 10.5, 7.5]]))
         sset = track(field, mask, seeds, cfg)
         a, b = sset
         for ends in (0, -1):
@@ -168,6 +168,10 @@ class TestTrack:
             TrackingConfig(step_mm=0.0)
         with pytest.raises(InvalidSpecError):
             TrackingConfig(max_extrap_fraction=1.5)
+        # cos(1000 deg) = cos(80 deg): an angle over 180 would silently gate at 80.
+        with pytest.raises(InvalidSpecError, match="max_angle_deg"):
+            TrackingConfig(max_angle_deg=1000.0)
+        assert TrackingConfig(max_angle_deg=180.0).max_angle_deg == 180.0
 
     @pytest.mark.parametrize(
         "name", ["step_mm", "max_angle_deg", "fa_min", "min_length_mm", "max_extrap_fraction"]
@@ -183,7 +187,7 @@ class TestTrack:
         field = OrientationField(
             np.tile([0.0, 0.0, 1.0], (3, 3, 3, 1)), np.ones((3, 3, 3)), voxel_size=100.0
         )
-        seeds = SeedSet(np.random.default_rng(0).uniform(1.0, 299.0, (300, 3)), "3ds")
+        seeds = SeedSet(np.random.default_rng(0).uniform(1.0, 299.0, (300, 3)))
         buffers = []
 
         def fake_propagate(field, mask, starts, init_dirs, cfg, max_steps):
@@ -332,7 +336,7 @@ class TestExtrapolate:
     def test_frame_mismatch_raises(self):
         mask, field = uniform_box(dims=(10, 10, 30))
         other = VoxelMask(np.ones((5, 5, 5), dtype=bool))
-        seeds = SeedSet(np.array([[2.0, 2.0, 2.0]]), "3ds")
+        seeds = SeedSet(np.array([[2.0, 2.0, 2.0]]))
         from muscletract.errors import FrameMismatchError
 
         with pytest.raises(FrameMismatchError):
@@ -380,7 +384,7 @@ def shortened(mask, field):
 
 def some_seeds(mask, spacing, limit=300):
     pts = seeds_3d(mask, spacing).points
-    return SeedSet(pts[:: max(1, len(pts) // limit)], "3ds")
+    return SeedSet(pts[:: max(1, len(pts) // limit)])
 
 
 CASES = {
@@ -487,7 +491,7 @@ class TestMatchesStepwiseReference:
 
     def test_no_tracks(self):
         mask, field = uniform_box(dims=(10, 10, 30))
-        seeds = SeedSet(np.array([[50.0, 50.0, 50.0]]), "3ds")
+        seeds = SeedSet(np.array([[50.0, 50.0, 50.0]]))
         assert len(reconstruct(field, mask, seeds)) == 0
 
 
@@ -513,7 +517,7 @@ class TestReconstructLog:
     def test_one_info_line_with_the_counts(self, caplog):
         mask, field = jittered_arc()
         pts = seeds_3d(mask, 1.0).points
-        seeds = SeedSet(np.concatenate([pts, [[-5.0, 0.0, 0.0], [500.0, 1.0, 1.0]]]), "3ds")
+        seeds = SeedSet(np.concatenate([pts, [[-5.0, 0.0, 0.0], [500.0, 1.0, 1.0]]]))
         cfg = TrackingConfig(step_mm=2.0, min_length_mm=5.0, max_extrap_fraction=0.1)
         with caplog.at_level(logging.INFO, logger="muscletract.tracking"):
             out = reconstruct(field, mask, seeds, cfg)
