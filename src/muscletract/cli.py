@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -90,17 +91,10 @@ _SHAPE_ALIASES = {"box": "box_unipennate", "fusiform": "fusiform", "arc": "curve
 
 
 def cmd_phantom(args) -> int:
-    spec = PhantomSpec(
-        shape=_SHAPE_ALIASES[args.shape],
-        pennation_deg=args.pennation,
-        dims_mm=args.dims,
-        voxel_mm=args.voxel,
-        arc_radius_mm=args.arc_radius,
-        arc_sweep_deg=args.arc_sweep,
-        arc_thickness_mm=args.arc_thickness,
-        jitter_deg=args.jitter,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(PhantomSpec) if hasattr(args, f.name)}
+    if "shape" in given:
+        given["shape"] = _SHAPE_ALIASES[given["shape"]]
+    spec = PhantomSpec(**given)
     mask, field, gt = make_phantom(spec)
     formats.save_mask(args.out_mask, mask)
     formats.save_field(args.out_field, field)
@@ -376,16 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_flag(tracking, "--min-length", dest="min_length_mm", type=float)
     run_flag(tracking, "--max-extrap", dest="max_extrap_fraction", type=float)
 
+    # Phantom flags likewise store under their PhantomSpec field, which holds
+    # the default.
     p = sub.add_parser("phantom", help="generate a synthetic phantom")
-    p.add_argument("--shape", choices=tuple(_SHAPE_ALIASES), default="box")
-    p.add_argument("--pennation", type=float, default=10.0)
-    p.add_argument("--dims", type=_parse_dims, default=(20.0, 12.0, 60.0))
-    p.add_argument("--voxel", type=float, default=1.0)
-    p.add_argument("--arc-radius", type=float, default=30.0)
-    p.add_argument("--arc-sweep", type=float, default=90.0)
-    p.add_argument("--arc-thickness", type=float, default=10.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    run_flag(p, "--shape", dest="shape", choices=tuple(_SHAPE_ALIASES))
+    run_flag(p, "--pennation", dest="pennation_deg", type=float)
+    run_flag(p, "--dims", dest="dims_mm", type=_parse_dims)
+    run_flag(p, "--voxel", dest="voxel_mm", type=float)
+    run_flag(p, "--arc-radius", dest="arc_radius_mm", type=float)
+    run_flag(p, "--arc-sweep", dest="arc_sweep_deg", type=float)
+    run_flag(p, "--arc-thickness", dest="arc_thickness_mm", type=float)
+    run_flag(p, "--jitter", dest="jitter_deg", type=float)
+    run_flag(p, "--seed", dest="seed", type=int)
     p.add_argument("--out-mask", required=True)
     p.add_argument("--out-field", required=True)
     p.add_argument("--out-truth", required=True)

@@ -10,6 +10,10 @@ All formats are little-endian with a 4-byte magic and a u32 version:
         (dir x, y, z, fa), x-fastest. Unit norm is validated where fa > 0.
   DENS  density volume: MSKV header, payload 1*float32 per voxel, x-fastest.
 
+The grid formats differ only in magic and payload: one writer (_save_grid)
+and one reader (_load_grid) serve all three, and each loader adds its own
+checks (occupancy bytes 0 or 1, unit directions).
+
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
 
 STRL records are read and written one streamline.blocks range at a time (at
@@ -38,6 +42,7 @@ angle would wrap (1000 would gate at 80).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, replace
@@ -142,72 +147,57 @@ def load_streamlines(path) -> StreamlineSet:
     return StreamlineSet(points, counts)
 
 
-def _write_grid_header(fh, magic: bytes, dims, voxel_size, origin) -> None:
-    fh.write(magic)
-    fh.write(struct.pack("<I", FORMAT_VERSION))
-    fh.write(np.asarray(dims, dtype="<u4").tobytes())
-    fh.write(np.asarray(voxel_size, dtype="<f4").tobytes())
-    fh.write(np.asarray(origin, dtype="<f4").tobytes())
+def _save_grid(path, magic: bytes, grid: np.ndarray, voxel_size, origin, dtype) -> None:
+    """Write a grid file: the MSKV header, then grid (nx, ny, nz[, channels])
+    as dtype, x-fastest, with the channels of a voxel contiguous."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(np.asarray(grid.shape[:3], dtype="<u4").tobytes())
+        fh.write(np.asarray(voxel_size, dtype="<f4").tobytes())
+        fh.write(np.asarray(origin, dtype="<f4").tobytes())
+        # Voxel (x, y, z) at flat index x + nx*(y + ny*z).
+        fh.write(np.ascontiguousarray(grid.swapaxes(0, 2), dtype=dtype))
 
 
-def _read_grid_header(fh, magic: bytes, path):
-    _read_header(fh, magic, path)
-    dims = np.frombuffer(_read_exact(fh, 12, "dims"), dtype="<u4").astype(int)
-    voxel_size = np.frombuffer(_read_exact(fh, 12, "voxel_size"), dtype="<f4").astype(np.float64)
-    origin = np.frombuffer(_read_exact(fh, 12, "origin"), dtype="<f4").astype(np.float64)
-    if (dims <= 0).any():
-        raise FormatError(f"{path}: non-positive dims {tuple(dims)}")
-    return tuple(int(d) for d in dims), voxel_size, origin
-
-
-def _x_fastest(grid: np.ndarray) -> np.ndarray:
-    # Voxel (x, y, z) at flat index x + nx*(y + ny*z); per-voxel channels stay contiguous.
-    if grid.ndim == 3:
-        return grid.transpose(2, 1, 0).reshape(-1)
-    return grid.transpose(2, 1, 0, 3).reshape(-1, grid.shape[3])
-
-
-def _from_x_fastest(flat: np.ndarray, dims, channels: int = 0) -> np.ndarray:
-    nx, ny, nz = dims
-    if channels:
-        return flat.reshape(nz, ny, nx, channels).transpose(2, 1, 0, 3)
-    return flat.reshape(nz, ny, nx).transpose(2, 1, 0)
+def _load_grid(path, magic: bytes, dtype, channels: int, what: str):
+    """(grid, voxel_size, origin) of a grid file that _save_grid wrote: grid
+    is an (nx, ny, nz[, channels]) view of the payload as dtype, and what
+    names the payload in the truncation error."""
+    with open(path, "rb") as fh:
+        _read_header(fh, magic, path)
+        dims = np.frombuffer(_read_exact(fh, 12, "dims"), dtype="<u4").astype(int)
+        voxel_size = np.frombuffer(_read_exact(fh, 12, "voxel_size"), dtype="<f4").astype(np.float64)
+        origin = np.frombuffer(_read_exact(fh, 12, "origin"), dtype="<f4").astype(np.float64)
+        if (dims <= 0).any():
+            raise FormatError(f"{path}: non-positive dims {tuple(dims)}")
+        shape = tuple(int(d) for d in dims[::-1]) + ((channels,) if channels else ())
+        n = math.prod(shape) * np.dtype(dtype).itemsize
+        raw = np.frombuffer(_read_exact(fh, n, what), dtype=dtype)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes")
+    return raw.reshape(shape).swapaxes(0, 2), voxel_size, origin
 
 
 def save_mask(path, mask: VoxelMask) -> None:
-    with open(path, "wb") as fh:
-        _write_grid_header(fh, b"MSKV", mask.dims, mask.voxel_size, mask.origin)
-        fh.write(_x_fastest(mask.occupancy.astype(np.uint8)).tobytes())
+    _save_grid(path, b"MSKV", mask.occupancy, mask.voxel_size, mask.origin, np.uint8)
 
 
 def load_mask(path) -> VoxelMask:
-    with open(path, "rb") as fh:
-        dims, voxel_size, origin = _read_grid_header(fh, b"MSKV", path)
-        n = dims[0] * dims[1] * dims[2]
-        raw = np.frombuffer(_read_exact(fh, n, "occupancy"), dtype=np.uint8)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes")
+    raw, voxel_size, origin = _load_grid(path, b"MSKV", np.uint8, 0, "occupancy")
     if not np.isin(raw, (0, 1)).all():
         raise FormatError(f"{path}: occupancy bytes must be 0 or 1")
-    occ = _from_x_fastest(raw, dims).astype(bool)
-    return VoxelMask(occ, voxel_size, origin)
+    return VoxelMask(raw, voxel_size, origin)
 
 
 def save_field(path, field: OrientationField) -> None:
     payload = np.concatenate([field.directions, field.fa[..., None]], axis=3)
-    with open(path, "wb") as fh:
-        _write_grid_header(fh, b"ORNT", field.dims, field.voxel_size, field.origin)
-        fh.write(np.ascontiguousarray(_x_fastest(payload), dtype="<f4").tobytes())
+    _save_grid(path, b"ORNT", payload, field.voxel_size, field.origin, "<f4")
 
 
 def load_field(path) -> OrientationField:
-    with open(path, "rb") as fh:
-        dims, voxel_size, origin = _read_grid_header(fh, b"ORNT", path)
-        n = dims[0] * dims[1] * dims[2] * 4
-        raw = np.frombuffer(_read_exact(fh, n * 4, "field payload"), dtype="<f4")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes")
-    grid = _from_x_fastest(raw.astype(np.float64), dims, channels=4)
+    raw, voxel_size, origin = _load_grid(path, b"ORNT", "<f4", 4, "field payload")
+    grid = raw.astype(np.float64)
     directions = grid[..., :3]
     fa = grid[..., 3]
     active = fa > 0
@@ -226,19 +216,12 @@ def load_field(path) -> OrientationField:
 
 def save_density(path, dmap: DensityMap, normalized: bool = False) -> None:
     data = dmap.normalized() if normalized else dmap.counts.astype(np.float64)
-    with open(path, "wb") as fh:
-        _write_grid_header(fh, b"DENS", dmap.counts.shape, dmap.voxel_size, dmap.origin)
-        fh.write(np.ascontiguousarray(_x_fastest(data), dtype="<f4").tobytes())
+    _save_grid(path, b"DENS", data, dmap.voxel_size, dmap.origin, "<f4")
 
 
 def load_density(path) -> DensityMap:
-    with open(path, "rb") as fh:
-        dims, voxel_size, origin = _read_grid_header(fh, b"DENS", path)
-        n = dims[0] * dims[1] * dims[2]
-        raw = np.frombuffer(_read_exact(fh, n * 4, "density payload"), dtype="<f4")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes")
-    return DensityMap(_from_x_fastest(raw.astype(np.float64), dims), voxel_size, origin)
+    raw, voxel_size, origin = _load_grid(path, b"DENS", "<f4", 0, "density payload")
+    return DensityMap(raw.astype(np.float64), voxel_size, origin)
 
 
 def fmt_float(x: float) -> str:

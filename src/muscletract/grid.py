@@ -3,6 +3,12 @@
 Grid convention: `origin` is the world coordinate of the minimum corner of
 voxel (0, 0, 0); a world point p lies in voxel floor((p - origin) / voxel_size).
 Voxel centers sit at origin + (index + 0.5) * voxel_size.
+
+VoxelMask is the one home of that lookup: world_to_index applies the floor
+rule and lookup is the one in-grid and occupancy test, for the tracker, the
+extrapolation and the density metrics alike. The one exception is the
+crossing test of tracking._propagate, its hottest loop, which floors a whole
+run of steps at once and only compares the indices with the start voxel's.
 """
 
 from __future__ import annotations
@@ -48,9 +54,8 @@ class VoxelMask:
         occ = np.asarray(self.occupancy)
         if occ.ndim != 3:
             raise InvalidSpecError("occupancy must be a 3D array")
-        if occ.dtype != np.bool_:
-            occ = occ.astype(bool)
-        self.occupancy = occ
+        # C order, so that lookup reads it flat without a copy.
+        self.occupancy = np.ascontiguousarray(occ, dtype=bool)
         self.voxel_size = _voxel_size(self.voxel_size)
         self.origin = _vec3(self.origin, "origin")
         if min(occ.shape) < 1:
@@ -77,23 +82,25 @@ class VoxelMask:
         return float(np.linalg.norm(self.world_extent))
 
     def world_to_index(self, points: np.ndarray) -> np.ndarray:
+        """The voxel index triple of each world point (the grid convention)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return np.floor((pts - self.origin) / self.voxel_size).astype(np.int64)
 
-    def index_in_grid(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.atleast_2d(idx)
-        dims = np.asarray(self.dims)
-        return ((idx >= 0) & (idx < dims)).all(axis=1)
+    def lookup(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, hit) for an (n, 3) array of index triples: flat is each
+        triple's flat C-order voxel index (0 where it lies off the grid), and
+        hit is True where the triple is in-grid and occupied."""
+        idx = np.asarray(idx, dtype=np.int64)
+        dims = self.dims
+        # Negative indices wrap to huge unsigned ones, so one test bounds both sides.
+        ok = idx.view(np.uint64) < np.asarray(dims, dtype=np.uint64)
+        inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
+        flat = np.where(inside, (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2], 0)
+        return flat, inside & self.occupancy.reshape(-1)[flat]
 
     def indices_occupied(self, idx: np.ndarray) -> np.ndarray:
         """True where an index triple is in-grid and occupied."""
-        idx = np.atleast_2d(idx)
-        ok = self.index_in_grid(idx)
-        out = np.zeros(len(idx), dtype=bool)
-        if ok.any():
-            sub = idx[ok]
-            out[ok] = self.occupancy[sub[:, 0], sub[:, 1], sub[:, 2]]
-        return out
+        return self.lookup(np.atleast_2d(idx))[1]
 
     def points_in_mask(self, points: np.ndarray) -> np.ndarray:
         return self.indices_occupied(self.world_to_index(points))

@@ -61,15 +61,9 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
     """
     dims, origin, vs = mask.dims, mask.origin, mask.voxel_size
     n_vox = mask.occupancy.size
-    occupied = mask.occupancy.reshape(-1)
 
     def keys(pts, owner):
-        idx = np.floor((pts - origin) / vs).astype(np.int64)
-        # Negative indices wrap to huge unsigned ones, so one test bounds both sides.
-        ok = idx.view(np.uint64) < np.asarray(dims, dtype=np.uint64)
-        inside = ok[:, 0] & ok[:, 1] & ok[:, 2]
-        flat = np.where(inside, (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2], 0)
-        hit = inside & occupied[flat]
+        flat, hit = mask.lookup(mask.world_to_index(pts))
         return (owner * n_vox + flat)[hit]
 
     sid = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
@@ -84,7 +78,9 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
     for a in range(3):
         c0 = (p0[:, a] - origin[a]) / vs[a]
         c1 = c0 + seg[:, a] / vs[a]
-        first, last = np.ceil(np.minimum(c0, c1)), np.floor(np.maximum(c0, c1))
+        # Only the planes of the grid's faces 0..dims[a] have a sample in it.
+        first = np.maximum(np.ceil(np.minimum(c0, c1)), 0.0)
+        last = np.minimum(np.floor(np.maximum(c0, c1)), dims[a])
         counts = np.maximum(0, last - first + 1).astype(np.int64)
         total = int(counts.sum())
         if total == 0:

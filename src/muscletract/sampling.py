@@ -70,6 +70,8 @@ class SeedSet:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if not np.isfinite(self.points).all():
+            raise InvalidSpecError("seed points must be finite")
 
     def __len__(self) -> int:
         return len(self.points)

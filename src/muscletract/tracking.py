@@ -122,7 +122,6 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     prev = init_dirs.copy()
     active = np.arange(n)
     cos_gate = math.cos(math.radians(cfg.max_angle_deg))
-    dims = np.asarray(mask.dims)
     origin, vs = mask.origin[:, None], mask.voxel_size[:, None]
     per_voxel = int(math.ceil(float(np.linalg.norm(mask.voxel_size)) / cfg.step_mm)) + 1
     run = max(1, min(max_steps, per_voxel, _RUN_BYTES // (24 * max(n, 1))))
@@ -131,7 +130,7 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     while active.size:
         m = len(active)
         here = p[active]
-        idx = np.floor((here - mask.origin) / mask.voxel_size).astype(np.int64)
+        idx = mask.world_to_index(here)
         v = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         fa = field.fa[idx[:, 0], idx[:, 1], idx[:, 2]]
         alive = fa >= cfg.fa_min
@@ -152,6 +151,9 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         np.add(here.T, sv, out=q[0])
         for j in range(1, run):
             np.add(q[j - 1], sv, out=q[j])
+        # The floor rule of world_to_index, on the whole run at once. It only
+        # finds the first step that leaves the start voxel, so it needs no
+        # bound or occupancy test; only that step gets mask.indices_occupied.
         qidx = np.floor((q - origin) / vs).astype(np.int64)
         moved = qidx != idx.T
         left = moved[:, 0] | moved[:, 1] | moved[:, 2]
@@ -159,11 +161,8 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
 
         # The step that leaves the voxel, if the run gets that far.
         exits = np.flatnonzero(alive & (cross < limit))
-        nidx = qidx[cross[exits], :, exits]
-        in_grid = ((nidx >= 0) & (nidx < dims)).all(axis=1)
-        safe = np.clip(nidx, 0, dims - 1)
         entered = np.zeros(m, dtype=bool)
-        entered[exits] = in_grid & mask.occupancy[safe[:, 0], safe[:, 1], safe[:, 2]]
+        entered[exits] = mask.indices_occupied(qidx[cross[exits], :, exits])
 
         take = np.where(alive, np.minimum(cross, limit) + entered, 0)
         emit = np.flatnonzero(offsets < take)
@@ -260,9 +259,16 @@ def track(
     shorter than cfg.min_length_mm are discarded. Output ids run 0..n-1 in
     seed order. The set's points array owns its memory (it is no view), so
     it can be grown in place with ndarray.resize, as reconstruct does.
+
+    cfg.step_mm must not exceed the mask diagonal: a longer step takes every
+    point off the grid, so no track could hold two points.
     """
     cfg = cfg or TrackingConfig()
     mask.require_same_frame(field, "orientation field")
+    if cfg.step_mm > mask.diagonal:
+        raise InvalidSpecError(
+            f"step_mm must not exceed the mask diagonal ({mask.diagonal:.6g} mm), got {cfg.step_mm}"
+        )
 
     pts = seeds.points
     inside = mask.points_in_mask(pts)
@@ -280,7 +286,7 @@ def track(
     buf, pos, kept = np.empty((0, 3)), 0, []
     for lo in range(0, len(pts), chunk):
         batch = pts[lo : lo + chunk]
-        idx = np.floor((batch - mask.origin) / mask.voxel_size).astype(np.int64)
+        idx = mask.world_to_index(batch)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         fwd, n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
         bwd, n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
@@ -341,7 +347,6 @@ def _ray_exits(mask: VoxelMask, starts: np.ndarray, directions: np.ndarray, max_
     tau = np.zeros(len(starts))
     active = np.flatnonzero(mask.indices_occupied(idx))
 
-    dims = np.asarray(mask.dims)
     vs = mask.voxel_size
     d, p, idx = directions[active], starts[active], idx[active]
     step = np.sign(d).astype(np.int64)
@@ -358,10 +363,7 @@ def _ray_exits(mask: VoxelMask, starts: np.ndarray, directions: np.ndarray, max_
         tau[active[rows[far]]] = np.nan
         rows, a, t = rows[~far], a[~far], t[~far]
         idx[rows, a] += step[rows, a]
-        moved = idx[rows, a]
-        safe = np.clip(idx[rows], 0, dims - 1)
-        stay = (moved >= 0) & (moved < dims[a])
-        stay &= mask.occupancy[safe[:, 0], safe[:, 1], safe[:, 2]]
+        stay = mask.indices_occupied(idx[rows])
         tau[active[rows[~stay]]] = np.where(0.0 > t[~stay], 0.0, t[~stay])
         rows, a = rows[stay], a[stay]
         t_max[rows, a] += t_delta[rows, a]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import re
 import subprocess
@@ -22,6 +23,7 @@ from muscletract.formats import (
 )
 import muscletract.streamline as streamline_mod
 from muscletract.grid import VoxelMask
+from muscletract.phantom import PhantomSpec
 from reference_streamline import pack
 
 
@@ -61,13 +63,17 @@ class TestPhantomCommand:
         inside = f.fa > 0
         assert np.allclose(f.directions[inside], [0.0, 0.0, 1.0], atol=1e-6)
 
+    # Explicit ids, so that adding a case renames no other; the ids are the
+    # ones pytest derived from each case's position before.
     @pytest.mark.parametrize("extra, field", [
-        (["--voxel", "nan"], "voxel_mm"),
-        (["--dims", "nanx12x60"], "dims_mm"),
-        (["--shape", "arc", "--arc-radius", "nan"], "arc_radius_mm"),
-        (["--shape", "arc", "--arc-thickness", "nan"], "arc_thickness_mm"),
-        (["--jitter", "nan"], "jitter_deg"),
-        (["--jitter", "inf"], "jitter_deg"),
+        pytest.param(["--voxel", "nan"], "voxel_mm", id="extra0-voxel_mm"),
+        pytest.param(["--dims", "nanx12x60"], "dims_mm", id="extra1-dims_mm"),
+        pytest.param(["--shape", "arc", "--arc-radius", "nan"], "arc_radius_mm",
+                     id="extra2-arc_radius_mm"),
+        pytest.param(["--shape", "arc", "--arc-thickness", "nan"], "arc_thickness_mm",
+                     id="extra3-arc_thickness_mm"),
+        pytest.param(["--jitter", "nan"], "jitter_deg", id="extra4-jitter_deg"),
+        pytest.param(["--jitter", "inf"], "jitter_deg", id="extra5-jitter_deg"),
     ])
     def test_nonfinite_value_exits_3_naming_its_field(self, tmp_path, capsys, extra, field):
         mask = tmp_path / "m.mskv"
@@ -78,6 +84,21 @@ class TestPhantomCommand:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
         assert not mask.exists()
+
+    def test_phantom_flags_store_under_spec_fields(self):
+        # Phantom flags default to SUPPRESS, so PhantomSpec holds the one
+        # default of each; every other option keeps a real default.
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        spec_fields = {f.name for f in dataclasses.fields(PhantomSpec)}
+        dests = set()
+        for action in sub.choices["phantom"]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if action.default is argparse.SUPPRESS:
+                dests.add(action.dest)
+            else:
+                assert action.dest not in spec_fields
+        assert dests == spec_fields
 
     def test_mask_round_trip_byte_exact(self, phantom_files, tmp_path):
         mask, _, _ = phantom_files
@@ -482,21 +503,27 @@ def _command(f, kind, out):
 
 
 class TestRunParameters:
+    # Explicit ids, so that adding a case renames no other; the ids of the
+    # first fourteen are the ones pytest derived from each case's position.
     @pytest.mark.parametrize("kind, extra, config", [
-        ("track", ["--target-candidates", "0"], None),
-        ("track", ["--target-candidates", "-5"], None),
-        ("track", [], "n_candidates=0\n"),
-        ("2ds", ["-k", "0"], None),
-        ("3ds", ["-k", "-3"], None),
-        ("fss", ["-k", "0"], None),
-        ("track", ["--step", "nan"], None),
-        ("track", ["--max-angle", "nan"], None),
-        ("track", ["--spacing", "nan"], None),
-        ("arch", ["--r2-threshold", "nan"], None),
-        ("track", [], "out_dir=/nonexistent\n"),
-        ("track", [], "poly_order=3\n"),
-        ("track", ["--max-angle", "1000"], None),
-        ("track", [], "max_angle_deg=1000\n"),
+        pytest.param("track", ["--target-candidates", "0"], None, id="track-extra0-None"),
+        pytest.param("track", ["--target-candidates", "-5"], None, id="track-extra1-None"),
+        pytest.param("track", [], "n_candidates=0\n", id="track-extra2-n_candidates=0\n"),
+        pytest.param("2ds", ["-k", "0"], None, id="2ds-extra3-None"),
+        pytest.param("3ds", ["-k", "-3"], None, id="3ds-extra4-None"),
+        pytest.param("fss", ["-k", "0"], None, id="fss-extra5-None"),
+        pytest.param("track", ["--step", "nan"], None, id="track-extra6-None"),
+        pytest.param("track", ["--max-angle", "nan"], None, id="track-extra7-None"),
+        pytest.param("track", ["--spacing", "nan"], None, id="track-extra8-None"),
+        pytest.param("arch", ["--r2-threshold", "nan"], None, id="arch-extra9-None"),
+        pytest.param("track", [], "out_dir=/nonexistent\n",
+                     id="track-extra10-out_dir=/nonexistent\n"),
+        pytest.param("track", [], "poly_order=3\n", id="track-extra11-poly_order=3\n"),
+        pytest.param("track", ["--max-angle", "1000"], None, id="track-extra12-None"),
+        pytest.param("track", [], "max_angle_deg=1000\n", id="track-extra13-max_angle_deg=1000\n"),
+        # A step longer than the mask diagonal takes every point off the grid.
+        pytest.param("track", ["--step", "1e20"], None, id="track-step-1e20"),
+        pytest.param("3ds", ["--step", "1e300"], None, id="3ds-step-1e300"),
     ])
     def test_bad_value_exits_3_without_output(self, small_box, tmp_path, capsys, kind, extra, config):
         out = tmp_path / "out"
@@ -535,9 +562,12 @@ class TestRunParameters:
     def test_run_parameter_flags_store_under_run_config_keys(self):
         # Run-parameter flags default to SUPPRESS so that only given flags
         # override the config; every other option keeps a real default.
+        # (The phantom flags have a test of their own.)
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         dests = set()
-        for parser in sub.choices.values():
+        for name, parser in sub.choices.items():
+            if name == "phantom":
+                continue
             for action in parser._actions:
                 if isinstance(action, argparse._HelpAction):
                     continue
@@ -593,6 +623,20 @@ class TestFrameCheck:
         far = [[(100.0 + i, 100.0, 100.0), (101.0 + i, 100.0, 100.0)] for i in range(3)]
         last = [(100.0, 100.0, 100.0), (4.0, 4.0, 4.0)]  # the grid's far corner
         assert self.lines(tmp_path, far + [last], monkeypatch) == 0
+
+
+    def test_far_vertex_counts_like_one_just_outside(self, small_box, tmp_path):
+        mask = load_mask(small_box["mask"])
+        outside = float(mask.origin[0] + mask.world_extent[0] + 0.5)
+        written = {}
+        for label, x in {"far": 1e30, "moved": outside}.items():
+            save_streamlines(tmp_path / f"{label}.strl", pack([[(1.5, 2.0, 2.0), (2.5, 2.0, 2.0),
+                                                                 (x, 2.0, 2.0)]]))
+            assert run(["metrics", "--streamlines", tmp_path / f"{label}.strl",
+                        "--mask", small_box["mask"], "--out-csv", tmp_path / f"{label}.csv",
+                        "--out-density", tmp_path / f"{label}.dens"]) == 0
+            written[label] = [(tmp_path / f"{label}.{ext}").read_bytes() for ext in ("csv", "dens")]
+        assert written["far"] == written["moved"]
 
 
 class TestLogging:

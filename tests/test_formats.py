@@ -303,6 +303,49 @@ class TestDensityRoundTrip:
         assert got.counts[1, 0, 0] == 0.5
 
 
+class TestGridFiles:
+    """MSKV, ORNT and DENS share one reader: each keeps its messages."""
+
+    @staticmethod
+    def saved(tmp_path, kind):
+        rng = np.random.default_rng(6)
+        path = tmp_path / f"g.{kind}"
+        if kind == "mskv":
+            save_mask(path, random_mask(rng))
+            return path, load_mask, "occupancy"
+        if kind == "ornt":
+            save_field(path, random_field(rng))
+            return path, load_field, "field payload"
+        mask = random_mask(rng)
+        save_density(path, DensityMap(rng.integers(0, 9, mask.dims), mask.voxel_size, mask.origin))
+        return path, load_density, "density payload"
+
+    @pytest.mark.parametrize("kind", ["mskv", "ornt", "dens"])
+    def test_truncated_payload_rejected(self, tmp_path, kind):
+        path, load, what = self.saved(tmp_path, kind)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"truncated file while reading {what}"
+
+    @pytest.mark.parametrize("kind", ["mskv", "ornt", "dens"])
+    def test_trailing_bytes_rejected(self, tmp_path, kind):
+        path, load, _ = self.saved(tmp_path, kind)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: trailing bytes"
+
+    @pytest.mark.parametrize("kind", ["mskv", "ornt", "dens"])
+    def test_zero_dims_rejected(self, tmp_path, kind):
+        path, load, _ = self.saved(tmp_path, kind)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = struct.pack("<I", 0)  # dims[1]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-positive dims"):
+            load(path)
+
+
 class TestCsv:
     def test_nine_significant_digits(self):
         assert fmt_float(np.pi) == "3.14159265"

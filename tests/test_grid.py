@@ -27,6 +27,23 @@ class TestVoxelMask:
             VoxelMask(np.ones((2, 2, 2), dtype=bool), origin=(0.0, 0.0, bad))
 
 
+class TestLookup:
+    def test_matches_bounds_and_occupancy(self):
+        rng = np.random.default_rng(5)
+        occ = rng.random((3, 4, 5)) < 0.5
+        mask = VoxelMask(occ)
+        idx = rng.integers(-3, 7, size=(500, 3))
+        idx[:3] = [[-2**63, 0, 0], [2**63 - 1, 1, 1], [2, 3, 4]]
+        flat, hit = mask.lookup(idx)
+        inside = ((idx >= 0) & (idx < mask.dims)).all(axis=1)
+        want = np.zeros(len(idx), dtype=bool)
+        want[inside] = occ[tuple(idx[inside].T)]
+        assert np.array_equal(hit, want)
+        assert np.array_equal(flat[inside], np.ravel_multi_index(tuple(idx[inside].T), mask.dims))
+        assert not flat[~inside].any()
+        assert np.array_equal(mask.indices_occupied(idx), want)
+
+
 class TestOrientationField:
     def test_nan_direction_where_active_rejected(self):
         d, fa = unit_field()

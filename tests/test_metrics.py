@@ -62,6 +62,19 @@ class TestVoxelize:
             pts = rng.uniform(0.2, 5.8, (5, 3))
             assert voxel_set(pts, mask) == fine_step_voxel_walk(pts, mask, step=0.0005)
 
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.8, 0.6, 0.0), (-0.48, 0.6, -0.64)])
+    def test_far_vertex_counts_like_one_just_outside(self, direction):
+        # Only the face planes of the grid have samples in it, so a vertex
+        # 1e30 mm out counts what the same line stopped just outside counts.
+        mask = full_mask((5, 4, 4))
+        d = np.asarray(direction)
+        near = [(0.5, 0.5, 0.5), (2.5, 1.5, 1.7)]
+        out = 0.1 + min((np.where(d > 0, mask.dims, 0) - near[1])[d != 0] / d[d != 0])
+        far = density(pack([near + [tuple(near[1] + 1e30 * d)]]), mask)
+        moved = density(pack([near + [tuple(near[1] + out * d)]]), mask)
+        assert not mask.points_in_mask(near[1] + out * d)[0]
+        assert np.array_equal(far[0].counts, moved[0].counts) and far[1] == moved[1]
+
     def test_counts_once_per_voxel(self):
         mask = full_mask((5, 3, 3))
         # doubles back through the same voxels

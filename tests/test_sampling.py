@@ -11,7 +11,7 @@ from muscletract.errors import (
     InvalidSpecError,
 )
 from muscletract.grid import VoxelMask
-from muscletract.sampling import FSSConfig, fss_filter, seeds_2d, seeds_3d
+from muscletract.sampling import FSSConfig, SeedSet, fss_filter, seeds_2d, seeds_3d
 from muscletract.streamline import _resample_set, mdf_rows
 from reference_streamline import arc_length, mdf, pack, resample
 
@@ -92,6 +92,13 @@ def straight(x0, y0, length, n=12):
 # ---------------------------------------------------------------------------
 # seeds_3d
 # ---------------------------------------------------------------------------
+
+class TestSeedSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        with pytest.raises(InvalidSpecError, match="seed points must be finite"):
+            SeedSet([[1.0, 1.0, 1.0], [bad, 1.0, 1.0]])
+
 
 class TestSeeds3D:
     def test_full_lattice_10cube(self):

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ class TestTrack:
         seeds = SeedSet(np.array([[10.0, 10.0, 30.0], [100.0, 100.0, 100.0]]))
         sset = track(field, mask, seeds)
         assert len(sset) == 1
+
+    def test_step_over_mask_diagonal_rejected(self):
+        mask, field = uniform_box(dims=(2, 2, 2))
+        seeds = SeedSet([[0.5, 0.5, 0.5]])
+        for step in (np.nextafter(mask.diagonal, np.inf), 1e20, 1e300):
+            cfg = TrackingConfig(step_mm=float(step), min_length_mm=1e-3)
+            with pytest.raises(InvalidSpecError, match="step_mm"):
+                track(field, mask, seeds, cfg)
+
+    def test_step_just_under_mask_diagonal_runs(self):
+        # One step along the diagonal from the origin corner lands in the
+        # opposite corner voxel.
+        mask, field = uniform_box(dims=(2, 2, 2), direction=np.ones(3) / math.sqrt(3.0))
+        cfg = TrackingConfig(step_mm=mask.diagonal * (1 - 1e-9), min_length_mm=1.0)
+        (got,) = track(field, mask, SeedSet([[0.0, 0.0, 0.0]]), cfg)
+        assert got.shape == (2, 3) and mask.world_to_index(got[1]).tolist() == [[1, 1, 1]]
+        track(field, mask, SeedSet([[0.0, 0.0, 0.0]]), replace(cfg, step_mm=mask.diagonal))
 
     def test_matches_scalar_reference_uniform(self):
         mask, field = uniform_box(dims=(8, 8, 30))
