@@ -8,8 +8,7 @@ per-muscle architecture (architecture), comparison statistics (stats), and
 file formats plus the CLI (formats, cli).
 
 Streamlines travel between the stages as one StreamlineSet: a packed point
-buffer with offsets and ids, whose iteration yields each streamline's (c, 3)
-points.
+buffer with offsets, whose iteration yields each streamline's (c, 3) points.
 """
 
 from .architecture import (

@@ -61,15 +61,22 @@ from .tracking import TrackingConfig
 FORMAT_VERSION = 1
 
 _U32 = struct.Struct("<I")
-# Bytes of a STRL file that the first pass of load_streamlines reads at a time.
-_HEAD_BYTES = 1 << 16
+# Bytes that load_streamlines' first pass and _read_exact ask a file for at a time.
+_READ_BYTES = 1 << 16
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return data
+    """The next n bytes of fh, read _READ_BYTES at a time: a file shorter
+    than n, whatever n a header claims, raises FormatError after only what
+    it holds has been read."""
+    parts = []
+    while n > 0:
+        part = fh.read(min(n, _READ_BYTES))
+        if not part:
+            raise FormatError(f"truncated file while reading {what}")
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
 
 
 def _read_header(fh, magic: bytes, path) -> None:
@@ -106,9 +113,9 @@ def save_streamlines(path, sset: StreamlineSet) -> None:
 
 
 def load_streamlines(path) -> StreamlineSet:
-    """Load streamlines; ids are assigned by file order.
+    """Load streamlines, in file order.
 
-    A first pass checks the point counts, reading _HEAD_BYTES of the file at
+    A first pass checks the point counts, reading _READ_BYTES of the file at
     a time; the records are then read one block at a time (module docstring)
     into one float64 buffer.
     """
@@ -121,7 +128,7 @@ def load_streamlines(path) -> StreamlineSet:
         chunk, at = b"", start  # chunk holds the bytes of the file from at on
         for i in range(count):
             if pos + 4 > at + len(chunk):
-                chunk, at = os.pread(fd, _HEAD_BYTES, pos), pos
+                chunk, at = os.pread(fd, _READ_BYTES, pos), pos
                 if len(chunk) < 4:
                     raise FormatError("truncated file while reading npoints")
             (npoints,) = _U32.unpack_from(chunk, pos - at)

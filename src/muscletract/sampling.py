@@ -29,8 +29,8 @@ m * 2**-53 * M of its exact value, so a centroid distance is within about
 covers both, scaling with the coordinates as their rounding does; its
 absolute part covers squared point differences that underflow. A skipped
 candidate then has a computed MDF to the new pick no smaller than its cached
-minimum, so the selected ids and selection distances are bit-identical to
-those of an update that evaluates every candidate at every step.
+minimum, so the selected positions and selection distances are bit-identical
+to those of an update that evaluates every candidate at every step.
 
 The first pick under init_rule "longest" reuses the resampler's segment-length
 totals. A total sums the same c - 1 segment lengths as the arc length
@@ -97,9 +97,9 @@ class FSSConfig:
 
 @dataclass
 class FSSTrace:
-    """Record of one traversal: ids in selection order, the min-distance at
-    which each was picked (inf for the initial pick), and the number of MDF
-    evaluations the traversal made."""
+    """Record of one traversal: the positions of the picked candidates in
+    selection order, the min-distance at which each was picked (inf for the
+    initial pick), and the number of MDF evaluations the traversal made."""
 
     selected_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     selection_distance: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -147,10 +147,7 @@ def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
             f"mask has {len(occupied_slices)} occupied slices, need {n_slices}"
         )
     first, last = int(occupied_slices[0]), int(occupied_slices[-1])
-    if n_slices == 1:
-        chosen = np.array([first])
-    else:
-        chosen = np.round(np.linspace(first, last, n_slices)).astype(int)
+    chosen = np.round(np.linspace(first, last, n_slices)).astype(int)
 
     picks = occ[np.isin(occ[:, axis], chosen)]
     return SeedSet(mask.voxel_centers(picks))
@@ -161,8 +158,8 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
 
     Deterministic: the first pick follows cfg.init_rule (longest arc length by
     default), every later step picks the remaining streamline maximizing its
-    minimum MDF to the selected set, and ties break to the lowest id. Output
-    order is selection order.
+    minimum MDF to the selected set, and ties break to the lowest position in
+    the candidate set. Output order is selection order.
 
     Each step evaluates MDF from the new pick only to the candidates that the
     centroid bound of the module docstring cannot skip, instead of to all n
@@ -175,16 +172,10 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
     if cfg.k > n:
         raise ArityError(f"k={cfg.k} exceeds candidate count {n}")
 
-    # Candidates are traversed in id order, so ties break to the lowest id.
-    order = np.argsort(candidates.ids, kind="stable")
     stack, totals = _resample_set(candidates, cfg.m)
-    coords = np.ascontiguousarray(stack[order].transpose(2, 1, 0))
+    coords = np.ascontiguousarray(stack.transpose(2, 1, 0))
     del stack
-
-    if cfg.init_rule == "longest":
-        first = _longest(candidates, order, totals[order])
-    else:
-        first = 0
+    first = _longest(candidates, totals) if cfg.init_rule == "longest" else 0
 
     selected = np.empty(cfg.k, dtype=np.int64)
     distances = np.empty(cfg.k)
@@ -212,26 +203,19 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
         "fss_filter: %d candidates, k=%d; %d MDF evaluations (%.2f%% of n*k)",
         n, cfg.k, evaluations, 100.0 * evaluations / (n * cfg.k),
     )
-    rows = order[selected]
-    trace = FSSTrace(
-        selected_ids=candidates.ids[rows],
-        selection_distance=distances,
-        mdf_evaluations=evaluations,
-    )
-    return candidates.take(rows), trace
+    return candidates.take(selected), FSSTrace(selected, distances, evaluations)
 
 
-def _longest(candidates: StreamlineSet, order: np.ndarray, estimates: np.ndarray) -> int:
-    """Position in id order of the candidate of largest arc length, the
-    lowest id among equals.
+def _longest(candidates: StreamlineSet, estimates: np.ndarray) -> int:
+    """Position of the candidate of largest arc length, the lowest among
+    equals.
 
-    estimates are the resampler's sequential sums of the segment lengths, in
-    id order; the arc length is computed only for the candidates whose
-    estimate lies within the margin of the module docstring of the largest.
+    estimates are the resampler's sequential sums of the segment lengths; the
+    arc length is computed only for the candidates whose estimate lies within
+    the margin of the module docstring of the largest.
     """
     top = float(estimates.max())
     margin = 4 * (int(candidates.counts.max()) + 8) * 2.0**-53 * top
     near = np.flatnonzero(estimates >= top - margin)
-    rows = order[near]
-    exact = _lengths(candidates.points, candidates.offsets[rows], candidates.counts[rows])
+    exact = _lengths(candidates.points, candidates.offsets[near], candidates.counts[near])
     return int(near[np.argmax(exact)])

@@ -2,15 +2,15 @@
 
 A streamline is an ordered 3D polyline in world millimeters with at least two
 points and positive arc length. A StreamlineSet packs n of them the way
-nibabel's ArraySequence does: one (N, 3) float64 point buffer, n + 1 int64
-offsets (streamline i is points[offsets[i]:offsets[i + 1]]) and n int64 ids.
-It is the only streamline container: every stage of the pipeline, from the
-tracker to the architecture reductions, takes and returns one. A set is
-validated once, over its whole buffer, when it is built; iterating over it
-yields each streamline's (c, 3) points as a view into the buffer. A set built
-from streamlines that are valid by construction (the rows of a validated set,
-or the raw tracks of tracking.track) is not validated at all; only its ids
-are checked for uniqueness.
+nibabel's ArraySequence does: one (N, 3) float64 point buffer and n + 1
+int64 offsets (streamline i is points[offsets[i]:offsets[i + 1]]); its
+position is a streamline's one identity. It is the only streamline container:
+every stage of the pipeline, from the tracker to the architecture reductions,
+takes and returns one. A set is validated once, over its whole buffer, when
+it is built; iterating over it yields each streamline's (c, 3) points as a
+view into the buffer. A set built from streamlines that are valid by
+construction (the rows of a validated set, or the raw tracks of
+tracking.track) is not validated at all.
 
 Work over a set runs in blocks of whole streamlines holding at most
 BLOCK_POINTS points, read when the work starts. A streamline longer than the
@@ -97,32 +97,21 @@ class StreamlineSet:
     """Streamlines sharing one coordinate frame, packed as described in the
     module docstring."""
 
-    def __init__(self, points, counts, ids=None):
+    def __init__(self, points, counts):
         """A set over an (N, 3) point buffer that holds streamlines of the
-        given point counts one after another; ids default to 0..n-1. A
-        float64 buffer is used as given, not copied. Every streamline is
-        validated (_validate), and the ids must be unique."""
-        points = np.asarray(points, dtype=np.float64)
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        ids = np.asarray(np.arange(len(counts)) if ids is None else ids, dtype=np.int64).reshape(-1)
-        if len(ids) != len(counts):
-            raise InvalidStreamlineError(f"{len(ids)} ids for {len(counts)} streamlines")
-        _validate(points, offsets)
-        self._assign(points, offsets, ids)
+        given point counts one after another. A float64 buffer is used as
+        given, not copied. Every streamline is validated (_validate)."""
+        self.points = np.asarray(points, dtype=np.float64)
+        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        _validate(self.points, self.offsets)
 
     @classmethod
-    def _trusted(cls, points, offsets, ids) -> StreamlineSet:
-        """A set over streamlines that are valid by construction: only the
-        uniqueness of the ids is checked."""
+    def _trusted(cls, points, offsets) -> StreamlineSet:
+        """A set over streamlines that are valid by construction, unchecked."""
         sset = cls.__new__(cls)
-        sset._assign(points, offsets, ids)
+        sset.points, sset.offsets = points, offsets
         return sset
-
-    def _assign(self, points, offsets, ids) -> None:
-        if len(_distinct(ids)) != len(ids):
-            raise InvalidStreamlineError("streamline ids within a set must be unique")
-        self.points, self.offsets, self.ids = points, offsets, ids
 
     @property
     def counts(self) -> np.ndarray:
@@ -130,11 +119,11 @@ class StreamlineSet:
         return np.diff(self.offsets)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.offsets) - 1
 
     def __iter__(self):
         """Each streamline's (c, 3) points, in set order, as views into the
-        buffer; the ids are self.ids."""
+        buffer."""
         bounds = self.offsets.tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield self.points[lo:hi]
@@ -144,11 +133,9 @@ class StreamlineSet:
         return self.points[self.offsets[:-1]], self.points[self.offsets[1:] - 1]
 
     def take(self, rows) -> StreamlineSet:
-        """The streamlines at the given positions, in that order, with their
-        ids; copied one block at a time.
-
-        The copied rows were validated with this set, so only the uniqueness
-        of the taken ids is checked again."""
+        """The streamlines at the given positions, in that order, copied one
+        block at a time. The copied rows were validated with this set, so
+        they are not checked again."""
         rows = np.asarray(rows, dtype=np.int64)
         starts, counts = self.offsets[rows], self.counts[rows]
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -156,7 +143,7 @@ class StreamlineSet:
         for lo, hi in blocks(offsets):
             src = np.repeat(starts[lo:hi] - offsets[lo:hi], counts[lo:hi])
             points[offsets[lo] : offsets[hi]] = self.points[src + np.arange(offsets[lo], offsets[hi])]
-        return StreamlineSet._trusted(points, offsets, self.ids[rows])
+        return StreamlineSet._trusted(points, offsets)
 
 
 def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:

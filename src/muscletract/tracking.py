@@ -49,13 +49,14 @@ its margin keeps the result exact):
 - Step count. Each segment of a raw track of c points is one Euler step s*v,
   with v from a voxel whose anisotropy passes fa_min, so its length is s*|v|
   and the track's lies in (c - 1) * s * [min |v|, max |v|] over those
-  voxels; directions are unit only to within grid.UNIT_TOL, so the norms
-  are read from the field. A computed segment differs from s*|v| by the
-  rounding of one addition to a point and one subtraction back, at most
-  8 * 2**-53 * (R + s * max |v|) for coordinates of magnitude up to R, the
-  mask's; the summed length adds 2 * (c + 16) * 2**-53, relative. A track
-  whose whole range lies on one side of min_length_mm is kept or dropped
-  without measuring it.
+  voxels. fa_min > 0, and OrientationField holds every vector with fa > 0
+  to a computed norm within grid.UNIT_TOL of 1, itself within 2**-50 of the
+  exact norm, so |v| lies within UNIT_TOL + 2**-50 of 1. A computed segment
+  differs from s*|v| by the rounding of one addition to a point and one
+  subtraction back, at most 8 * 2**-53 * (R + s * max |v|) for coordinates
+  of magnitude up to R, the mask's; the summed length adds
+  2 * (c + 16) * 2**-53, relative. A track whose whole range lies on one
+  side of min_length_mm is kept or dropped without measuring it.
 - Chord. A polyline is at least as long as its chord. A track whose added
   extrapolation length is at most max_extrap_fraction times its chord,
   less 2 * (c + 16) * 2**-53 of that for rounding, is accepted without
@@ -71,9 +72,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidSpecError
-from .grid import OrientationField, VoxelMask
+from .grid import UNIT_TOL, OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import BLOCK_POINTS, StreamlineSet, _lengths
+from .streamline import StreamlineSet, _lengths
 
 log = logging.getLogger(__name__)
 
@@ -207,28 +208,18 @@ def _pack_in_place(buf, offsets, rows, head=0, tail=0) -> np.ndarray:
     return new_counts
 
 
-def _step_range(field: OrientationField, mask: VoxelMask, cfg: TrackingConfig):
+def _step_range(mask: VoxelMask, cfg: TrackingConfig):
     """(low, high, slack): every computed segment length of a raw track lies
     in [low - slack, high + slack], up to the relative rounding that
     _long_enough allows for.
 
-    low and high are step_mm times the smallest and largest norm of the
-    field vectors whose anisotropy passes fa_min, read one slab of at most
-    BLOCK_POINTS voxels at a time; slack covers the rounding of one step's
+    low and high are step_mm times the bounds on the norm of a usable field
+    vector (module docstring); slack covers the rounding of one step's
     addition to a point and the subtraction back, at coordinates of the
     mask's largest magnitude.
     """
-    sq_lo, sq_hi = math.inf, 0.0
-    per_slab = max(1, BLOCK_POINTS // (field.dims[1] * field.dims[2]))
-    for a in range(0, field.dims[0], per_slab):
-        usable = field.fa[a : a + per_slab] >= cfg.fa_min
-        if usable.any():
-            d = field.directions[a : a + per_slab]
-            sq = np.einsum("...i,...i->...", d, d)[usable]
-            sq_lo, sq_hi = min(sq_lo, float(sq.min())), max(sq_hi, float(sq.max()))
-    if sq_hi == 0.0:  # no usable vector: every track is one point
-        return 0.0, 0.0, 0.0
-    low, high = cfg.step_mm * math.sqrt(sq_lo), cfg.step_mm * math.sqrt(sq_hi)
+    tol = UNIT_TOL + 2.0**-50
+    low, high = cfg.step_mm * (1.0 - tol), cfg.step_mm * (1.0 + tol)
     reach = float(np.max(np.abs(mask.origin) + mask.world_extent))
     return low, high, 8 * 2.0**-53 * (reach + high)
 
@@ -256,9 +247,9 @@ def track(
     """Track one bidirectional streamline per seed.
 
     Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
-    shorter than cfg.min_length_mm are discarded. Output ids run 0..n-1 in
-    seed order. The set's points array owns its memory (it is no view), so
-    it can be grown in place with ndarray.resize, as reconstruct does.
+    shorter than cfg.min_length_mm are discarded; the rest keep seed order.
+    The set's points array owns its memory (it is no view), so it can be
+    grown in place with ndarray.resize, as reconstruct does.
 
     cfg.step_mm must not exceed the mask diagonal: a longer step takes every
     point off the grid, so no track could hold two points.
@@ -277,7 +268,7 @@ def track(
         log.info("track: skipped %d of %d seeds outside the mask", skipped, len(pts))
     pts = pts[inside]
 
-    step_range = _step_range(field, mask, cfg)
+    step_range = _step_range(mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
     # Each half-track buffer holds max_steps * chunk * 3 float64s: keep it within 6e7 bytes.
     chunk = max(1, min(4096, int(6e7 / (max_steps * 24))))
@@ -310,7 +301,7 @@ def track(
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(buf, offsets, np.arange(len(counts)))
+    return StreamlineSet._trusted(buf, offsets)
 
 
 def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:

@@ -25,11 +25,11 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def pack(arrays, ids=None) -> StreamlineSet:
+def pack(arrays) -> StreamlineSet:
     """A validated set of the given (n, 3) point arrays, in order."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     points = np.concatenate(arrays) if arrays else np.empty((0, 3))
-    return StreamlineSet(points, [len(a) for a in arrays], ids=ids)
+    return StreamlineSet(points, [len(a) for a in arrays])
 
 
 def arc_length(points) -> float:

@@ -173,7 +173,7 @@ def naive_farthest_first_ids(cands, k):
         dmin = pair[:, selected].min(axis=1)
         dmin[selected] = -np.inf
         selected.append(int(np.argmax(dmin)))
-    return cands.ids[selected].tolist()
+    return selected
 
 
 @pytest.fixture(scope="module")

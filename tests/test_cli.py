@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import importlib
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,22 @@ class TestMetricsCommand:
             "--out-csv", tmp_path / "x.csv",
         ])
         assert code == 3
+
+    def test_mask_claiming_more_voxels_than_it_holds_exits_3(self, tmp_path, capsys):
+        mask_path = tmp_path / "m.mskv"
+        save_mask(mask_path, VoxelMask(np.ones((2, 2, 2), dtype=bool)))
+        raw = bytearray(mask_path.read_bytes())
+        raw[8:20] = struct.pack("<3I", 4096, 4096, 4096)
+        mask_path.write_bytes(bytes(raw))
+        strl_path = tmp_path / "s.strl"
+        save_streamlines(strl_path, pack([[(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)]]))
+        capsys.readouterr()
+        code = run([
+            "metrics", "--streamlines", strl_path, "--mask", mask_path,
+            "--out-csv", tmp_path / "x.csv",
+        ])
+        assert code == 3
+        assert "truncated file while reading occupancy" in capsys.readouterr().err
 
 
 class TestArchCommand:

@@ -121,7 +121,7 @@ class TestStreamlineRoundTrip:
         got = load_streamlines(path)
         assert got.points.flags.c_contiguous and got.points.dtype == np.float64
         assert np.array_equal(got.points, sset.points)
-        assert np.array_equal(got.offsets, sset.offsets) and list(got.ids) == list(range(6))
+        assert np.array_equal(got.offsets, sset.offsets)
 
 
 def strl_bytes(sset) -> bytes:
@@ -157,7 +157,7 @@ class TestStreamlineBlocks:
     @pytest.mark.parametrize("budget, head_bytes", [(2, 4), (7, 5), (40, 13), (1 << 16, 1 << 16)])
     def test_small_blocks_and_header_reads(self, tmp_path, monkeypatch, budget, head_bytes):
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
-        monkeypatch.setattr(formats_mod, "_HEAD_BYTES", head_bytes)
+        monkeypatch.setattr(formats_mod, "_READ_BYTES", head_bytes)
         rng = np.random.default_rng(budget)
         path = tmp_path / "s.strl"
         for _ in range(10):
@@ -177,7 +177,7 @@ class TestStreamlineBlocks:
         (lambda raw: raw + b"z", "{path}: trailing bytes after 3 streamlines"),
     ], ids=["header", "body", "npoints", "trailing"])
     def test_errors_keep_their_messages(self, tmp_path, monkeypatch, head_bytes, cut, message):
-        monkeypatch.setattr(formats_mod, "_HEAD_BYTES", head_bytes)
+        monkeypatch.setattr(formats_mod, "_READ_BYTES", head_bytes)
         path = tmp_path / "s.strl"
         save_streamlines(path, walk(np.random.default_rng(0), [2, 4, 4]))
         path.write_bytes(cut(path.read_bytes()))
@@ -324,6 +324,18 @@ class TestGridFiles:
     def test_truncated_payload_rejected(self, tmp_path, kind):
         path, load, what = self.saved(tmp_path, kind)
         path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"truncated file while reading {what}"
+
+    @pytest.mark.parametrize("dims", [(4096,) * 3, (2**32 - 1,) * 3], ids=["4096_cubed", "u32_max"])
+    @pytest.mark.parametrize("kind", ["mskv", "ornt", "dens"])
+    def test_dims_beyond_the_file_rejected(self, tmp_path, kind, dims):
+        # A 52-byte file: the header and 8 payload bytes.
+        path, load, what = self.saved(tmp_path, kind)
+        raw = bytearray(path.read_bytes()[:52])
+        raw[8:20] = struct.pack("<3I", *dims)
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError) as exc:
             load(path)
         assert str(exc.value) == f"truncated file while reading {what}"

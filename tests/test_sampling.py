@@ -27,7 +27,7 @@ def mdf_to_one(stack, q):
 
 def naive_farthest_first(cands, k, m=12, init_rule="longest"):
     """O(n^2 k) reference: explicit min-over-selected scan per step, scalar
-    MDF; ties break to the first in set order."""
+    MDF; ties break to the first in set order. Returns positions."""
     streamlines = list(cands)
     rs = [resample(s, m) for s in streamlines]
     n = len(rs)
@@ -49,15 +49,14 @@ def naive_farthest_first(cands, k, m=12, init_rule="longest"):
             if dmin > cand_d:
                 cand, cand_d = i, dmin
         selected.append(cand)
-    return cands.ids[selected].tolist()
+    return selected
 
 
 def unpruned_fss(cands, k, m=12, init_rule="longest"):
     """Incremental farthest-first loop that evaluates MDF from every pick to
     every candidate: the update fss_filter prunes, with nothing skipped."""
-    sls = cands.take(np.argsort(cands.ids, kind="stable"))
-    stack, _ = _resample_set(sls, m)
-    first = int(np.argmax([arc_length(s) for s in sls])) if init_rule == "longest" else 0
+    stack, _ = _resample_set(cands, m)
+    first = int(np.argmax([arc_length(s) for s in cands])) if init_rule == "longest" else 0
     picks, dists = [first], [np.inf]
     dmin = mdf_to_one(stack, stack[first])
     dmin[first] = -np.inf
@@ -67,7 +66,7 @@ def unpruned_fss(cands, k, m=12, init_rule="longest"):
         dists.append(dmin[j])
         np.minimum(dmin, mdf_to_one(stack, stack[j]), out=dmin)
         dmin[j] = -np.inf
-    return sls.ids[picks], np.array(dists)
+    return np.array(picks), np.array(dists)
 
 
 def lattice_scan_count(mask, spacing):
@@ -175,6 +174,8 @@ class TestSeeds2D:
         zs = sorted(np.unique(np.floor(seeds.points[:, 2]).astype(int)))
         oracle = sorted({round(3 + (17 - 3) * i / 4) for i in range(5)})
         assert zs == oracle
+        one = seeds_2d(mask, 1)  # a single slice is the first occupied one
+        assert np.unique(np.floor(one.points[:, 2])).tolist() == [3]
 
     def test_one_seed_per_inmask_voxel_center(self):
         mask = _mask_z_slices(0, 40, nz=41)
@@ -206,32 +207,32 @@ def small_candidates():
     a_flip = a[::-1].copy()
     far1 = straight(20.0, 0.0, 16.5)
     far2 = straight(0.0, 20.0, 22.0)
-    return pack([a, a_near, a_flip, far1, far2])  # ids 0..4
+    return pack([a, a_near, a_flip, far1, far2])
 
 
 class TestFSSFilter:
     def test_exhaustion_returns_all_in_traversal_order(self):
         cands = small_candidates()
         out, trace = fss_filter(cands, FSSConfig(k=5))
-        assert sorted(out.ids) == [0, 1, 2, 3, 4]
-        assert list(trace.selected_ids) == list(out.ids)
+        assert sorted(trace.selected_ids) == [0, 1, 2, 3, 4]
+        assert out.points.tobytes() == cands.take(trace.selected_ids).points.tobytes()
 
     def test_k1_longest_wins(self):
         cands = small_candidates()
-        out, _ = fss_filter(cands, FSSConfig(k=1))
-        assert out.ids[0] == 0  # 27.5 mm beats the rest
+        _, trace = fss_filter(cands, FSSConfig(k=1))
+        assert trace.selected_ids[0] == 0  # 27.5 mm beats the rest
 
-    def test_k1_longest_tie_breaks_to_lowest_id(self):
+    def test_k1_longest_tie_breaks_to_lowest_position(self):
         a = straight(0.0, 0.0, 20.0)
         b = straight(5.0, 0.0, 20.0)
         c = straight(9.0, 0.0, 12.0)
-        out, _ = fss_filter(pack([a, b, c], ids=[3, 1, 2]), FSSConfig(k=1))
-        assert out.ids[0] == 1
+        _, trace = fss_filter(pack([c, b, a]), FSSConfig(k=1))
+        assert trace.selected_ids[0] == 1
 
     def test_index_init_rule(self):
         cands = small_candidates()
-        out, _ = fss_filter(cands, FSSConfig(k=1, init_rule="index"))
-        assert out.ids[0] == 0
+        _, trace = fss_filter(cands, FSSConfig(k=1, init_rule="index"))
+        assert trace.selected_ids[0] == 0
 
     def test_matches_naive_oracle_on_handbuilt_set(self):
         cands = small_candidates()
@@ -275,11 +276,11 @@ class TestFSSFilter:
     def test_duplicate_suppression(self):
         cands = small_candidates()
         out, trace = fss_filter(cands, FSSConfig(k=5))
-        ids = list(trace.selected_ids)
-        # ids 1 (near-dup) and 2 (exact flip of 0) trail every distinct streamline
-        assert ids[0] == 0
-        assert set(ids[1:3]) == {3, 4}
-        assert trace.selection_distance[ids.index(2)] == 0.0
+        picks = list(trace.selected_ids)
+        # 1 (near-dup) and 2 (exact flip of 0) trail every distinct streamline
+        assert picks[0] == 0
+        assert set(picks[1:3]) == {3, 4}
+        assert trace.selection_distance[picks.index(2)] == 0.0
 
     def test_determinism(self):
         cands = small_candidates()
@@ -305,10 +306,10 @@ class TestFSSFilter:
 
     def test_output_keeps_original_geometry(self):
         cands = small_candidates()
-        out, _ = fss_filter(cands, FSSConfig(k=2))
-        by_id = dict(zip(cands.ids.tolist(), cands))
-        for sid, s in zip(out.ids.tolist(), out):
-            assert np.array_equal(s, by_id[sid])
+        out, trace = fss_filter(cands, FSSConfig(k=2))
+        streamlines = list(cands)
+        for pos, s in zip(trace.selected_ids.tolist(), out):
+            assert np.array_equal(s, streamlines[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def arc_candidates():
 def adversarial_candidates(rng):
     """Nine straight 40 mm lines on an integer grid (the longest, tied in arc
     length), random polylines, and exact duplicates and reversed copies of
-    some of them, under shuffled non-contiguous ids."""
+    some of them, in shuffled order."""
     arrays = [straight(float(x), float(y), 40.0) for x in range(3) for y in range(3)]
     for _ in range(25):
         start = rng.uniform(0, 20, 3)
@@ -336,8 +337,7 @@ def adversarial_candidates(rng):
     for i in rng.choice(len(arrays), 12, replace=False):
         arrays.append(arrays[i].copy())
         arrays.append(arrays[i][::-1].copy())
-    ids = rng.permutation(3 * len(arrays))[: len(arrays)]
-    return pack(arrays, ids=ids)
+    return pack([arrays[i] for i in rng.permutation(len(arrays))])
 
 
 class TestPrunedUpdate:
@@ -346,8 +346,8 @@ class TestPrunedUpdate:
         n, k = len(arc_candidates), 500
         assert n > 1500
         _, trace = fss_filter(arc_candidates, FSSConfig(k=k, m=m))
-        ids, dists = unpruned_fss(arc_candidates, k, m)
-        assert np.array_equal(trace.selected_ids, ids)
+        picks, dists = unpruned_fss(arc_candidates, k, m)
+        assert np.array_equal(trace.selected_ids, picks)
         assert np.array_equal(trace.selection_distance, dists)
         assert trace.mdf_evaluations <= 0.05 * n * k  # the pruning skips work here
 
@@ -362,8 +362,8 @@ class TestPrunedUpdate:
             assert lengths.count(max(lengths)) >= 9  # the longest rule meets a tie
             for k in (1, 9, n // 2, n):
                 _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
-                ids, dists = unpruned_fss(cands, k, m, init_rule)
-                assert np.array_equal(trace.selected_ids, ids)
+                picks, dists = unpruned_fss(cands, k, m, init_rule)
+                assert np.array_equal(trace.selected_ids, picks)
                 assert np.array_equal(trace.selection_distance, dists)
 
 
@@ -372,8 +372,8 @@ def assert_matches_unpruned(cands, ks, m=12):
     for init_rule in ("longest", "index"):
         for k in ks:
             _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
-            ids, dists = unpruned_fss(cands, k, m, init_rule)
-            assert np.array_equal(trace.selected_ids, ids), (init_rule, k)
+            picks, dists = unpruned_fss(cands, k, m, init_rule)
+            assert np.array_equal(trace.selected_ids, picks), (init_rule, k)
             assert np.array_equal(trace.selection_distance, dists), (init_rule, k)
 
 
@@ -454,7 +454,7 @@ class TestCentroidBound:
         rng = np.random.default_rng(100 + m)
         for _ in range(2):
             cands = adversarial_candidates(rng)
-            far = pack([s + 1e4 for s in cands], ids=cands.ids)
+            far = pack([s + 1e4 for s in cands])
             assert_matches_unpruned(far, (1, 9, len(far) // 2, len(far)), m)
 
 
@@ -471,13 +471,10 @@ class TestLongestPick:
             for _ in range(3):
                 a = wiggly(rng, int(rng.integers(150, 400)))
                 arrays += [a, a[::-1].copy()]
-            ids = rng.permutation(len(arrays))
-            cands = pack(arrays, ids=ids)
-            by_id = cands.take(np.argsort(cands.ids))
-            exact = [arc_length(s) for s in by_id]
-            want = by_id.ids[int(np.argmax(exact))]
-            _, estimates = _resample_set(by_id, 12)
-            disagree += by_id.ids[int(np.argmax(estimates))] != want
+            cands = pack([arrays[i] for i in rng.permutation(len(arrays))])
+            want = int(np.argmax([arc_length(s) for s in cands]))
+            _, estimates = _resample_set(cands, 12)
+            disagree += int(np.argmax(estimates)) != want
             _, trace = fss_filter(cands, FSSConfig(k=1))
             assert trace.selected_ids[0] == want
             assert_matches_unpruned(cands, (len(cands),))

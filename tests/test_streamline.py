@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from muscletract.errors import ArityError, InvalidStreamlineError
+from muscletract.formats import load_streamlines, save_streamlines
 from muscletract.streamline import StreamlineSet, _distinct, _resample_set, arc_lengths, mdf_rows
 from reference_streamline import ResampledStreamline, arc_length, flip, mdf, pack, resample
 
@@ -240,14 +241,14 @@ class TestMDF:
 
 
 class TestStreamlineSet:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(InvalidStreamlineError):
-            pack([[(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (0, 1, 0)]], ids=[1, 1])
-
-    def test_packed_assigns_ids(self):
+    def test_holds_only_points_and_offsets(self, tmp_path):
         pts = np.array([[0, 0, 0], [1, 0, 0]] * 3, dtype=float)
-        sset = StreamlineSet(pts, [2, 2, 2])
-        assert sset.ids.tolist() == [0, 1, 2] and sset.ids.dtype == np.int64
+        built = StreamlineSet(pts, [2, 2, 2])
+        save_streamlines(tmp_path / "s.strl", built)
+        for sset in (built, StreamlineSet._trusted(built.points, built.offsets), built.take([2, 0]),
+                     load_streamlines(tmp_path / "s.strl")):
+            assert set(vars(sset)) == {"points", "offsets"}
+        assert len(built) == 3 and built.offsets.tolist() == [0, 2, 4, 6]
 
     def test_stack_resampled_shape(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 2, 0], [0, 4, 0]], dtype=float)
@@ -339,11 +340,11 @@ class TestPackedSet:
         offsets = np.cumsum([0, 3, 50, 2, 2, 3, 4])
         assert list(blocks(offsets)) == [(0, 1), (1, 2), (2, 5), (5, 6)]
 
-    def test_iteration_yields_views_with_ids(self):
+    def test_iteration_yields_views(self):
         pts = np.arange(21, dtype=float).reshape(7, 3)
-        sset = StreamlineSet(pts, [2, 5], ids=[7, 3])
+        sset = StreamlineSet(pts, [2, 5])
         views = list(sset)
-        assert sset.ids.tolist() == [7, 3] and [len(s) for s in views] == [2, 5]
+        assert [len(s) for s in views] == [2, 5]
         assert all(np.shares_memory(s, sset.points) for s in views)
         assert np.array_equal(views[1], pts[2:])
         first, last = sset.endpoints()
@@ -368,25 +369,20 @@ class TestPackedSet:
     def test_counts_must_cover_the_buffer(self):
         with pytest.raises(InvalidStreamlineError):
             StreamlineSet(np.zeros((5, 3)) + np.arange(5)[:, None], [2, 2])
-        with pytest.raises(InvalidStreamlineError):
-            StreamlineSet(np.arange(12.0).reshape(4, 3), [2, 2], ids=[1])
 
     def test_take_copies_rows_without_validating_them_again(self, monkeypatch):
         arrays = adversarial_polylines(np.random.default_rng(4))
-        sset = pack(arrays, ids=np.arange(len(arrays)) * 3 + 1)
-        rows = [6, 0, 5, 2]
+        sset = pack(arrays)
+        rows = [6, 0, 5, 2, 0]
 
         def fail(points, offsets):
             raise AssertionError("take validated its rows again")
 
         monkeypatch.setattr(streamline_mod, "_validate", fail)
         out = sset.take(rows)
-        assert list(out.ids) == [sset.ids[r] for r in rows]
         assert out.points.tobytes() == np.concatenate([arrays[r] for r in rows]).tobytes()
         assert list(out.offsets) == list(np.cumsum([0] + [len(arrays[r]) for r in rows]))
         assert not np.shares_memory(out.points, sset.points)
-        with pytest.raises(InvalidStreamlineError):
-            sset.take([1, 1])  # ids within a set stay unique
 
 
 class TestIteration:
