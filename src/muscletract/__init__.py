@@ -23,7 +23,7 @@ from .architecture import (
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap, TractMetrics, coverage, density
 from .phantom import GroundTruth, PhantomSpec, make_phantom
-from .sampling import FSSConfig, FSSTrace, SeedSet, fss_filter, seeds_2d, seeds_3d
+from .sampling import FSSConfig, FSSTrace, SeedSet, fss_filter, fss_select, seeds_2d, seeds_3d
 from .stats import (
     BlandAltman,
     TTestResult,
@@ -59,6 +59,7 @@ __all__ = [
     "coverage",
     "density",
     "fss_filter",
+    "fss_select",
     "group_fractions",
     "line_of_action",
     "make_phantom",

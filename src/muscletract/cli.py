@@ -27,7 +27,7 @@ from . import architecture as arch_mod
 from . import formats, metrics as metrics_mod, stats
 from .errors import ArityError, DataError, FrameMismatchError, MuscleTractError
 from .phantom import PhantomSpec, make_phantom
-from .sampling import SeedSet, fss_filter, seeds_2d, seeds_3d
+from .sampling import SeedSet, fss_select, seeds_2d, seeds_3d
 from .streamline import StreamlineSet, blocks
 from .tracking import reconstruct
 
@@ -74,11 +74,12 @@ def _even_picks(n: int, k: int) -> np.ndarray:
     return (np.arange(k) * n) // k
 
 
-def _subsample_exact(sset: StreamlineSet, k: int) -> StreamlineSet:
+def _subsample_rows(sset: StreamlineSet, k: int) -> np.ndarray:
+    """Positions of k streamlines spread evenly over the set."""
     n = len(sset)
     if n < k:
         raise ArityError(f"only {n} streamlines available, need {k}")
-    return sset.take(_even_picks(n, k))
+    return _even_picks(n, k)
 
 
 def _make_seeds(method: str, mask, cfg: formats.RunConfig) -> SeedSet:
@@ -139,9 +140,10 @@ def cmd_filter(args) -> int:
     if args.method == "fss":
         if not args.candidates:
             raise DataError("--candidates is required for method fss")
-        candidates = formats.load_streamlines(args.candidates)
-        _check_frame(candidates, mask)
-        out, trace = fss_filter(candidates, cfg.fss)
+        source = formats.load_streamlines(args.candidates)
+        _check_frame(source, mask)
+        trace = fss_select(source, cfg.fss)
+        rows = trace.selected_ids
         if args.trace:
             formats.write_csv(
                 args.trace,
@@ -155,11 +157,12 @@ def cmd_filter(args) -> int:
         if not args.field:
             raise DataError(f"--field is required for method {args.method}")
         field = formats.load_field(args.field)
-        tracked = reconstruct(field, mask, _make_seeds(args.method, mask, cfg), cfg.tracking)
-        out = _subsample_exact(tracked, cfg.fss.k)
+        source = reconstruct(field, mask, _make_seeds(args.method, mask, cfg), cfg.tracking)
+        rows = _subsample_rows(source, cfg.fss.k)
 
-    formats.save_streamlines(args.out, out)
-    print(f"filter[{args.method}]: {len(out)} streamlines -> {args.out}")
+    # The picks are written straight from the buffer they were chosen from.
+    formats.save_streamlines(args.out, source, rows)
+    print(f"filter[{args.method}]: {len(rows)} streamlines -> {args.out}")
     return 0
 
 

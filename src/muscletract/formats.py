@@ -99,16 +99,25 @@ def _record_words(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
     return heads, coords
 
 
-def save_streamlines(path, sset: StreamlineSet) -> None:
-    offsets = sset.offsets
+def save_streamlines(path, sset: StreamlineSet, rows=None) -> None:
+    """Write a set, or only its streamlines at rows, in that order. Either
+    way the points are read from the set's buffer one block at a time, so
+    writing a subset is no copy of it."""
+    if rows is None:
+        offsets = sset.offsets
+    else:
+        starts, offsets = sset._selection(rows)
     with open(path, "wb") as fh:
         fh.write(b"STRL")
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(sset)))
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(offsets) - 1))
         for lo, hi in blocks(offsets):
             heads, coords = _record_words(offsets, lo, hi)
             words = np.empty(len(coords), dtype="<f4")
             words.view("<u4")[heads] = offsets[lo + 1 : hi + 1] - offsets[lo:hi]
-            words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
+            if rows is None:
+                words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
+            else:
+                words[coords] = sset._gathered(starts, offsets, lo, hi).reshape(-1)
             fh.write(words)
 
 

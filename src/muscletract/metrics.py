@@ -57,7 +57,10 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
 
     The voxels are looked up at the vertices and at sample points just
     before and after every voxel-face crossing, so voxelization is exact
-    rather than limited by a finite walking step.
+    rather than limited by a finite walking step. Each crossing is sampled
+    from the segment's nearer end: from a vertex far off the grid, the
+    crossing's parameter and sample would round away the near end's
+    coordinates.
     """
     dims, origin, vs = mask.dims, mask.origin, mask.voxel_size
     n_vox = mask.occupancy.size
@@ -67,17 +70,18 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
         return (owner * n_vox + flat)[hit]
 
     sid = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    # Drop the segments that join one streamline to the next.
+    # Segment s joins rows r0[s] and r0[s] + 1; the segments that join one
+    # streamline to the next are dropped.
     inner = np.ones(len(points) - 1, dtype=bool)
     inner[offsets[1:-1] - 1] = False
-    p0 = points[:-1][inner]
-    seg = (points[1:] - points[:-1])[inner]
-    seg_sid = sid[:-1][inner]
+    r0 = np.flatnonzero(inner)
+    seg = points[r0 + 1] - points[r0]
+    seg_sid = sid[r0]
     seg_len = np.sqrt((seg * seg).sum(axis=1))
     found = [keys(points, sid)]
     for a in range(3):
-        c0 = (p0[:, a] - origin[a]) / vs[a]
-        c1 = c0 + seg[:, a] / vs[a]
+        c = (points[:, a] - origin[a]) / vs[a]
+        c0, c1 = c[r0], c[r0 + 1]
         # Only the planes of the grid's faces 0..dims[a] have a sample in it.
         first = np.maximum(np.ceil(np.minimum(c0, c1)), 0.0)
         last = np.minimum(np.floor(np.maximum(c0, c1)), dims[a])
@@ -85,14 +89,20 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
         total = int(counts.sum())
         if total == 0:
             continue
-        seg_idx = np.repeat(np.arange(len(p0)), counts)
+        seg_idx = np.repeat(np.arange(len(r0)), counts)
         within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         planes = np.repeat(first, counts) + within
-        t = (planes - c0[seg_idx]) / (c1 - c0)[seg_idx]
+        c0, c1 = c0[seg_idx], c1[seg_idx]
+        # t runs from the nearer end, base, along toward to the other end.
+        far = np.abs(planes - c1) < np.abs(planes - c0)
+        t = np.where(far, (planes - c1) / (c0 - c1), (planes - c0) / (c1 - c0))
+        base = points[r0[seg_idx] + far]
+        toward = seg[seg_idx]
+        toward[far] *= -1.0
         dt = 1e-7 / np.maximum(seg_len[seg_idx], 1e-12)
         for sign in (-1.0, 1.0):
             ts = np.clip(t + sign * dt, 0.0, 1.0)
-            found.append(keys(p0[seg_idx] + ts[:, None] * seg[seg_idx], seg_sid[seg_idx]))
+            found.append(keys(base + ts[:, None] * toward, seg_sid[seg_idx]))
     return _distinct(np.concatenate(found))
 
 

@@ -154,12 +154,20 @@ def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
 
 
 def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet, FSSTrace]:
-    """Filter candidates to cfg.k streamlines by farthest-first traversal.
+    """The cfg.k streamlines that fss_select picks, copied into a set of their
+    own in selection order, and its trace."""
+    trace = fss_select(candidates, cfg)
+    return candidates.take(trace.selected_ids), trace
+
+
+def fss_select(candidates: StreamlineSet, cfg: FSSConfig) -> FSSTrace:
+    """Pick cfg.k of the candidates by farthest-first traversal; returns the
+    trace, whose selected_ids are the positions of the picks.
 
     Deterministic: the first pick follows cfg.init_rule (longest arc length by
     default), every later step picks the remaining streamline maximizing its
     minimum MDF to the selected set, and ties break to the lowest position in
-    the candidate set. Output order is selection order.
+    the candidate set. The picks are in selection order.
 
     Each step evaluates MDF from the new pick only to the candidates that the
     centroid bound of the module docstring cannot skip, instead of to all n
@@ -203,7 +211,7 @@ def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet
         "fss_filter: %d candidates, k=%d; %d MDF evaluations (%.2f%% of n*k)",
         n, cfg.k, evaluations, 100.0 * evaluations / (n * cfg.k),
     )
-    return candidates.take(selected), FSSTrace(selected, distances, evaluations)
+    return FSSTrace(selected, distances, evaluations)
 
 
 def _longest(candidates: StreamlineSet, estimates: np.ndarray) -> int:

@@ -132,17 +132,30 @@ class StreamlineSet:
         """First and last point of every streamline, as two (n, 3) arrays."""
         return self.points[self.offsets[:-1]], self.points[self.offsets[1:] - 1]
 
+    def _selection(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, offsets) of the streamlines at the given positions: the
+        row of this set's buffer where each starts, and the offsets that pack
+        them in that order. _gathered reads their points."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, counts = self.offsets[rows], self.offsets[rows + 1] - self.offsets[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return starts, offsets
+
+    def _gathered(self, starts, offsets, lo: int, hi: int) -> np.ndarray:
+        """The points of streamlines lo..hi-1 of a selection, packed in
+        order."""
+        src = np.repeat(starts[lo:hi] - offsets[lo:hi], np.diff(offsets[lo : hi + 1]))
+        return self.points[src + np.arange(offsets[lo], offsets[hi])]
+
     def take(self, rows) -> StreamlineSet:
         """The streamlines at the given positions, in that order, copied one
         block at a time. The copied rows were validated with this set, so
         they are not checked again."""
-        rows = np.asarray(rows, dtype=np.int64)
-        starts, counts = self.offsets[rows], self.counts[rows]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        starts, offsets = self._selection(rows)
         points = np.empty((offsets[-1], 3))
         for lo, hi in blocks(offsets):
-            src = np.repeat(starts[lo:hi] - offsets[lo:hi], counts[lo:hi])
-            points[offsets[lo] : offsets[hi]] = self.points[src + np.arange(offsets[lo], offsets[hi])]
+            points[offsets[lo] : offsets[hi]] = self._gathered(starts, offsets, lo, hi)
         return StreamlineSet._trusted(points, offsets)
 
 

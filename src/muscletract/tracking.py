@@ -20,7 +20,9 @@ tests/reference_tracking.py keeps as the oracle):
   to the previous point one step at a time, the same float additions the
   step loop makes, and locates each point with the loop's own
   floor((q - origin) / voxel_size). The step that crosses a face gets the
-  loop's in-grid and occupancy test.
+  loop's in-grid and occupancy test. Once every
+  half-track of a batch has ended, each run adds its s*v from its start
+  point again, in the same sequence, straight into the point's final row.
 - The cubic fit calls lstsq once per track, with one Vandermonde design per
   point count; a solve with many right-hand sides, or stacked, rounds
   differently.
@@ -31,6 +33,14 @@ tests/reference_tracking.py keeps as the oracle):
 track writes every batch of tracks into one packed buffer that grows in
 place, and reconstruct grows that buffer by two rows per track and fits and
 extends the tracks in it, so the points are held once, not once per stage.
+
+Memory follows the points emitted. Seeds are tracked in batches of _BATCH.
+Besides the output, a batch holds one record of 72 bytes per voxel run
+(track, first step, start point, s*v, point count), at most three times over
+while the records are gathered and sorted, and one pass's run of points with
+its voxel indices, under 4 * _RUN_BYTES. A run holds at least one point, and
+about eight at the default step of a tenth of a voxel. None of this depends
+on max_steps, the step count at which a half-track is cut off.
 
 reconstruct validates its output once; track builds its set without
 validating it, because raw tracks are valid by construction. They are
@@ -102,10 +112,13 @@ class TrackingConfig:
 # Upper bound on the bytes of the points one propagation pass computes ahead.
 _RUN_BYTES = 1 << 22
 
+# Seeds tracked together in one batch (module docstring, "Memory").
+_BATCH = 1024
+
 
 def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
-    """March one half-track per seed; returns the points of every half-track
-    (seed excluded), packed in seed order, and the count of each.
+    """March one half-track per seed; returns the point count of every
+    half-track (seed excluded) and its voxel runs, for _write_runs.
 
     Each pass takes every live track through one voxel: the first step does
     the full lookup and checks, and the track then continues in a straight
@@ -113,11 +126,14 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     occupancy test. The module docstring says why this equals one step at a
     time bit for bit. The run length only sets how many steps a pass may
     take; a run still inside its voxel goes on in the next pass.
+
+    A run's points are computed here only to find where it ends. What is
+    kept of it is (track, first step, start point, s*v, point count), from
+    which _write_runs adds the same points again.
     """
     n = len(starts)
-    buf = np.empty((max_steps, n, 3))
-    flat = buf.reshape(-1)
     counts = np.zeros(n, dtype=np.int64)
+    runs = []
 
     p = starts.copy()
     prev = init_dirs.copy()
@@ -126,7 +142,6 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     origin, vs = mask.origin[:, None], mask.voxel_size[:, None]
     per_voxel = int(math.ceil(float(np.linalg.norm(mask.voxel_size)) / cfg.step_mm)) + 1
     run = max(1, min(max_steps, per_voxel, _RUN_BYTES // (24 * max(n, 1))))
-    offsets = np.arange(run)[:, None]
 
     while active.size:
         m = len(active)
@@ -147,15 +162,18 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         # The run is laid out (step, coordinate, track), so that every
         # elementwise pass runs over rows of m contiguous values. Each point
         # is the previous one plus s*v, added in sequence as the loop does.
-        sv = (cfg.step_mm * v).T
+        sv = cfg.step_mm * v
+        sv_t = np.ascontiguousarray(sv.T)
         q = np.empty((run, 3, m))
-        np.add(here.T, sv, out=q[0])
+        np.add(here.T, sv_t, out=q[0])
         for j in range(1, run):
-            np.add(q[j - 1], sv, out=q[j])
+            np.add(q[j - 1], sv_t, out=q[j])
         # The floor rule of world_to_index, on the whole run at once. It only
         # finds the first step that leaves the start voxel, so it needs no
         # bound or occupancy test; only that step gets mask.indices_occupied.
-        qidx = np.floor((q - origin) / vs).astype(np.int64)
+        qidx = q - origin
+        qidx /= vs
+        qidx = np.floor(qidx, out=qidx).astype(np.int64)
         moved = qidx != idx.T
         left = moved[:, 0] | moved[:, 1] | moved[:, 2]
         cross = np.where(left.any(axis=0), left.argmax(axis=0), run)
@@ -166,12 +184,8 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         entered[exits] = mask.indices_occupied(qidx[cross[exits], :, exits])
 
         take = np.where(alive, np.minimum(cross, limit) + entered, 0)
-        emit = np.flatnonzero(offsets < take)
-        step, col = np.divmod(emit, m)
-        dest = 3 * ((counts[active][col] + step) * n + active[col])
-        src = 3 * m * step + col
-        for c in range(3):
-            flat[dest + c] = q.reshape(-1)[src + c * m]
+        made = np.flatnonzero(take)
+        runs.append((active[made], counts[active[made]], here[made], sv[made], take[made]))
         counts[active] += take
 
         go = np.flatnonzero(alive & ((cross >= limit) | entered))
@@ -180,10 +194,33 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         prev[survivors] = v[go]
         active = survivors[counts[survivors] < max_steps]
 
-    # Point j of half-track i sits at flat row j * n + i of the step-major buffer.
-    rows = np.repeat(np.arange(n) - n * (np.cumsum(counts) - counts), counts)
-    rows += n * np.arange(len(rows))
-    return buf.reshape(-1, 3).take(rows, axis=0), counts
+    return counts, [np.concatenate(column) for column in zip(*runs)]
+
+
+def _write_runs(out, runs, rows, sign) -> None:
+    """Write the points of the runs of one _propagate call into out: point j
+    of a half-track goes to row rows[track] + sign * j.
+
+    Each run adds its s*v to its start point again, in sequence, as
+    _propagate did, so every point is bit-identical to the one the step loop
+    computes. The runs are sorted by point count, longest first, so that the
+    runs still adding at step j are a prefix of them.
+    """
+    track, first, start, sv, count = runs
+    order = np.argsort(-count, kind="stable")
+    dest = rows[track[order]] + sign * first[order]
+    p, sv = start[order], sv[order]
+    # Points are copied as whole 24-byte rows, which numpy scatters faster
+    # than rows of three floats.
+    row = np.dtype((np.void, 24))
+    out_rows, p_rows = out.view(row)[:, 0], p.view(row)[:, 0]
+    # live[j] runs have more than j points.
+    live = len(count) - np.cumsum(np.bincount(count))
+    for j in range(len(live) - 1):
+        k = live[j]
+        p[:k] += sv[:k]
+        out_rows[dest[:k]] = p_rows[:k]
+        dest[:k] += sign
 
 
 def _pack_in_place(buf, offsets, rows, head=0, tail=0) -> np.ndarray:
@@ -252,7 +289,10 @@ def track(
     grown in place with ndarray.resize, as reconstruct does.
 
     cfg.step_mm must not exceed the mask diagonal: a longer step takes every
-    point off the grid, so no track could hold two points.
+    point off the grid, so no track could hold two points. The size of the
+    output is not checked: a track holds about one point per step_mm of its
+    length, so a tiny step_mm grows the output as 1 / step_mm, up to more
+    memory than the host has.
     """
     cfg = cfg or TrackingConfig()
     mask.require_same_frame(field, "orientation field")
@@ -270,17 +310,15 @@ def track(
 
     step_range = _step_range(mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
-    # Each half-track buffer holds max_steps * chunk * 3 float64s: keep it within 6e7 bytes.
-    chunk = max(1, min(4096, int(6e7 / (max_steps * 24))))
-    # The tracks of every chunk go straight into one buffer that grows in
-    # place (ndarray.resize), so that no chunk is copied again.
+    # The tracks of every batch go straight into one buffer that grows in
+    # place (ndarray.resize), so that no batch is copied again.
     buf, pos, kept = np.empty((0, 3)), 0, []
-    for lo in range(0, len(pts), chunk):
-        batch = pts[lo : lo + chunk]
+    for lo in range(0, len(pts), _BATCH):
+        batch = pts[lo : lo + _BATCH]
         idx = mask.world_to_index(batch)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
-        fwd, n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
-        bwd, n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
+        n_fwd, fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
+        n_bwd, bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
         counts = n_bwd + 1 + n_fwd
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -289,8 +327,8 @@ def track(
         # Each track is its backward half reversed, the seed, its forward half.
         at = offsets[:-1] + n_bwd
         tracks[at] = batch
-        tracks[np.repeat(at + 1 - (np.cumsum(n_fwd) - n_fwd), n_fwd) + np.arange(len(fwd))] = fwd
-        tracks[np.repeat(at - 1 + (np.cumsum(n_bwd) - n_bwd), n_bwd) - np.arange(len(bwd))] = bwd
+        _write_runs(tracks, fwd, at + 1, 1)
+        _write_runs(tracks, bwd, at - 1, -1)
         del fwd, bwd
         keep = np.flatnonzero(_long_enough(tracks, offsets, counts, step_range, cfg.min_length_mm))
         kept.append(_pack_in_place(tracks, offsets, keep))

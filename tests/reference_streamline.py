@@ -115,14 +115,15 @@ def mdf(a: ResampledStreamline, b: ResampledStreamline) -> float:
 @np.errstate(invalid="ignore")
 def crossing_samples(points: np.ndarray, voxel_size, origin) -> np.ndarray:
     """The vertices plus sample points just before and after every
-    voxel-face crossing of one polyline."""
-    p0 = points[:-1]
+    voxel-face crossing of one polyline, each sampled from the nearer end of
+    its segment."""
+    p0, p1 = points[:-1], points[1:]
     seg = np.diff(points, axis=0)
     seg_len = np.sqrt((seg * seg).sum(axis=1))
     chunks = []
     for a in range(3):
         c0 = (p0[:, a] - origin[a]) / voxel_size[a]
-        c1 = c0 + seg[:, a] / voxel_size[a]
+        c1 = (p1[:, a] - origin[a]) / voxel_size[a]
         lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)
         first, last = np.ceil(lo), np.floor(hi)
         counts = np.maximum(0, last - first + 1).astype(np.int64)
@@ -134,11 +135,14 @@ def crossing_samples(points: np.ndarray, voxel_size, origin) -> np.ndarray:
             np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
         )
         planes = np.repeat(first, counts) + within
-        t = (planes - c0[seg_idx]) / (c1 - c0)[seg_idx]
+        t0 = (planes - c0[seg_idx]) / (c1 - c0)[seg_idx]
+        t1 = (planes - c1[seg_idx]) / (c0 - c1)[seg_idx]
+        far = np.abs(planes - c1[seg_idx]) < np.abs(planes - c0[seg_idx])
         dt = 1e-7 / np.maximum(seg_len[seg_idx], 1e-12)
         for sign in (-1.0, 1.0):
-            ts = np.clip(t + sign * dt, 0.0, 1.0)
-            chunks.append(p0[seg_idx] + ts[:, None] * seg[seg_idx])
+            from0 = p0[seg_idx] + np.clip(t0 + sign * dt, 0.0, 1.0)[:, None] * seg[seg_idx]
+            from1 = p1[seg_idx] - np.clip(t1 + sign * dt, 0.0, 1.0)[:, None] * seg[seg_idx]
+            chunks.append(np.where(far[:, None], from1, from0))
     return np.concatenate([points] + chunks)
 
 

@@ -16,10 +16,13 @@ from reference_streamline import arc_length, pack
 
 def propagate(field, mask, starts, init_dirs, cfg, max_steps):
     """March one half-track per seed, one step per iteration for all seeds;
-    returns per-seed point arrays (seed excluded)."""
+    returns per-seed point arrays (seed excluded).
+
+    The points of each step are kept as they come, so memory follows the
+    steps taken, not max_steps.
+    """
     n = len(starts)
-    buf = np.empty((max_steps, n, 3))
-    counts = np.zeros(n, dtype=np.int64)
+    who, points = [np.empty(0, dtype=np.int64)], [np.empty((0, 3))]
 
     p = starts.copy()
     prev = init_dirs.copy()
@@ -27,7 +30,7 @@ def propagate(field, mask, starts, init_dirs, cfg, max_steps):
     cos_gate = math.cos(math.radians(cfg.max_angle_deg))
     dims = np.asarray(mask.dims)
 
-    for step in range(max_steps):
+    for _ in range(max_steps):
         if active.size == 0:
             break
         idx = np.floor((p[active] - mask.origin) / mask.voxel_size).astype(np.int64)
@@ -50,11 +53,14 @@ def propagate(field, mask, starts, init_dirs, cfg, max_steps):
         if survivors.size:
             p[survivors] = nxt[alive]
             prev[survivors] = v[alive]
-            buf[step, survivors] = nxt[alive]
-            counts[survivors] = step + 1
+            who.append(survivors)
+            points.append(nxt[alive])
         active = survivors
 
-    return [buf[: counts[i], i].copy() for i in range(n)]
+    # A stable sort by seed keeps each half-track's points in step order.
+    who = np.concatenate(who)
+    order = np.argsort(who, kind="stable")
+    return np.split(np.concatenate(points)[order], np.cumsum(np.bincount(who, minlength=n))[:-1])
 
 
 def track(field, mask, seeds, cfg):

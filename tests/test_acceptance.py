@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import muscletract as mt
-from muscletract.cli import _subsample_exact
+from muscletract.cli import _subsample_rows
 from muscletract.formats import (
     load_density,
     load_field,
@@ -94,10 +94,9 @@ def ensemble():
         cfg = mt.TrackingConfig()
         cands = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0), cfg)
         fss, trace = mt.fss_filter(cands, mt.FSSConfig(k=ENSEMBLE_K))
-        base3 = _subsample_exact(cands, ENSEMBLE_K)
-        base2 = _subsample_exact(
-            mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg), ENSEMBLE_K
-        )
+        base3 = cands.take(_subsample_rows(cands, ENSEMBLE_K))
+        cands2 = mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg)
+        base2 = cands2.take(_subsample_rows(cands2, ENSEMBLE_K))
 
         runs = {m: run_metrics(s, mask) for m, s in (("fss", fss), ("3ds", base3), ("2ds", base2))}
 

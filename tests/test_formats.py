@@ -168,6 +168,18 @@ class TestStreamlineBlocks:
             assert np.array_equal(got.offsets, sset.offsets)
             assert np.array_equal(got.points, sset.points.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("budget", [2, 7, 1 << 16])
+    def test_rows_write_the_subset_unchanged(self, tmp_path, monkeypatch, budget):
+        # Writing the streamlines at rows equals writing their copy, repeats
+        # and any order included.
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        sset = walk(np.random.default_rng(budget), [5, 2, 9, 3, 40, 2, 7])
+        for rows in ([4, 0, 6, 2], [1, 1, 5], list(range(7))[::-1], []):
+            save_streamlines(tmp_path / "rows.strl", sset, np.array(rows, dtype=np.int64))
+            save_streamlines(tmp_path / "copy.strl", sset.take(rows))
+            assert (tmp_path / "rows.strl").read_bytes() == (tmp_path / "copy.strl").read_bytes()
+            assert (tmp_path / "rows.strl").read_bytes() == strl_bytes(sset.take(rows))
+
     @pytest.mark.parametrize("head_bytes", [4, 9, 1 << 16])
     @pytest.mark.parametrize("cut, message", [
         (lambda raw: raw[:-(12 * 4 + 2)], "truncated file while reading npoints"),

@@ -75,6 +75,16 @@ class TestVoxelize:
         assert not mask.points_in_mask(near[1] + out * d)[0]
         assert np.array_equal(far[0].counts, moved[0].counts) and far[1] == moved[1]
 
+    def test_far_first_vertex_keeps_the_near_end(self):
+        # From the far end, p0 + (p1 - p0) rounds the near end 2.5 mm to 0
+        # and loses the crossings of x = 3 and x = 4; either way round the
+        # streamline passes x voxels 0-4.
+        mask = full_mask((5, 4, 4))
+        pts = [(1e30, 2.5, 2.5), (2.5, 2.5, 2.5), (0.5, 2.5, 2.5)]
+        want = {(x, 2, 2) for x in range(5)}
+        assert voxel_set(pts, mask) == want
+        assert voxel_set(pts[::-1], mask) == want
+
     def test_counts_once_per_voxel(self):
         mask = full_mask((5, 3, 3))
         # doubles back through the same voxels

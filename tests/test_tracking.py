@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from muscletract.tracking import (
     _step_range,
     _surface_exits,
     _with_exits,
+    _write_runs,
     reconstruct,
     track,
 )
@@ -198,23 +200,6 @@ class TestTrack:
     def test_nonfinite_config_rejected(self, name, bad):
         with pytest.raises(InvalidSpecError):
             TrackingConfig(**{name: bad})
-
-    def test_buffer_stays_within_budget_at_fine_steps(self, monkeypatch):
-        # 3 voxels of 100 mm: a 520 mm diagonal, ~163k steps at 0.01 mm.
-        mask = VoxelMask(np.ones((3, 3, 3), dtype=bool), voxel_size=100.0)
-        field = OrientationField(
-            np.tile([0.0, 0.0, 1.0], (3, 3, 3, 1)), np.ones((3, 3, 3)), voxel_size=100.0
-        )
-        seeds = SeedSet(np.random.default_rng(0).uniform(1.0, 299.0, (300, 3)))
-        buffers = []
-
-        def fake_propagate(field, mask, starts, init_dirs, cfg, max_steps):
-            buffers.append(max_steps * len(starts) * 3 * 8)
-            return np.empty((0, 3)), np.zeros(len(starts), dtype=np.int64)
-
-        monkeypatch.setattr(tracking, "_propagate", fake_propagate)
-        track(field, mask, seeds, TrackingConfig(step_mm=0.01))
-        assert buffers and max(buffers) <= 6e7
 
 
 def fit(points):
@@ -457,12 +442,19 @@ class TestMatchesStepwiseReference:
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         cfg = CONFIGS[cfg_name]
         for sign in (1.0, -1.0):
-            points, counts = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
-            got = np.split(points, np.cumsum(counts)[:-1])
+            counts, runs = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
+            ends = np.cumsum(counts)
+            # Each half-track forwards from its first row, and reversed back
+            # from its last, as track lays out the two halves.
+            forward, backward = np.empty((2, ends[-1], 3))
+            _write_runs(forward, runs, ends - counts, 1)
+            _write_runs(backward, runs, ends - 1, -1)
             want = ref.propagate(field, mask, starts, sign * v0, cfg, max_steps)
-            assert len(got) == len(want) == len(starts)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            assert max(map(len, got)) == min(max_steps, max(map(len, want)))
+            assert len(counts) == len(want) == len(starts)
+            for got, flip in ((forward, 1), (backward, -1)):
+                got = np.split(got, ends[:-1])
+                assert all(np.array_equal(a[::flip], b) for a, b in zip(got, want))
+            assert counts.max() == min(max_steps, max(map(len, want)))
 
     def test_fit_kernel_shares_designs_across_lengths(self):
         rng = np.random.default_rng(7)
@@ -717,3 +709,64 @@ class TestOneValidation:
         mask, field = CASES["jittered_arc"]()
         out = reconstruct(field, mask, some_seeds(mask, 1.0))
         assert len(out) > 0 and calls == [len(out)]
+
+
+def fine_steps():
+    """A mask of 12 x 2 x 2 voxels of 0.0005 x 30 x 30 mm whose anisotropy
+    falls below fa_min two voxels from either end along x, the field's axis;
+    24 seeds in the anisotropic part; and a step of a tenth of a voxel along
+    x. The 85 mm diagonal makes max_steps about 5.3e6 for tracks of 82
+    points: a step-major buffer of max_steps rows per seed would take 128 MB
+    for one seed, and the former budget of 6e7 bytes per buffer gave one seed
+    per buffer from max_steps >= 1.25e6 on."""
+    dims, vs = (12, 2, 2), (0.0005, 30.0, 30.0)
+    d = np.array([1.0, 0.001, -0.002])
+    d = np.broadcast_to(d / np.linalg.norm(d), dims + (3,)).copy()
+    fa = np.zeros(dims)
+    fa[2:10] = 0.5
+    mask, field = VoxelMask(np.ones(dims, dtype=bool), vs), OrientationField(d, fa, vs)
+    rng = np.random.default_rng(3)
+    seeds = SeedSet(rng.uniform((2.2 * vs[0], 1.0, 1.0), (9.8 * vs[0], 59.0, 59.0), (24, 3)))
+    cfg = TrackingConfig(step_mm=5e-5, min_length_mm=1e-4)
+    max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
+    assert max_steps >= 5e6
+    return mask, field, seeds, cfg
+
+
+class TestFineSteps:
+    def test_matches_reference(self):
+        mask, field, seeds, cfg = fine_steps()
+        got = track(field, mask, seeds, cfg)
+        assert len(got) == len(seeds) and got.counts.min() > 20
+        assert_same_streamlines(got, ref.track(field, mask, seeds, cfg))
+        assert_same_streamlines(reconstruct(field, mask, seeds, cfg),
+                                ref.reconstruct(field, mask, seeds, cfg))
+
+    def test_memory_follows_the_output(self):
+        # The bound of the tracking module docstring: the output, plus one
+        # pass's temporaries and 216 bytes per voxel run, of which there are at
+        # most as many as points.
+        mask, field, seeds, cfg = fine_steps()
+        tracemalloc.start()
+        try:
+            got = track(field, mask, seeds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == len(seeds)
+        assert peak <= got.points.nbytes + 4 * tracking._RUN_BYTES + 216 * len(got.points)
+
+
+@pytest.mark.parametrize("batch", [1, 3, tracking._BATCH])
+def test_result_does_not_depend_on_batching(monkeypatch, batch):
+    # 62 seeds: one outside the mask, and 9 whose tracks are under
+    # min_length_mm; the 61 in the mask leave the last batch of 3 partial.
+    mask, field = CASES["jittered_arc"]()
+    seeds = some_seeds(mask, 1.0, limit=60)
+    seeds = SeedSet(np.concatenate([seeds.points, [[-5.0, 0.0, 0.0]]]))
+    cfg = TrackingConfig(min_length_mm=12.0)
+    monkeypatch.setattr(tracking, "_BATCH", batch)
+    for got, want in ((track(field, mask, seeds, cfg), ref.track(field, mask, seeds, cfg)),
+                      (reconstruct(field, mask, seeds, cfg), ref.reconstruct(field, mask, seeds, cfg))):
+        assert got.offsets.tobytes() == want.offsets.tobytes()
+        assert got.points.tobytes() == want.points.tobytes()
