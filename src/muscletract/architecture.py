@@ -7,6 +7,10 @@ when its goodness of fit R^2 exceeds the threshold the endpoints are arranged
 linearly and the muscle classifies as pennate, otherwise the mean tract
 direction is used and the muscle classifies as non-pennate. PCSA is
 MV * cos(PA) / FL with the median FL and PA.
+
+Every pass over a set's points runs one streamline.blocks range at a time, so
+beside the set an architecture record holds a few arrays per tract and the
+temporaries of one block, whatever the number of points.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import StreamlineSet, arc_lengths
+from .streamline import StreamlineSet, arc_lengths, blocks
 
 R2_THRESHOLD_DEFAULT = 0.9
 
@@ -111,11 +115,18 @@ def _pennation_angles(chords: np.ndarray, direction: np.ndarray) -> list[float]:
 
 
 def muscle_length(sset: StreamlineSet, loa: LineOfAction) -> float:
-    """Extent of all tract points projected on the line of action, in mm."""
+    """Extent of all tract points projected on the line of action, in mm.
+
+    Points are projected one block at a time; each point's projection is the
+    same matrix-vector product as for the whole buffer at once, bit for bit.
+    """
     if len(sset) == 0:
         raise EmptyDomainError("streamline set is empty")
-    proj = sset.points @ loa.direction
-    return float(proj.max() - proj.min())
+    top, bottom = -math.inf, math.inf
+    for lo, hi in blocks(sset.offsets):
+        proj = sset.points[sset.offsets[lo] : sset.offsets[hi]] @ loa.direction
+        top, bottom = np.maximum(top, proj.max()), np.minimum(bottom, proj.min())
+    return float(top - bottom)
 
 
 def _median(values) -> float:

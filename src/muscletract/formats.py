@@ -16,6 +16,12 @@ checks (occupancy bytes 0 or 1, unit directions).
 
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
 
+float32 words are read as float64 with the invalid-operation flag ignored: a
+signaling NaN (0x7f800001) converts to a quiet NaN without a RuntimeWarning,
+and the finite checks of the loaded object reject it with the same error as
+any other NaN (InvalidStreamlineError for STRL coordinates, InvalidSpecError
+for a grid's voxel_size, origin or fa, FormatError for a direction).
+
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one
 buffer of interleaved count and coordinate words. So beside the points of the
@@ -35,7 +41,8 @@ flag: TrackingConfig, FSSConfig and n_candidates check theirs when a config
 is built, and spacing_mm, n_slices, r2_threshold and sdcv_support are checked
 by the library function that uses them (seeds_3d, seeds_2d, line_of_action,
 density). So a file with sdcv_support=bogus serves `track`, which never uses
-it, and `metrics` exits 3 naming the key. Loading a file adds k <= n_candidates.
+it, and `metrics` exits 3 naming the key. Loading a file that sets both k and
+n_candidates adds k <= n_candidates.
 max_angle_deg must lie in (0, 180]: the gate compares cosines, so a larger
 angle would wrap (1000 would gate at 80).
 """
@@ -159,7 +166,8 @@ def load_streamlines(path) -> StreamlineSet:
             fh.seek(start + 4 * (lo + 3 * offsets[lo]))
             if fh.readinto(words) != words.nbytes:
                 raise FormatError(f"truncated file while reading streamline {lo}")
-            points[offsets[lo] : offsets[hi]] = words[coords].reshape(-1, 3)
+            with np.errstate(invalid="ignore"):
+                points[offsets[lo] : offsets[hi]] = words[coords].reshape(-1, 3)
     return StreamlineSet(points, counts)
 
 
@@ -176,6 +184,13 @@ def _save_grid(path, magic: bytes, grid: np.ndarray, voxel_size, origin, dtype) 
         fh.write(np.ascontiguousarray(grid.swapaxes(0, 2), dtype=dtype))
 
 
+def _float64(words: np.ndarray) -> np.ndarray:
+    """float32 words as float64; a signaling NaN becomes a quiet one
+    (module docstring)."""
+    with np.errstate(invalid="ignore"):
+        return words.astype(np.float64)
+
+
 def _load_grid(path, magic: bytes, dtype, channels: int, what: str):
     """(grid, voxel_size, origin) of a grid file that _save_grid wrote: grid
     is an (nx, ny, nz[, channels]) view of the payload as dtype, and what
@@ -183,8 +198,8 @@ def _load_grid(path, magic: bytes, dtype, channels: int, what: str):
     with open(path, "rb") as fh:
         _read_header(fh, magic, path)
         dims = np.frombuffer(_read_exact(fh, 12, "dims"), dtype="<u4").astype(int)
-        voxel_size = np.frombuffer(_read_exact(fh, 12, "voxel_size"), dtype="<f4").astype(np.float64)
-        origin = np.frombuffer(_read_exact(fh, 12, "origin"), dtype="<f4").astype(np.float64)
+        voxel_size = _float64(np.frombuffer(_read_exact(fh, 12, "voxel_size"), dtype="<f4"))
+        origin = _float64(np.frombuffer(_read_exact(fh, 12, "origin"), dtype="<f4"))
         if (dims <= 0).any():
             raise FormatError(f"{path}: non-positive dims {tuple(dims)}")
         shape = tuple(int(d) for d in dims[::-1]) + ((channels,) if channels else ())
@@ -213,7 +228,7 @@ def save_field(path, field: OrientationField) -> None:
 
 def load_field(path) -> OrientationField:
     raw, voxel_size, origin = _load_grid(path, b"ORNT", "<f4", 4, "field payload")
-    grid = raw.astype(np.float64)
+    grid = _float64(raw)
     directions = grid[..., :3]
     fa = grid[..., 3]
     active = fa > 0
@@ -237,7 +252,7 @@ def save_density(path, dmap: DensityMap, normalized: bool = False) -> None:
 
 def load_density(path) -> DensityMap:
     raw, voxel_size, origin = _load_grid(path, b"DENS", "<f4", 0, "density payload")
-    return DensityMap(raw.astype(np.float64), voxel_size, origin)
+    return DensityMap(_float64(raw), voxel_size, origin)
 
 
 def fmt_float(x: float) -> str:
@@ -321,7 +336,8 @@ def key_value_lines(path, expected: str = "key=value"):
 
 def load_run_config(path) -> RunConfig:
     """Parse a run-config file of key=value lines (key_value_lines). Values
-    the owning config rejects, and k > n_candidates, raise ConfigError."""
+    the owning config rejects, and k > n_candidates in a file that sets both,
+    raise ConfigError."""
     values = {}
     for lineno, key, value in key_value_lines(path):
         if key not in RUN_KEYS:
@@ -334,6 +350,9 @@ def load_run_config(path) -> RunConfig:
         cfg = RunConfig().updated(values)
     except InvalidSpecError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if cfg.fss.k > cfg.n_candidates:
+    # A file that sets only one of the two is not held to the other's
+    # default: `track` reads n_candidates alone, and `filter` checks k
+    # against the candidates it is given.
+    if {"k", "n_candidates"} <= values.keys() and cfg.fss.k > cfg.n_candidates:
         raise ConfigError(f"{path}: k cannot exceed n_candidates")
     return cfg

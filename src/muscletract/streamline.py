@@ -73,6 +73,10 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     A streamline has zero length exactly when (seg * seg).sum(1) is zero for
     all of its segments, the test a summed chord length of zero reduces to;
     as a sum of squares, it is zero where every squared component is.
+
+    The check runs one block at a time and one axis at a time, so besides
+    the set it holds one float and two flags per point of one block, and a
+    few bytes per streamline.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
@@ -81,16 +85,25 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     if (np.diff(offsets) < 2).any():
         raise InvalidStreamlineError("streamline needs at least two points")
     for lo, hi in blocks(offsets):
-        base = offsets[lo]
-        pts = points[base : offsets[hi]]
-        if not np.isfinite(pts).all():
-            raise InvalidStreamlineError("streamline contains non-finite coordinates")
-        sq = pts[1:] - pts[:-1]
+        _validate_block(points[offsets[lo] : offsets[hi]], offsets[lo : hi + 1] - offsets[lo])
+
+
+def _validate_block(pts: np.ndarray, offsets: np.ndarray) -> None:
+    """_validate's finite and positive-length checks of the streamlines of
+    one block, at offsets into its points pts."""
+    if not all(np.isfinite(pts[:, c]).all() for c in range(3)):
+        raise InvalidStreamlineError("streamline contains non-finite coordinates")
+    moved = np.zeros(len(pts) - 1, dtype=bool)
+    sq = np.empty(len(pts) - 1)
+    for c in range(3):
+        np.subtract(pts[1:, c], pts[:-1, c], out=sq)
         sq *= sq
-        moved = np.concatenate([[0], np.cumsum((sq[:, 0] > 0) | (sq[:, 1] > 0) | (sq[:, 2] > 0))])
-        # Segments offsets[i] .. offsets[i + 1] - 2 belong to streamline i.
-        if (moved[offsets[lo + 1 : hi + 1] - 1 - base] == moved[offsets[lo:hi] - base]).any():
-            raise InvalidStreamlineError("streamline has zero arc length")
+        moved |= sq > 0
+    # Segments offsets[i] .. offsets[i + 1] - 2 belong to streamline i; the
+    # one from its last point to the next streamline's first is not its own.
+    moved[offsets[1:-1] - 1] = False
+    if not np.logical_or.reduceat(moved, offsets[:-1]).all():
+        raise InvalidStreamlineError("streamline has zero arc length")
 
 
 class StreamlineSet:

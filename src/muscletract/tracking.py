@@ -36,11 +36,16 @@ extends the tracks in it, so the points are held once, not once per stage.
 
 Memory follows the points emitted. Seeds are tracked in batches of _BATCH.
 Besides the output, a batch holds one record of 72 bytes per voxel run
-(track, first step, start point, s*v, point count), at most three times over
-while the records are gathered and sorted, and one pass's run of points with
-its voxel indices, under 4 * _RUN_BYTES. A run holds at least one point, and
-about eight at the default step of a tenth of a voxel. None of this depends
-on max_steps, the step count at which a half-track is cut off.
+(track, first step, start point, s*v, point count) for each of its two
+halves, 32 bytes more per run of the half whose records are being sorted,
+and one pass's run of points with its voxel indices, under 4 * _RUN_BYTES:
+at most 176 bytes per run and 4 * _RUN_BYTES. The records are sorted once,
+straight from the passes that made them, and written in place. A run holds
+at least one point, and about eight at the default step of a tenth of a
+voxel. None of this depends on max_steps, the step count at which a
+half-track is cut off. Beside the tracks, reconstruct then holds a few
+arrays per track (the exit rays), one design per point count while it fits
+(freed before the exits), and one block's scratch while it validates.
 
 reconstruct validates its output once; track builds its set without
 validating it, because raw tracks are valid by construction. They are
@@ -118,7 +123,7 @@ _BATCH = 1024
 
 def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     """March one half-track per seed; returns the point count of every
-    half-track (seed excluded) and its voxel runs, for _write_runs.
+    half-track (seed excluded) and its voxel runs, sorted by _sorted_runs.
 
     Each pass takes every live track through one voxel: the first step does
     the full lookup and checks, and the track then continues in a straight
@@ -133,7 +138,8 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     """
     n = len(starts)
     counts = np.zeros(n, dtype=np.int64)
-    runs = []
+    # One list per record field, of one piece per pass.
+    runs = ([], [], [], [], [])
 
     p = starts.copy()
     prev = init_dirs.copy()
@@ -185,7 +191,9 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
 
         take = np.where(alive, np.minimum(cross, limit) + entered, 0)
         made = np.flatnonzero(take)
-        runs.append((active[made], counts[active[made]], here[made], sv[made], take[made]))
+        record = (active[made], counts[active[made]], here[made], sv[made], take[made])
+        for column, piece in zip(runs, record):
+            column.append(piece)
         counts[active] += take
 
         go = np.flatnonzero(alive & ((cross >= limit) | entered))
@@ -194,22 +202,45 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         prev[survivors] = v[go]
         active = survivors[counts[survivors] < max_steps]
 
-    return counts, [np.concatenate(column) for column in zip(*runs)]
+    return counts, _sorted_runs(runs)
+
+
+def _sorted_runs(runs) -> list:
+    """The records of one _propagate call as five arrays (track, first step,
+    start point, s*v, count), the runs sorted by point count, longest first.
+
+    Each field is scattered from its per-pass pieces straight into its sorted
+    place, so no field is held twice over, unsorted and sorted.
+    """
+    count = np.concatenate(runs[4])
+    rank = np.empty(len(count), dtype=np.int64)
+    rank[np.argsort(-count, kind="stable")] = np.arange(len(count))
+    del count
+    out = []
+    for pieces in runs:
+        field = np.empty((len(rank),) + pieces[0].shape[1:], dtype=pieces[0].dtype)
+        at = 0
+        for piece in pieces:
+            field[rank[at : at + len(piece)]] = piece
+            at += len(piece)
+        pieces.clear()
+        out.append(field)
+    return out
 
 
 def _write_runs(out, runs, rows, sign) -> None:
-    """Write the points of the runs of one _propagate call into out: point j
-    of a half-track goes to row rows[track] + sign * j.
+    """Write the points of the sorted runs of one _propagate call into out:
+    point j of a half-track goes to row rows[track] + sign * j. The records'
+    first steps and start points are overwritten, so runs can be written
+    only once.
 
     Each run adds its s*v to its start point again, in sequence, as
     _propagate did, so every point is bit-identical to the one the step loop
-    computes. The runs are sorted by point count, longest first, so that the
-    runs still adding at step j are a prefix of them.
+    computes. The runs still adding at step j are a prefix of them.
     """
-    track, first, start, sv, count = runs
-    order = np.argsort(-count, kind="stable")
-    dest = rows[track[order]] + sign * first[order]
-    p, sv = start[order], sv[order]
+    track, dest, p, sv, count = runs
+    dest *= sign
+    dest += rows[track]
     # Points are copied as whole 24-byte rows, which numpy scatters faster
     # than rows of three floats.
     row = np.dtype((np.void, 24))
@@ -478,6 +509,9 @@ def reconstruct(
             points[a:b] = _fit_cubic(points[a:b], designs)
         else:
             unfitted += 1
+    # One design per point count is scratch that grows with the spread of
+    # track lengths; it is not held through the stages below.
+    del designs
     exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
     counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
     away = int(ran_away.sum())

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from muscletract import streamline
 from muscletract.architecture import (
     LineOfAction,
     _median,
@@ -194,6 +198,61 @@ class TestMuscleLength:
         sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         assert muscle_length(sset, loa) == pytest.approx(60.0, rel=0.02)
+
+
+# Projects 480 000 points, whole and in blocks whose edges fall on odd rows,
+# so that the blocks start at every alignment the whole buffer's rows have.
+BLOCKED_PROJECTION = """
+import numpy as np
+from muscletract import streamline
+from muscletract.architecture import LineOfAction, muscle_length
+
+rng = np.random.default_rng(12)
+counts = 2 * rng.integers(1, 400, size=1200) + 1
+sset = streamline.StreamlineSet(rng.uniform(-80.0, 80.0, (counts.sum(), 3)), counts)
+loa = LineOfAction(np.array([0.36, -0.48, 0.8]), 1.0, "endpoint_fit")
+whole = sset.points @ loa.direction
+for budget in (streamline.BLOCK_POINTS, 1 << 10, 93):
+    streamline.BLOCK_POINTS = budget
+    ranges = list(streamline.blocks(sset.offsets))
+    assert len(ranges) > 1 and any(sset.offsets[lo] % 2 for lo, _ in ranges)
+    blocked = np.concatenate(
+        [sset.points[sset.offsets[lo] : sset.offsets[hi]] @ loa.direction for lo, hi in ranges])
+    assert blocked.tobytes() == whole.tobytes()
+    assert muscle_length(sset, loa) == float(whole.max() - whole.min())
+"""
+
+
+class TestBlockedMuscleLength:
+    """muscle_length projects one block at a time; each point's projection
+    must round as in one product over the whole buffer."""
+
+    @pytest.mark.parametrize("threads", ["1", None])
+    def test_equals_the_whole_buffer_projection(self, threads):
+        # BLAS reads its thread count when it loads: one interpreter each.
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", BLOCKED_PROJECTION], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
+    def test_scratch_does_not_grow_with_the_set(self, monkeypatch, traced_peak):
+        # A small block budget keeps the sets small; the blocks it makes are
+        # full whichever set is measured.
+        monkeypatch.setattr(streamline, "BLOCK_POINTS", 1 << 12)
+        rng = np.random.default_rng(6)
+        mask = VoxelMask(np.ones((4, 4, 4), dtype=bool))
+        line = np.linspace((0.0, 0.0, 0.0), (6.0, 2.0, 60.0), 2001)
+        tracts = [line + rng.normal(0.0, 0.5, (len(line), 3)) for _ in range(60)]
+
+        def scratch(copies):
+            sset = pack(tracts * copies)
+            return traced_peak(lambda: summarize(mask, sset, line_of_action(sset)))[1]
+
+        one, two = scratch(1), scratch(2)
+        assert two < 1.1 * one
 
 
 class TestMedian:

@@ -477,6 +477,21 @@ class TestExitCodes:
         code = run(["arch", "--streamlines", strl, "--mask", mask_path, "--out", tmp_path / "a.csv"])
         assert code == 4
 
+    @pytest.mark.parametrize("damaged, offset, code", [("strl", -8, 4), ("mskv", 20, 3)])
+    def test_signaling_nan_word_exits_without_a_warning(self, tmp_path, capsys, damaged, offset, code):
+        # 0x7f800001 is a signaling NaN: a coordinate (exit 4) or a voxel size (exit 3).
+        files = {"mskv": tmp_path / "m.mskv", "strl": tmp_path / "s.strl"}
+        save_mask(files["mskv"], VoxelMask(np.ones((4, 4, 4), dtype=bool)))
+        save_streamlines(files["strl"], pack([[(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)]] * 3))
+        raw = bytearray(files[damaged].read_bytes())
+        raw[offset : offset + 4] = struct.pack("<I", 0x7F800001)
+        files[damaged].write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run(["arch", "--streamlines", files["strl"], "--mask", files["mskv"],
+                    "--out", tmp_path / "a.csv"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_run_config_flows_through(self, phantom_files, tmp_path):
         mask, field, _ = phantom_files
         cfg = tmp_path / "run.cfg"
@@ -574,6 +589,14 @@ class TestRunParameters:
     def test_target_candidates_below_default_k(self, small_box, tmp_path):
         out = tmp_path / "c.strl"
         assert run(_command(small_box, "track", out) + ["--target-candidates", "20"]) == 0
+        assert 0 < len(load_streamlines(out)) <= 20
+
+    def test_config_file_n_candidates_below_default_k(self, small_box, tmp_path):
+        # A file that sets n_candidates alone is not held to the default k.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_candidates=20\n")
+        out = tmp_path / "c.strl"
+        assert run(_command(small_box, "track", out) + ["--config", cfg]) == 0
         assert 0 < len(load_streamlines(out)) <= 20
 
     def test_run_parameter_flags_store_under_run_config_keys(self):

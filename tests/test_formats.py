@@ -1,11 +1,20 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muscletract.formats as formats_mod
 import muscletract.streamline as streamline_mod
-from muscletract.errors import ConfigError, FormatError, InvalidSpecError, InvalidStreamlineError
+from muscletract.errors import (
+    ConfigError,
+    FormatError,
+    InvalidSpecError,
+    InvalidStreamlineError,
+    MuscleTractError,
+)
 from muscletract.formats import (
     RunConfig,
     fmt_float,
@@ -124,6 +133,33 @@ class TestStreamlineRoundTrip:
         assert np.array_equal(got.offsets, sset.offsets)
 
 
+    def test_signaling_nan_coordinate_rejected(self, tmp_path):
+        # 0x7f800001 is a signaling NaN; converting it to float64 raises the
+        # invalid-operation flag, which must not surface as a RuntimeWarning.
+        path = tmp_path / "s.strl"
+        save_streamlines(path, pack([[(0.0, 0, 0), (1, 0, 0)], [(0.0, 1, 0), (0, 2, 0)]]))
+        raw = bytearray(path.read_bytes())
+        raw[-8:-4] = struct.pack("<I", 0x7F800001)  # y of the last point
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidStreamlineError, match="non-finite"):
+            load_streamlines(path)
+
+    def test_scratch_does_not_grow_with_the_set(self, tmp_path, monkeypatch, traced_peak):
+        # A small block budget keeps the files small; the blocks it makes are
+        # full whichever file is loaded.
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 1 << 12)
+        tracts = list(walk(np.random.default_rng(8), [2001] * 60))
+
+        def scratch(copies):
+            path = tmp_path / f"{copies}.strl"
+            save_streamlines(path, pack(tracts * copies))
+            sset, peak = traced_peak(load_streamlines, path)
+            return peak - sset.points.nbytes
+
+        one, two = scratch(1), scratch(2)
+        assert two < 1.1 * one
+
+
 def strl_bytes(sset) -> bytes:
     """A STRL file as the format describes it, one record at a time."""
     records = [struct.pack("<I", len(s)) + s.astype("<f4").tobytes() for s in sset]
@@ -225,6 +261,16 @@ class TestMaskRoundTrip:
         with pytest.raises(InvalidSpecError):
             load_mask(path)
 
+    @pytest.mark.parametrize("offset", [20, 36])  # voxel_size[0], origin[1]
+    def test_signaling_nan_header_rejected(self, tmp_path, offset):
+        path = tmp_path / "m.mskv"
+        save_mask(path, VoxelMask(np.ones((2, 3, 4), dtype=bool)))
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 4] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            load_mask(path)
+
     def test_bad_occupancy_byte_rejected(self, tmp_path):
         path = tmp_path / "m.mskv"
         save_mask(path, VoxelMask(np.ones((2, 2, 2), dtype=bool)))
@@ -291,6 +337,20 @@ class TestFieldRoundTrip:
             load_field(path)
 
 
+    @pytest.mark.parametrize("channel, error", [(0, FormatError), (3, InvalidSpecError)])
+    def test_signaling_nan_payload_rejected(self, tmp_path, channel, error):
+        d = np.zeros((2, 2, 2, 3))
+        d[..., 2] = 1.0
+        path = tmp_path / "f.ornt"
+        self.write_raw(path, d, np.full((2, 2, 2), 0.5))
+        raw = bytearray(path.read_bytes())
+        at = 44 + 4 * (4 * 5 + channel)  # voxel 5, x-fastest
+        raw[at : at + 4] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(error):
+            load_field(path)
+
+
 class TestDensityRoundTrip:
     def test_save_load_save_byte_exact(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -313,6 +373,17 @@ class TestDensityRoundTrip:
         got = load_density(path)
         assert got.counts[0, 0, 0] == 1.0
         assert got.counts[1, 0, 0] == 0.5
+
+
+    def test_signaling_nan_payload_loads_as_nan(self, tmp_path):
+        # A density volume has no finite check: the NaN is loaded as it is.
+        path = tmp_path / "n.dens"
+        save_density(path, DensityMap(np.ones((2, 1, 1)), np.ones(3), np.zeros(3)))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        counts = load_density(path).counts
+        assert counts[0, 0, 0] == 1.0 and np.isnan(counts[1, 0, 0])
 
 
 class TestGridFiles:
@@ -419,6 +490,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    @pytest.mark.parametrize("text, k, n", [
+        ("n_candidates=100\n", 3000, 100),
+        ("k=20000\n", 20000, 10000),
+        ("k=100\nn_candidates=100\n", 100, 100),
+    ])
+    def test_one_of_k_and_n_candidates_is_not_held_to_the_other_default(self, tmp_path, text, k, n):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        cfg = load_run_config(path)
+        assert (cfg.fss.k, cfg.n_candidates) == (k, n)
+
     def test_degenerate_values_rejected(self, tmp_path):
         for text in (
             "step_mm=0\n", "max_extrap_fraction=1.5\n", "init_rule=up\n", "fa_min=nan\n",
@@ -452,3 +534,68 @@ class TestRunConfig:
     def test_updated_allows_k_above_n_candidates(self):
         cfg = RunConfig().updated({"n_candidates": 2400})
         assert cfg.fss.k == 3000
+
+
+# The 4-byte words the fuzz test writes over a file: zero, the smallest
+# subnormal, a signaling NaN, a quiet NaN, infinity, and all bits set (a NaN,
+# or the largest u32 as a count or a dimension).
+FUZZ_WORDS = [0, 1, 0x7F800001, 0x7FC00000, 0x7F800000, 0xFFFFFFFF]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Small files of every binary format, written by the library's own
+    writers: (loader, bytes) by format."""
+    d = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(13)
+    mask = VoxelMask(rng.random((2, 3, 2)) > 0.3, (0.5, 1.0, 2.0), (-1.0, 2.5, 0.0))
+    field = random_field(rng)
+    writers = {
+        "strl": (load_streamlines, lambda p: save_streamlines(p, random_streamlines(rng, n=3))),
+        "mskv": (load_mask, lambda p: save_mask(p, mask)),
+        "ornt": (load_field, lambda p: save_field(p, field)),
+        "dens": (load_density, lambda p: save_density(
+            p, DensityMap(rng.integers(0, 9, mask.dims), mask.voxel_size, mask.origin))),
+    }
+    files = {}
+    for kind, (load, write) in writers.items():
+        write(d / kind)
+        files[kind] = (load, (d / kind).read_bytes())
+    return d, files
+
+
+@st.composite
+def mutated(draw, files):
+    """(kind, bytes): a file cut at any byte, with any 4-byte window
+    overwritten by one of FUZZ_WORDS, or with one bit flipped."""
+    kind = draw(st.sampled_from(sorted(files)))
+    raw = bytearray(files[kind][1])
+    how = draw(st.sampled_from(["truncate", "word", "bit"]))
+    if how == "truncate":
+        del raw[draw(st.integers(0, len(raw) - 1)) :]
+    elif how == "word":
+        at = draw(st.integers(0, len(raw) - 4))
+        raw[at : at + 4] = struct.pack("<I", draw(st.sampled_from(FUZZ_WORDS)))
+    else:
+        bit = draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+    return kind, bytes(raw)
+
+
+class TestLoaderFuzz:
+    """A damaged file is loaded or rejected with a MuscleTractError, never
+    with another exception or a RuntimeWarning."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_damaged_files_load_or_raise_library_errors(self, fuzz_files, data):
+        d, files = fuzz_files
+        kind, raw = data.draw(mutated(files))
+        path = d / f"damaged.{kind}"
+        path.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                files[kind][0](path)
+            except MuscleTractError:
+                pass

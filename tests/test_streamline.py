@@ -437,3 +437,67 @@ class TestDistinct:
         a = np.array([3, 1, 3, 2])
         _distinct(a)
         assert a.tolist() == [3, 1, 3, 2]
+
+
+def whole_block_validate(points, offsets):
+    """streamline._validate as written before it ran one axis at a time: the
+    same checks in the same order, over (block, 3) temporaries."""
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
+    if offsets[-1] != len(points):
+        raise InvalidStreamlineError(f"point counts add up to {offsets[-1]}, not {len(points)}")
+    if (np.diff(offsets) < 2).any():
+        raise InvalidStreamlineError("streamline needs at least two points")
+    for lo, hi in streamline_mod.blocks(offsets):
+        base = offsets[lo]
+        pts = points[base : offsets[hi]]
+        if not np.isfinite(pts).all():
+            raise InvalidStreamlineError("streamline contains non-finite coordinates")
+        sq = pts[1:] - pts[:-1]
+        sq *= sq
+        moved = np.concatenate([[0], np.cumsum((sq[:, 0] > 0) | (sq[:, 1] > 0) | (sq[:, 2] > 0))])
+        if (moved[offsets[lo + 1 : hi + 1] - 1 - base] == moved[offsets[lo:hi] - base]).any():
+            raise InvalidStreamlineError("streamline has zero arc length")
+
+
+def validation_error(check, points, offsets):
+    try:
+        check(points, offsets)
+    except InvalidStreamlineError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def flawed_sets(draw):
+    """(points, offsets, budget): up to 8 streamlines of 1 to 6 points whose
+    coordinates repeat often (zero-length segments), underflow when squared,
+    or are not finite, and a block budget that splits them."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, -2.5, 1e-200, math.nan, math.inf])
+    points = draw(hnp.arrays(np.float64, (sum(counts), 3), elements=values))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return points, offsets, draw(st.integers(1, 12))
+
+
+class TestValidate:
+    @given(flawed_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_raises_what_the_whole_block_form_raises(self, case):
+        points, offsets, budget = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(streamline_mod, "BLOCK_POINTS", budget)
+            want = validation_error(whole_block_validate, points, offsets)
+            assert validation_error(streamline_mod._validate, points, offsets) == want
+
+    def test_scratch_is_one_float_per_block_point(self, traced_peak):
+        # Four full blocks of 1001-point streamlines; the check holds one
+        # float and two flags per point of a block, and a few bytes per
+        # streamline.
+        rng = np.random.default_rng(9)
+        budget = streamline_mod.BLOCK_POINTS
+        counts = np.full(4 * budget // 1001, 1001)
+        points = rng.uniform(-50.0, 50.0, (counts.sum(), 3))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        _, peak = traced_peak(streamline_mod._validate, points, offsets)
+        assert peak <= 10 * budget + 64 * len(counts) + 4096

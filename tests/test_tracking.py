@@ -1,7 +1,6 @@
 import logging
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +20,7 @@ from muscletract.tracking import (
     _long_enough,
     _propagate,
     _ray_exits,
+    _sorted_runs,
     _step_range,
     _surface_exits,
     _with_exits,
@@ -445,9 +445,10 @@ class TestMatchesStepwiseReference:
             counts, runs = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
             ends = np.cumsum(counts)
             # Each half-track forwards from its first row, and reversed back
-            # from its last, as track lays out the two halves.
+            # from its last, as track lays out the two halves. Writing uses
+            # up the records, so the first write gets a copy.
             forward, backward = np.empty((2, ends[-1], 3))
-            _write_runs(forward, runs, ends - counts, 1)
+            _write_runs(forward, [column.copy() for column in runs], ends - counts, 1)
             _write_runs(backward, runs, ends - 1, -1)
             want = ref.propagate(field, mask, starts, sign * v0, cfg, max_steps)
             assert len(counts) == len(want) == len(starts)
@@ -455,6 +456,29 @@ class TestMatchesStepwiseReference:
                 got = np.split(got, ends[:-1])
                 assert all(np.array_equal(a[::flip], b) for a, b in zip(got, want))
             assert counts.max() == min(max_steps, max(map(len, want)))
+
+    def test_run_records_are_sorted_and_written_without_copies(self, traced_peak):
+        mask, field = jittered_arc(voxel=0.7)
+        starts = some_seeds(mask, 1.0).points
+        starts = starts[mask.points_in_mask(starts)]
+        idx = mask.world_to_index(starts)
+        v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
+        counts, runs = _propagate(field, mask, starts, v0, TrackingConfig(), 2000)
+        n = len(runs[0])
+        assert n > 1000
+        # The records shuffled and cut into pieces, as passes leave them: the
+        # sort puts them longest first, ties in piece order, and holds 32
+        # bytes per run besides them.
+        shuffled = np.random.default_rng(2).permutation(n)
+        pieces = [np.array_split(column[shuffled], 5) for column in runs]
+        got, peak = traced_peak(_sorted_runs, pieces)
+        order = np.argsort(-runs[4][shuffled], kind="stable")
+        assert all(np.array_equal(a, b[shuffled][order]) for a, b in zip(got, runs))
+        assert peak <= sum(column.nbytes for column in got) + 32 * n + 4096
+        # Writing them holds 8 bytes per run.
+        ends = np.cumsum(counts)
+        _, peak = traced_peak(_write_runs, np.empty((ends[-1], 3)), got, ends - counts, 1)
+        assert peak <= 8 * n + 4096
 
     def test_fit_kernel_shares_designs_across_lengths(self):
         rng = np.random.default_rng(7)
@@ -742,19 +766,30 @@ class TestFineSteps:
         assert_same_streamlines(reconstruct(field, mask, seeds, cfg),
                                 ref.reconstruct(field, mask, seeds, cfg))
 
-    def test_memory_follows_the_output(self):
+    def test_memory_follows_the_output(self, traced_peak):
         # The bound of the tracking module docstring: the output, plus one
-        # pass's temporaries and 216 bytes per voxel run, of which there are at
+        # pass's temporaries and 176 bytes per voxel run, of which there are at
         # most as many as points.
         mask, field, seeds, cfg = fine_steps()
-        tracemalloc.start()
-        try:
-            got = track(field, mask, seeds, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(track, field, mask, seeds, cfg)
         assert len(got) == len(seeds)
-        assert peak <= got.points.nbytes + 4 * tracking._RUN_BYTES + 216 * len(got.points)
+        assert peak <= got.points.nbytes + 4 * tracking._RUN_BYTES + 176 * len(got.points)
+
+
+def test_reconstruct_scratch_does_not_grow_with_the_seeds(traced_peak):
+    # The same batch of seeds once and twice over, so that every batch tracks
+    # the same points: what reconstruct holds beyond the tracks that track()
+    # emits must not grow with their number.
+    mask, field, _ = make_phantom(PhantomSpec())
+    seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
+
+    def scratch(copies):
+        repeated = SeedSet(np.concatenate([seeds] * copies))
+        tracked = track(field, mask, repeated).points.nbytes
+        return traced_peak(reconstruct, field, mask, repeated)[1] - tracked
+
+    one, two = scratch(1), scratch(2)
+    assert two < 1.1 * one
 
 
 @pytest.mark.parametrize("batch", [1, 3, tracking._BATCH])
