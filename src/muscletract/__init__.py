@@ -34,7 +34,7 @@ from .stats import (
     t_paired,
 )
 from .streamline import StreamlineSet, arc_lengths
-from .tracking import TrackingConfig, reconstruct, track
+from .tracking import TrackingConfig, reconstruct, reconstruct_batches, track
 
 __version__ = "0.1.0"
 
@@ -67,6 +67,7 @@ __all__ = [
     "muscle_volume",
     "percent_diff",
     "reconstruct",
+    "reconstruct_batches",
     "seeds_2d",
     "seeds_3d",
     "skewness",

@@ -124,7 +124,7 @@ def muscle_length(sset: StreamlineSet, loa: LineOfAction) -> float:
         raise EmptyDomainError("streamline set is empty")
     top, bottom = -math.inf, math.inf
     for lo, hi in blocks(sset.offsets):
-        proj = sset.points[sset.offsets[lo] : sset.offsets[hi]] @ loa.direction
+        proj = sset.block(lo, hi) @ loa.direction
         top, bottom = np.maximum(top, proj.max()), np.minimum(bottom, proj.min())
     return float(top - bottom)
 

@@ -9,6 +9,10 @@ or function that uses it, wherever it came from.
 Log records of the library (what each stage dropped, and why) go to stderr
 at --log-level and above; stdout and the output files do not depend on it.
 
+`track` writes each batch of streamlines as soon as it is reconstructed, to
+a temporary file beside --out that then replaces --out, so a failed run
+leaves --out as it was; --out must be a regular file or absent.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -29,7 +34,7 @@ from .errors import ArityError, DataError, FrameMismatchError, MuscleTractError
 from .phantom import PhantomSpec, make_phantom
 from .sampling import SeedSet, fss_select, seeds_2d, seeds_3d
 from .streamline import StreamlineSet, blocks
-from .tracking import reconstruct
+from .tracking import reconstruct, reconstruct_batches
 
 METRIC_COLUMNS = ("sc", "sdcv", "fl_median", "ml", "fl_ml_ratio", "pa_median", "pcsa")
 
@@ -61,7 +66,7 @@ def _check_frame(sset: StreamlineSet, mask) -> None:
     the mask grid's bounding box."""
     lo, hi = mask.origin, mask.origin + mask.world_extent
     for a, b in blocks(sset.offsets):
-        pts = sset.points[sset.offsets[a] : sset.offsets[b]]
+        pts = sset.block(a, b)
         ok = (pts >= lo) & (pts <= hi)
         if (ok[:, 0] & ok[:, 1] & ok[:, 2]).any():
             return
@@ -127,9 +132,18 @@ def cmd_track(args) -> int:
     seeds = _make_seeds(args.strategy, mask, cfg)
     if len(seeds) > cfg.n_candidates:
         seeds = SeedSet(seeds.points[_even_picks(len(seeds), cfg.n_candidates)])
-    sset = reconstruct(field, mask, seeds, cfg.tracking)
-    formats.save_streamlines(args.out, sset)
-    print(f"track: {len(seeds)} seeds -> {len(sset)} streamlines -> {args.out}")
+    out = Path(args.out)
+    if out.exists() and not out.is_file():
+        raise DataError(f"{out}: --out must be a regular file")
+    # The batches stream into a file beside --out (module docstring).
+    part = out.with_name(f".{out.name}.{os.getpid()}.part")
+    try:
+        batches = reconstruct_batches(field, mask, seeds, cfg.tracking)
+        count = formats.save_streamlines(part, batches)
+        os.replace(part, out)
+    finally:
+        part.unlink(missing_ok=True)
+    print(f"track: {len(seeds)} seeds -> {count} streamlines -> {args.out}")
     return 0
 
 

@@ -16,11 +16,19 @@ checks (occupancy bytes 0 or 1, unit directions).
 
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
 
-float32 words are read as float64 with the invalid-operation flag ignored: a
-signaling NaN (0x7f800001) converts to a quiet NaN without a RuntimeWarning,
-and the finite checks of the loaded object reject it with the same error as
-any other NaN (InvalidStreamlineError for STRL coordinates, InvalidSpecError
-for a grid's voxel_size, origin or fa, FormatError for a direction).
+load_streamlines keeps the file's float32 coordinates: the set it returns is
+float32-backed (streamline module docstring), 12 bytes per point. Grid
+payloads and headers are read as float64. Either way a float32 word is
+converted with the invalid-operation flag ignored (streamline._float64): a
+signaling NaN (0x7f800001) becomes a quiet NaN without a RuntimeWarning, and
+the finite checks of the loaded object reject it with the same error as any
+other NaN (InvalidStreamlineError for STRL coordinates, InvalidSpecError for
+a grid's voxel_size, origin or fa, FormatError for a direction).
+
+One STRL writer, save_streamlines, serves a set (or the streamlines of a set
+at given rows) and a stream of sets, such as the batches of
+tracking.reconstruct_batches: it writes the header, then the records of each
+set in turn, and for a stream patches the count into the header at the end.
 
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one
@@ -62,7 +70,7 @@ from .errors import ConfigError, FormatError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap
 from .sampling import FSSConfig
-from .streamline import StreamlineSet, blocks
+from .streamline import StreamlineSet, _float64, blocks
 from .tracking import TrackingConfig
 
 FORMAT_VERSION = 1
@@ -106,26 +114,43 @@ def _record_words(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
     return heads, coords
 
 
-def save_streamlines(path, sset: StreamlineSet, rows=None) -> None:
-    """Write a set, or only its streamlines at rows, in that order. Either
-    way the points are read from the set's buffer one block at a time, so
-    writing a subset is no copy of it."""
+def _write_records(fh, sset: StreamlineSet, rows) -> int:
+    """Write the records of a set, or of its streamlines at rows, in that
+    order; returns how many. The points are read from the set's buffer one
+    block at a time, so writing a subset is no copy of it."""
     if rows is None:
         offsets = sset.offsets
     else:
         starts, offsets = sset._selection(rows)
+    for lo, hi in blocks(offsets):
+        heads, coords = _record_words(offsets, lo, hi)
+        words = np.empty(len(coords), dtype="<f4")
+        words.view("<u4")[heads] = offsets[lo + 1 : hi + 1] - offsets[lo:hi]
+        if rows is None:
+            words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
+        else:
+            words[coords] = sset._gathered(starts, offsets, lo, hi).reshape(-1)
+        fh.write(words)
+    return len(offsets) - 1
+
+
+def save_streamlines(path, streamlines, rows=None) -> int:
+    """Write a set, or only its streamlines at rows, in that order; or
+    every set of an iterable of sets in turn, each written before the next
+    is drawn, with the count patched into the header at the end. Returns
+    the number of streamlines written."""
     with open(path, "wb") as fh:
         fh.write(b"STRL")
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(offsets) - 1))
-        for lo, hi in blocks(offsets):
-            heads, coords = _record_words(offsets, lo, hi)
-            words = np.empty(len(coords), dtype="<f4")
-            words.view("<u4")[heads] = offsets[lo + 1 : hi + 1] - offsets[lo:hi]
-            if rows is None:
-                words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
-            else:
-                words[coords] = sset._gathered(starts, offsets, lo, hi).reshape(-1)
-            fh.write(words)
+        if isinstance(streamlines, StreamlineSet):
+            count = len(streamlines) if rows is None else len(rows)
+            fh.write(struct.pack("<II", FORMAT_VERSION, count))
+            _write_records(fh, streamlines, rows)
+            return count
+        fh.write(struct.pack("<II", FORMAT_VERSION, 0))
+        count = sum(_write_records(fh, sset, None) for sset in streamlines)
+        fh.seek(8)
+        fh.write(_U32.pack(count))
+    return count
 
 
 def load_streamlines(path) -> StreamlineSet:
@@ -133,7 +158,7 @@ def load_streamlines(path) -> StreamlineSet:
 
     A first pass checks the point counts, reading _READ_BYTES of the file at
     a time; the records are then read one block at a time (module docstring)
-    into one float64 buffer.
+    into one float32 buffer, which the set keeps.
     """
     with open(path, "rb") as fh:
         _read_header(fh, b"STRL", path)
@@ -159,15 +184,14 @@ def load_streamlines(path) -> StreamlineSet:
 
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        points = np.empty((offsets[-1], 3))
+        points = np.empty((offsets[-1], 3), dtype=np.float32)
         for lo, hi in blocks(offsets):
             _, coords = _record_words(offsets, lo, hi)
             words = np.empty(len(coords), dtype="<f4")
             fh.seek(start + 4 * (lo + 3 * offsets[lo]))
             if fh.readinto(words) != words.nbytes:
                 raise FormatError(f"truncated file while reading streamline {lo}")
-            with np.errstate(invalid="ignore"):
-                points[offsets[lo] : offsets[hi]] = words[coords].reshape(-1, 3)
+            points[offsets[lo] : offsets[hi]] = words[coords].reshape(-1, 3)
     return StreamlineSet(points, counts)
 
 
@@ -182,13 +206,6 @@ def _save_grid(path, magic: bytes, grid: np.ndarray, voxel_size, origin, dtype) 
         fh.write(np.asarray(origin, dtype="<f4").tobytes())
         # Voxel (x, y, z) at flat index x + nx*(y + ny*z).
         fh.write(np.ascontiguousarray(grid.swapaxes(0, 2), dtype=dtype))
-
-
-def _float64(words: np.ndarray) -> np.ndarray:
-    """float32 words as float64; a signaling NaN becomes a quiet one
-    (module docstring)."""
-    with np.errstate(invalid="ignore"):
-        return words.astype(np.float64)
 
 
 def _load_grid(path, magic: bytes, dtype, channels: int, what: str):

@@ -117,8 +117,7 @@ def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> tuple[np.ndarray, int]:
     counts = np.zeros(n_vox, dtype=np.int64)
     missed = 0
     for lo, hi in blocks(sset.offsets):
-        offsets = sset.offsets[lo : hi + 1]
-        found = _voxel_keys(sset.points[offsets[0] : offsets[-1]], offsets - offsets[0], mask)
+        found = _voxel_keys(sset.block(lo, hi), sset.offsets[lo : hi + 1] - sset.offsets[lo], mask)
         counts += np.bincount(found % n_vox, minlength=n_vox)
         missed += hi - lo - len(_distinct(found // n_vox))
     return counts.reshape(mask.dims), missed

@@ -208,7 +208,7 @@ def fss_select(candidates: StreamlineSet, cfg: FSSConfig) -> FSSTrace:
         dmin[live] = np.minimum(dmin[live], upd)
 
     log.info(
-        "fss_filter: %d candidates, k=%d; %d MDF evaluations (%.2f%% of n*k)",
+        "fss_select: %d candidates, k=%d; %d MDF evaluations (%.2f%% of n*k)",
         n, cfg.k, evaluations, 100.0 * evaluations / (n * cfg.k),
     )
     return FSSTrace(selected, distances, evaluations)

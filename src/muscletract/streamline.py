@@ -2,15 +2,24 @@
 
 A streamline is an ordered 3D polyline in world millimeters with at least two
 points and positive arc length. A StreamlineSet packs n of them the way
-nibabel's ArraySequence does: one (N, 3) float64 point buffer and n + 1
-int64 offsets (streamline i is points[offsets[i]:offsets[i + 1]]); its
-position is a streamline's one identity. It is the only streamline container:
+nibabel's ArraySequence does: one (N, 3) point buffer and n + 1 int64
+offsets (streamline i is points[offsets[i]:offsets[i + 1]]); its position is
+a streamline's one identity. It is the only streamline container:
 every stage of the pipeline, from the tracker to the architecture reductions,
 takes and returns one. A set is validated once, over its whole buffer, when
 it is built; iterating over it yields each streamline's (c, 3) points as a
 view into the buffer. A set built from streamlines that are valid by
 construction (the rows of a validated set, or the raw tracks of
 tracking.track) is not validated at all.
+
+The buffer is float64 or float32. A set loaded from STRL keeps the file's
+float32 coordinates, as TRK, TCK and Dipy's streamlines do, so it takes 12
+bytes per point rather than 24. Every read that feeds arithmetic converts
+what it reads to float64 first, one block or one gather at a time
+(StreamlineSet.block, _float64), and computes in float64: a float32 value
+converts exactly, so every result is bit-identical to that of the float64
+set of the same values. Copies (take, the STRL writer) keep the set's
+dtype.
 
 Work over a set runs in blocks of whole streamlines holding at most
 BLOCK_POINTS points, read when the work starts. A streamline longer than the
@@ -67,6 +76,14 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _float64(a: np.ndarray) -> np.ndarray:
+    """a as float64: a itself if it is float64, else converted. Converting a
+    signaling NaN (float32 word 0x7f800001) raises the invalid-operation
+    flag, which is ignored: it becomes a quiet NaN, not a RuntimeWarning."""
+    with np.errstate(invalid="ignore"):
+        return a.astype(np.float64, copy=False)
+
+
 def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     """Every streamline finite, of two or more points and positive length.
 
@@ -75,8 +92,9 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     as a sum of squares, it is zero where every squared component is.
 
     The check runs one block at a time and one axis at a time, so besides
-    the set it holds one float and two flags per point of one block, and a
-    few bytes per streamline.
+    the set it holds one float and two flags per point of one block, the
+    block's float64 copy if the set is float32, and a few bytes per
+    streamline.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
@@ -85,7 +103,8 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     if (np.diff(offsets) < 2).any():
         raise InvalidStreamlineError("streamline needs at least two points")
     for lo, hi in blocks(offsets):
-        _validate_block(points[offsets[lo] : offsets[hi]], offsets[lo : hi + 1] - offsets[lo])
+        pts = _float64(points[offsets[lo] : offsets[hi]])
+        _validate_block(pts, offsets[lo : hi + 1] - offsets[lo])
 
 
 def _validate_block(pts: np.ndarray, offsets: np.ndarray) -> None:
@@ -112,9 +131,11 @@ class StreamlineSet:
 
     def __init__(self, points, counts):
         """A set over an (N, 3) point buffer that holds streamlines of the
-        given point counts one after another. A float64 buffer is used as
-        given, not copied. Every streamline is validated (_validate)."""
-        self.points = np.asarray(points, dtype=np.float64)
+        given point counts one after another. A float64 or float32 buffer is
+        used as given, not copied; any other is converted to float64. Every
+        streamline is validated (_validate)."""
+        points = np.asarray(points)
+        self.points = points if points.dtype == np.float32 else np.asarray(points, dtype=np.float64)
         self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         _validate(self.points, self.offsets)
@@ -136,14 +157,20 @@ class StreamlineSet:
 
     def __iter__(self):
         """Each streamline's (c, 3) points, in set order, as views into the
-        buffer."""
+        buffer, at its dtype."""
         bounds = self.offsets.tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield self.points[lo:hi]
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and last point of every streamline, as two (n, 3) arrays."""
-        return self.points[self.offsets[:-1]], self.points[self.offsets[1:] - 1]
+        """First and last point of every streamline, as two (n, 3) float64
+        arrays."""
+        return _float64(self.points[self.offsets[:-1]]), _float64(self.points[self.offsets[1:] - 1])
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The points of streamlines lo..hi-1 as float64: a view of a
+        float64 buffer, a copy of a float32 one."""
+        return _float64(self.points[self.offsets[lo] : self.offsets[hi]])
 
     def _selection(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """(starts, offsets) of the streamlines at the given positions: the
@@ -163,10 +190,10 @@ class StreamlineSet:
 
     def take(self, rows) -> StreamlineSet:
         """The streamlines at the given positions, in that order, copied one
-        block at a time. The copied rows were validated with this set, so
-        they are not checked again."""
+        block at a time at this set's dtype. The copied rows were validated
+        with this set, so they are not checked again."""
         starts, offsets = self._selection(rows)
-        points = np.empty((offsets[-1], 3))
+        points = np.empty((offsets[-1], 3), dtype=self.points.dtype)
         for lo, hi in blocks(offsets):
             points[offsets[lo] : offsets[hi]] = self._gathered(starts, offsets, lo, hi)
         return StreamlineSet._trusted(points, offsets)
@@ -198,7 +225,7 @@ def _lengths(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.n
         step = max(1, BLOCK_POINTS // c)
         for lo in range(0, len(group), step):
             rows = group[lo : lo + step]
-            seg = np.diff(points[starts[rows, None] + np.arange(c)], axis=1)
+            seg = np.diff(_float64(points[starts[rows, None] + np.arange(c)]), axis=1)
             sq = seg[..., 0] * seg[..., 0]
             sq += seg[..., 1] * seg[..., 1]
             sq += seg[..., 2] * seg[..., 2]
@@ -246,7 +273,7 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     at = starts[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)
     sq = np.zeros((len(starts), width - 1))
     for c in range(3):
-        p = points[:, c][at]
+        p = _float64(points[:, c][at])
         d = p[:, 1:] - p[:, :-1]
         sq += d * d
     seg_len = np.sqrt(sq)
@@ -259,7 +286,8 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     length = seg_len[r, idx]
     frac = (targets - cum[r, idx]) / np.where(length > 0.0, length, 1.0)
     at = starts[:, None] + idx
-    out = points[at] + frac[..., None] * (points[at + 1] - points[at])
+    p, q = _float64(points[at]), _float64(points[at + 1])
+    out = p + frac[..., None] * (q - p)
     out[:, 0] = points[starts]
     out[:, -1] = points[starts + counts - 1]
     return out, totals

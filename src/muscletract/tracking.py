@@ -31,24 +31,32 @@ tests/reference_tracking.py keeps as the oracle):
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
 track writes every batch of tracks into one packed buffer that grows in
-place, and reconstruct grows that buffer by two rows per track and fits and
-extends the tracks in it, so the points are held once, not once per stage.
+place. reconstruct runs each batch of seeds end to end in the same way: it
+tracks the batch at the tail of a buffer, grows it by two rows per track,
+and fits, extends and filters the tracks in place, so a batch's points are
+held once, not once per stage.
 
-Memory follows the points emitted. Seeds are tracked in batches of _BATCH.
-Besides the output, a batch holds one record of 72 bytes per voxel run
-(track, first step, start point, s*v, point count) for each of its two
+Memory follows the points of one batch. Seeds are tracked in batches of
+_BATCH. Besides its output, a batch holds one record of 72 bytes per voxel
+run (track, first step, start point, s*v, point count) for each of its two
 halves, 32 bytes more per run of the half whose records are being sorted,
 and one pass's run of points with its voxel indices, under 4 * _RUN_BYTES:
 at most 176 bytes per run and 4 * _RUN_BYTES. The records are sorted once,
 straight from the passes that made them, and written in place. A run holds
 at least one point, and about eight at the default step of a tenth of a
 voxel. None of this depends on max_steps, the step count at which a
-half-track is cut off. Beside the tracks, reconstruct then holds a few
-arrays per track (the exit rays), one design per point count while it fits
-(freed before the exits), and one block's scratch while it validates.
+half-track is cut off. Finishing a batch then holds a few arrays per track
+(the exit rays), one design per point count while it fits (freed before the
+exits), and one block's scratch while it validates.
 
-reconstruct validates its output once; track builds its set without
-validating it, because raw tracks are valid by construction. They are
+reconstruct_batches yields each finished batch and reuses its buffer for the
+next, so its peak is one batch, whatever the number of seeds: the `track`
+command writes each batch to disk as it comes. reconstruct collects the
+batches, each finished at the tail of the output, so it holds its output
+and one batch. track holds the raw tracks of every seed.
+
+reconstruct validates each batch of its output once; track builds its set
+without validating it, because raw tracks are valid by construction. They are
 finite: every seed lies in the mask, whose grid is finite, and every later
 point is the previous one plus s*v, with s finite and v from a voxel whose
 anisotropy passes fa_min > 0, where OrientationField holds finite unit
@@ -306,44 +314,57 @@ def _long_enough(points, offsets, counts, step_range, min_length: float) -> np.n
     return keep
 
 
+def _seeds_in_mask(field: OrientationField, mask: VoxelMask, seeds: SeedSet,
+                   cfg: TrackingConfig) -> np.ndarray:
+    """The seed points that lie in the mask, the others counted in the log,
+    once cfg and the field are checked against the mask."""
+    mask.require_same_frame(field, "orientation field")
+    if cfg.step_mm > mask.diagonal:
+        raise InvalidSpecError(
+            f"step_mm must not exceed the mask diagonal ({mask.diagonal:.6g} mm), got {cfg.step_mm}"
+        )
+    pts = seeds.points
+    inside = mask.points_in_mask(pts)
+    skipped = int((~inside).sum())
+    if skipped:
+        log.info("track: skipped %d of %d seeds outside the mask", skipped, len(pts))
+    return pts[inside]
+
+
 def track(
     field: OrientationField,
     mask: VoxelMask,
     seeds: SeedSet,
     cfg: TrackingConfig | None = None,
+    out: np.ndarray | None = None,
 ) -> StreamlineSet:
     """Track one bidirectional streamline per seed.
 
     Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
     shorter than cfg.min_length_mm are discarded; the rest keep seed order.
     The set's points array owns its memory (it is no view), so it can be
-    grown in place with ndarray.resize, as reconstruct does.
+    grown in place with ndarray.resize. Given out, an (N, 3) float64 array
+    that owns its memory, the tracks are instead written after its N rows,
+    which it grows in place to hold them, and the set is a view of those
+    rows: reconstruct tracks each batch at the tail of its output this way.
 
     cfg.step_mm must not exceed the mask diagonal: a longer step takes every
     point off the grid, so no track could hold two points. The size of the
-    output is not checked: a track holds about one point per step_mm of its
-    length, so a tiny step_mm grows the output as 1 / step_mm, up to more
-    memory than the host has.
+    output is not checked. A track holds about one point per step_mm of its
+    length, so the points grow as 1 / step_mm: track holds those of every
+    seed, reconstruct_batches (and so the `track` command) those of one
+    batch of _BATCH seeds, and a tiny step_mm can make even one batch need
+    more memory than the host has.
     """
     cfg = cfg or TrackingConfig()
-    mask.require_same_frame(field, "orientation field")
-    if cfg.step_mm > mask.diagonal:
-        raise InvalidSpecError(
-            f"step_mm must not exceed the mask diagonal ({mask.diagonal:.6g} mm), got {cfg.step_mm}"
-        )
-
-    pts = seeds.points
-    inside = mask.points_in_mask(pts)
-    skipped = int((~inside).sum())
-    if skipped:
-        log.info("track: skipped %d of %d seeds outside the mask", skipped, len(pts))
-    pts = pts[inside]
-
+    pts = _seeds_in_mask(field, mask, seeds, cfg)
     step_range = _step_range(mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
     # The tracks of every batch go straight into one buffer that grows in
     # place (ndarray.resize), so that no batch is copied again.
-    buf, pos, kept = np.empty((0, 3)), 0, []
+    buf = np.empty((0, 3)) if out is None else out
+    start = pos = len(buf)
+    kept = []
     for lo in range(0, len(pts), _BATCH):
         batch = pts[lo : lo + _BATCH]
         idx = mask.world_to_index(batch)
@@ -351,8 +372,7 @@ def track(
         n_fwd, fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
         n_bwd, bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
         counts = n_bwd + 1 + n_fwd
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        offsets = _offsets(counts)
         buf.resize((pos + offsets[-1], 3), refcheck=False)
         tracks = buf[pos:]
         # Each track is its backward half reversed, the seed, its forward half.
@@ -367,10 +387,15 @@ def track(
         del tracks
     counts = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
     buf.resize((pos, 3), refcheck=False)
+    # Valid by construction (module docstring): not validated again.
+    return StreamlineSet._trusted(buf if out is None else buf[start:], _offsets(counts))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """The n + 1 offsets that pack streamlines of the given point counts."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(buf, offsets)
+    return offsets
 
 
 def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
@@ -482,6 +507,59 @@ def _with_exits(buf, offsets, exits, extend, rows) -> np.ndarray:
     return counts
 
 
+def _finish(buf: np.ndarray, pos: int, offsets: np.ndarray, mask: VoxelMask,
+            cfg: TrackingConfig, tally: np.ndarray) -> np.ndarray:
+    """Fit and extend the raw tracks that fill buf from row pos on, packed
+    at offsets from there, and pack the accepted ones with their exit points
+    in place from row pos; buf then ends at the last of them. Returns their
+    point counts, and adds the tracks, fits skipped, extrapolations rejected
+    and run-aways to tally."""
+    n_tracks = len(offsets) - 1
+    # Room for the two exit points a track may gain.
+    buf.resize((pos + offsets[-1] + 2 * n_tracks, 3), refcheck=False)
+    points = buf[pos : pos + offsets[-1]]
+    designs: dict = {}
+    unfitted = 0
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        if b - a >= 5:
+            points[a:b] = _fit_cubic(points[a:b], designs)
+        else:
+            unfitted += 1
+    del designs
+    exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
+    del points
+    counts = _with_exits(buf[pos:], offsets, exits, extend, np.flatnonzero(accepted))
+    buf.resize((pos + int(counts.sum()), 3), refcheck=False)
+    tally += (n_tracks, unfitted, n_tracks - len(counts), int(ran_away.sum()))
+    return counts
+
+
+def _reconstructed(field, mask, seeds, cfg, buf):
+    """Reconstruct the seeds one batch of _BATCH at a time: each batch is
+    tracked, fitted, extended and filtered in place at the tail of buf (its
+    rows from len(buf) on), which grows in place to hold it. Yields every
+    batch's streamlines, validated, as a set over those rows, which stays
+    valid only until the next batch is drawn: growing buf may move it. Logs
+    reconstruct's INFO line after the last batch."""
+    cfg = cfg or TrackingConfig()
+    pts = _seeds_in_mask(field, mask, seeds, cfg)
+    tally = np.zeros(4, dtype=np.int64)  # tracks, fits skipped, rejected, ran away
+    for lo in range(0, len(pts), _BATCH):
+        pos = len(buf)
+        offsets = track(field, mask, SeedSet(pts[lo : lo + _BATCH]), cfg, out=buf).offsets
+        counts = _finish(buf, pos, offsets, mask, cfg, tally)
+        yield StreamlineSet(buf[pos:], counts)
+
+    n_tracks, unfitted, rejected, away = tally.tolist()
+    log.info(
+        "reconstruct: %d seeds, %d outside the mask; %d tracks under min_length_mm; "
+        "%d fits skipped (< 5 points); %d extrapolations rejected (%d ran away, "
+        "%d over max_extrap_fraction); %d streamlines",
+        len(seeds), len(seeds) - len(pts), len(pts) - n_tracks, unfitted,
+        rejected, away, rejected - away, n_tracks - rejected,
+    )
+
+
 def reconstruct(
     field: OrientationField,
     mask: VoxelMask,
@@ -493,38 +571,30 @@ def reconstruct(
     This is the pipeline order used ahead of any filtering: smoothing and
     endpoint extrapolation happen before streamlines are sampled or compared.
     Logs one INFO line with what each stage dropped.
-    """
-    cfg = cfg or TrackingConfig()
-    tracked = track(field, mask, seeds, cfg)
-    n_tracks, offsets, buf = len(tracked), tracked.offsets, tracked.points
-    del tracked
-    # Room for the two exit points a track may gain; each stage below
-    # rewrites this buffer in place.
-    buf.resize((offsets[-1] + 2 * n_tracks, 3), refcheck=False)
-    points = buf[: offsets[-1]]
-    designs: dict = {}
-    unfitted = 0
-    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        if b - a >= 5:
-            points[a:b] = _fit_cubic(points[a:b], designs)
-        else:
-            unfitted += 1
-    # One design per point count is scratch that grows with the spread of
-    # track lengths; it is not held through the stages below.
-    del designs
-    exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
-    counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
-    away = int(ran_away.sum())
-    del points
-    out = StreamlineSet(buf[: counts.sum()], counts)
 
-    n_in = int(mask.points_in_mask(seeds.points).sum())
-    rejected = n_tracks - len(out)
-    log.info(
-        "reconstruct: %d seeds, %d outside the mask; %d tracks under min_length_mm; "
-        "%d fits skipped (< 5 points); %d extrapolations rejected (%d ran away, "
-        "%d over max_extrap_fraction); %d streamlines",
-        len(seeds), len(seeds) - n_in, n_in - n_tracks, unfitted,
-        rejected, away, rejected - away, len(out),
-    )
-    return out
+    The batches of reconstruct_batches are collected in one buffer, each
+    finished at its tail, so besides the output it holds one batch.
+    """
+    buf = np.empty((0, 3))
+    counts = [batch.counts for batch in _reconstructed(field, mask, seeds, cfg, buf)]
+    counts = np.concatenate(counts) if counts else np.empty(0, dtype=np.int64)
+    return StreamlineSet._trusted(buf, _offsets(counts))
+
+
+def reconstruct_batches(
+    field: OrientationField,
+    mask: VoxelMask,
+    seeds: SeedSet,
+    cfg: TrackingConfig | None = None,
+):
+    """reconstruct's streamlines as one set per batch of _BATCH seeds, in
+    seed order, and its INFO line after the last batch.
+
+    Every set is a view of one buffer, which the next batch reuses: a caller
+    that keeps a batch past the next one copies it (StreamlineSet.take). So
+    the memory held is one batch's, whatever the number of seeds.
+    """
+    buf = np.empty((0, 3))
+    for batch in _reconstructed(field, mask, seeds, cfg, buf):
+        yield batch
+        buf.resize((0, 3), refcheck=False)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import importlib
+import os
 import re
 import struct
 import subprocess
@@ -23,6 +24,8 @@ from muscletract.formats import (
     save_streamlines,
 )
 import muscletract.streamline as streamline_mod
+from muscletract import tracking
+from muscletract.errors import DegenerateGeometryError
 from muscletract.grid import VoxelMask
 from muscletract.phantom import PhantomSpec
 from reference_streamline import pack
@@ -716,7 +719,7 @@ class TestLogging:
         assert quiet.stdout == loud.stdout and quiet_files == loud_files
         assert quiet.stderr == ""
         line = re.fullmatch(
-            rf"INFO muscletract\.sampling: fss_filter: {n} candidates, k=40; (\d+) MDF "
+            rf"INFO muscletract\.sampling: fss_select: {n} candidates, k=40; (\d+) MDF "
             r"evaluations \((\d+\.\d\d)% of n\*k\)\n", loud.stderr)
         assert line, loud.stderr
         evaluations = int(line.group(1))
@@ -820,3 +823,66 @@ def test_console_script_shares_the_fast_exit():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["muscletract"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is entry.run
+
+
+@pytest.fixture(scope="module")
+def parallel_box(tmp_path_factory):
+    """A 10x10x40 box of fibers along z: its 4000 seeds all give tracks of
+    the same length, so every batch of them holds as many points."""
+    d = tmp_path_factory.mktemp("parallel_box")
+    files = {"mask": d / "m.mskv", "field": d / "f.ornt"}
+    assert run(["phantom", "--pennation", "0", "--dims", "10x10x40", "--out-mask", files["mask"],
+                "--out-field", files["field"], "--out-truth", d / "t.txt"]) == 0
+    return files
+
+
+class TestStreamedTrack:
+    def track(self, f, out, *extra):
+        return run(["track", "--field", f["field"], "--mask", f["mask"], *extra, "--out", out])
+
+    def test_peak_is_one_batch(self, parallel_box, tmp_path, traced_peak):
+        peaks = []
+        for n in (tracking._BATCH, 2 * tracking._BATCH):
+            code, peak = traced_peak(self.track, parallel_box, tmp_path / "c.strl",
+                                     "--target-candidates", n)
+            assert code == 0 and len(load_streamlines(tmp_path / "c.strl")) == n
+            peaks.append(peak)
+        one, two = peaks
+        assert two < 1.1 * one
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_in_a_later_batch_leaves_out_as_it_was(self, parallel_box, tmp_path, capsys,
+                                                         monkeypatch, existing):
+        out = tmp_path / "c.strl"
+        if existing:
+            out.write_bytes(b"old bytes")
+        calls = []
+        real = tracking._surface_exits
+
+        def fails_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DegenerateGeometryError("zero-length terminal segment")
+            return real(*args)
+
+        monkeypatch.setattr(tracking, "_BATCH", 16)
+        monkeypatch.setattr(tracking, "_surface_exits", fails_third)
+        assert self.track(parallel_box, out, "--target-candidates", 100) == 4
+        assert "zero-length terminal segment" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert [p.name for p in tmp_path.iterdir()] == (["c.strl"] if existing else [])
+        assert not existing or out.read_bytes() == b"old bytes"
+
+    def test_batches_stream_into_the_set_bytes(self, small_box, tmp_path, monkeypatch):
+        whole = tmp_path / "whole.strl"
+        assert self.track(small_box, whole, "--spacing", "2") == 0
+        monkeypatch.setattr(tracking, "_BATCH", 7)
+        assert self.track(small_box, tmp_path / "batched.strl", "--spacing", "2") == 0
+        assert (tmp_path / "batched.strl").read_bytes() == whole.read_bytes()
+
+    def test_out_that_is_no_regular_file_exits_3(self, small_box, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert self.track(small_box, fifo) == 3
+        assert "regular file" in capsys.readouterr().err
+        assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["fifo"]

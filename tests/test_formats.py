@@ -128,10 +128,26 @@ class TestStreamlineRoundTrip:
         sset = random_streamlines(np.random.default_rng(4), n=6)
         save_streamlines(path, sset)
         got = load_streamlines(path)
-        assert got.points.flags.c_contiguous and got.points.dtype == np.float64
+        # The file's float32 words, kept as they are: 12 bytes per point.
+        assert got.points.flags.c_contiguous and got.points.dtype == np.float32
+        assert got.points.nbytes == 12 * len(got.points)
         assert np.array_equal(got.points, sset.points)
         assert np.array_equal(got.offsets, sset.offsets)
 
+
+    @pytest.mark.parametrize("cuts", [[], [0], [0, 3], [0, 1, 5, 9, 12]])
+    def test_stream_of_sets_writes_the_set_bytes(self, tmp_path, cuts):
+        sset = random_streamlines(np.random.default_rng(6), n=12)
+        save_streamlines(tmp_path / "set.strl", sset)
+        bounds = cuts + [len(sset)] if cuts else []
+        batches = (sset.take(np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        want = len(sset) if cuts else 0
+        assert save_streamlines(tmp_path / "stream.strl", batches) == want
+        got = (tmp_path / "stream.strl").read_bytes()
+        if cuts:
+            assert got == (tmp_path / "set.strl").read_bytes()
+        else:
+            assert len(load_streamlines(tmp_path / "stream.strl")) == 0
 
     def test_signaling_nan_coordinate_rejected(self, tmp_path):
         # 0x7f800001 is a signaling NaN; converting it to float64 raises the

@@ -490,6 +490,6 @@ class TestFSSLog:
         assert record.levelno == logging.INFO
         share = 100.0 * trace.mdf_evaluations / 15
         assert record.getMessage() == (
-            f"fss_filter: 5 candidates, k=3; {trace.mdf_evaluations} MDF evaluations "
+            f"fss_select: 5 candidates, k=3; {trace.mdf_evaluations} MDF evaluations "
             f"({share:.2f}% of n*k)"
         )

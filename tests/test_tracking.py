@@ -792,6 +792,31 @@ def test_reconstruct_scratch_does_not_grow_with_the_seeds(traced_peak):
     assert two < 1.1 * one
 
 
+def test_reconstruct_holds_its_output_and_one_batch(traced_peak):
+    # Each batch is finished at the tail of the output, so beside the output
+    # reconstruct holds what track() holds for one batch, however many.
+    mask, field, _ = make_phantom(PhantomSpec())
+    seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
+    _, one_batch = traced_peak(track, field, mask, SeedSet(seeds))
+    for copies in (1, 3):
+        out, peak = traced_peak(reconstruct, field, mask, SeedSet(np.concatenate([seeds] * copies)))
+        assert len(out) > 0.9 * copies * len(seeds)
+        assert peak <= out.points.nbytes + one_batch
+
+
+def test_reconstruct_batches_are_reconstruct_in_order(monkeypatch):
+    mask, field = CASES["jittered_arc"]()
+    seeds = some_seeds(mask, 1.0, limit=60)
+    monkeypatch.setattr(tracking, "_BATCH", 8)
+    sizes, points = [], []
+    for batch in tracking.reconstruct_batches(field, mask, seeds):
+        sizes.append(len(batch))
+        points.append(batch.points.copy())
+    want = reconstruct(field, mask, seeds)
+    assert len(sizes) == math.ceil(len(seeds) / 8) and sum(sizes) == len(want)
+    assert np.concatenate(points).tobytes() == want.points.tobytes()
+
+
 @pytest.mark.parametrize("batch", [1, 3, tracking._BATCH])
 def test_result_does_not_depend_on_batching(monkeypatch, batch):
     # 62 seeds: one outside the mask, and 9 whose tracks are under
