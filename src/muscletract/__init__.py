@@ -29,8 +29,6 @@ from .stats import (
     TTestResult,
     bland_altman,
     percent_diff,
-    skewness,
-    t_one_sample,
     t_paired,
 )
 from .streamline import StreamlineSet, arc_lengths
@@ -70,9 +68,7 @@ __all__ = [
     "reconstruct_batches",
     "seeds_2d",
     "seeds_3d",
-    "skewness",
     "summarize",
-    "t_one_sample",
     "t_paired",
     "track",
 ]

@@ -1,9 +1,9 @@
-"""Statistical comparison of sampling methods and distribution diagnostics.
+"""Statistical comparison of sampling methods.
 
 The two-tailed t-test p-values run on a self-contained Student-t CDF built
 from the regularized incomplete beta function (Lentz continued fraction;
 absolute error well below 1e-10), so no external statistics dependency is
-needed. The normality diagnostic is skewness.
+needed.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def t_quantile(p: float, df: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _values(x, name: str = "values") -> np.ndarray:
+def _values(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
     if not np.isfinite(arr).all():
         raise DegenerateDistributionError(f"{name} contain non-finite entries")
@@ -132,22 +132,6 @@ class TTestResult:
     degenerate: bool = False
 
 
-def skewness(x) -> float:
-    """Adjusted Fisher-Pearson standardized third moment (g1 with the
-    sqrt(n(n-1))/(n-2) small-sample correction)."""
-    v = _values(x)
-    n = len(v)
-    if n < 3:
-        raise DegenerateDistributionError("skewness needs n >= 3")
-    centered = v - v.mean()
-    m2 = float((centered**2).mean())
-    if m2 == 0.0:
-        raise DegenerateDistributionError("skewness undefined for zero variance")
-    m3 = float((centered**3).mean())
-    g1 = m3 / m2**1.5
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
-
-
 def t_paired(a, b) -> TTestResult:
     """Two-tailed paired t-test: t = mean(d) / (sd(d)/sqrt(n)), df = n - 1.
 
@@ -165,14 +149,6 @@ def t_paired(a, b) -> TTestResult:
         return TTestResult(math.copysign(math.inf, mean), n - 1, None, degenerate=True)
     t = mean / (sd / math.sqrt(n))
     return TTestResult(t, n - 1, t_two_tailed_p(t, n - 1))
-
-
-def t_one_sample(x, mu0: float) -> TTestResult:
-    """Two-tailed one-sample t-test of the mean against mu0."""
-    v = _values(x)
-    if len(v) < 2:
-        raise ArityError("one-sample t-test needs n >= 2")
-    return t_paired(v, np.full(len(v), float(mu0)))
 
 
 @dataclass

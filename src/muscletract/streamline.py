@@ -10,16 +10,19 @@ takes and returns one. A set is validated once, over its whole buffer, when
 it is built; iterating over it yields each streamline's (c, 3) points as a
 view into the buffer. A set built from streamlines that are valid by
 construction (the rows of a validated set, or the raw tracks of
-tracking.track) is not validated at all.
+tracking.track) is not validated at all, nor is tracking.reconstruct's
+float32 rounding of its validated float64 batches.
 
 The buffer is float64 or float32. A set loaded from STRL keeps the file's
 float32 coordinates, as TRK, TCK and Dipy's streamlines do, so it takes 12
-bytes per point rather than 24. Every read that feeds arithmetic converts
-what it reads to float64 first, one block or one gather at a time
-(StreamlineSet.block, _float64), and computes in float64: a float32 value
-converts exactly, so every result is bit-identical to that of the float64
-set of the same values. Copies (take, the STRL writer) keep the set's
-dtype.
+bytes per point rather than 24; tracking.reconstruct returns its
+streamlines at float32 too, rounded as the STRL writer rounds them. Every
+read that feeds arithmetic converts what it reads to float64 first, one
+block or one gather at a time (StreamlineSet.block, _float64), and computes
+in float64: a float32 value converts exactly, so every result is
+bit-identical to that of the float64 set of the same values. Validation
+tests a float32 set on its own words, with the verdict of its float64 copy
+(_validate). Copies (take, the STRL writer) keep the set's dtype.
 
 Work over a set runs in blocks of whole streamlines holding at most
 BLOCK_POINTS points, read when the work starts. A streamline longer than the
@@ -89,12 +92,16 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
 
     A streamline has zero length exactly when (seg * seg).sum(1) is zero for
     all of its segments, the test a summed chord length of zero reduces to;
-    as a sum of squares, it is zero where every squared component is.
+    as a sum of squares, it is zero where every squared component is. For
+    float32 points that is where every component is unchanged: the float64
+    difference of two distinct float32 values is at least 2**-149 in
+    magnitude, so its square, at least 2**-298, does not underflow to zero.
+    So a float32 set is tested on its own words, with no float64 copy, and
+    gives the verdict of its float64 copy.
 
     The check runs one block at a time and one axis at a time, so besides
-    the set it holds one float and two flags per point of one block, the
-    block's float64 copy if the set is float32, and a few bytes per
-    streamline.
+    the set it holds one float (float64 sets only) and two flags per point
+    of one block, and a few bytes per streamline.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
@@ -103,8 +110,7 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     if (np.diff(offsets) < 2).any():
         raise InvalidStreamlineError("streamline needs at least two points")
     for lo, hi in blocks(offsets):
-        pts = _float64(points[offsets[lo] : offsets[hi]])
-        _validate_block(pts, offsets[lo : hi + 1] - offsets[lo])
+        _validate_block(points[offsets[lo] : offsets[hi]], offsets[lo : hi + 1] - offsets[lo])
 
 
 def _validate_block(pts: np.ndarray, offsets: np.ndarray) -> None:
@@ -113,11 +119,15 @@ def _validate_block(pts: np.ndarray, offsets: np.ndarray) -> None:
     if not all(np.isfinite(pts[:, c]).all() for c in range(3)):
         raise InvalidStreamlineError("streamline contains non-finite coordinates")
     moved = np.zeros(len(pts) - 1, dtype=bool)
-    sq = np.empty(len(pts) - 1)
-    for c in range(3):
-        np.subtract(pts[1:, c], pts[:-1, c], out=sq)
-        sq *= sq
-        moved |= sq > 0
+    if pts.dtype == np.float32:
+        for c in range(3):
+            moved |= pts[1:, c] != pts[:-1, c]
+    else:
+        sq = np.empty(len(pts) - 1)
+        for c in range(3):
+            np.subtract(pts[1:, c], pts[:-1, c], out=sq)
+            sq *= sq
+            moved |= sq > 0
     # Segments offsets[i] .. offsets[i + 1] - 2 belong to streamline i; the
     # one from its last point to the next streamline's first is not its own.
     moved[offsets[1:-1] - 1] = False

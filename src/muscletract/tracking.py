@@ -31,10 +31,10 @@ tests/reference_tracking.py keeps as the oracle):
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
 track writes every batch of tracks into one packed buffer that grows in
-place. reconstruct runs each batch of seeds end to end in the same way: it
-tracks the batch at the tail of a buffer, grows it by two rows per track,
-and fits, extends and filters the tracks in place, so a batch's points are
-held once, not once per stage.
+place. reconstruct_batches runs each batch of seeds end to end in one such
+buffer: it tracks the batch into it, grows it by two rows per track, and
+fits, extends and filters the tracks in place, so a batch's points are held
+once, not once per stage.
 
 Memory follows the points of one batch. Seeds are tracked in batches of
 _BATCH. Besides its output, a batch holds one record of 72 bytes per voxel
@@ -49,20 +49,22 @@ half-track is cut off. Finishing a batch then holds a few arrays per track
 (the exit rays), one design per point count while it fits (freed before the
 exits), and one block's scratch while it validates.
 
-reconstruct_batches yields each finished batch and reuses its buffer for the
-next, so its peak is one batch, whatever the number of seeds: the `track`
-command writes each batch to disk as it comes. reconstruct collects the
-batches, each finished at the tail of the output, so it holds its output
-and one batch. track holds the raw tracks of every seed.
+reconstruct_batches yields each finished batch, at float64, and reuses its
+buffer for the next, so its peak is one batch, whatever the number of seeds:
+the `track` command writes each batch to disk as it comes. reconstruct
+rounds the batches into one float32 buffer that grows in place, the
+coordinates its STRL file holds (the writer rounds each float64 coordinate
+the same way), so it holds its output at 12 bytes per point and one float64
+batch. track holds the raw tracks of every seed.
 
-reconstruct validates each batch of its output once; track builds its set
-without validating it, because raw tracks are valid by construction. They are
-finite: every seed lies in the mask, whose grid is finite, and every later
-point is the previous one plus s*v, with s finite and v from a voxel whose
-anisotropy passes fa_min > 0, where OrientationField holds finite unit
-vectors. They have positive length, hence two or more points: _long_enough
-keeps only tracks of arc length >= min_length_mm, which TrackingConfig
-requires to be > 0.
+reconstruct_batches validates each batch once, at float64; track builds its
+set without validating it, because raw tracks are valid by construction.
+They are finite: every seed lies in the mask, whose grid is finite, and
+every later point is the previous one plus s*v, with s finite and v from a
+voxel whose anisotropy passes fa_min > 0, where OrientationField holds
+finite unit vectors. They have positive length, hence two or more points:
+_long_enough keeps only tracks of arc length >= min_length_mm, which
+TrackingConfig requires to be > 0.
 
 Two length tests are settled by bounds, and the arc length (streamline.
 arc_lengths) is computed only for the tracks a bound leaves undecided (the
@@ -343,18 +345,20 @@ def track(
     Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
     shorter than cfg.min_length_mm are discarded; the rest keep seed order.
     The set's points array owns its memory (it is no view), so it can be
-    grown in place with ndarray.resize. Given out, an (N, 3) float64 array
-    that owns its memory, the tracks are instead written after its N rows,
-    which it grows in place to hold them, and the set is a view of those
-    rows: reconstruct tracks each batch at the tail of its output this way.
+    grown in place with ndarray.resize. Given out, a float64 array of three
+    columns that owns its memory, the tracks are written into it instead,
+    over its rows, and it is resized in place to hold them and becomes the
+    set's points: reconstruct_batches tracks every batch into one buffer
+    this way.
 
     cfg.step_mm must not exceed the mask diagonal: a longer step takes every
     point off the grid, so no track could hold two points. The size of the
     output is not checked. A track holds about one point per step_mm of its
     length, so the points grow as 1 / step_mm: track holds those of every
-    seed, reconstruct_batches (and so the `track` command) those of one
-    batch of _BATCH seeds, and a tiny step_mm can make even one batch need
-    more memory than the host has.
+    seed at 24 bytes each, reconstruct_batches (and so the `track` command)
+    those of one batch of _BATCH seeds, reconstruct its float32 output (12
+    bytes each) and one batch, and a tiny step_mm can make even one batch
+    need more memory than the host has.
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)
@@ -363,7 +367,9 @@ def track(
     # The tracks of every batch go straight into one buffer that grows in
     # place (ndarray.resize), so that no batch is copied again.
     buf = np.empty((0, 3)) if out is None else out
-    start = pos = len(buf)
+    # out's old rows are dropped first, so that growing it copies none.
+    buf.resize((0, 3), refcheck=False)
+    pos = 0
     kept = []
     for lo in range(0, len(pts), _BATCH):
         batch = pts[lo : lo + _BATCH]
@@ -388,7 +394,7 @@ def track(
     counts = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
     buf.resize((pos, 3), refcheck=False)
     # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(buf if out is None else buf[start:], _offsets(counts))
+    return StreamlineSet._trusted(buf, _offsets(counts))
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -507,17 +513,16 @@ def _with_exits(buf, offsets, exits, extend, rows) -> np.ndarray:
     return counts
 
 
-def _finish(buf: np.ndarray, pos: int, offsets: np.ndarray, mask: VoxelMask,
+def _finish(buf: np.ndarray, offsets: np.ndarray, mask: VoxelMask,
             cfg: TrackingConfig, tally: np.ndarray) -> np.ndarray:
-    """Fit and extend the raw tracks that fill buf from row pos on, packed
-    at offsets from there, and pack the accepted ones with their exit points
-    in place from row pos; buf then ends at the last of them. Returns their
-    point counts, and adds the tracks, fits skipped, extrapolations rejected
-    and run-aways to tally."""
+    """Fit and extend the raw tracks that fill buf, packed at offsets, and
+    pack the accepted ones with their exit points in place; buf then ends at
+    the last of them. Returns their point counts, and adds the tracks, fits
+    skipped, extrapolations rejected and run-aways to tally."""
     n_tracks = len(offsets) - 1
     # Room for the two exit points a track may gain.
-    buf.resize((pos + offsets[-1] + 2 * n_tracks, 3), refcheck=False)
-    points = buf[pos : pos + offsets[-1]]
+    buf.resize((offsets[-1] + 2 * n_tracks, 3), refcheck=False)
+    points = buf[: offsets[-1]]
     designs: dict = {}
     unfitted = 0
     for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
@@ -528,36 +533,10 @@ def _finish(buf: np.ndarray, pos: int, offsets: np.ndarray, mask: VoxelMask,
     del designs
     exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
     del points
-    counts = _with_exits(buf[pos:], offsets, exits, extend, np.flatnonzero(accepted))
-    buf.resize((pos + int(counts.sum()), 3), refcheck=False)
+    counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
+    buf.resize((int(counts.sum()), 3), refcheck=False)
     tally += (n_tracks, unfitted, n_tracks - len(counts), int(ran_away.sum()))
     return counts
-
-
-def _reconstructed(field, mask, seeds, cfg, buf):
-    """Reconstruct the seeds one batch of _BATCH at a time: each batch is
-    tracked, fitted, extended and filtered in place at the tail of buf (its
-    rows from len(buf) on), which grows in place to hold it. Yields every
-    batch's streamlines, validated, as a set over those rows, which stays
-    valid only until the next batch is drawn: growing buf may move it. Logs
-    reconstruct's INFO line after the last batch."""
-    cfg = cfg or TrackingConfig()
-    pts = _seeds_in_mask(field, mask, seeds, cfg)
-    tally = np.zeros(4, dtype=np.int64)  # tracks, fits skipped, rejected, ran away
-    for lo in range(0, len(pts), _BATCH):
-        pos = len(buf)
-        offsets = track(field, mask, SeedSet(pts[lo : lo + _BATCH]), cfg, out=buf).offsets
-        counts = _finish(buf, pos, offsets, mask, cfg, tally)
-        yield StreamlineSet(buf[pos:], counts)
-
-    n_tracks, unfitted, rejected, away = tally.tolist()
-    log.info(
-        "reconstruct: %d seeds, %d outside the mask; %d tracks under min_length_mm; "
-        "%d fits skipped (< 5 points); %d extrapolations rejected (%d ran away, "
-        "%d over max_extrap_fraction); %d streamlines",
-        len(seeds), len(seeds) - len(pts), len(pts) - n_tracks, unfitted,
-        rejected, away, rejected - away, n_tracks - rejected,
-    )
 
 
 def reconstruct(
@@ -572,13 +551,23 @@ def reconstruct(
     endpoint extrapolation happen before streamlines are sampled or compared.
     Logs one INFO line with what each stage dropped.
 
-    The batches of reconstruct_batches are collected in one buffer, each
-    finished at its tail, so besides the output it holds one batch.
+    The set is float32-backed, the coordinates its STRL file holds: the
+    float64 batches of reconstruct_batches are rounded into one float32
+    buffer that grows in place, so besides that output, 12 bytes per point,
+    it holds one batch.
     """
-    buf = np.empty((0, 3))
-    counts = [batch.counts for batch in _reconstructed(field, mask, seeds, cfg, buf)]
+    points = np.empty((0, 3), dtype=np.float32)
+    counts = []
+    for batch in reconstruct_batches(field, mask, seeds, cfg):
+        n = len(points)
+        points.resize((n + len(batch.points), 3), refcheck=False)
+        points[n:] = batch.points
+        counts.append(batch.counts)
     counts = np.concatenate(counts) if counts else np.empty(0, dtype=np.int64)
-    return StreamlineSet._trusted(buf, _offsets(counts))
+    # The batches were validated at float64, and their float32 rounding, the
+    # STRL writer's, is not checked again. It can collapse a streamline to a
+    # point only where its coordinates exceed its length some 2**24 times.
+    return StreamlineSet._trusted(points, _offsets(counts))
 
 
 def reconstruct_batches(
@@ -587,14 +576,30 @@ def reconstruct_batches(
     seeds: SeedSet,
     cfg: TrackingConfig | None = None,
 ):
-    """reconstruct's streamlines as one set per batch of _BATCH seeds, in
-    seed order, and its INFO line after the last batch.
+    """reconstruct's streamlines before their float32 rounding: one
+    validated float64 set per batch of _BATCH seeds, in seed order, and
+    reconstruct's INFO line after the last batch.
 
-    Every set is a view of one buffer, which the next batch reuses: a caller
-    that keeps a batch past the next one copies it (StreamlineSet.take). So
-    the memory held is one batch's, whatever the number of seeds.
+    Each batch is tracked, fitted, extended and filtered in place in one
+    buffer, which every batch reuses: a set stays valid only until the next
+    batch is drawn, and a caller that keeps one longer copies it
+    (StreamlineSet.take). So the memory held is one batch's, whatever the
+    number of seeds.
     """
+    cfg = cfg or TrackingConfig()
+    pts = _seeds_in_mask(field, mask, seeds, cfg)
+    tally = np.zeros(4, dtype=np.int64)  # tracks, fits skipped, rejected, ran away
     buf = np.empty((0, 3))
-    for batch in _reconstructed(field, mask, seeds, cfg, buf):
-        yield batch
-        buf.resize((0, 3), refcheck=False)
+    for lo in range(0, len(pts), _BATCH):
+        offsets = track(field, mask, SeedSet(pts[lo : lo + _BATCH]), cfg, out=buf).offsets
+        counts = _finish(buf, offsets, mask, cfg, tally)
+        yield StreamlineSet(buf, counts)
+
+    n_tracks, unfitted, rejected, away = tally.tolist()
+    log.info(
+        "reconstruct: %d seeds, %d outside the mask; %d tracks under min_length_mm; "
+        "%d fits skipped (< 5 points); %d extrapolations rejected (%d ran away, "
+        "%d over max_extrap_fraction); %d streamlines",
+        len(seeds), len(seeds) - len(pts), len(pts) - n_tracks, unfitted,
+        rejected, away, rejected - away, n_tracks - rejected,
+    )

@@ -28,6 +28,7 @@ from muscletract import tracking
 from muscletract.errors import DegenerateGeometryError
 from muscletract.grid import VoxelMask
 from muscletract.phantom import PhantomSpec
+from muscletract.sampling import SeedSet, seeds_3d
 from reference_streamline import pack
 
 
@@ -886,3 +887,22 @@ class TestStreamedTrack:
         assert self.track(small_box, fifo) == 3
         assert "regular file" in capsys.readouterr().err
         assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_baseline_filter_holds_its_float32_output_and_one_batch(parallel_box, tmp_path, traced_peak):
+    # filter --method 3ds re-tracks the whole mask: besides its inputs and
+    # seeds it holds the reconstructed set at 12 bytes per point and what
+    # track() holds for one batch.
+    mask, field = load_mask(parallel_box["mask"]), load_field(parallel_box["field"])
+    seeds = seeds_3d(mask, 1.0).points
+    assert len(seeds) > tracking._BATCH
+    points = len(tracking.reconstruct(field, mask, SeedSet(seeds)).points)
+    one_batch = max(traced_peak(tracking.track, field, mask, SeedSet(seeds[lo : lo + tracking._BATCH]))[1]
+                    for lo in range(0, len(seeds), tracking._BATCH))
+    inputs = mask.occupancy.nbytes + field.directions.nbytes + field.fa.nbytes + seeds.nbytes
+    out = tmp_path / "b.strl"
+    code, peak = traced_peak(run, ["filter", "--method", "3ds", "--spacing", "1", "-k", "100",
+                                   "--field", parallel_box["field"], "--mask", parallel_box["mask"],
+                                   "--out", out])
+    assert code == 0 and len(load_streamlines(out)) == 100
+    assert peak <= 12 * points + one_batch + inputs

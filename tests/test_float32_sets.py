@@ -20,16 +20,15 @@ from muscletract.tracking import reconstruct
 
 @pytest.fixture(scope="module")
 def twins():
-    """A jittered arc's reconstructed streamlines rounded to float32, as a
-    float32-backed and a float64-backed set, with their mask."""
+    """A jittered arc's reconstructed streamlines, float32-backed as
+    reconstruct returns them, and their float64-backed copy, with their
+    mask."""
     spec = PhantomSpec(shape="curved_arc", arc_radius_mm=14.0, arc_sweep_deg=100.0,
                        arc_thickness_mm=6.0, dims_mm=(20.0, 12.0, 20.0), jitter_deg=0.8, seed=5)
     mask, field, _ = make_phantom(spec)
-    out = reconstruct(field, mask, seeds_3d(mask, 1.5))
-    p32 = out.points.astype(np.float32)
-    single, double = StreamlineSet(p32, out.counts), StreamlineSet(p32.astype(np.float64), out.counts)
-    assert single.points.dtype == np.float32 and single.points is p32
-    assert double.points.dtype == np.float64 and len(single) > 100
+    single = reconstruct(field, mask, seeds_3d(mask, 1.5))
+    double = StreamlineSet(single.points.astype(np.float64), single.counts)
+    assert single.points.dtype == np.float32 and len(single) > 100
     return mask, single, double
 
 
@@ -132,6 +131,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad, message", [
         (np.nan, "non-finite"),
         (np.inf, "non-finite"),
+        (-np.inf, "non-finite"),
         (None, "zero arc length"),
     ])
     def test_same_error_at_either_dtype(self, bad, message):
@@ -141,6 +141,54 @@ class TestValidation:
         for dtype in (np.float32, np.float64):
             with pytest.raises(InvalidStreamlineError, match=message):
                 StreamlineSet(pts.astype(dtype), [2, 2, 2])
+
+    def test_float32_verdict_is_that_of_its_float64_copy(self):
+        # Sets drawn from two or three of these values per coordinate array,
+        # so that repeated points are common: signed zeros, subnormal steps,
+        # neighbours one ulp apart, the largest float32s and non-finite values.
+        f32 = np.finfo(np.float32)
+        one = np.float32(1.0)
+        pool = np.array([0.0, -0.0, 2.0**-149, -(2.0**-149), 2.0**-148, f32.tiny, one,
+                         np.nextafter(one, np.float32(2)), f32.max, -f32.max,
+                         np.nan, np.inf, -np.inf], dtype=np.float32)
+        rng = np.random.default_rng(9)
+
+        def verdict(points, counts):
+            try:
+                StreamlineSet(points, counts)
+            except InvalidStreamlineError as e:
+                return str(e)
+            return "valid"
+
+        seen = set()
+        for _ in range(3000):
+            counts = rng.integers(2, 5, rng.integers(1, 4))
+            values = rng.choice(pool[: 10 if rng.random() < 0.8 else None], rng.integers(2, 4))
+            p32 = values[rng.integers(0, len(values), (counts.sum(), 3))]
+            got = verdict(p32, counts)
+            assert got == verdict(p32.astype(np.float64), counts), p32
+            seen.add(got)
+        assert seen == {"valid", "streamline contains non-finite coordinates",
+                        "streamline has zero arc length"}
+
+    def test_subnormal_steps(self):
+        # A float32 step of 2**-149 moves; a float64 step whose square
+        # underflows does not, as (seg * seg).sum(1) has it.
+        step = np.array([[0, 0, 0], [2.0**-149, 0, 0]])
+        StreamlineSet(step.astype(np.float32), [2])
+        StreamlineSet(step, [2])
+        with pytest.raises(InvalidStreamlineError, match="zero arc length"):
+            StreamlineSet(step * 2.0**-400, [2])
+
+    def test_float32_check_makes_no_float64_copy(self, traced_peak):
+        rng = np.random.default_rng(10)
+        counts = np.full(4000, 50)
+        p32 = np.cumsum(rng.uniform(0.1, 1.0, (counts.sum(), 3)), axis=0).astype(np.float32)
+        assert len(p32) > 3 * streamline_mod.BLOCK_POINTS
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        _, peak = traced_peak(streamline_mod._validate, p32, offsets)
+        # A float64 copy of one coordinate of a block alone takes 8 bytes per point.
+        assert peak < 8 * streamline_mod.BLOCK_POINTS
 
     def test_signaling_nan_raises_no_warning(self):
         # 0x7f800001 is a signaling NaN; converting it to float64 raises the
@@ -156,3 +204,5 @@ class TestValidation:
             assert StreamlineSet(pts, [2]).points.dtype == np.float64
         pts = np.array([[0, 0, 0], [1, 2, 3]], dtype=np.float64)
         assert StreamlineSet(pts, [2]).points is pts and _float64(pts) is pts
+        pts = pts.astype(np.float32)
+        assert StreamlineSet(pts, [2]).points is pts

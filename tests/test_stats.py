@@ -10,8 +10,6 @@ from muscletract.stats import (
     bland_altman,
     betainc_regularized,
     percent_diff,
-    skewness,
-    t_one_sample,
     t_paired,
     t_two_tailed_p,
 )
@@ -29,35 +27,6 @@ def quadrature_two_tailed_p(t, df):
 
     tail = mpmath.quad(pdf, [abs(t), mpmath.inf])
     return float(2 * tail)
-
-
-def moment_skewness(values):
-    """Direct moment-formula oracle in plain Python."""
-    n = len(values)
-    mean = sum(values) / n
-    m2 = sum((v - mean) ** 2 for v in values) / n
-    m3 = sum((v - mean) ** 3 for v in values) / n
-    return (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
-
-
-class TestSkewness:
-    def test_symmetric_zero(self):
-        assert skewness([-1.0, 0.0, 1.0]) == 0.0
-
-    def test_antisymmetry_exact(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-5, 5, 20)
-        assert skewness(-x) == -skewness(x)
-
-    def test_matches_moment_oracle(self):
-        values = [1.0, 2.0, 3.0, 4.0, 100.0]
-        assert skewness(values) == pytest.approx(moment_skewness(values), abs=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateDistributionError):
-            skewness([2.0, 2.0, 2.0])
-        with pytest.raises(DegenerateDistributionError):
-            skewness([1.0, 2.0])
 
 
 class TestTTestPValues:
@@ -134,33 +103,6 @@ class TestPairedT:
             t_paired([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ArityError):
             t_paired([1.0], [2.0])
-
-
-class TestOneSampleT:
-    def test_symmetric_about_mu0(self):
-        assert t_one_sample([1.0, 2.0, 3.0], 2.0).t == 0.0
-
-    def test_far_mu0_significant(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(10.0, 1.0, 12)
-        res = t_one_sample(x, 10.0 - 4 * x.std(ddof=1))
-        assert res.t > 0
-        assert res.p < 0.05
-
-    def test_r2_list_against_quadrature(self):
-        x = [0.93, 0.95, 0.97]
-        res = t_one_sample(x, 0.9)
-        v = np.array(x)
-        want_t = (v.mean() - 0.9) / (v.std(ddof=1) / math.sqrt(3))
-        assert res.t == pytest.approx(want_t, rel=1e-12)
-        assert res.p == pytest.approx(quadrature_two_tailed_p(want_t, 2), abs=1e-8)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(3.0, 1.0, 15)
-        r1 = t_one_sample(x, 2.5)
-        r2 = t_one_sample(x + 50.0, 52.5)
-        assert r1.t == pytest.approx(r2.t, rel=1e-9)
 
 
 class TestBlandAltman:

@@ -12,7 +12,7 @@ from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
 import muscletract.streamline as streamline_mod
-from muscletract.streamline import _validate, arc_lengths
+from muscletract.streamline import StreamlineSet, _validate, arc_lengths
 from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
@@ -409,7 +409,27 @@ CONFIGS = {
 def assert_same_streamlines(got, want):
     assert len(got) == len(want)
     assert np.array_equal(got.offsets, want.offsets)
-    assert np.array_equal(got.points, want.points)
+    assert got.points.dtype == want.points.dtype
+    assert got.points.tobytes() == want.points.tobytes()
+
+
+def unrounded(field, mask, seeds, cfg=None):
+    """The float64 sets of reconstruct_batches joined into one: the bits that
+    reconstruct rounds to float32."""
+    points, counts = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
+    for batch in tracking.reconstruct_batches(field, mask, seeds, cfg):
+        points.append(batch.points.copy())
+        counts.append(batch.counts)
+    return StreamlineSet(np.concatenate(points), np.concatenate(counts))
+
+
+def assert_reconstructs_reference(field, mask, seeds, cfg=None):
+    """reconstruct against tests/reference_tracking.py: its float64 batches
+    bit for bit, and its float32 set exactly their rounding."""
+    want = ref.reconstruct(field, mask, seeds, cfg)
+    assert_same_streamlines(unrounded(field, mask, seeds, cfg), want)
+    got = reconstruct(field, mask, seeds, cfg)
+    assert_same_streamlines(got, StreamlineSet(want.points.astype(np.float32), want.counts))
 
 
 class TestMatchesStepwiseReference:
@@ -420,9 +440,7 @@ class TestMatchesStepwiseReference:
     def test_reconstruct(self, case, cfg_name):
         mask, field = CASES[case]()
         seeds = some_seeds(mask, 1.0)
-        cfg = CONFIGS[cfg_name]
-        assert_same_streamlines(reconstruct(field, mask, seeds, cfg),
-                                ref.reconstruct(field, mask, seeds, cfg))
+        assert_reconstructs_reference(field, mask, seeds, CONFIGS[cfg_name])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_track(self, case):
@@ -699,7 +717,8 @@ def test_bounds_decide_most_tracks(monkeypatch, case):
 
 
 def test_track_points_own_their_memory():
-    # reconstruct grows them in place, by ndarray.resize, for the exit points.
+    # reconstruct_batches grows them in place, by ndarray.resize, for the
+    # exit points.
     mask, field = CASES["box"]()
     got = track(field, mask, some_seeds(mask, 1.0))
     assert got.points.flags.owndata and len(got.points) == got.offsets[-1] > 0
@@ -763,8 +782,7 @@ class TestFineSteps:
         got = track(field, mask, seeds, cfg)
         assert len(got) == len(seeds) and got.counts.min() > 20
         assert_same_streamlines(got, ref.track(field, mask, seeds, cfg))
-        assert_same_streamlines(reconstruct(field, mask, seeds, cfg),
-                                ref.reconstruct(field, mask, seeds, cfg))
+        assert_reconstructs_reference(field, mask, seeds, cfg)
 
     def test_memory_follows_the_output(self, traced_peak):
         # The bound of the tracking module docstring: the output, plus one
@@ -793,28 +811,25 @@ def test_reconstruct_scratch_does_not_grow_with_the_seeds(traced_peak):
 
 
 def test_reconstruct_holds_its_output_and_one_batch(traced_peak):
-    # Each batch is finished at the tail of the output, so beside the output
-    # reconstruct holds what track() holds for one batch, however many.
+    # Each batch is rounded into the float32 output as it comes, so beside
+    # the output, 12 bytes per point, reconstruct holds what track() holds
+    # for one batch, however many.
     mask, field, _ = make_phantom(PhantomSpec())
     seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
     _, one_batch = traced_peak(track, field, mask, SeedSet(seeds))
     for copies in (1, 3):
         out, peak = traced_peak(reconstruct, field, mask, SeedSet(np.concatenate([seeds] * copies)))
-        assert len(out) > 0.9 * copies * len(seeds)
-        assert peak <= out.points.nbytes + one_batch
+        assert len(out) > 0.9 * copies * len(seeds) and out.points.dtype == np.float32
+        assert peak <= 12 * len(out.points) + one_batch
 
 
 def test_reconstruct_batches_are_reconstruct_in_order(monkeypatch):
     mask, field = CASES["jittered_arc"]()
     seeds = some_seeds(mask, 1.0, limit=60)
     monkeypatch.setattr(tracking, "_BATCH", 8)
-    sizes, points = [], []
-    for batch in tracking.reconstruct_batches(field, mask, seeds):
-        sizes.append(len(batch))
-        points.append(batch.points.copy())
-    want = reconstruct(field, mask, seeds)
-    assert len(sizes) == math.ceil(len(seeds) / 8) and sum(sizes) == len(want)
-    assert np.concatenate(points).tobytes() == want.points.tobytes()
+    sizes = [len(batch) for batch in tracking.reconstruct_batches(field, mask, seeds)]
+    assert len(sizes) == math.ceil(len(seeds) / 8)
+    assert_reconstructs_reference(field, mask, seeds)
 
 
 @pytest.mark.parametrize("batch", [1, 3, tracking._BATCH])
@@ -826,7 +841,5 @@ def test_result_does_not_depend_on_batching(monkeypatch, batch):
     seeds = SeedSet(np.concatenate([seeds.points, [[-5.0, 0.0, 0.0]]]))
     cfg = TrackingConfig(min_length_mm=12.0)
     monkeypatch.setattr(tracking, "_BATCH", batch)
-    for got, want in ((track(field, mask, seeds, cfg), ref.track(field, mask, seeds, cfg)),
-                      (reconstruct(field, mask, seeds, cfg), ref.reconstruct(field, mask, seeds, cfg))):
-        assert got.offsets.tobytes() == want.offsets.tobytes()
-        assert got.points.tobytes() == want.points.tobytes()
+    assert_same_streamlines(track(field, mask, seeds, cfg), ref.track(field, mask, seeds, cfg))
+    assert_reconstructs_reference(field, mask, seeds, cfg)
