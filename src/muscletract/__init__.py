@@ -9,6 +9,8 @@ file formats plus the CLI (formats, cli).
 
 Streamlines travel between the stages as one StreamlineSet: a packed point
 buffer with offsets, whose iteration yields each streamline's (c, 3) points.
+fss_select returns the positions of its picks, which StreamlineSet.take
+copies into a set of their own.
 """
 
 from .architecture import (
@@ -23,7 +25,7 @@ from .architecture import (
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap, TractMetrics, coverage, density
 from .phantom import GroundTruth, PhantomSpec, make_phantom
-from .sampling import FSSConfig, FSSTrace, SeedSet, fss_filter, fss_select, seeds_2d, seeds_3d
+from .sampling import FSSConfig, FSSTrace, SeedSet, fss_select, seeds_2d, seeds_3d
 from .stats import (
     BlandAltman,
     TTestResult,
@@ -56,7 +58,6 @@ __all__ = [
     "bland_altman",
     "coverage",
     "density",
-    "fss_filter",
     "fss_select",
     "group_fractions",
     "line_of_action",

@@ -53,12 +53,6 @@ def muscle_volume(mask: VoxelMask) -> float:
     return mask.n_occupied * mask.voxel_volume
 
 
-def tract_endpoints(sset: StreamlineSet) -> np.ndarray:
-    """Both endpoints of every tract as a (2n, 3) array, first and last of
-    each tract in turn."""
-    return np.stack(sset.endpoints(), axis=1).reshape(-1, 3)
-
-
 def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAULT) -> LineOfAction:
     """Fit the muscle's force axis from tract endpoints.
 
@@ -72,7 +66,7 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
         raise InvalidSpecError(f"r2_threshold must be finite, got {r2_threshold}")
     if len(sset) < 3:
         raise DegenerateGeometryError("line of action needs at least 3 streamlines")
-    pts = tract_endpoints(sset)
+    pts = np.stack(sset.endpoints(), axis=1).reshape(-1, 3)
     centered = pts - pts.mean(axis=0)
     total = float((centered * centered).sum() / len(pts))
     if total <= 0.0:

@@ -11,7 +11,8 @@ at --log-level and above; stdout and the output files do not depend on it.
 
 `track` writes each batch of streamlines as soon as it is reconstructed, to
 a temporary file beside --out that then replaces --out, so a failed run
-leaves --out as it was; --out must be a regular file or absent.
+leaves --out as it was; --out must be a regular file or absent, and
+`filter`'s --out seekable (the STRL writer patches its count in last).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.

@@ -27,8 +27,8 @@ a grid's voxel_size, origin or fa, FormatError for a direction).
 
 One STRL writer, save_streamlines, serves a set (or the streamlines of a set
 at given rows) and a stream of sets, such as the batches of
-tracking.reconstruct_batches: it writes the header, then the records of each
-set in turn, and for a stream patches the count into the header at the end.
+tracking.reconstruct_batches: a header of count 0, the records of each set
+in turn, then the count patched in, so the file must be seekable.
 
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one
@@ -137,17 +137,12 @@ def _write_records(fh, sset: StreamlineSet, rows) -> int:
 def save_streamlines(path, streamlines, rows=None) -> int:
     """Write a set, or only its streamlines at rows, in that order; or
     every set of an iterable of sets in turn, each written before the next
-    is drawn, with the count patched into the header at the end. Returns
-    the number of streamlines written."""
+    is drawn. Returns the number of streamlines written."""
+    if isinstance(streamlines, StreamlineSet):
+        streamlines = [streamlines]
     with open(path, "wb") as fh:
-        fh.write(b"STRL")
-        if isinstance(streamlines, StreamlineSet):
-            count = len(streamlines) if rows is None else len(rows)
-            fh.write(struct.pack("<II", FORMAT_VERSION, count))
-            _write_records(fh, streamlines, rows)
-            return count
-        fh.write(struct.pack("<II", FORMAT_VERSION, 0))
-        count = sum(_write_records(fh, sset, None) for sset in streamlines)
+        fh.write(b"STRL" + struct.pack("<II", FORMAT_VERSION, 0))
+        count = sum(_write_records(fh, sset, rows) for sset in streamlines)
         fh.seek(8)
         fh.write(_U32.pack(count))
     return count

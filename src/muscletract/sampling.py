@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class SeedSet:
 
 @dataclass
 class FSSConfig:
-    """Output count k, resample count m, and the init rule. fss_filter checks
+    """Output count k, resample count m, and the init rule. fss_select checks
     k against the candidate count it is given."""
 
     k: int = 3000
@@ -101,9 +101,9 @@ class FSSTrace:
     selection order, the min-distance at which each was picked (inf for the
     initial pick), and the number of MDF evaluations the traversal made."""
 
-    selected_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    selection_distance: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mdf_evaluations: int = 0
+    selected_ids: np.ndarray
+    selection_distance: np.ndarray
+    mdf_evaluations: int
 
 
 def seeds_3d(mask: VoxelMask, spacing_mm: float) -> SeedSet:
@@ -151,13 +151,6 @@ def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
 
     picks = occ[np.isin(occ[:, axis], chosen)]
     return SeedSet(mask.voxel_centers(picks))
-
-
-def fss_filter(candidates: StreamlineSet, cfg: FSSConfig) -> tuple[StreamlineSet, FSSTrace]:
-    """The cfg.k streamlines that fss_select picks, copied into a set of their
-    own in selection order, and its trace."""
-    trace = fss_select(candidates, cfg)
-    return candidates.take(trace.selected_ids), trace
 
 
 def fss_select(candidates: StreamlineSet, cfg: FSSConfig) -> FSSTrace:

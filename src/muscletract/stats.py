@@ -8,13 +8,15 @@ needed.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityError, DegenerateDistributionError
+
+log = logging.getLogger(__name__)
 
 _MAX_ITER = 400
 _EPS = 1e-16
@@ -87,27 +89,6 @@ def t_two_tailed_p(t: float, df: int) -> float:
     return betainc_regularized(df / 2.0, 0.5, x)
 
 
-def t_cdf(t: float, df: int) -> float:
-    p = t_two_tailed_p(t, df)
-    return 1.0 - p / 2.0 if t > 0 else p / 2.0
-
-
-def t_quantile(p: float, df: int) -> float:
-    """Inverse t CDF by bisection on t_cdf (sufficient for CI bands)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    if p == 0.5:
-        return 0.0
-    lo, hi = -1e3, 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _values(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
     if not np.isfinite(arr).all():
@@ -153,51 +134,29 @@ def t_paired(a, b) -> TTestResult:
 
 @dataclass
 class BlandAltman:
-    """Agreement summary: mean difference, its spread, the 1.96*sd limits of
-    agreement, and the 95% CI of the mean difference (t-based), plus the
-    per-case (mean, diff) pairs."""
+    """Agreement summary: mean difference, its spread, and the 1.96*sd limits
+    of agreement."""
 
     mean_diff: float
     sd_diff: float
     loa_low: float
     loa_high: float
-    ci_low: float
-    ci_high: float
-    means: np.ndarray
-    diffs: np.ndarray
 
 
 def bland_altman(a, b) -> BlandAltman:
     va, vb = _paired(a, b)
-    diffs = va - vb
-    means = (va + vb) / 2.0
     mean_diff = float(va.mean()) - float(vb.mean())
-    sd = float(diffs.std(ddof=1))
-    n = len(diffs)
-    half_ci = t_quantile(0.975, n - 1) * sd / math.sqrt(n) if sd > 0 else 0.0
-    return BlandAltman(
-        mean_diff=mean_diff,
-        sd_diff=sd,
-        loa_low=mean_diff - 1.96 * sd,
-        loa_high=mean_diff + 1.96 * sd,
-        ci_low=mean_diff - half_ci,
-        ci_high=mean_diff + half_ci,
-        means=means,
-        diffs=diffs,
-    )
+    sd = float((va - vb).std(ddof=1))
+    return BlandAltman(mean_diff, sd, mean_diff - 1.96 * sd, mean_diff + 1.96 * sd)
 
 
 def percent_diff(a, b) -> float:
     """Mean of 100 * (a - b) / b over paired cases; zero-b cases are excluded
-    with a warning."""
+    and logged, and with none left the result is NaN."""
     va, vb = _paired(a, b)
     ok = vb != 0.0
     if not ok.all():
-        warnings.warn(
-            f"percent_diff: excluded {int((~ok).sum())} case(s) with zero reference value",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        log.warning("percent_diff: excluded %d case(s) with zero reference value", int((~ok).sum()))
     if not ok.any():
-        raise DegenerateDistributionError("no cases with nonzero reference value")
+        return math.nan
     return float((100.0 * (va[ok] - vb[ok]) / vb[ok]).mean())

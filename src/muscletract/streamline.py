@@ -10,8 +10,9 @@ takes and returns one. A set is validated once, over its whole buffer, when
 it is built; iterating over it yields each streamline's (c, 3) points as a
 view into the buffer. A set built from streamlines that are valid by
 construction (the rows of a validated set, or the raw tracks of
-tracking.track) is not validated at all, nor is tracking.reconstruct's
-float32 rounding of its validated float64 batches.
+tracking.track) is not validated at all. tracking.reconstruct_batches
+validates each batch at its float32 rounding, the coordinates that the STRL
+writer and tracking.reconstruct keep.
 
 The buffer is float64 or float32. A set loaded from STRL keeps the file's
 float32 coordinates, as TRK, TCK and Dipy's streamlines do, so it takes 12
@@ -87,8 +88,9 @@ def _float64(a: np.ndarray) -> np.ndarray:
         return a.astype(np.float64, copy=False)
 
 
-def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
-    """Every streamline finite, of two or more points and positive length.
+def _validate(points: np.ndarray, offsets: np.ndarray, as_float32: bool = False) -> None:
+    """Every streamline finite, of two or more points and positive length,
+    in the float32 rounding of the points if as_float32 (so also in them).
 
     A streamline has zero length exactly when (seg * seg).sum(1) is zero for
     all of its segments, the test a summed chord length of zero reduces to;
@@ -100,8 +102,8 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     gives the verdict of its float64 copy.
 
     The check runs one block at a time and one axis at a time, so besides
-    the set it holds one float (float64 sets only) and two flags per point
-    of one block, and a few bytes per streamline.
+    the set it holds one float (float64 sets; a float32 when rounding) and
+    two flags per point of one block, and a few bytes per streamline.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
@@ -110,22 +112,27 @@ def _validate(points: np.ndarray, offsets: np.ndarray) -> None:
     if (np.diff(offsets) < 2).any():
         raise InvalidStreamlineError("streamline needs at least two points")
     for lo, hi in blocks(offsets):
-        _validate_block(points[offsets[lo] : offsets[hi]], offsets[lo : hi + 1] - offsets[lo])
+        block = points[offsets[lo] : offsets[hi]]
+        _validate_block(block, offsets[lo : hi + 1] - offsets[lo], as_float32)
 
 
-def _validate_block(pts: np.ndarray, offsets: np.ndarray) -> None:
+def _validate_block(pts: np.ndarray, offsets: np.ndarray, as_float32: bool) -> None:
     """_validate's finite and positive-length checks of the streamlines of
     one block, at offsets into its points pts."""
-    if not all(np.isfinite(pts[:, c]).all() for c in range(3)):
-        raise InvalidStreamlineError("streamline contains non-finite coordinates")
     moved = np.zeros(len(pts) - 1, dtype=bool)
-    if pts.dtype == np.float32:
-        for c in range(3):
-            moved |= pts[1:, c] != pts[:-1, c]
-    else:
-        sq = np.empty(len(pts) - 1)
-        for c in range(3):
-            np.subtract(pts[1:, c], pts[:-1, c], out=sq)
+    sq = None
+    for c in range(3):
+        col = pts[:, c]
+        if as_float32 and col.dtype != np.float32:
+            # A coordinate beyond float32's range rounds to inf: non-finite.
+            with np.errstate(over="ignore"):
+                col = col.astype(np.float32)
+        if not np.isfinite(col).all():
+            raise InvalidStreamlineError("streamline contains non-finite coordinates")
+        if col.dtype == np.float32:
+            moved |= col[1:] != col[:-1]
+        else:
+            sq = np.subtract(col[1:], col[:-1], out=sq)
             sq *= sq
             moved |= sq > 0
     # Segments offsets[i] .. offsets[i + 1] - 2 belong to streamline i; the

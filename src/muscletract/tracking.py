@@ -31,8 +31,8 @@ tests/reference_tracking.py keeps as the oracle):
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
 track writes every batch of tracks into one packed buffer that grows in
-place. reconstruct_batches runs each batch of seeds end to end in one such
-buffer: it tracks the batch into it, grows it by two rows per track, and
+place. reconstruct_batches runs each batch of seeds end to end in the
+buffer that track returns for it: it grows it by two rows per track, and
 fits, extends and filters the tracks in place, so a batch's points are held
 once, not once per stage.
 
@@ -49,16 +49,17 @@ half-track is cut off. Finishing a batch then holds a few arrays per track
 (the exit rays), one design per point count while it fits (freed before the
 exits), and one block's scratch while it validates.
 
-reconstruct_batches yields each finished batch, at float64, and reuses its
-buffer for the next, so its peak is one batch, whatever the number of seeds:
-the `track` command writes each batch to disk as it comes. reconstruct
-rounds the batches into one float32 buffer that grows in place, the
-coordinates its STRL file holds (the writer rounds each float64 coordinate
-the same way), so it holds its output at 12 bytes per point and one float64
-batch. track holds the raw tracks of every seed.
+reconstruct_batches yields each finished batch, at float64, and releases
+its buffer before it tracks the next, so its peak is one batch, whatever the
+number of seeds: the `track` command writes each batch to disk as it comes.
+reconstruct rounds the batches into one float32 buffer that grows in place,
+the coordinates its STRL file holds (the writer rounds each float64
+coordinate the same way), so it holds its output at 12 bytes per point and
+one float64 batch. track holds the raw tracks of every seed.
 
-reconstruct_batches validates each batch once, at float64; track builds its
-set without validating it, because raw tracks are valid by construction.
+reconstruct_batches validates each batch once, at that float32 rounding
+(which can collapse a track far from the origin to a point); track builds
+its set without validating it, because raw tracks are valid by construction.
 They are finite: every seed lies in the mask, whose grid is finite, and
 every later point is the previous one plus s*v, with s finite and v from a
 voxel whose anisotropy passes fa_min > 0, where OrientationField holds
@@ -90,6 +91,7 @@ its margin keeps the result exact):
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -99,7 +101,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import UNIT_TOL, OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import StreamlineSet, _lengths
+from .streamline import StreamlineSet, _lengths, _validate
 
 log = logging.getLogger(__name__)
 
@@ -338,18 +340,14 @@ def track(
     mask: VoxelMask,
     seeds: SeedSet,
     cfg: TrackingConfig | None = None,
-    out: np.ndarray | None = None,
 ) -> StreamlineSet:
     """Track one bidirectional streamline per seed.
 
     Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
     shorter than cfg.min_length_mm are discarded; the rest keep seed order.
     The set's points array owns its memory (it is no view), so it can be
-    grown in place with ndarray.resize. Given out, a float64 array of three
-    columns that owns its memory, the tracks are written into it instead,
-    over its rows, and it is resized in place to hold them and becomes the
-    set's points: reconstruct_batches tracks every batch into one buffer
-    this way.
+    grown in place with ndarray.resize: reconstruct_batches finishes each
+    batch in the buffer that track returns for it.
 
     cfg.step_mm must not exceed the mask diagonal: a longer step takes every
     point off the grid, so no track could hold two points. The size of the
@@ -366,9 +364,7 @@ def track(
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
     # The tracks of every batch go straight into one buffer that grows in
     # place (ndarray.resize), so that no batch is copied again.
-    buf = np.empty((0, 3)) if out is None else out
-    # out's old rows are dropped first, so that growing it copies none.
-    buf.resize((0, 3), refcheck=False)
+    buf = np.empty((0, 3))
     pos = 0
     kept = []
     for lo in range(0, len(pts), _BATCH):
@@ -564,9 +560,7 @@ def reconstruct(
         points[n:] = batch.points
         counts.append(batch.counts)
     counts = np.concatenate(counts) if counts else np.empty(0, dtype=np.int64)
-    # The batches were validated at float64, and their float32 rounding, the
-    # STRL writer's, is not checked again. It can collapse a streamline to a
-    # point only where its coordinates exceed its length some 2**24 times.
+    # reconstruct_batches validated this rounding of every batch.
     return StreamlineSet._trusted(points, _offsets(counts))
 
 
@@ -576,24 +570,34 @@ def reconstruct_batches(
     seeds: SeedSet,
     cfg: TrackingConfig | None = None,
 ):
-    """reconstruct's streamlines before their float32 rounding: one
-    validated float64 set per batch of _BATCH seeds, in seed order, and
-    reconstruct's INFO line after the last batch.
+    """reconstruct's streamlines before their float32 rounding: one float64
+    set per batch of _BATCH seeds, in seed order, and reconstruct's INFO line
+    after the last batch.
 
-    Each batch is tracked, fitted, extended and filtered in place in one
-    buffer, which every batch reuses: a set stays valid only until the next
-    batch is drawn, and a caller that keeps one longer copies it
+    Each batch is fitted, extended and filtered in place in the buffer that
+    track returns for it, and validated once at its float32 rounding, the
+    coordinates that the STRL writer and reconstruct keep. When the next
+    batch is drawn, the last set's points become empty and its buffer is
+    released, so a caller that keeps a set longer copies it
     (StreamlineSet.take). So the memory held is one batch's, whatever the
-    number of seeds.
+    number of seeds (a view that the caller keeps keeps its buffer).
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)
     tally = np.zeros(4, dtype=np.int64)  # tracks, fits skipped, rejected, ran away
-    buf = np.empty((0, 3))
     for lo in range(0, len(pts), _BATCH):
-        offsets = track(field, mask, SeedSet(pts[lo : lo + _BATCH]), cfg, out=buf).offsets
-        counts = _finish(buf, offsets, mask, cfg, tally)
-        yield StreamlineSet(buf, counts)
+        raw = track(field, mask, SeedSet(pts[lo : lo + _BATCH]), cfg)
+        buf = raw.points
+        offsets = _offsets(_finish(buf, raw.offsets, mask, cfg, tally))
+        _validate(buf, offsets, as_float32=True)
+        batch = StreamlineSet._trusted(buf, offsets)
+        yield batch
+        # Shrunk in place, unless a view the caller took still needs it: to
+        # free it would raise the allocator's mmap threshold, and peak RSS.
+        batch.points = np.empty((0, 3))
+        del raw
+        with contextlib.suppress(ValueError):
+            buf.resize((0, 3))
 
     n_tracks, unfitted, rejected, away = tally.tolist()
     log.info(

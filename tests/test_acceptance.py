@@ -93,7 +93,8 @@ def ensemble():
         mask, field, _ = mt.make_phantom(spec)
         cfg = mt.TrackingConfig()
         cands = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0), cfg)
-        fss, trace = mt.fss_filter(cands, mt.FSSConfig(k=ENSEMBLE_K))
+        trace = mt.fss_select(cands, mt.FSSConfig(k=ENSEMBLE_K))
+        fss = cands.take(trace.selected_ids)
         base3 = cands.take(_subsample_rows(cands, ENSEMBLE_K))
         cands2 = mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg)
         base2 = cands2.take(_subsample_rows(cands2, ENSEMBLE_K))
@@ -183,11 +184,11 @@ def oracle_runs():
         cands = random_streamline_set(rng)
         per_set = {"cands": cands, "runs": {}}
         for k in (1, 10, 50, 100):
-            out, trace = mt.fss_filter(cands, mt.FSSConfig(k=k))
+            trace = mt.fss_select(cands, mt.FSSConfig(k=k))
             per_set["runs"][k] = {
                 "ids": list(trace.selected_ids),
                 "trace": trace,
-                "stack": _resample_set(out, 12)[0],
+                "stack": _resample_set(cands.take(trace.selected_ids), 12)[0],
             }
         runs.append(per_set)
     return runs

@@ -20,14 +20,15 @@ from muscletract.formats import (
     load_mask,
     load_streamlines,
     read_csv,
+    save_field,
     save_mask,
     save_streamlines,
 )
 import muscletract.streamline as streamline_mod
 from muscletract import tracking
 from muscletract.errors import DegenerateGeometryError
-from muscletract.grid import VoxelMask
-from muscletract.phantom import PhantomSpec
+from muscletract.grid import OrientationField, VoxelMask
+from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
 from reference_streamline import pack
 
@@ -265,7 +266,7 @@ class TestArchCommand:
         )
 
 
-def _fake_run_dir(tmp_path, name, sc, sdcv, fl):
+def _fake_run_dir(tmp_path, name, sc, sdcv, fl, pa=10.0):
     import muscletract.formats as fmts
 
     d = tmp_path / name
@@ -275,7 +276,7 @@ def _fake_run_dir(tmp_path, name, sc, sdcv, fl):
         d / "arch.csv",
         ["name", "mv_mm3", "fl_median_mm", "ml_mm", "fl_ml_ratio", "pa_median_deg",
          "pcsa_mm2", "loa_x", "loa_y", "loa_z", "r2", "loa_source", "arch_type"],
-        [["m", 1000.0, fl, 60.0, fl / 60.0, 10.0, 1000.0 * 0.98 / fl, 0.0, 0.0, 1.0,
+        [["m", 1000.0, fl, 60.0, fl / 60.0, pa, 1000.0 * 0.98 / fl, 0.0, 0.0, 1.0,
           0.95, "endpoint_fit", "pennate"]],
     )
     save_mask(d / "mask.mskv", VoxelMask(np.ones((4, 4, 4), dtype=bool)))
@@ -323,6 +324,21 @@ class TestCompareCommand:
         assert float(cols["sc"]) < 0  # fss covers more
         assert float(cols["sdcv"]) > 0  # fss less non-uniform
         assert float(cols["fl_median"]) > 0  # fss shorter fibers
+
+    def test_zero_reference_in_every_instance_writes_nan(self, tmp_path, capsys):
+        # A 0 degree box gives pa_median_deg = 0 in every run, so no case is
+        # left for that column's percent difference.
+        dirs = [_fake_run_dir(tmp_path, f"{m}{i}", 0.9, 0.3, 50.0 + i, pa=0.0)
+                for m in "ab" for i in (0, 1)]
+        out = tmp_path / "cmp.csv"
+        capsys.readouterr()
+        code = run(["compare", f"fss:0:{dirs[0]}", f"fss:1:{dirs[1]}",
+                    f"3ds:0:{dirs[2]}", f"3ds:1:{dirs[3]}", "--out", out])
+        assert code == 0
+        header, rows = read_csv(out)
+        pct = dict(zip(header, next(r for r in rows if r[0] == "pct_diff")))
+        assert pct["pa_median"] == "nan" and float(pct["sc"]) == 0.0
+        assert "error" not in capsys.readouterr().err
 
     def test_single_method_rejected(self, tmp_path):
         a0 = _fake_run_dir(tmp_path, "a0", 0.9, 0.3, 50.0)
@@ -647,6 +663,22 @@ class TestBoundaries:
         assert run(_command(files, "track", out)) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["track"], ["filter", "--method", "3ds", "-k", "10"]])
+    def test_streamlines_that_float32_collapses_exit_4(self, tmp_path, capsys, command):
+        # At z = 1e10 mm float32 resolves 1024 mm, so STRL's rounding turns
+        # every track of a 40 mm box along z into one point: the command that
+        # makes them must fail, not the next one to read them.
+        mask, field, _ = make_phantom(PhantomSpec(pennation_deg=0.0, dims_mm=(6.0, 6.0, 40.0)))
+        far = (0.0, 0.0, 1e10)
+        save_mask(tmp_path / "m.mskv", VoxelMask(mask.occupancy, mask.voxel_size, far))
+        save_field(tmp_path / "f.ornt",
+                   OrientationField(field.directions, field.fa, field.voxel_size, far))
+        capsys.readouterr()
+        assert run([*command, "--field", tmp_path / "f.ornt", "--mask", tmp_path / "m.mskv",
+                    "--spacing", "2", "--out", tmp_path / "out.strl"]) == 4
+        assert "zero arc length" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ornt", "m.mskv"]
 
 
 class TestFrameCheck:

@@ -11,7 +11,7 @@ from muscletract.errors import (
     InvalidSpecError,
 )
 from muscletract.grid import VoxelMask
-from muscletract.sampling import FSSConfig, SeedSet, fss_filter, seeds_2d, seeds_3d
+from muscletract.sampling import FSSConfig, SeedSet, fss_select, seeds_2d, seeds_3d
 from muscletract.streamline import _resample_set, mdf_rows
 from reference_streamline import arc_length, mdf, pack, resample
 
@@ -54,7 +54,7 @@ def naive_farthest_first(cands, k, m=12, init_rule="longest"):
 
 def unpruned_fss(cands, k, m=12, init_rule="longest"):
     """Incremental farthest-first loop that evaluates MDF from every pick to
-    every candidate: the update fss_filter prunes, with nothing skipped."""
+    every candidate: the update fss_select prunes, with nothing skipped."""
     stack, _ = _resample_set(cands, m)
     first = int(np.argmax([arc_length(s) for s in cands])) if init_rule == "longest" else 0
     picks, dists = [first], [np.inf]
@@ -197,7 +197,7 @@ class TestSeeds2D:
 
 
 # ---------------------------------------------------------------------------
-# fss_filter
+# fss_select
 # ---------------------------------------------------------------------------
 
 def small_candidates():
@@ -213,30 +213,29 @@ def small_candidates():
 class TestFSSFilter:
     def test_exhaustion_returns_all_in_traversal_order(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(k=5))
+        trace = fss_select(cands, FSSConfig(k=5))
         assert sorted(trace.selected_ids) == [0, 1, 2, 3, 4]
-        assert out.points.tobytes() == cands.take(trace.selected_ids).points.tobytes()
 
     def test_k1_longest_wins(self):
         cands = small_candidates()
-        _, trace = fss_filter(cands, FSSConfig(k=1))
+        trace = fss_select(cands, FSSConfig(k=1))
         assert trace.selected_ids[0] == 0  # 27.5 mm beats the rest
 
     def test_k1_longest_tie_breaks_to_lowest_position(self):
         a = straight(0.0, 0.0, 20.0)
         b = straight(5.0, 0.0, 20.0)
         c = straight(9.0, 0.0, 12.0)
-        _, trace = fss_filter(pack([c, b, a]), FSSConfig(k=1))
+        trace = fss_select(pack([c, b, a]), FSSConfig(k=1))
         assert trace.selected_ids[0] == 1
 
     def test_index_init_rule(self):
         cands = small_candidates()
-        _, trace = fss_filter(cands, FSSConfig(k=1, init_rule="index"))
+        trace = fss_select(cands, FSSConfig(k=1, init_rule="index"))
         assert trace.selected_ids[0] == 0
 
     def test_matches_naive_oracle_on_handbuilt_set(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(k=3))
+        trace = fss_select(cands, FSSConfig(k=3))
         want = naive_farthest_first(cands, 3)
         assert list(trace.selected_ids) == want
 
@@ -252,12 +251,12 @@ class TestFSSFilter:
                 sls.append(start + stops[:, None] * direction)
             cands = pack(sls)
             for k in (1, 5, 18):
-                out, trace = fss_filter(cands, FSSConfig(k=k))
+                trace = fss_select(cands, FSSConfig(k=k))
                 assert list(trace.selected_ids) == naive_farthest_first(cands, k)
 
     def test_selection_distance_monotone(self):
         cands = small_candidates()
-        _, trace = fss_filter(cands, FSSConfig(k=5))
+        trace = fss_select(cands, FSSConfig(k=5))
         d = trace.selection_distance
         assert d[0] == np.inf
         assert (np.diff(d[1:]) <= 1e-12).all()
@@ -265,8 +264,9 @@ class TestFSSFilter:
     def test_separation_bound(self):
         rng = np.random.default_rng(3)
         sls = [np.cumsum(rng.uniform(-2, 2, (6, 3)) + [1, 0, 0], axis=0) for _ in range(25)]
-        out, trace = fss_filter(pack(sls), FSSConfig(k=10))
-        stack, _ = _resample_set(out, 12)
+        cands = pack(sls)
+        trace = fss_select(cands, FSSConfig(k=10))
+        stack, _ = _resample_set(cands.take(trace.selected_ids), 12)
         final = trace.selection_distance[-1]
         for i in range(len(stack)):
             d = mdf_to_one(stack, stack[i])
@@ -275,7 +275,7 @@ class TestFSSFilter:
 
     def test_duplicate_suppression(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(k=5))
+        trace = fss_select(cands, FSSConfig(k=5))
         picks = list(trace.selected_ids)
         # 1 (near-dup) and 2 (exact flip of 0) trail every distinct streamline
         assert picks[0] == 0
@@ -284,15 +284,15 @@ class TestFSSFilter:
 
     def test_determinism(self):
         cands = small_candidates()
-        r1 = fss_filter(cands, FSSConfig(k=4))
-        r2 = fss_filter(cands, FSSConfig(k=4))
-        assert list(r1[1].selected_ids) == list(r2[1].selected_ids)
-        assert np.array_equal(r1[1].selection_distance, r2[1].selection_distance)
+        r1 = fss_select(cands, FSSConfig(k=4))
+        r2 = fss_select(cands, FSSConfig(k=4))
+        assert list(r1.selected_ids) == list(r2.selected_ids)
+        assert np.array_equal(r1.selection_distance, r2.selection_distance)
 
     def test_k_exceeding_candidates_rejected(self):
         cands = small_candidates()
         with pytest.raises(ArityError):
-            fss_filter(cands, FSSConfig(k=8))
+            fss_select(cands, FSSConfig(k=8))
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -306,9 +306,9 @@ class TestFSSFilter:
 
     def test_output_keeps_original_geometry(self):
         cands = small_candidates()
-        out, trace = fss_filter(cands, FSSConfig(k=2))
+        trace = fss_select(cands, FSSConfig(k=2))
         streamlines = list(cands)
-        for pos, s in zip(trace.selected_ids.tolist(), out):
+        for pos, s in zip(trace.selected_ids.tolist(), cands.take(trace.selected_ids)):
             assert np.array_equal(s, streamlines[pos])
 
 
@@ -345,7 +345,7 @@ class TestPrunedUpdate:
     def test_matches_unpruned_loop_on_phantom(self, arc_candidates, m):
         n, k = len(arc_candidates), 500
         assert n > 1500
-        _, trace = fss_filter(arc_candidates, FSSConfig(k=k, m=m))
+        trace = fss_select(arc_candidates, FSSConfig(k=k, m=m))
         picks, dists = unpruned_fss(arc_candidates, k, m)
         assert np.array_equal(trace.selected_ids, picks)
         assert np.array_equal(trace.selection_distance, dists)
@@ -361,7 +361,7 @@ class TestPrunedUpdate:
             lengths = [arc_length(s) for s in cands]
             assert lengths.count(max(lengths)) >= 9  # the longest rule meets a tie
             for k in (1, 9, n // 2, n):
-                _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
+                trace = fss_select(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
                 picks, dists = unpruned_fss(cands, k, m, init_rule)
                 assert np.array_equal(trace.selected_ids, picks)
                 assert np.array_equal(trace.selection_distance, dists)
@@ -371,7 +371,7 @@ class TestPrunedUpdate:
 def assert_matches_unpruned(cands, ks, m=12):
     for init_rule in ("longest", "index"):
         for k in ks:
-            _, trace = fss_filter(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
+            trace = fss_select(cands, FSSConfig(k=k, m=m, init_rule=init_rule))
             picks, dists = unpruned_fss(cands, k, m, init_rule)
             assert np.array_equal(trace.selected_ids, picks), (init_rule, k)
             assert np.array_equal(trace.selection_distance, dists), (init_rule, k)
@@ -475,7 +475,7 @@ class TestLongestPick:
             want = int(np.argmax([arc_length(s) for s in cands]))
             _, estimates = _resample_set(cands, 12)
             disagree += int(np.argmax(estimates)) != want
-            _, trace = fss_filter(cands, FSSConfig(k=1))
+            trace = fss_select(cands, FSSConfig(k=1))
             assert trace.selected_ids[0] == want
             assert_matches_unpruned(cands, (len(cands),))
         assert disagree > 0  # the estimates alone would pick wrongly here
@@ -485,7 +485,7 @@ class TestFSSLog:
     def test_one_info_line_with_the_evaluations(self, caplog):
         cands = small_candidates()
         with caplog.at_level(logging.INFO, logger="muscletract.sampling"):
-            _, trace = fss_filter(cands, FSSConfig(k=3))
+            trace = fss_select(cands, FSSConfig(k=3))
         (record,) = [r for r in caplog.records if r.name == "muscletract.sampling"]
         assert record.levelno == logging.INFO
         share = 100.0 * trace.mdf_evaluations / 15

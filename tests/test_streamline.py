@@ -493,11 +493,30 @@ class TestValidate:
     def test_scratch_is_one_float_per_block_point(self, traced_peak):
         # Four full blocks of 1001-point streamlines; the check holds one
         # float and two flags per point of a block, and a few bytes per
-        # streamline.
+        # streamline, also when it rounds the points to float32 one axis of
+        # one block at a time.
         rng = np.random.default_rng(9)
         budget = streamline_mod.BLOCK_POINTS
         counts = np.full(4 * budget // 1001, 1001)
         points = rng.uniform(-50.0, 50.0, (counts.sum(), 3))
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        _, peak = traced_peak(streamline_mod._validate, points, offsets)
-        assert peak <= 10 * budget + 64 * len(counts) + 4096
+        for as_float32 in (False, True):
+            _, peak = traced_peak(streamline_mod._validate, points, offsets, as_float32=as_float32)
+            assert peak <= 10 * budget + 64 * len(counts) + 4096, as_float32
+
+    @pytest.mark.parametrize("message, far", [
+        ("zero arc length", [[1e10, 0.0, 0.0], [1e10 + 1.0, 0.0, 0.0]]),
+        ("non-finite", [[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]]),
+    ])
+    def test_rounded_check_is_that_of_the_float32_copy(self, message, far):
+        # Valid at float64, not at float32: one step float32 cannot resolve,
+        # and one coordinate beyond its range (no RuntimeWarning on overflow).
+        points, offsets = np.array(far), np.array([0, 2])
+        streamline_mod._validate(points, offsets)
+        with pytest.raises(InvalidStreamlineError, match=message):
+            streamline_mod._validate(points, offsets, as_float32=True)
+        with np.errstate(over="ignore"):
+            single = points.astype(np.float32)
+        with pytest.raises(InvalidStreamlineError, match=message):
+            streamline_mod._validate(single, offsets)
+

@@ -1,6 +1,8 @@
 import logging
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -742,16 +744,22 @@ class TestOneValidation:
         _validate(sset.points, sset.offsets)
 
     def test_reconstruct_validates_once(self, monkeypatch):
+        # Once per batch, at the float32 rounding that reconstruct keeps.
         calls = []
 
-        def counted(points, offsets):
-            calls.append(len(offsets) - 1)
-            _validate(points, offsets)
+        def counted(points, offsets, **kwargs):
+            calls.append((len(offsets) - 1, kwargs))
+            _validate(points, offsets, **kwargs)
 
         monkeypatch.setattr(streamline_mod, "_validate", counted)
+        monkeypatch.setattr(tracking, "_validate", counted)
+        monkeypatch.setattr(tracking, "_BATCH", 100)
         mask, field = CASES["jittered_arc"]()
-        out = reconstruct(field, mask, some_seeds(mask, 1.0))
-        assert len(out) > 0 and calls == [len(out)]
+        seeds = some_seeds(mask, 1.0)
+        out = reconstruct(field, mask, seeds)
+        assert len(out) > 0 and len(calls) == math.ceil(len(seeds) / 100)
+        assert sum(n for n, _ in calls) == len(out)
+        assert all(kwargs == {"as_float32": True} for _, kwargs in calls)
 
 
 def fine_steps():
@@ -821,6 +829,41 @@ def test_reconstruct_holds_its_output_and_one_batch(traced_peak):
         out, peak = traced_peak(reconstruct, field, mask, SeedSet(np.concatenate([seeds] * copies)))
         assert len(out) > 0.9 * copies * len(seeds) and out.points.dtype == np.float32
         assert peak <= 12 * len(out.points) + one_batch
+
+
+def test_kept_batches_are_released(traced_peak):
+    # Each set's buffer is emptied when the next batch is drawn, so a caller
+    # that keeps every set holds what track() holds for one batch, plus the
+    # sets' offsets.
+    mask, field, _ = make_phantom(PhantomSpec())
+    seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
+    _, one_batch = traced_peak(track, field, mask, SeedSet(seeds))
+    repeated = SeedSet(np.concatenate([seeds] * 3))
+    kept, peak = traced_peak(lambda: list(tracking.reconstruct_batches(field, mask, repeated)))
+    assert len(kept) == 3 and all(s.points.shape == (0, 3) for s in kept)
+    assert peak <= 1.1 * one_batch
+
+
+def test_a_kept_view_outlives_its_batch():
+    # Freeing a released batch under a view that the caller took of it read
+    # freed memory: a segmentation fault, so the check runs in a process of
+    # its own.
+    script = """
+import numpy as np
+from muscletract import tracking
+from muscletract.phantom import PhantomSpec, make_phantom
+from muscletract.sampling import seeds_3d
+tracking._BATCH = 16
+mask, field, _ = make_phantom(PhantomSpec(dims_mm=(10.0, 6.0, 20.0)))
+batches = tracking.reconstruct_batches(field, mask, seeds_3d(mask, 1.0))
+first = next(batches)
+view = first.points[:20]
+want = view.copy()
+next(batches)
+assert first.points.shape == (0, 3) and np.array_equal(view, want)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_reconstruct_batches_are_reconstruct_in_order(monkeypatch):
