@@ -11,8 +11,18 @@ at --log-level and above; stdout and the output files do not depend on it.
 
 `track` writes each batch of streamlines as soon as it is reconstructed, to
 a temporary file beside --out that then replaces --out, so a failed run
-leaves --out as it was; --out must be a regular file or absent, and
-`filter`'s --out seekable (the STRL writer patches its count in last).
+leaves --out as it was; --out must be a regular file or absent.
+
+`filter` holds what it writes, not what it reads. `--method fss` reads its
+candidates one block at a time; `--method 3ds|2ds` writes each reconstructed
+batch to a scratch file beside --out, named as `track`'s temporary file and
+removed however the command ends. Either way the picked records are then
+copied byte for byte from that one open source file into --out, count
+first, so --out need be neither regular nor seekable (a named pipe will
+do), and a run that fails a check writes no --out. --out may not name
+--candidates: that exits 3 and leaves the candidates as they were. For
+3ds|2ds the directory of --out must take the scratch file, so there an
+--out such as /dev/stdout or /dev/fd/N exits 3; fss writes to it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.
@@ -34,8 +44,8 @@ from . import formats, metrics as metrics_mod, stats
 from .errors import ArityError, DataError, FrameMismatchError, MuscleTractError
 from .phantom import PhantomSpec, make_phantom
 from .sampling import SeedSet, fss_select, seeds_2d, seeds_3d
-from .streamline import StreamlineSet, blocks
-from .tracking import reconstruct, reconstruct_batches
+from .streamline import blocks
+from .tracking import reconstruct_batches
 
 METRIC_COLUMNS = ("sc", "sdcv", "fl_median", "ml", "fl_ml_ratio", "pa_median", "pcsa")
 
@@ -62,16 +72,23 @@ def _run_config(args) -> formats.RunConfig:
     return cfg.updated({key: value for key, value in vars(args).items() if key in formats.RUN_KEYS})
 
 
-def _check_frame(sset: StreamlineSet, mask) -> None:
-    """STRL files carry no grid header; reject sets that lie entirely outside
-    the mask grid's bounding box."""
+def _framed(sets, mask):
+    """Each set of an iterable of sets in turn. STRL files carry no grid
+    header: after the last set, raise if they hold streamlines and none of
+    their points falls inside the mask grid's bounding box. A caller with one
+    set drains it as `(sset,) = _framed([sset], mask)`."""
     lo, hi = mask.origin, mask.origin + mask.world_extent
-    for a, b in blocks(sset.offsets):
-        pts = sset.block(a, b)
-        ok = (pts >= lo) & (pts <= hi)
-        if (ok[:, 0] & ok[:, 1] & ok[:, 2]).any():
-            return
-    if len(sset):
+    inside, count = False, 0
+    for sset in sets:
+        for a, b in blocks(sset.offsets):
+            if inside:
+                break
+            pts = sset.block(a, b)
+            ok = (pts >= lo) & (pts <= hi)
+            inside = bool((ok[:, 0] & ok[:, 1] & ok[:, 2]).any())
+        count += len(sset)
+        yield sset
+    if count and not inside:
         raise FrameMismatchError("no streamline point falls inside the mask grid")
 
 
@@ -80,12 +97,18 @@ def _even_picks(n: int, k: int) -> np.ndarray:
     return (np.arange(k) * n) // k
 
 
-def _subsample_rows(sset: StreamlineSet, k: int) -> np.ndarray:
-    """Positions of k streamlines spread evenly over the set."""
-    n = len(sset)
+def _subsample_rows(n: int, k: int) -> np.ndarray:
+    """Positions of k streamlines spread evenly over n."""
     if n < k:
         raise ArityError(f"only {n} streamlines available, need {k}")
     return _even_picks(n, k)
+
+
+def _scratch_beside(out) -> Path:
+    """A file beside out, named after it and this process, that a command
+    writes before it is done (module docstring)."""
+    out = Path(out)
+    return out.with_name(f".{out.name}.{os.getpid()}.part")
 
 
 def _make_seeds(method: str, mask, cfg: formats.RunConfig) -> SeedSet:
@@ -136,8 +159,7 @@ def cmd_track(args) -> int:
     out = Path(args.out)
     if out.exists() and not out.is_file():
         raise DataError(f"{out}: --out must be a regular file")
-    # The batches stream into a file beside --out (module docstring).
-    part = out.with_name(f".{out.name}.{os.getpid()}.part")
+    part = _scratch_beside(out)
     try:
         batches = reconstruct_batches(field, mask, seeds, cfg.tracking)
         count = formats.save_streamlines(part, batches)
@@ -155,10 +177,9 @@ def cmd_filter(args) -> int:
     if args.method == "fss":
         if not args.candidates:
             raise DataError("--candidates is required for method fss")
-        source = formats.load_streamlines(args.candidates)
-        _check_frame(source, mask)
-        trace = fss_select(source, cfg.fss)
-        rows = trace.selected_ids
+        with formats.StreamlineFile(args.candidates) as source:
+            trace = fss_select(_framed(source.sets(), mask), cfg.fss)
+            count = source.copy(args.out, trace.selected_ids)
         if args.trace:
             formats.write_csv(
                 args.trace,
@@ -172,20 +193,24 @@ def cmd_filter(args) -> int:
         if not args.field:
             raise DataError(f"--field is required for method {args.method}")
         field = formats.load_field(args.field)
-        source = reconstruct(field, mask, _make_seeds(args.method, mask, cfg), cfg.tracking)
-        rows = _subsample_rows(source, cfg.fss.k)
+        seeds = _make_seeds(args.method, mask, cfg)
+        # The reconstruction streams into a file beside --out (module docstring).
+        part = _scratch_beside(args.out)
+        try:
+            formats.save_streamlines(part, reconstruct_batches(field, mask, seeds, cfg.tracking))
+            with formats.StreamlineFile(part) as source:
+                count = source.copy(args.out, _subsample_rows(len(source), cfg.fss.k))
+        finally:
+            part.unlink(missing_ok=True)
 
-    # The picks are written straight from the buffer they were chosen from.
-    formats.save_streamlines(args.out, source, rows)
-    print(f"filter[{args.method}]: {len(rows)} streamlines -> {args.out}")
+    print(f"filter[{args.method}]: {count} streamlines -> {args.out}")
     return 0
 
 
 def cmd_metrics(args) -> int:
     cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
-    sset = formats.load_streamlines(args.streamlines)
-    _check_frame(sset, mask)
+    (sset,) = _framed([formats.load_streamlines(args.streamlines)], mask)
     dmap, tm = metrics_mod.density(sset, mask, sdcv_support=cfg.sdcv_support)
     formats.write_csv(
         args.out_csv,
@@ -204,8 +229,7 @@ def cmd_arch(args) -> int:
         raise DataError(f"name {name!r} must not contain a comma or a line break")
     cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
-    sset = formats.load_streamlines(args.streamlines)
-    _check_frame(sset, mask)
+    (sset,) = _framed([formats.load_streamlines(args.streamlines)], mask)
     loa = arch_mod.line_of_action(sset, r2_threshold=cfg.r2_threshold)
     arch = arch_mod.summarize(mask, sset, loa)
     formats.write_csv(
@@ -424,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_flag(p, "--m", dest="m", type=int)
     run_flag(p, "--init-rule", dest="init_rule", choices=["longest", "index"])
     p.add_argument("--trace")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="STRL output; for 2ds/3ds its directory must take a scratch file")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("metrics", help="coverage / density metrics", parents=[config])

@@ -16,24 +16,34 @@ checks (occupancy bytes 0 or 1, unit directions).
 
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
 
-load_streamlines keeps the file's float32 coordinates: the set it returns is
-float32-backed (streamline module docstring), 12 bytes per point. Grid
-payloads and headers are read as float64. Either way a float32 word is
-converted with the invalid-operation flag ignored (streamline._float64): a
-signaling NaN (0x7f800001) becomes a quiet NaN without a RuntimeWarning, and
-the finite checks of the loaded object reject it with the same error as any
-other NaN (InvalidStreamlineError for STRL coordinates, InvalidSpecError for
-a grid's voxel_size, origin or fa, FormatError for a direction).
+load_streamlines keeps the file's float32 coordinates: the set it returns,
+and each set that StreamlineFile.sets yields, is float32-backed (streamline
+module docstring), 12 bytes per point. Grid payloads and headers are read as
+float64. Either way a float32 word is converted with the invalid-operation
+flag ignored (streamline._float64): a signaling NaN (0x7f800001) becomes a
+quiet NaN without a RuntimeWarning, and the finite checks of the loaded
+object reject it with the same error as any other NaN
+(InvalidStreamlineError for STRL coordinates, InvalidSpecError for a grid's
+voxel_size, origin or fa, FormatError for a direction).
 
-One STRL writer, save_streamlines, serves a set (or the streamlines of a set
-at given rows) and a stream of sets, such as the batches of
-tracking.reconstruct_batches: a header of count 0, the records of each set
-in turn, then the count patched in, so the file must be seekable.
+One STRL writer, save_streamlines, serves a set and a stream of sets, such
+as the batches of tracking.reconstruct_batches: a header of count 0, the
+records of each set in turn, then the count patched in, so the file must be
+seekable.
+
+One STRL reader, StreamlineFile, checks the header and every point count
+when it opens the file, then serves three readers of that one open file:
+load_streamlines, which fills one buffer with the whole file; sets, which
+yields one validated set per block; and copy, the copier, which writes the
+records at given rows byte for byte, the header with their count first, so
+its output need not be seekable. `filter` streams its candidates with sets
+and writes its picks with copy.
 
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one
 buffer of interleaved count and coordinate words. So beside the points of the
-set, STRL I/O holds under 30 bytes per point of one block: about 2 MB.
+set, STRL I/O holds under 30 bytes per point of one block: about 2 MB. The
+copier holds one record at a time.
 
 A run-config file holds flat key=value lines. Each key is a field of the
 config that owns the parameter, which also holds its default and its check:
@@ -76,7 +86,7 @@ from .tracking import TrackingConfig
 FORMAT_VERSION = 1
 
 _U32 = struct.Struct("<I")
-# Bytes that load_streamlines' first pass and _read_exact ask a file for at a time.
+# Bytes that StreamlineFile's count pass and _read_exact ask a file for at a time.
 _READ_BYTES = 1 << 16
 
 
@@ -114,48 +124,60 @@ def _record_words(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
     return heads, coords
 
 
-def _write_records(fh, sset: StreamlineSet, rows) -> int:
-    """Write the records of a set, or of its streamlines at rows, in that
-    order; returns how many. The points are read from the set's buffer one
-    block at a time, so writing a subset is no copy of it."""
-    if rows is None:
-        offsets = sset.offsets
-    else:
-        starts, offsets = sset._selection(rows)
+def _write_records(fh, sset: StreamlineSet) -> int:
+    """Write the records of a set, one block at a time; returns how many."""
+    offsets = sset.offsets
     for lo, hi in blocks(offsets):
         heads, coords = _record_words(offsets, lo, hi)
         words = np.empty(len(coords), dtype="<f4")
         words.view("<u4")[heads] = offsets[lo + 1 : hi + 1] - offsets[lo:hi]
-        if rows is None:
-            words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
-        else:
-            words[coords] = sset._gathered(starts, offsets, lo, hi).reshape(-1)
+        words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
         fh.write(words)
-    return len(offsets) - 1
+    return len(sset)
 
 
-def save_streamlines(path, streamlines, rows=None) -> int:
-    """Write a set, or only its streamlines at rows, in that order; or
-    every set of an iterable of sets in turn, each written before the next
-    is drawn. Returns the number of streamlines written."""
+def save_streamlines(path, streamlines) -> int:
+    """Write a set, or every set of an iterable of sets in turn, each
+    written before the next is drawn. Returns the number of streamlines
+    written."""
     if isinstance(streamlines, StreamlineSet):
         streamlines = [streamlines]
     with open(path, "wb") as fh:
         fh.write(b"STRL" + struct.pack("<II", FORMAT_VERSION, 0))
-        count = sum(_write_records(fh, sset, rows) for sset in streamlines)
+        count = sum(_write_records(fh, sset) for sset in streamlines)
         fh.seek(8)
         fh.write(_U32.pack(count))
     return count
 
 
-def load_streamlines(path) -> StreamlineSet:
-    """Load streamlines, in file order.
+class StreamlineFile:
+    """A STRL file open for reading, its header and every point count
+    checked before any coordinate is read (the count pass reads _READ_BYTES
+    at a time). The one record reader: load_streamlines, sets and copy all
+    read through its one open file, so what they read is what was checked,
+    whatever later happens to the path."""
 
-    A first pass checks the point counts, reading _READ_BYTES of the file at
-    a time; the records are then read one block at a time (module docstring)
-    into one float32 buffer, which the set keeps.
-    """
-    with open(path, "rb") as fh:
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self.start, self.offsets = self._index()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> StreamlineFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def _index(self) -> tuple[int, np.ndarray]:
+        """Where the records start, and the offsets that pack them."""
+        fh, path = self._fh, self.path
         _read_header(fh, b"STRL", path)
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "count"))
         fd, start = fh.fileno(), fh.tell()
@@ -176,18 +198,56 @@ def load_streamlines(path) -> StreamlineSet:
             counts.append(npoints)
         if pos < size:
             raise FormatError(f"{path}: trailing bytes after {count} streamlines")
-
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        points = np.empty((offsets[-1], 3), dtype=np.float32)
+        return start, offsets
+
+    def _blocks(self):
+        """(lo, hi, float32 (P, 3) points) of each streamline.blocks range,
+        in file order, each read when it is drawn."""
+        offsets = self.offsets
         for lo, hi in blocks(offsets):
             _, coords = _record_words(offsets, lo, hi)
             words = np.empty(len(coords), dtype="<f4")
-            fh.seek(start + 4 * (lo + 3 * offsets[lo]))
-            if fh.readinto(words) != words.nbytes:
+            self._fh.seek(self.start + 4 * (lo + 3 * offsets[lo]))
+            if self._fh.readinto(words) != words.nbytes:
                 raise FormatError(f"truncated file while reading streamline {lo}")
-            points[offsets[lo] : offsets[hi]] = words[coords].reshape(-1, 3)
-    return StreamlineSet(points, counts)
+            yield lo, hi, words[coords].reshape(-1, 3)
+
+    def sets(self):
+        """The streamlines in file order, as one validated float32 set per
+        streamline.blocks range, each read when it is drawn."""
+        for lo, hi, points in self._blocks():
+            yield StreamlineSet(points, np.diff(self.offsets[lo : hi + 1]))
+
+    def copy(self, path, rows) -> int:
+        """Write the streamlines at rows, in that order, to path: the header
+        with their count, then each record copied byte for byte, so path
+        need not be seekable. path may not be this file. Returns the count."""
+        rows = np.asarray(rows, dtype=np.int64)
+        fd = self._fh.fileno()
+        if os.path.exists(path) and os.path.samestat(os.fstat(fd), os.stat(path)):
+            raise FormatError(f"{path}: cannot copy the records of {self.path} onto itself")
+        at = self.start + 4 * (np.arange(len(self.offsets)) + 3 * self.offsets)
+        with open(path, "wb") as out:
+            out.write(b"STRL" + struct.pack("<II", FORMAT_VERSION, len(rows)))
+            for lo, hi in zip(at[rows].tolist(), at[rows + 1].tolist()):
+                record = os.pread(fd, hi - lo, lo)
+                if len(record) != hi - lo:
+                    raise FormatError(f"{self.path}: truncated file while copying")
+                out.write(record)
+        return len(rows)
+
+
+def load_streamlines(path) -> StreamlineSet:
+    """Load streamlines, in file order, into one float32 buffer, which the
+    set keeps; the set is validated once it is whole."""
+    with StreamlineFile(path) as strl:
+        points = np.empty((strl.offsets[-1], 3), dtype=np.float32)
+        for lo, hi, block in strl._blocks():
+            points[strl.offsets[lo] : strl.offsets[hi]] = block
+            del block  # before the next block is read
+    return StreamlineSet(points, np.diff(strl.offsets))
 
 
 def _save_grid(path, magic: bytes, grid: np.ndarray, voxel_size, origin, dtype) -> None:

@@ -36,10 +36,12 @@ The first pick under init_rule "longest" reuses the resampler's segment-length
 totals. A total sums the same c - 1 segment lengths as the arc length
 (streamline.arc_lengths), in sequence instead of pairwise; both sums are
 within (c - 2) * 2**-53 of the exact sum, relative, so they differ by less
-than 2 * (c + 8) * 2**-53 times the total. So only a candidate whose total
-lies within twice that margin (taken at the largest point count) below the
-largest total can be the longest, and the arc length is computed for those
-candidates alone.
+than 2 * (c + 8) * 2**-53 times the total. Twice that margin about a
+candidate's total, taken at its own point count, bounds its arc length from
+below and above, rounding included. A candidate whose upper bound lies below
+another's lower bound cannot be the longest, so the arc length is computed
+only for the candidates whose upper bound reaches the largest lower bound
+seen so far, while their points are in hand.
 """
 
 from __future__ import annotations
@@ -153,30 +155,50 @@ def seeds_2d(mask: VoxelMask, n_slices: int = 5) -> SeedSet:
     return SeedSet(mask.voxel_centers(picks))
 
 
-def fss_select(candidates: StreamlineSet, cfg: FSSConfig) -> FSSTrace:
+def fss_select(candidates, cfg: FSSConfig) -> FSSTrace:
     """Pick cfg.k of the candidates by farthest-first traversal; returns the
     trace, whose selected_ids are the positions of the picks.
+
+    candidates is a set, or an iterable of sets that hold the candidates in
+    turn, such as formats.StreamlineFile.sets: each set is
+    resampled when it is drawn and not kept, so beside one set the
+    traversal holds the n resampled streamlines.
 
     Deterministic: the first pick follows cfg.init_rule (longest arc length by
     default), every later step picks the remaining streamline maximizing its
     minimum MDF to the selected set, and ties break to the lowest position in
-    the candidate set. The picks are in selection order.
+    the candidates. The picks are in selection order.
 
     Each step evaluates MDF from the new pick only to the candidates that the
     centroid bound of the module docstring cannot skip, instead of to all n
     candidates; the trace counts the evaluations made, and one INFO line
     reports them against n * k.
     """
-    n = len(candidates)
+    if isinstance(candidates, StreamlineSet):
+        candidates = [candidates]
+    parts, near, exact, floor, n = [], [], [], -np.inf, 0
+    for sset in candidates:
+        stack, totals = _resample_set(sset, cfg.m)
+        parts.append(stack.transpose(2, 1, 0))
+        if cfg.init_rule == "longest" and len(sset):
+            # Arc lengths only where the bounds of the module docstring
+            # leave a candidate in the running for the longest.
+            margin = 4 * (sset.counts + 8) * 2.0**-53 * totals
+            floor = max(floor, float((totals - margin).max()))
+            rows = np.flatnonzero(totals + margin >= floor)
+            near.append(n + rows)
+            exact.append(_lengths(sset.points, sset.offsets[rows], sset.counts[rows]))
+        n += len(sset)
     if n == 0:
         raise EmptyDomainError("candidate set is empty")
     if cfg.k > n:
         raise ArityError(f"k={cfg.k} exceeds candidate count {n}")
 
-    stack, totals = _resample_set(candidates, cfg.m)
-    coords = np.ascontiguousarray(stack.transpose(2, 1, 0))
-    del stack
-    first = _longest(candidates, totals) if cfg.init_rule == "longest" else 0
+    coords = np.empty((3, cfg.m, n))
+    np.concatenate(parts, axis=2, out=coords)
+    del parts, stack
+    # The longest, the lowest position among equals; near is in position order.
+    first = int(np.concatenate(near)[np.argmax(np.concatenate(exact))]) if near else 0
 
     selected = np.empty(cfg.k, dtype=np.int64)
     distances = np.empty(cfg.k)
@@ -206,17 +228,3 @@ def fss_select(candidates: StreamlineSet, cfg: FSSConfig) -> FSSTrace:
     )
     return FSSTrace(selected, distances, evaluations)
 
-
-def _longest(candidates: StreamlineSet, estimates: np.ndarray) -> int:
-    """Position of the candidate of largest arc length, the lowest among
-    equals.
-
-    estimates are the resampler's sequential sums of the segment lengths; the
-    arc length is computed only for the candidates whose estimate lies within
-    the margin of the module docstring of the largest.
-    """
-    top = float(estimates.max())
-    margin = 4 * (int(candidates.counts.max()) + 8) * 2.0**-53 * top
-    near = np.flatnonzero(estimates >= top - margin)
-    exact = _lengths(candidates.points, candidates.offsets[near], candidates.counts[near])
-    return int(near[np.argmax(exact)])

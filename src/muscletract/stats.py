@@ -108,16 +108,14 @@ def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class TTestResult:
     t: float
-    df: int
     p: float | None
-    degenerate: bool = False
 
 
 def t_paired(a, b) -> TTestResult:
     """Two-tailed paired t-test: t = mean(d) / (sd(d)/sqrt(n)), df = n - 1.
 
-    Identical lists give t = 0, p = 1. Nonzero mean difference with zero
-    variance is flagged degenerate; no p-value is fabricated.
+    Identical lists give t = 0, p = 1. A nonzero mean difference with zero
+    variance gives t = +-inf and p None: no p-value is fabricated.
     """
     va, vb = _paired(a, b)
     d = va - vb
@@ -126,19 +124,18 @@ def t_paired(a, b) -> TTestResult:
     mean = float(d.mean())
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(0.0, n - 1, 1.0)
-        return TTestResult(math.copysign(math.inf, mean), n - 1, None, degenerate=True)
+            return TTestResult(0.0, 1.0)
+        return TTestResult(math.copysign(math.inf, mean), None)
     t = mean / (sd / math.sqrt(n))
-    return TTestResult(t, n - 1, t_two_tailed_p(t, n - 1))
+    return TTestResult(t, t_two_tailed_p(t, n - 1))
 
 
 @dataclass
 class BlandAltman:
-    """Agreement summary: mean difference, its spread, and the 1.96*sd limits
-    of agreement."""
+    """Agreement summary: mean difference and the 1.96*sd limits of
+    agreement."""
 
     mean_diff: float
-    sd_diff: float
     loa_low: float
     loa_high: float
 
@@ -147,7 +144,7 @@ def bland_altman(a, b) -> BlandAltman:
     va, vb = _paired(a, b)
     mean_diff = float(va.mean()) - float(vb.mean())
     sd = float((va - vb).std(ddof=1))
-    return BlandAltman(mean_diff, sd, mean_diff - 1.96 * sd, mean_diff + 1.96 * sd)
+    return BlandAltman(mean_diff, mean_diff - 1.96 * sd, mean_diff + 1.96 * sd)
 
 
 def percent_diff(a, b) -> float:

@@ -51,11 +51,12 @@ exits), and one block's scratch while it validates.
 
 reconstruct_batches yields each finished batch, at float64, and releases
 its buffer before it tracks the next, so its peak is one batch, whatever the
-number of seeds: the `track` command writes each batch to disk as it comes.
-reconstruct rounds the batches into one float32 buffer that grows in place,
-the coordinates its STRL file holds (the writer rounds each float64
-coordinate the same way), so it holds its output at 12 bytes per point and
-one float64 batch. track holds the raw tracks of every seed.
+number of seeds: the `track` and `filter --method 3ds|2ds` commands write
+each batch to disk as it comes. reconstruct, which no command calls, rounds
+the batches into one float32 buffer that grows in place, the coordinates
+its STRL file holds (the writer rounds each float64 coordinate the same
+way), so it holds its output at 12 bytes per point and one float64 batch.
+track holds the raw tracks of every seed.
 
 reconstruct_batches validates each batch once, at that float32 rounding
 (which can collapse a track far from the origin to a point); track builds
@@ -320,8 +321,9 @@ def _long_enough(points, offsets, counts, step_range, min_length: float) -> np.n
 
 def _seeds_in_mask(field: OrientationField, mask: VoxelMask, seeds: SeedSet,
                    cfg: TrackingConfig) -> np.ndarray:
-    """The seed points that lie in the mask, the others counted in the log,
-    once cfg and the field are checked against the mask."""
+    """The seed points that lie in the mask (seeds.points itself, uncopied,
+    when all do), the others counted in the log, once cfg and the field are
+    checked against the mask."""
     mask.require_same_frame(field, "orientation field")
     if cfg.step_mm > mask.diagonal:
         raise InvalidSpecError(
@@ -332,7 +334,8 @@ def _seeds_in_mask(field: OrientationField, mask: VoxelMask, seeds: SeedSet,
     skipped = int((~inside).sum())
     if skipped:
         log.info("track: skipped %d of %d seeds outside the mask", skipped, len(pts))
-    return pts[inside]
+        pts = pts[inside]
+    return pts
 
 
 def track(
@@ -353,10 +356,10 @@ def track(
     point off the grid, so no track could hold two points. The size of the
     output is not checked. A track holds about one point per step_mm of its
     length, so the points grow as 1 / step_mm: track holds those of every
-    seed at 24 bytes each, reconstruct_batches (and so the `track` command)
-    those of one batch of _BATCH seeds, reconstruct its float32 output (12
-    bytes each) and one batch, and a tiny step_mm can make even one batch
-    need more memory than the host has.
+    seed at 24 bytes each, reconstruct_batches (and so the `track` and
+    `filter` commands) those of one batch of _BATCH seeds, reconstruct its
+    float32 output (12 bytes each) and one batch, and a tiny step_mm can
+    make even one batch need more memory than the host has.
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)
@@ -546,6 +549,9 @@ def reconstruct(
     This is the pipeline order used ahead of any filtering: smoothing and
     endpoint extrapolation happen before streamlines are sampled or compared.
     Logs one INFO line with what each stage dropped.
+
+    A library call for callers that want the whole set in memory: the
+    commands stream reconstruct_batches to disk instead.
 
     The set is float32-backed, the coordinates its STRL file holds: the
     float64 batches of reconstruct_batches are rounded into one float32

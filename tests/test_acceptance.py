@@ -95,9 +95,9 @@ def ensemble():
         cands = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0), cfg)
         trace = mt.fss_select(cands, mt.FSSConfig(k=ENSEMBLE_K))
         fss = cands.take(trace.selected_ids)
-        base3 = cands.take(_subsample_rows(cands, ENSEMBLE_K))
+        base3 = cands.take(_subsample_rows(len(cands), ENSEMBLE_K))
         cands2 = mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg)
-        base2 = cands2.take(_subsample_rows(cands2, ENSEMBLE_K))
+        base2 = cands2.take(_subsample_rows(len(cands2), ENSEMBLE_K))
 
         runs = {m: run_metrics(s, mask) for m, s in (("fss", fss), ("3ds", base3), ("2ds", base2))}
 
@@ -354,7 +354,7 @@ def test_criterion_9_statistics():
         a = rng.normal(10.0, 2.0, n)
         b = a + rng.normal(0.4, 1.0, n)
         res = mt.t_paired(a, b)
-        want = quadrature_two_tailed_p(res.t, res.df)
+        want = quadrature_two_tailed_p(res.t, n - 1)
         worst = max(worst, abs(res.p - want))
     ident = mt.t_paired([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     ok = worst <= 1e-8 and ident.t == 0.0 and ident.p == 1.0

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -681,6 +682,68 @@ class TestBoundaries:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ornt", "m.mskv"]
 
 
+@pytest.mark.parametrize("method", ["fss", "3ds"])
+def test_filter_writes_into_a_named_pipe(small_box, tmp_path, method):
+    # The picks are copied count first, so --out need not be seekable; the
+    # scratch file of 3ds lives beside it and is gone afterwards.
+    args = ["filter", "--method", method, "-k", 5, "--spacing", 2, "--mask", small_box["mask"],
+            "--candidates", small_box["cand"], "--field", small_box["field"]]
+    assert run([*args, "--out", tmp_path / "file.strl"]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code = run([*args, "--out", fifo])
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # --out was never opened: give the reader an end of file
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert got == [(tmp_path / "file.strl").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "file.strl"]
+
+
+def test_fss_filter_will_not_overwrite_its_candidates(small_box, tmp_path, capsys):
+    cand = tmp_path / "c.strl"
+    cand.write_bytes(small_box["cand"].read_bytes())
+    capsys.readouterr()
+    assert run(["filter", "--method", "fss", "-k", 5, "--mask", small_box["mask"],
+                "--candidates", cand, "--out", cand]) == 3
+    assert "onto itself" in capsys.readouterr().err
+    assert cand.read_bytes() == small_box["cand"].read_bytes()
+    assert list(tmp_path.iterdir()) == [cand]
+
+
+@pytest.mark.parametrize("method, code", [("fss", 0), ("3ds", 3)])
+def test_filter_into_an_open_descriptor(small_box, tmp_path, method, code):
+    # fss copies straight from --candidates, so --out may be /dev/fd/N; 3ds
+    # needs room for its scratch file beside --out, which /dev/fd has not.
+    args = ["filter", "--method", method, "-k", 5, "--spacing", 2, "--mask", small_box["mask"],
+            "--candidates", small_box["cand"], "--field", small_box["field"]]
+    assert run([*args, "--out", tmp_path / "file.strl"]) == 0
+    r, w = os.pipe()
+    try:
+        assert run([*args, "--out", f"/dev/fd/{w}"]) == code
+    finally:
+        os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        got = fh.read()
+    assert got == ((tmp_path / "file.strl").read_bytes() if code == 0 else b"")
+    assert list(tmp_path.iterdir()) == [tmp_path / "file.strl"]
+
+
+def test_baseline_filter_k_over_n_leaves_no_file(small_box, tmp_path, capsys):
+    out = tmp_path / "o.strl"
+    capsys.readouterr()
+    assert run(["filter", "--method", "3ds", "-k", 100000, "--spacing", "2",
+                "--field", small_box["field"], "--mask", small_box["mask"], "--out", out]) == 3
+    assert "streamlines available, need 100000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestFrameCheck:
     def lines(self, tmp_path, arrays, monkeypatch):
         # One streamline per block, so the check must look past the first.
@@ -700,6 +763,24 @@ class TestFrameCheck:
         last = [(100.0, 100.0, 100.0), (4.0, 4.0, 4.0)]  # the grid's far corner
         assert self.lines(tmp_path, far + [last], monkeypatch) == 0
 
+    @pytest.mark.parametrize("last, k, code, message", [
+        ((np.nan, 1.0, 1.0), 2, 4, "non-finite"),  # validation before the frame
+        ((100.0, 100.0, 100.0), 9, 3, "no streamline point falls inside"),  # frame before k > n
+        ((1.0, 1.0, 1.0), 9, 3, "k=9 exceeds candidate count 4"),
+    ], ids=["invalid", "outside", "k_over_n"])
+    def test_fss_checks_in_order_over_the_streamed_blocks(self, tmp_path, monkeypatch, capsys,
+                                                          last, k, code, message):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 2)
+        save_mask(tmp_path / "m.mskv", VoxelMask(np.ones((4, 4, 4), dtype=bool)))
+        lines = [[(100.0 + i, 100.0, 100.0), (101.0 + i, 100.0, 100.0)] for i in range(3)]
+        lines.append([(102.0, 100.0, 100.0), last])
+        records = [struct.pack("<I", 2) + np.array(s, dtype="<f4").tobytes() for s in lines]
+        (tmp_path / "s.strl").write_bytes(b"STRL" + struct.pack("<II", 1, 4) + b"".join(records))
+        capsys.readouterr()
+        assert run(["filter", "--method", "fss", "-k", k, "--candidates", tmp_path / "s.strl",
+                    "--mask", tmp_path / "m.mskv", "--out", tmp_path / "o.strl"]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.strl").exists()
 
     def test_far_vertex_counts_like_one_just_outside(self, small_box, tmp_path):
         mask = load_mask(small_box["mask"])
@@ -922,19 +1003,54 @@ class TestStreamedTrack:
 
 
 def test_baseline_filter_holds_its_float32_output_and_one_batch(parallel_box, tmp_path, traced_peak):
-    # filter --method 3ds re-tracks the whole mask: besides its inputs and
-    # seeds it holds the reconstructed set at 12 bytes per point and what
-    # track() holds for one batch.
+    # filter --method 3ds re-tracks the whole mask into a scratch file, one
+    # batch at a time, and copies its k picks from it. Besides its inputs,
+    # seeds and what the command holds before it starts (the parser and the
+    # mask, measured on a run that stops there), it holds what track() holds
+    # for one batch.
     mask, field = load_mask(parallel_box["mask"]), load_field(parallel_box["field"])
     seeds = seeds_3d(mask, 1.0).points
     assert len(seeds) > tracking._BATCH
-    points = len(tracking.reconstruct(field, mask, SeedSet(seeds)).points)
     one_batch = max(traced_peak(tracking.track, field, mask, SeedSet(seeds[lo : lo + tracking._BATCH]))[1]
                     for lo in range(0, len(seeds), tracking._BATCH))
-    inputs = mask.occupancy.nbytes + field.directions.nbytes + field.fa.nbytes + seeds.nbytes
+    inputs = field.directions.nbytes + field.fa.nbytes + seeds.nbytes
     out = tmp_path / "b.strl"
-    code, peak = traced_peak(run, ["filter", "--method", "3ds", "--spacing", "1", "-k", "100",
-                                   "--field", parallel_box["field"], "--mask", parallel_box["mask"],
-                                   "--out", out])
+    argv = ["filter", "--method", "3ds", "--spacing", "1", "-k", "100",
+            "--mask", parallel_box["mask"], "--out", out]
+    code, start = traced_peak(run, argv)
+    assert code == 3 and not out.exists()  # no --field
+    code, peak = traced_peak(run, [*argv, "--field", parallel_box["field"]])
     assert code == 0 and len(load_streamlines(out)) == 100
-    assert peak <= 12 * points + one_batch + inputs
+    assert peak <= one_batch + inputs + start
+
+
+def test_fss_filter_holds_the_resampled_candidates_and_one_block(tmp_path, monkeypatch, traced_peak):
+    # filter --method fss reads its candidates one block at a time and keeps
+    # only their m resampled points (24 bytes each, held at most three times
+    # over by the traversal): besides what the command holds before it
+    # starts, its peak grows with the number of candidates and the block
+    # budget, not with their points. The same 400 candidates with twice the
+    # points each leave it flat.
+    monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 1 << 12)
+    mask = VoxelMask(np.ones((10, 10, 40), dtype=np.uint8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    save_mask(tmp_path / "m.mskv", mask)
+    rng = np.random.default_rng(12)
+    n, m = 400, 12
+    ends = np.column_stack([rng.uniform(1, 9, (n, 2)), rng.uniform(1, 5, n),
+                            rng.uniform(1, 9, (n, 2)), rng.uniform(35, 39, n)])
+    argv = ["filter", "--method", "fss", "-k", 100, "--m", m, "--mask", tmp_path / "m.mskv",
+            "--out", tmp_path / "o.strl"]
+    code, start = traced_peak(run, argv)
+    assert code == 3  # no --candidates
+
+    def peak(points):
+        t = np.linspace(0.0, 1.0, points)[:, None]
+        path = tmp_path / f"{points}.strl"
+        save_streamlines(path, pack([(1 - t) * e[:3] + t * e[3:] for e in ends]))
+        code, peak = traced_peak(run, [*argv, "--candidates", path])
+        assert code == 0 and len(load_streamlines(tmp_path / "o.strl")) == 100
+        return peak
+
+    one, two = peak(200), peak(400)
+    assert two < 1.1 * one
+    assert one <= start + 3 * n * m * 24 + 100 * streamline_mod.BLOCK_POINTS

@@ -8,7 +8,7 @@ import pytest
 
 import muscletract.streamline as streamline_mod
 from muscletract.architecture import line_of_action, muscle_length, summarize
-from muscletract.cli import _check_frame
+from muscletract.cli import _framed
 from muscletract.errors import FrameMismatchError, InvalidStreamlineError
 from muscletract.formats import load_streamlines, save_streamlines
 from muscletract.metrics import density
@@ -102,12 +102,12 @@ class TestConsumersAreBitIdentical:
 
     def test_frame_check(self, twins):
         mask, single, double = twins
-        _check_frame(single, mask)
-        _check_frame(double, mask)
+        assert list(_framed([single], mask)) == [single]
+        assert list(_framed([double], mask)) == [double]
         far = [StreamlineSet(s.points + s.points.dtype.type(500), s.counts) for s in (single, double)]
         for sset in far:
             with pytest.raises(FrameMismatchError):
-                _check_frame(sset, mask)
+                list(_framed([sset], mask))
 
     def test_copies_keep_the_dtype(self, twins, tmp_path):
         _, single, double = twins
@@ -115,9 +115,9 @@ class TestConsumersAreBitIdentical:
         a, b = single.take(rows), double.take(rows)
         assert a.points.dtype == np.float32 and same(a.points.astype(np.float64), b.points)
         assert same(a.offsets, b.offsets)
-        for args in ((), (rows,)):
-            save_streamlines(tmp_path / "a.strl", single, *args)
-            save_streamlines(tmp_path / "b.strl", double, *args)
+        for x, y in ((single, double), (a, b)):
+            save_streamlines(tmp_path / "a.strl", x)
+            save_streamlines(tmp_path / "b.strl", y)
             assert (tmp_path / "a.strl").read_bytes() == (tmp_path / "b.strl").read_bytes()
 
     def test_loaded_set_is_the_float32_twin(self, twins, tmp_path):

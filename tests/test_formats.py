@@ -1,3 +1,4 @@
+import os
 import struct
 import warnings
 
@@ -17,6 +18,7 @@ from muscletract.errors import (
 )
 from muscletract.formats import (
     RunConfig,
+    StreamlineFile,
     fmt_float,
     load_density,
     load_field,
@@ -222,15 +224,66 @@ class TestStreamlineBlocks:
 
     @pytest.mark.parametrize("budget", [2, 7, 1 << 16])
     def test_rows_write_the_subset_unchanged(self, tmp_path, monkeypatch, budget):
-        # Writing the streamlines at rows equals writing their copy, repeats
-        # and any order included.
+        # Copying the records at rows out of a file equals writing their
+        # copy, repeats and any order included.
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
         sset = walk(np.random.default_rng(budget), [5, 2, 9, 3, 40, 2, 7])
+        save_streamlines(tmp_path / "all.strl", sset)
         for rows in ([4, 0, 6, 2], [1, 1, 5], list(range(7))[::-1], []):
-            save_streamlines(tmp_path / "rows.strl", sset, np.array(rows, dtype=np.int64))
+            with StreamlineFile(tmp_path / "all.strl") as strl:
+                assert strl.copy(tmp_path / "rows.strl", rows) == len(rows)
             save_streamlines(tmp_path / "copy.strl", sset.take(rows))
             assert (tmp_path / "rows.strl").read_bytes() == (tmp_path / "copy.strl").read_bytes()
             assert (tmp_path / "rows.strl").read_bytes() == strl_bytes(sset.take(rows))
+
+    def test_copy_writes_its_count_first(self, tmp_path):
+        # The count leads the records, so the copy needs no seek: it can
+        # write into a pipe.
+        sset = walk(np.random.default_rng(3), [4, 6, 2])
+        save_streamlines(tmp_path / "all.strl", sset)
+        r, w = os.pipe()
+        try:
+            with StreamlineFile(tmp_path / "all.strl") as strl:
+                strl.copy(f"/dev/fd/{w}", [2, 0])
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            assert fh.read() == strl_bytes(sset.take([2, 0]))
+
+    def test_copy_reads_the_file_it_opened(self, tmp_path):
+        # Replacing the path after it was opened changes nothing: the rows
+        # are copied from the records that were checked.
+        first = walk(np.random.default_rng(4), [4, 6, 2, 5])
+        path = tmp_path / "s.strl"
+        save_streamlines(path, first)
+        with StreamlineFile(path) as strl:
+            save_streamlines(tmp_path / "other.strl", walk(np.random.default_rng(5), [3]))
+            os.replace(tmp_path / "other.strl", path)
+            assert strl.copy(tmp_path / "rows.strl", [3, 1]) == 2
+        assert (tmp_path / "rows.strl").read_bytes() == strl_bytes(first.take([3, 1]))
+
+    def test_copy_will_not_overwrite_its_source(self, tmp_path):
+        path = tmp_path / "s.strl"
+        save_streamlines(path, walk(np.random.default_rng(6), [4, 6, 2]))
+        raw = path.read_bytes()
+        os.link(path, tmp_path / "link.strl")
+        for out in (path, tmp_path / "link.strl"):
+            with StreamlineFile(path) as strl, pytest.raises(FormatError, match="onto itself"):
+                strl.copy(out, [0])
+            assert path.read_bytes() == raw
+
+    @pytest.mark.parametrize("budget", [2, 1 << 16])
+    def test_stream_yields_the_loaded_set_by_blocks(self, tmp_path, monkeypatch, budget):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        path = tmp_path / "s.strl"
+        save_streamlines(path, walk(np.random.default_rng(5), [3, 2, 9, 4, 2]))
+        whole = load_streamlines(path)
+        with StreamlineFile(path) as strl:
+            parts = list(strl.sets())
+        assert [len(p) for p in parts] == [hi - lo for lo, hi in streamline_mod.blocks(whole.offsets)]
+        assert all(p.points.dtype == np.float32 for p in parts)
+        assert np.array_equal(np.concatenate([p.points for p in parts]), whole.points)
+        assert np.array_equal(np.concatenate([p.counts for p in parts]), whole.counts)
 
     @pytest.mark.parametrize("head_bytes", [4, 9, 1 << 16])
     @pytest.mark.parametrize("cut, message", [

@@ -10,6 +10,8 @@ from muscletract.errors import (
     InsufficientExtentError,
     InvalidSpecError,
 )
+import muscletract.streamline as streamline_mod
+from muscletract.formats import StreamlineFile, load_streamlines, save_streamlines
 from muscletract.grid import VoxelMask
 from muscletract.sampling import FSSConfig, SeedSet, fss_select, seeds_2d, seeds_3d
 from muscletract.streamline import _resample_set, mdf_rows
@@ -479,6 +481,69 @@ class TestLongestPick:
             assert trace.selected_ids[0] == want
             assert_matches_unpruned(cands, (len(cands),))
         assert disagree > 0  # the estimates alone would pick wrongly here
+
+
+def block_sets(cands):
+    """The candidates as a stream of sets, one streamline.blocks range each."""
+    return (cands.take(np.arange(lo, hi)) for lo, hi in streamline_mod.blocks(cands.offsets))
+
+
+class TestStreamedCandidates:
+    """A stream of block sets and the whole set make one traversal, whatever
+    the block budget."""
+
+    def sets(self):
+        rng = np.random.default_rng(4)
+        yield adversarial_candidates(rng)  # nine tied for the longest
+        for _ in range(4):
+            # Each streamline and its reverse: equal lengths whose two sums
+            # can differ by less than the estimate's error.
+            arrays = []
+            for _ in range(3):
+                a = wiggly(rng, int(rng.integers(150, 400)))
+                arrays += [a, a[::-1].copy()]
+            yield pack([arrays[i] for i in rng.permutation(len(arrays))])
+
+    @pytest.mark.parametrize("budget", [1, 97, streamline_mod.BLOCK_POINTS])
+    def test_stream_equals_the_whole_set(self, monkeypatch, budget):
+        cases = [(cands, k, init_rule) for cands in self.sets()
+                 for k in (1, 5, len(cands)) for init_rule in ("longest", "index")]
+        wants = [fss_select(cands, FSSConfig(k=k, init_rule=rule)) for cands, k, rule in cases]
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        for (cands, k, rule), want in zip(cases, wants):
+            for given in (cands, block_sets(cands)):
+                got = fss_select(given, FSSConfig(k=k, init_rule=rule))
+                assert np.array_equal(got.selected_ids, want.selected_ids)
+                assert np.array_equal(got.selection_distance, want.selection_distance)
+                assert got.mdf_evaluations == want.mdf_evaluations
+            if rule == "longest":
+                lengths = [arc_length(s) for s in cands]
+                assert want.selected_ids[0] == int(np.argmax(lengths))
+
+    @pytest.mark.parametrize("budget", [1, 97, streamline_mod.BLOCK_POINTS])
+    def test_stream_read_from_a_file(self, arc_candidates, tmp_path, monkeypatch, budget):
+        path = tmp_path / "c.strl"
+        save_streamlines(path, arc_candidates)
+        cfg = FSSConfig(k=200)
+        want = fss_select(load_streamlines(path), cfg)
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        with StreamlineFile(path) as strl:
+            got = fss_select(strl.sets(), cfg)
+        assert np.array_equal(got.selected_ids, want.selected_ids)
+        assert np.array_equal(got.selection_distance, want.selection_distance)
+        assert got.mdf_evaluations == want.mdf_evaluations
+
+    def test_the_estimates_alone_would_pick_wrongly(self):
+        # The reversed pairs above do reach the exact test.
+        for cands in list(self.sets())[1:]:
+            _, estimates = _resample_set(cands, 12)
+            assert np.argmax(estimates) != np.argmax([arc_length(s) for s in cands])
+
+    def test_empty_stream_and_k_over_n(self):
+        with pytest.raises(EmptyDomainError):
+            fss_select(iter(()), FSSConfig(k=1))
+        with pytest.raises(ArityError, match="k=6 exceeds candidate count 5"):
+            fss_select(block_sets(small_candidates()), FSSConfig(k=6))
 
 
 class TestFSSLog:

@@ -68,13 +68,10 @@ class TestPairedT:
         res = t_paired([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert res.t == 0.0
         assert res.p == 1.0
-        assert res.df == 2
-        assert not res.degenerate
 
     def test_constant_nonzero_difference_degenerate(self):
         res = t_paired([2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0])
-        assert res.degenerate
-        assert math.isinf(res.t)
+        assert res.t == math.inf
         assert res.p is None
 
     def test_fixed_ten_pairs_against_quadrature(self):
@@ -110,13 +107,12 @@ class TestBlandAltman:
     def test_identical_lists_collapse(self):
         ba = bland_altman([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert ba.mean_diff == 0.0
-        assert ba.sd_diff == 0.0
         assert ba.loa_low == ba.loa_high == 0.0
 
     def test_constant_offset(self):
         ba = bland_altman([3.0, 4.0, 5.0], [1.0, 2.0, 3.0])
         assert ba.mean_diff == pytest.approx(2.0)
-        assert ba.sd_diff == 0.0
+        assert ba.loa_low == ba.loa_high == ba.mean_diff
 
     def test_fields_match_direct_recomputation(self):
         rng = np.random.default_rng(9)
@@ -124,9 +120,8 @@ class TestBlandAltman:
         ba = bland_altman(a, b)
         d = a - b
         assert ba.mean_diff == a.mean() - b.mean()
-        assert ba.sd_diff == pytest.approx(d.std(ddof=1), rel=1e-12)
-        assert ba.loa_low == pytest.approx(ba.mean_diff - 1.96 * ba.sd_diff, rel=1e-12)
-        assert ba.loa_high == pytest.approx(ba.mean_diff + 1.96 * ba.sd_diff, rel=1e-12)
+        assert ba.loa_low == pytest.approx(ba.mean_diff - 1.96 * d.std(ddof=1), rel=1e-12)
+        assert ba.loa_high == pytest.approx(ba.mean_diff + 1.96 * d.std(ddof=1), rel=1e-12)
 
     def test_mean_diff_identity_exact(self):
         rng = np.random.default_rng(10)
