@@ -27,9 +27,10 @@ object reject it with the same error as any other NaN
 voxel_size, origin or fa, FormatError for a direction).
 
 One STRL writer, save_streamlines, serves a set and a stream of sets, such
-as the batches of tracking.reconstruct_batches: a header of count 0, the
-records of each set in turn, then the count patched in, so the file must be
-seekable.
+as the batches of tracking.reconstruct_batches: a header of count
+0xFFFFFFFF, the records of each set in turn, then the count patched in, so
+the file must be seekable, and a write cut short leaves a file that fails to
+load rather than one that loads as fewer streamlines.
 
 One STRL reader, StreamlineFile, checks the header and every point count
 when it opens the file, then serves three readers of that one open file:
@@ -143,7 +144,9 @@ def save_streamlines(path, streamlines) -> int:
     if isinstance(streamlines, StreamlineSet):
         streamlines = [streamlines]
     with open(path, "wb") as fh:
-        fh.write(b"STRL" + struct.pack("<II", FORMAT_VERSION, 0))
+        # Until the count is patched in, the file claims more records than
+        # it holds, so a write cut short leaves a file that fails to load.
+        fh.write(b"STRL" + struct.pack("<II", FORMAT_VERSION, 0xFFFFFFFF))
         count = sum(_write_records(fh, sset) for sset in streamlines)
         fh.seek(8)
         fh.write(_U32.pack(count))

@@ -31,17 +31,6 @@ absolute part covers squared point differences that underflow. A skipped
 candidate then has a computed MDF to the new pick no smaller than its cached
 minimum, so the selected positions and selection distances are bit-identical
 to those of an update that evaluates every candidate at every step.
-
-The first pick under init_rule "longest" reuses the resampler's segment-length
-totals. A total sums the same c - 1 segment lengths as the arc length
-(streamline.arc_lengths), in sequence instead of pairwise; both sums are
-within (c - 2) * 2**-53 of the exact sum, relative, so they differ by less
-than 2 * (c + 8) * 2**-53 times the total. Twice that margin about a
-candidate's total, taken at its own point count, bounds its arc length from
-below and above, rounding included. A candidate whose upper bound lies below
-another's lower bound cannot be the longest, so the arc length is computed
-only for the candidates whose upper bound reaches the largest lower bound
-seen so far, while their points are in hand.
 """
 
 from __future__ import annotations
@@ -54,8 +43,7 @@ import numpy as np
 
 from .errors import ArityError, EmptyDomainError, InsufficientExtentError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import (DEFAULT_RESAMPLE_POINTS, StreamlineSet, _distinct, _lengths, _resample_set,
-                         mdf_rows)
+from .streamline import DEFAULT_RESAMPLE_POINTS, StreamlineSet, _distinct, _resample_set, mdf_rows
 
 log = logging.getLogger(__name__)
 
@@ -176,18 +164,11 @@ def fss_select(candidates, cfg: FSSConfig) -> FSSTrace:
     """
     if isinstance(candidates, StreamlineSet):
         candidates = [candidates]
-    parts, near, exact, floor, n = [], [], [], -np.inf, 0
+    parts, lengths, n = [], [], 0
     for sset in candidates:
-        stack, totals = _resample_set(sset, cfg.m)
+        stack, arcs = _resample_set(sset, cfg.m)
         parts.append(stack.transpose(2, 1, 0))
-        if cfg.init_rule == "longest" and len(sset):
-            # Arc lengths only where the bounds of the module docstring
-            # leave a candidate in the running for the longest.
-            margin = 4 * (sset.counts + 8) * 2.0**-53 * totals
-            floor = max(floor, float((totals - margin).max()))
-            rows = np.flatnonzero(totals + margin >= floor)
-            near.append(n + rows)
-            exact.append(_lengths(sset.points, sset.offsets[rows], sset.counts[rows]))
+        lengths.append(arcs)
         n += len(sset)
     if n == 0:
         raise EmptyDomainError("candidate set is empty")
@@ -197,8 +178,8 @@ def fss_select(candidates, cfg: FSSConfig) -> FSSTrace:
     coords = np.empty((3, cfg.m, n))
     np.concatenate(parts, axis=2, out=coords)
     del parts, stack
-    # The longest, the lowest position among equals; near is in position order.
-    first = int(np.concatenate(near)[np.argmax(np.concatenate(exact))]) if near else 0
+    # The longest, the lowest position among equals: argmax takes the first.
+    first = int(np.argmax(np.concatenate(lengths))) if cfg.init_rule == "longest" else 0
 
     selected = np.empty(cfg.k, dtype=np.int64)
     distances = np.empty(cfg.k)

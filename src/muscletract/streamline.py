@@ -33,13 +33,16 @@ streamlines by point count and pads every row of a block to its longest
 streamline, and the padding counts against the budget.
 
 Batched results equal the per-streamline computation bit for bit (the form
-that tests/reference_streamline.py keeps as the oracle):
+that tests/reference_streamline.py keeps as the oracle). One kernel,
+_segment_lengths, computes segment lengths for both of them, with the
+arithmetic of one streamline's np.sqrt((seg * seg).sum(1)):
 
 - resampling runs the per-streamline cumulative chord length as one
   np.add.accumulate along padded rows (accumulation is sequential, and the
   padding adds exact zeros after the last point);
-- arc lengths reduce the streamlines of one point count as rows of one
-  array, which numpy sums in the same pairwise order as a single streamline.
+- arc lengths, from arc_lengths or from the resampler, reduce the segment
+  lengths of the streamlines of one point count as rows of one array, which
+  numpy sums in the same pairwise order as a single streamline.
 
 The module also holds the minimum average direct-flip (MDF) distance kernel
 between equal-count resampled streamlines that the farthest-first filter runs
@@ -189,30 +192,19 @@ class StreamlineSet:
         float64 buffer, a copy of a float32 one."""
         return _float64(self.points[self.offsets[lo] : self.offsets[hi]])
 
-    def _selection(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, offsets) of the streamlines at the given positions: the
-        row of this set's buffer where each starts, and the offsets that pack
-        them in that order. _gathered reads their points."""
-        rows = np.asarray(rows, dtype=np.int64)
-        starts, counts = self.offsets[rows], self.offsets[rows + 1] - self.offsets[rows]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return starts, offsets
-
-    def _gathered(self, starts, offsets, lo: int, hi: int) -> np.ndarray:
-        """The points of streamlines lo..hi-1 of a selection, packed in
-        order."""
-        src = np.repeat(starts[lo:hi] - offsets[lo:hi], np.diff(offsets[lo : hi + 1]))
-        return self.points[src + np.arange(offsets[lo], offsets[hi])]
-
     def take(self, rows) -> StreamlineSet:
         """The streamlines at the given positions, in that order, copied one
         block at a time at this set's dtype. The copied rows were validated
         with this set, so they are not checked again."""
-        starts, offsets = self._selection(rows)
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(self.offsets[rows + 1] - starts, out=offsets[1:])
         points = np.empty((offsets[-1], 3), dtype=self.points.dtype)
         for lo, hi in blocks(offsets):
-            points[offsets[lo] : offsets[hi]] = self._gathered(starts, offsets, lo, hi)
+            a, b = offsets[lo], offsets[hi]
+            src = np.repeat(starts[lo:hi] - offsets[lo:hi], np.diff(offsets[lo : hi + 1]))
+            points[a:b] = self.points[src + np.arange(a, b)]
         return StreamlineSet._trusted(points, offsets)
 
 
@@ -222,6 +214,30 @@ def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return _lengths(points, offsets[:-1], np.diff(offsets))
 
 
+def _by_count(counts: np.ndarray):
+    """(c, rows) for every distinct value c of counts, ascending: the
+    positions where counts equals c, in order."""
+    order = np.argsort(counts, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        if len(rows):
+            yield int(counts[rows[0]]), rows
+
+
+def _segment_lengths(points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The (g, w - 1) lengths of the segments between the points at
+    consecutive indices of each row of a (g, w) index array, bit for bit as
+    np.sqrt((seg * seg).sum(1)) of one polyline's segments seg: each axis is
+    gathered and converted to float64 on its own, and the squared
+    differences are summed x, then y, then z."""
+    sq = None
+    for c in range(3):
+        p = _float64(points[:, c][at])
+        d = p[:, 1:] - p[:, :-1]
+        d *= d
+        sq = d if sq is None else np.add(sq, d, out=sq)
+    return np.sqrt(sq, out=sq)
+
+
 def _lengths(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Arc length of the polylines of counts points starting at starts,
     bit for bit as np.sqrt((seg * seg).sum(1)).sum() of one polyline's
@@ -229,24 +245,16 @@ def _lengths(points: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.n
 
     The polylines of one point count c are summed as the rows of a
     (g, c - 1) array, which numpy reduces row by row in the pairwise order
-    it uses for one (c - 1)-vector. Squared segment lengths are summed x,
-    then y, then z, as (seg * seg).sum(1) does.
+    it uses for one (c - 1)-vector.
     """
-    order = np.argsort(counts, kind="stable")
-    ends = np.flatnonzero(np.diff(counts[order])) + 1
     out = np.zeros(len(counts))
-    for group in np.split(order, ends):
-        c = int(counts[group[0]]) if len(group) else 0
+    for c, group in _by_count(counts):
         if c < 2:
             continue
         step = max(1, BLOCK_POINTS // c)
         for lo in range(0, len(group), step):
             rows = group[lo : lo + step]
-            seg = np.diff(_float64(points[starts[rows, None] + np.arange(c)]), axis=1)
-            sq = seg[..., 0] * seg[..., 0]
-            sq += seg[..., 1] * seg[..., 1]
-            sq += seg[..., 2] * seg[..., 2]
-            out[rows] = np.sqrt(sq).sum(axis=1)
+            out[rows] = _segment_lengths(points, starts[rows, None] + np.arange(c)).sum(axis=1)
     return out
 
 
@@ -277,25 +285,22 @@ def _count_at_most(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m: int):
     """Resample the streamlines starting at starts, with counts points each;
-    returns the (g, m, 3) points and every streamline's total length.
+    returns the (g, m, 3) points and every streamline's arc length.
 
     Each row is padded to the longest with copies of its last point, so the
-    padding adds zero-length segments that leave the cumulative length exact.
-    Squared segment lengths are summed x, then y, then z, as (seg * seg).sum(1)
-    does, so a total sums the segment lengths that arc_lengths sums, but in
-    sequence rather than pairwise.
+    padding adds zero-length segments that leave the cumulative length, the
+    resampling parameter, exact. The lengths sum the first c - 1 segments of
+    the rows of each point count c, as _lengths does.
     """
     width = int(counts.max())
     r = np.arange(len(starts))[:, None]
     at = starts[:, None] + np.minimum(np.arange(width), counts[:, None] - 1)
-    sq = np.zeros((len(starts), width - 1))
-    for c in range(3):
-        p = _float64(points[:, c][at])
-        d = p[:, 1:] - p[:, :-1]
-        sq += d * d
-    seg_len = np.sqrt(sq)
+    seg_len = _segment_lengths(points, at)
     cum = np.zeros((len(starts), width))
     np.add.accumulate(seg_len, axis=1, out=cum[:, 1:])
+    arcs = np.empty(len(starts))
+    for c, rows in _by_count(counts):
+        arcs[rows] = seg_len[rows, : c - 1].sum(axis=1)
 
     totals = cum[r[:, 0], counts - 1]
     targets = np.linspace(0.0, totals, m, axis=1)
@@ -307,14 +312,13 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     out = p + frac[..., None] * (q - p)
     out[:, 0] = points[starts]
     out[:, -1] = points[starts + counts - 1]
-    return out, totals
+    return out, arcs
 
 
 def _resample_set(sset: StreamlineSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m points at equal arc-length spacing along every streamline of a set,
-    as an (n, m, 3) array, and every streamline's segment lengths summed in
-    sequence: within 2 * (c + 8) * 2**-53 of its arc length, relative, for
-    c points (both sum the same c - 1 non-negative terms).
+    as an (n, m, 3) array, and every streamline's arc length, bit for bit
+    as arc_lengths gives it.
 
     Parameterizes by cumulative chord length; the two endpoints are copied
     exactly from the input.
@@ -324,11 +328,11 @@ def _resample_set(sset: StreamlineSet, m: int) -> tuple[np.ndarray, np.ndarray]:
     counts = sset.counts
     order = np.argsort(counts, kind="stable")
     out = np.empty((len(counts), m, 3))
-    totals = np.empty(len(counts))
+    lengths = np.empty(len(counts))
     for lo, hi in _padded_runs(counts[order], BLOCK_POINTS):
         rows = order[lo:hi]
-        out[rows], totals[rows] = _resample_rows(sset.points, sset.offsets[rows], counts[rows], m)
-    return out, totals
+        out[rows], lengths[rows] = _resample_rows(sset.points, sset.offsets[rows], counts[rows], m)
+    return out, lengths
 
 
 def _palindromic_mean(d: np.ndarray) -> np.ndarray:

@@ -46,8 +46,8 @@ straight from the passes that made them, and written in place. A run holds
 at least one point, and about eight at the default step of a tenth of a
 voxel. None of this depends on max_steps, the step count at which a
 half-track is cut off. Finishing a batch then holds a few arrays per track
-(the exit rays), one design per point count while it fits (freed before the
-exits), and one block's scratch while it validates.
+(the exit rays), one design at a time while it fits the tracks grouped by
+point count, and one block's scratch while it validates.
 
 reconstruct_batches yields each finished batch, at float64, and releases
 its buffer before it tracks the next, so its peak is one batch, whatever the
@@ -102,7 +102,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import UNIT_TOL, OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import StreamlineSet, _lengths, _validate
+from .streamline import StreamlineSet, _by_count, _lengths, _validate
 
 log = logging.getLogger(__name__)
 
@@ -403,21 +403,15 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _fit_cubic(points: np.ndarray, designs: dict) -> np.ndarray:
+def _fit_cubic(points: np.ndarray, design: np.ndarray) -> np.ndarray:
     """Least-squares cubic fit of one (n, 3) track, n >= 5, sampled back at
-    its own parameter values.
-
-    designs maps a point count to its Vandermonde design and is filled on
-    first use, so that tracks of one length share one design. Each track
-    still gets its own lstsq call: a solve with many right-hand sides rounds
-    differently.
+    its own parameter values: design is np.vander(np.linspace(0, 1, n), 4,
+    increasing=True), which the tracks of one length share. Each track
+    still gets its own lstsq call: a solve with many right-hand sides
+    rounds differently.
     """
-    n = len(points)
-    if n < 5:
+    if len(points) < 5:
         raise DegenerateGeometryError("cubic fit needs at least 5 points")
-    design = designs.get(n)
-    if design is None:
-        design = designs[n] = np.vander(np.linspace(0.0, 1.0, n), 4, increasing=True)
     coef, _, rank, _ = np.linalg.lstsq(design, points, rcond=None)
     if rank < 4:
         raise DegenerateGeometryError("rank-deficient cubic fit")
@@ -522,14 +516,14 @@ def _finish(buf: np.ndarray, offsets: np.ndarray, mask: VoxelMask,
     # Room for the two exit points a track may gain.
     buf.resize((offsets[-1] + 2 * n_tracks, 3), refcheck=False)
     points = buf[: offsets[-1]]
-    designs: dict = {}
     unfitted = 0
-    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        if b - a >= 5:
-            points[a:b] = _fit_cubic(points[a:b], designs)
-        else:
-            unfitted += 1
-    del designs
+    for c, rows in _by_count(np.diff(offsets)):
+        if c < 5:
+            unfitted += len(rows)
+            continue
+        design = np.vander(np.linspace(0.0, 1.0, c), 4, increasing=True)
+        for a in offsets[rows].tolist():
+            points[a : a + c] = _fit_cubic(points[a : a + c], design)
     exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
     del points
     counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))

@@ -34,7 +34,10 @@ from muscletract.formats import (
 )
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.metrics import DensityMap
+from muscletract.phantom import PhantomSpec, make_phantom
+from muscletract.sampling import seeds_3d
 from muscletract.streamline import BLOCK_POINTS, StreamlineSet
+from muscletract.tracking import reconstruct_batches
 from reference_streamline import pack
 
 
@@ -150,6 +153,30 @@ class TestStreamlineRoundTrip:
             assert got == (tmp_path / "set.strl").read_bytes()
         else:
             assert len(load_streamlines(tmp_path / "stream.strl")) == 0
+
+    def test_a_write_cut_short_leaves_a_file_that_fails_to_load(self, tmp_path):
+        # At z = 1e10 mm float32 turns every track of a 40 mm box along z
+        # into one point, so the first batch fails its check once the header
+        # is written. So does a stream that breaks off after some records.
+        mask, field, _ = make_phantom(PhantomSpec(pennation_deg=0.0, dims_mm=(6.0, 6.0, 40.0)))
+        far = (0.0, 0.0, 1e10)
+        mask = VoxelMask(mask.occupancy, mask.voxel_size, far)
+        field = OrientationField(field.directions, field.fa, field.voxel_size, far)
+        path = tmp_path / "cut.strl"
+        with pytest.raises(InvalidStreamlineError, match="zero arc length"):
+            save_streamlines(path, reconstruct_batches(field, mask, seeds_3d(mask, 2.0)))
+        assert path.read_bytes()[8:] == b"\xff" * 4
+        with pytest.raises(FormatError):
+            load_streamlines(path)
+
+        def broken():
+            yield random_streamlines(np.random.default_rng(9))
+            raise OSError("stream broke off")
+
+        with pytest.raises(OSError):
+            save_streamlines(path, broken())
+        with pytest.raises(FormatError, match="truncated"):
+            load_streamlines(path)
 
     def test_signaling_nan_coordinate_rejected(self, tmp_path):
         # 0x7f800001 is a signaling NaN; converting it to float64 raises the

@@ -460,12 +460,19 @@ class TestCentroidBound:
             assert_matches_unpruned(far, (1, 9, len(far) // 2, len(far)), m)
 
 
+def sequential_length(points) -> float:
+    """The segment lengths that arc_length sums pairwise, summed in sequence
+    instead, as a cumulative chord length ends."""
+    seg = np.diff(points, axis=0)
+    return float(np.cumsum(np.sqrt((seg * seg).sum(axis=1)))[-1])
+
+
 class TestLongestPick:
     def test_equal_lengths_by_different_sums(self):
         # Each streamline and its reverse have one arc length in exact
-        # arithmetic; summed pairwise (arc_lengths) or in sequence (the
-        # resampler's estimate) they may differ in the last bits, and in
-        # some sets the two sums rank the candidates differently.
+        # arithmetic; summed pairwise (arc_lengths) or in sequence they may
+        # differ in the last bits, and in some sets the two sums rank the
+        # candidates differently.
         rng = np.random.default_rng(8)
         disagree = 0
         for _ in range(40):
@@ -475,12 +482,11 @@ class TestLongestPick:
                 arrays += [a, a[::-1].copy()]
             cands = pack([arrays[i] for i in rng.permutation(len(arrays))])
             want = int(np.argmax([arc_length(s) for s in cands]))
-            _, estimates = _resample_set(cands, 12)
-            disagree += int(np.argmax(estimates)) != want
+            disagree += int(np.argmax([sequential_length(s) for s in cands])) != want
             trace = fss_select(cands, FSSConfig(k=1))
             assert trace.selected_ids[0] == want
             assert_matches_unpruned(cands, (len(cands),))
-        assert disagree > 0  # the estimates alone would pick wrongly here
+        assert disagree > 0  # a sequential sum would pick wrongly here
 
 
 def block_sets(cands):
@@ -496,8 +502,8 @@ class TestStreamedCandidates:
         rng = np.random.default_rng(4)
         yield adversarial_candidates(rng)  # nine tied for the longest
         for _ in range(4):
-            # Each streamline and its reverse: equal lengths whose two sums
-            # can differ by less than the estimate's error.
+            # Each streamline and its reverse: equal lengths whose pairwise
+            # and sequential sums can rank them differently.
             arrays = []
             for _ in range(3):
                 a = wiggly(rng, int(rng.integers(150, 400)))
@@ -533,11 +539,11 @@ class TestStreamedCandidates:
         assert np.array_equal(got.selection_distance, want.selection_distance)
         assert got.mdf_evaluations == want.mdf_evaluations
 
-    def test_the_estimates_alone_would_pick_wrongly(self):
-        # The reversed pairs above do reach the exact test.
+    def test_a_sequential_sum_would_pick_wrongly(self):
+        # The reversed pairs above tell the two sums apart.
         for cands in list(self.sets())[1:]:
-            _, estimates = _resample_set(cands, 12)
-            assert np.argmax(estimates) != np.argmax([arc_length(s) for s in cands])
+            lengths = [arc_length(s) for s in cands]
+            assert np.argmax([sequential_length(s) for s in cands]) != np.argmax(lengths)
 
     def test_empty_stream_and_k_over_n(self):
         with pytest.raises(EmptyDomainError):

@@ -334,6 +334,43 @@ class TestPackedMatchesReference:
         assert all(np.array_equal(s, arrays[i]) for s, i in zip(out, [5, 0, 3]))
 
 
+def length_sets():
+    """Walks of many point counts, so that padded runs mix counts: at
+    float64, at their float32 rounding, and offset by 1e4 mm, where a
+    pairwise and a sequential sum of one walk's segments often differ."""
+    rng = np.random.default_rng(21)
+    counts = np.concatenate([rng.integers(2, 60, 150), rng.integers(200, 900, 12), [2, 2, 3, 3000]])
+    walk = np.cumsum(rng.normal(0.0, 0.3, (counts.sum(), 3)), axis=0)
+    return [StreamlineSet(walk, counts), StreamlineSet(walk.astype(np.float32), counts),
+            StreamlineSet(walk + 1e4, counts), pack(adversarial_polylines(rng))]
+
+
+@pytest.mark.parametrize("budget", [1, 97, streamline_mod.BLOCK_POINTS])
+class TestOneSegmentLengthKernel:
+    """Arc lengths from the resampler and from _lengths over any rows equal
+    the one-streamline arc length bit for bit, whatever the block budget."""
+
+    def test_resampler_lengths_are_arc_lengths(self, monkeypatch, budget):
+        sets = length_sets()
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        for sset in sets:
+            _, lengths = _resample_set(sset, 12)
+            want = arc_lengths(sset.points, sset.offsets)
+            assert lengths.tobytes() == want.tobytes()
+            assert np.array_equal(want, [arc_length(s) for s in sset])
+
+    def test_lengths_of_rows_in_any_order(self, monkeypatch, budget):
+        sets = length_sets()
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        rng = np.random.default_rng(budget)
+        for sset in sets:
+            rows = rng.permutation(len(sset))[: len(sset) // 2 + 1]
+            rows = np.concatenate([rows, rows[:5]])  # and repeated rows
+            got = streamline_mod._lengths(sset.points, sset.offsets[rows], sset.counts[rows])
+            whole = list(sset)
+            assert np.array_equal(got, [arc_length(whole[r]) for r in rows])
+
+
 class TestPackedSet:
     def test_blocks_keep_a_long_streamline_alone(self, monkeypatch):
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 7)
