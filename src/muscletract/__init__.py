@@ -21,6 +21,7 @@ from .architecture import (
     muscle_length,
     muscle_volume,
     summarize,
+    tract_ends,
 )
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap, TractMetrics, coverage, density
@@ -72,4 +73,5 @@ __all__ = [
     "summarize",
     "t_paired",
     "track",
+    "tract_ends",
 ]

@@ -8,9 +8,13 @@ linearly and the muscle classifies as pennate, otherwise the mean tract
 direction is used and the muscle classifies as non-pennate. PCSA is
 MV * cos(PA) / FL with the median FL and PA.
 
-Every pass over a set's points runs one streamline.blocks range at a time, so
-beside the set an architecture record holds a few arrays per tract and the
-temporaries of one block, whatever the number of points.
+The tracts reach these functions as a set or as an iterable of sets that
+hold them in turn, such as formats.StreamlineFile.sets, and each set is read
+one streamline.blocks range at a time. The `arch` command makes two passes
+over its one open file: tract_ends gathers every tract's endpoints and arc
+length, line_of_action fits the endpoints, and summarize's muscle_length
+projects every point on that line. So beside one set it holds a few floats
+per tract and the temporaries of one block, whatever the number of points.
 """
 
 from __future__ import annotations
@@ -53,8 +57,25 @@ def muscle_volume(mask: VoxelMask) -> float:
     return mask.n_occupied * mask.voxel_volume
 
 
-def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAULT) -> LineOfAction:
-    """Fit the muscle's force axis from tract endpoints.
+def tract_ends(tracts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, last, lengths): the first and last point, (n, 3) float64
+    each, and the arc length of every tract, in order, in one pass over a
+    set or an iterable of sets."""
+    if isinstance(tracts, StreamlineSet):
+        tracts = [tracts]
+    first, last, lengths = [np.empty((0, 3))], [np.empty((0, 3))], [np.empty(0)]
+    for sset in tracts:
+        a, b = sset.endpoints()
+        first.append(a)
+        last.append(b)
+        lengths.append(arc_lengths(sset.points, sset.offsets))
+    return np.concatenate(first), np.concatenate(last), np.concatenate(lengths)
+
+
+def line_of_action(first: np.ndarray, last: np.ndarray,
+                   r2_threshold: float = R2_THRESHOLD_DEFAULT) -> LineOfAction:
+    """Fit the muscle's force axis from the first and last points of the
+    tracts (tract_ends).
 
     Total least squares (perpendicular residuals) through all endpoints; R^2 is
     1 - (mean squared perpendicular distance / mean squared distance to the
@@ -64,9 +85,9 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     """
     if not math.isfinite(r2_threshold):
         raise InvalidSpecError(f"r2_threshold must be finite, got {r2_threshold}")
-    if len(sset) < 3:
+    if len(first) < 3:
         raise DegenerateGeometryError("line of action needs at least 3 streamlines")
-    pts = np.stack(sset.endpoints(), axis=1).reshape(-1, 3)
+    pts = np.stack([first, last], axis=1).reshape(-1, 3)
     centered = pts - pts.mean(axis=0)
     total = float((centered * centered).sum() / len(pts))
     if total <= 0.0:
@@ -81,7 +102,6 @@ def line_of_action(sset: StreamlineSet, r2_threshold: float = R2_THRESHOLD_DEFAU
     if r2 > r2_threshold:
         return LineOfAction(direction, r2, "endpoint_fit")
 
-    first, last = sset.endpoints()
     chords = last - first
     norms = np.linalg.norm(chords, axis=1)
     if (norms == 0).any():
@@ -108,18 +128,23 @@ def _pennation_angles(chords: np.ndarray, direction: np.ndarray) -> list[float]:
     return [math.degrees(math.acos(min(1.0, c))) for c in cos.tolist()]
 
 
-def muscle_length(sset: StreamlineSet, loa: LineOfAction) -> float:
-    """Extent of all tract points projected on the line of action, in mm.
+def muscle_length(tracts, loa: LineOfAction) -> float:
+    """Extent of all tract points projected on the line of action, in mm,
+    over a set or an iterable of sets.
 
     Points are projected one block at a time; each point's projection is the
     same matrix-vector product as for the whole buffer at once, bit for bit.
     """
-    if len(sset) == 0:
+    if isinstance(tracts, StreamlineSet):
+        tracts = [tracts]
+    top, bottom, n = -math.inf, math.inf, 0
+    for sset in tracts:
+        n += len(sset)
+        for lo, hi in blocks(sset.offsets):
+            proj = sset.block(lo, hi) @ loa.direction
+            top, bottom = np.maximum(top, proj.max()), np.minimum(bottom, proj.min())
+    if n == 0:
         raise EmptyDomainError("streamline set is empty")
-    top, bottom = -math.inf, math.inf
-    for lo, hi in blocks(sset.offsets):
-        proj = sset.block(lo, hi) @ loa.direction
-        top, bottom = np.maximum(top, proj.max()), np.minimum(bottom, proj.min())
     return float(top - bottom)
 
 
@@ -135,19 +160,21 @@ def _median(values) -> float:
     return float(np.partition(x, kth)[kth[0] : half + 1].mean())
 
 
-def summarize(mask: VoxelMask, sset: StreamlineSet, loa: LineOfAction) -> MuscleArchitecture:
-    """Assemble the per-muscle architecture record.
+def summarize(mask: VoxelMask, first: np.ndarray, last: np.ndarray, lengths: np.ndarray,
+              tracts, loa: LineOfAction) -> MuscleArchitecture:
+    """Assemble the per-muscle architecture record from the tracts'
+    endpoints and arc lengths (tract_ends) and from their points, a set or
+    an iterable of sets that muscle_length reads.
 
     FL and PA are summarized by their medians over tracts; FL/ML and PCSA are
     computed exactly from the stored fields (PCSA = MV * cos(PA) / FL).
     """
-    if len(sset) == 0:
+    if len(lengths) == 0:
         raise EmptyDomainError("streamline set is empty")
     mv = muscle_volume(mask)
-    fl_median = _median(arc_lengths(sset.points, sset.offsets))
-    first, last = sset.endpoints()
+    fl_median = _median(lengths)
     pa_median = _median(_pennation_angles(last - first, loa.direction))
-    ml = muscle_length(sset, loa)
+    ml = muscle_length(tracts, loa)
     return MuscleArchitecture(
         mv=mv,
         fl_median=fl_median,

@@ -24,6 +24,9 @@ do), and a run that fails a check writes no --out. --out may not name
 3ds|2ds the directory of --out must take the scratch file, so there an
 --out such as /dev/stdout or /dev/fd/N exits 3; fss writes to it.
 
+`arch` reads --streamlines in two passes, one block at a time; `metrics`
+loads it whole.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.
 """
@@ -229,9 +232,11 @@ def cmd_arch(args) -> int:
         raise DataError(f"name {name!r} must not contain a comma or a line break")
     cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
-    (sset,) = _framed([formats.load_streamlines(args.streamlines)], mask)
-    loa = arch_mod.line_of_action(sset, r2_threshold=cfg.r2_threshold)
-    arch = arch_mod.summarize(mask, sset, loa)
+    # Two passes over the one open file (architecture module docstring).
+    with formats.StreamlineFile(args.streamlines) as source:
+        first, last, lengths = arch_mod.tract_ends(_framed(source.sets(), mask))
+        loa = arch_mod.line_of_action(first, last, r2_threshold=cfg.r2_threshold)
+        arch = arch_mod.summarize(mask, first, last, lengths, source.sets(), loa)
     formats.write_csv(
         args.out,
         ARCH_HEADER,

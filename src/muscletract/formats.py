@@ -27,10 +27,13 @@ object reject it with the same error as any other NaN
 voxel_size, origin or fa, FormatError for a direction).
 
 One STRL writer, save_streamlines, serves a set and a stream of sets, such
-as the batches of tracking.reconstruct_batches: a header of count
-0xFFFFFFFF, the records of each set in turn, then the count patched in, so
-the file must be seekable, and a write cut short leaves a file that fails to
-load rather than one that loads as fewer streamlines.
+as the sets of tracking.reconstruct_batches: a header of count 0xFFFFFFFF,
+the records of each set in turn, then the count patched in, so the file must
+be seekable, and a write cut short leaves a file that fails to load rather
+than one that loads as fewer streamlines. It validates the float32 rounding
+of each float64 block before it writes it, so it refuses what the reader
+would reject (InvalidStreamlineError), such as a step that float32 cannot
+resolve or a coordinate beyond its range.
 
 One STRL reader, StreamlineFile, checks the header and every point count
 when it opens the file, then serves three readers of that one open file:
@@ -38,7 +41,8 @@ load_streamlines, which fills one buffer with the whole file; sets, which
 yields one validated set per block; and copy, the copier, which writes the
 records at given rows byte for byte, the header with their count first, so
 its output need not be seekable. `filter` streams its candidates with sets
-and writes its picks with copy.
+and writes its picks with copy, and `arch` reads its input with sets twice.
+Only `metrics`, among the commands, still calls load_streamlines.
 
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one
@@ -81,7 +85,7 @@ from .errors import ConfigError, FormatError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap
 from .sampling import FSSConfig
-from .streamline import StreamlineSet, _float64, blocks
+from .streamline import StreamlineSet, _float64, _validate, blocks
 from .tracking import TrackingConfig
 
 FORMAT_VERSION = 1
@@ -126,13 +130,18 @@ def _record_words(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
 
 
 def _write_records(fh, sset: StreamlineSet) -> int:
-    """Write the records of a set, one block at a time; returns how many."""
+    """Write the records of a set, one block at a time; returns how many.
+    The float32 rounding of a float64 block is validated before it is
+    written: a float32 set was validated when it was built."""
     offsets = sset.offsets
     for lo, hi in blocks(offsets):
+        points = sset.points[offsets[lo] : offsets[hi]]
+        if points.dtype != np.float32:
+            _validate(points, offsets[lo : hi + 1] - offsets[lo], as_float32=True)
         heads, coords = _record_words(offsets, lo, hi)
         words = np.empty(len(coords), dtype="<f4")
         words.view("<u4")[heads] = offsets[lo + 1 : hi + 1] - offsets[lo:hi]
-        words[coords] = sset.points[offsets[lo] : offsets[hi]].reshape(-1)
+        words[coords] = points.reshape(-1)
         fh.write(words)
     return len(sset)
 

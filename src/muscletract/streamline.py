@@ -9,10 +9,10 @@ every stage of the pipeline, from the tracker to the architecture reductions,
 takes and returns one. A set is validated once, over its whole buffer, when
 it is built; iterating over it yields each streamline's (c, 3) points as a
 view into the buffer. A set built from streamlines that are valid by
-construction (the rows of a validated set, or the raw tracks of
-tracking.track) is not validated at all. tracking.reconstruct_batches
-validates each batch at its float32 rounding, the coordinates that the STRL
-writer and tracking.reconstruct keep.
+construction (the rows of a validated set, or the tracks of tracking.track
+and tracking.reconstruct_batches) is not validated at all. The float32
+rounding of a float64 set is validated by whoever makes it: the STRL writer
+and tracking.reconstruct.
 
 The buffer is float64 or float32. A set loaded from STRL keeps the file's
 float32 coordinates, as TRK, TCK and Dipy's streamlines do, so it takes 12

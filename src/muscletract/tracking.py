@@ -6,7 +6,8 @@ seed in both directions. Field vectors are unsigned axes: each lookup is
 sign-aligned with the previous step, and propagation stops when the angle
 between adjacent steps exceeds the gate, anisotropy drops below the floor, or
 the next point would leave the mask. Seeds are propagated in lockstep batches;
-the result is independent of batching and ordered by seed index.
+the result is independent of batching and blocking, and ordered by seed
+index.
 
 Each stage runs over all tracks at once, and its output is bit-identical to
 taking one Euler step, one fit and one ray at a time (the form that
@@ -22,7 +23,8 @@ tests/reference_tracking.py keeps as the oracle):
   floor((q - origin) / voxel_size). The step that crosses a face gets the
   loop's in-grid and occupancy test. Once every
   half-track of a batch has ended, each run adds its s*v from its start
-  point again, in the same sequence, straight into the point's final row.
+  point again, in the same sequence, straight into the point's row in its
+  block's buffer.
 - The cubic fit calls lstsq once per track, with one Vandermonde design per
   point count; a solve with many right-hand sides, or stacked, rounds
   differently.
@@ -30,43 +32,56 @@ tests/reference_tracking.py keeps as the oracle):
   endpoints. The tangent norms come from a stacked matmul, which rounds like
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
-track writes every batch of tracks into one packed buffer that grows in
-place. reconstruct_batches runs each batch of seeds end to end in the
-buffer that track returns for it: it grows it by two rows per track, and
-fits, extends and filters the tracks in place, so a batch's points are held
-once, not once per stage.
+Seeds are tracked in batches of _BATCH. Once both halves of a batch have
+been propagated, every raw track's point count, and so its offset, is known
+before any point is written, so the raw tracks are written one
+streamline.blocks range at a time (at most BLOCK_POINTS points, or one track
+that alone holds more) into a buffer of their own: the seeds, the runs, and
+then the tracks under min_length_mm packed out. track collects the blocks
+into one buffer that grows in place. reconstruct_batches fits, extends and
+filters each block's tracks in the buffer they were written to, grown by two
+rows per track, so a block's points are held once, not once per stage.
 
-Memory follows the points of one batch. Seeds are tracked in batches of
-_BATCH. Besides its output, a batch holds one record of 72 bytes per voxel
-run (track, first step, start point, s*v, point count) for each of its two
-halves, 32 bytes more per run of the half whose records are being sorted,
-and one pass's run of points with its voxel indices, under 4 * _RUN_BYTES:
-at most 176 bytes per run and 4 * _RUN_BYTES. The records are sorted once,
-straight from the passes that made them, and written in place. A run holds
-at least one point, and about eight at the default step of a tenth of a
-voxel. None of this depends on max_steps, the step count at which a
-half-track is cut off. Finishing a batch then holds a few arrays per track
-(the exit rays), one design at a time while it fits the tracks grouped by
-point count, and one block's scratch while it validates.
+Memory follows the voxel runs of one batch and the points of one block, not
+the points of a batch. A batch holds one record of 72 bytes per voxel run
+(track, first step, start point, s*v, point count) for each of its two
+halves; while it propagates, one pass's run of points with its voxel
+indices, under 4 * _RUN_BYTES; and while it sorts a half's records by block
+and point count, 32 bytes more per run of that half: at most 176 bytes per
+run and 4 * _RUN_BYTES. The records are sorted once, straight from the
+passes that made them, and each block's share of them is written in place.
+A run holds at least one point, and about eight at the default step of a
+tenth of a voxel; while a voxel's steps fit one run, the number of runs does
+not depend on the step. None of this depends on max_steps, the step count
+at which a half-track is cut off. A block holds its points at 24 bytes
+each, and finishing it a few arrays per track (the exit rays) and one
+design at a time while it fits the tracks grouped by point count. A batch's
+records are released before the next batch is propagated.
 
-reconstruct_batches yields each finished batch, at float64, and releases
-its buffer before it tracks the next, so its peak is one batch, whatever the
-number of seeds: the `track` and `filter --method 3ds|2ds` commands write
-each batch to disk as it comes. reconstruct, which no command calls, rounds
-the batches into one float32 buffer that grows in place, the coordinates
-its STRL file holds (the writer rounds each float64 coordinate the same
-way), so it holds its output at 12 bytes per point and one float64 batch.
-track holds the raw tracks of every seed.
+reconstruct_batches yields each finished block as a float64 set and
+releases its buffer before it writes the next, so its peak is one batch's
+records and one block, whatever the number of seeds or the step: the
+`track` and `filter --method 3ds|2ds` commands write each set to disk as it
+comes. reconstruct, which no command calls, rounds the sets into one
+float32 buffer that grows in place, the coordinates its STRL file holds (the
+writer rounds each float64 coordinate the same way), so besides that it
+holds its output at 12 bytes per point. track holds the raw tracks of every
+seed at 24 bytes per point.
 
-reconstruct_batches validates each batch once, at that float32 rounding
-(which can collapse a track far from the origin to a point); track builds
-its set without validating it, because raw tracks are valid by construction.
-They are finite: every seed lies in the mask, whose grid is finite, and
-every later point is the previous one plus s*v, with s finite and v from a
-voxel whose anisotropy passes fa_min > 0, where OrientationField holds
-finite unit vectors. They have positive length, hence two or more points:
-_long_enough keeps only tracks of arc length >= min_length_mm, which
-TrackingConfig requires to be > 0.
+Each point is validated once, by whoever rounds it to float32: the STRL
+writer as it writes a float64 set, and reconstruct when it builds its
+float32 set (the rounding can collapse a track far from the origin to a
+point). track and reconstruct_batches build their float64 sets without
+validating them, because they are valid by construction. Raw tracks are
+finite: every seed lies in the mask, whose grid is finite, and every later
+point is the previous one plus s*v, with s finite and v from a voxel whose
+anisotropy passes fa_min > 0, where OrientationField holds finite unit
+vectors. They have positive length, hence two or more points: _long_enough
+keeps only tracks of arc length >= min_length_mm, which TrackingConfig
+requires to be > 0. A finished track stays so: its cubic fit and exit
+points are finite (an exit is added only within twice the mask diagonal),
+and _surface_exits raises unless the first segment of every track has
+non-zero length.
 
 Two length tests are settled by bounds, and the arc length (streamline.
 arc_lengths) is computed only for the tracks a bound leaves undecided (the
@@ -102,7 +117,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import UNIT_TOL, OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import StreamlineSet, _by_count, _lengths, _validate
+from .streamline import StreamlineSet, _by_count, _lengths, blocks
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +151,7 @@ _BATCH = 1024
 
 def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     """March one half-track per seed; returns the point count of every
-    half-track (seed excluded) and its voxel runs, sorted by _sorted_runs.
+    half-track (seed excluded) and its voxel runs, as _sorted_runs takes them.
 
     Each pass takes every live track through one voxel: the first step does
     the full lookup and checks, and the track then continues in a straight
@@ -215,20 +230,31 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         prev[survivors] = v[go]
         active = survivors[counts[survivors] < max_steps]
 
-    return counts, _sorted_runs(runs)
+    return counts, runs
 
 
-def _sorted_runs(runs) -> list:
+def _sorted_runs(runs, block) -> list:
     """The records of one _propagate call as five arrays (track, first step,
-    start point, s*v, count), the runs sorted by point count, longest first.
+    start point, s*v, count), the runs sorted by the block of their track
+    (block[track], ascending), then by point count, longest first, ties in
+    the order the passes made them.
 
     Each field is scattered from its per-pass pieces straight into its sorted
     place, so no field is held twice over, unsorted and sorted.
     """
-    count = np.concatenate(runs[4])
-    rank = np.empty(len(count), dtype=np.int64)
-    rank[np.argsort(-count, kind="stable")] = np.arange(len(count))
-    del count
+    key = np.concatenate(runs[4])
+    top = int(key.max(initial=0)) + 1
+    np.negative(key, out=key)
+    group = np.concatenate(runs[0])
+    np.take(block, group, out=group)
+    group *= top
+    key += group
+    del group
+    order = np.argsort(key, kind="stable")
+    del key
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    del order
     out = []
     for pieces in runs:
         field = np.empty((len(rank),) + pieces[0].shape[1:], dtype=pieces[0].dtype)
@@ -348,52 +374,90 @@ def track(
 
     Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
     shorter than cfg.min_length_mm are discarded; the rest keep seed order.
-    The set's points array owns its memory (it is no view), so it can be
-    grown in place with ndarray.resize: reconstruct_batches finishes each
-    batch in the buffer that track returns for it.
+    The set's points array owns its memory (it is no view).
 
     cfg.step_mm must not exceed the mask diagonal: a longer step takes every
     point off the grid, so no track could hold two points. The size of the
     output is not checked. A track holds about one point per step_mm of its
     length, so the points grow as 1 / step_mm: track holds those of every
-    seed at 24 bytes each, reconstruct_batches (and so the `track` and
-    `filter` commands) those of one batch of _BATCH seeds, reconstruct its
-    float32 output (12 bytes each) and one batch, and a tiny step_mm can
-    make even one batch need more memory than the host has.
+    seed at 24 bytes each, besides one batch's run records and one block
+    (module docstring, "Memory"), and a tiny step_mm can make even one track
+    need more memory than the host has.
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)
+    points, counts = _collected(_raw_blocks(field, mask, pts, cfg), np.float64)
+    # Valid by construction (module docstring): not validated again.
+    return StreamlineSet._trusted(points, _offsets(counts))
+
+
+def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: TrackingConfig):
+    """The raw tracks of the seed points pts, which lie in the mask, that
+    are at least cfg.min_length_mm long, in seed order: one (points, counts)
+    per streamline.blocks range of the raw tracks of each batch of _BATCH
+    seeds, points a float64 buffer that owns its memory and holds the tracks
+    packed, counts their point counts.
+
+    The generator keeps no reference to a buffer it has yielded, so a
+    consumer can release it before the next block is drawn.
+    """
     step_range = _step_range(mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
-    # The tracks of every batch go straight into one buffer that grows in
-    # place (ndarray.resize), so that no batch is copied again.
-    buf = np.empty((0, 3))
-    pos = 0
-    kept = []
-    for lo in range(0, len(pts), _BATCH):
-        batch = pts[lo : lo + _BATCH]
+    for start in range(0, len(pts), _BATCH):
+        batch = pts[start : start + _BATCH]
         idx = mask.world_to_index(batch)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         n_fwd, fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
         n_bwd, bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
-        counts = n_bwd + 1 + n_fwd
-        offsets = _offsets(counts)
-        buf.resize((pos + offsets[-1], 3), refcheck=False)
-        tracks = buf[pos:]
-        # Each track is its backward half reversed, the seed, its forward half.
-        at = offsets[:-1] + n_bwd
-        tracks[at] = batch
-        _write_runs(tracks, fwd, at + 1, 1)
-        _write_runs(tracks, bwd, at - 1, -1)
+        offsets = _offsets(n_bwd + 1 + n_fwd)
+        ranges = list(blocks(offsets))
+        block = np.repeat(np.arange(len(ranges)), [hi - lo for lo, hi in ranges])
+        # Each track is its backward half reversed, the seed, its forward
+        # half. The runs of tracks lo..hi-1 are rows at[lo]:at[hi] of their
+        # half's records.
+        seed_rows = offsets[:-1] + n_bwd
+        halves = []
+        for runs, rows, sign in ((fwd, seed_rows + 1, 1), (bwd, seed_rows - 1, -1)):
+            runs = _sorted_runs(runs, block)
+            at = _offsets(np.bincount(runs[0], minlength=len(batch)))
+            halves.append((runs, at, rows, sign))
         del fwd, bwd
-        keep = np.flatnonzero(_long_enough(tracks, offsets, counts, step_range, cfg.min_length_mm))
-        kept.append(_pack_in_place(tracks, offsets, keep))
-        pos += int(kept[-1].sum())
-        del tracks
-    counts = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
-    buf.resize((pos, 3), refcheck=False)
-    # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(buf, _offsets(counts))
+        for lo, hi in ranges:
+            yield _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range,
+                             cfg.min_length_mm)
+        del halves  # before the next batch is propagated
+
+
+def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length):
+    """_raw_blocks' (points, counts) for tracks lo..hi-1 of a batch whose
+    raw tracks offsets pack: their seeds and runs written into a new buffer,
+    and the tracks under min_length packed out of it."""
+    base = offsets[lo]
+    local = offsets[lo : hi + 1] - base
+    buf = np.empty((local[-1], 3))
+    buf[seed_rows[lo:hi] - base] = batch[lo:hi]
+    for runs, at, rows, sign in halves:
+        _write_runs(buf, [column[at[lo] : at[hi]] for column in runs], rows - base, sign)
+    counts = np.diff(local)
+    keep = np.flatnonzero(_long_enough(buf, local, counts, step_range, min_length))
+    counts = _pack_in_place(buf, local, keep)
+    buf.resize((int(counts.sum()), 3), refcheck=False)
+    return buf, counts
+
+
+def _collected(pieces, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """One buffer of the given dtype that holds the points of the
+    (points, counts) pieces in turn, grown in place, and their counts; each
+    piece is released before the next is drawn."""
+    buf = np.empty((0, 3), dtype=dtype)
+    counts = [np.empty(0, dtype=np.int64)]
+    for points, piece in pieces:
+        n = len(buf)
+        buf.resize((n + len(points), 3), refcheck=False)
+        buf[n:] = points
+        counts.append(piece)
+        del points
+    return buf, np.concatenate(counts)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -548,20 +612,15 @@ def reconstruct(
     commands stream reconstruct_batches to disk instead.
 
     The set is float32-backed, the coordinates its STRL file holds: the
-    float64 batches of reconstruct_batches are rounded into one float32
-    buffer that grows in place, so besides that output, 12 bytes per point,
-    it holds one batch.
+    float64 sets of reconstruct_batches are rounded into one float32 buffer
+    that grows in place, so besides that output, 12 bytes per point, it
+    holds what reconstruct_batches holds for one block. That rounding is
+    validated once, when the set is built (it can collapse a track far from
+    the origin to a point).
     """
-    points = np.empty((0, 3), dtype=np.float32)
-    counts = []
-    for batch in reconstruct_batches(field, mask, seeds, cfg):
-        n = len(points)
-        points.resize((n + len(batch.points), 3), refcheck=False)
-        points[n:] = batch.points
-        counts.append(batch.counts)
-    counts = np.concatenate(counts) if counts else np.empty(0, dtype=np.int64)
-    # reconstruct_batches validated this rounding of every batch.
-    return StreamlineSet._trusted(points, _offsets(counts))
+    sets = reconstruct_batches(field, mask, seeds, cfg)
+    points, counts = _collected(((sset.points, sset.counts) for sset in sets), np.float32)
+    return StreamlineSet(points, counts)
 
 
 def reconstruct_batches(
@@ -570,32 +629,31 @@ def reconstruct_batches(
     seeds: SeedSet,
     cfg: TrackingConfig | None = None,
 ):
-    """reconstruct's streamlines before their float32 rounding: one float64
-    set per batch of _BATCH seeds, in seed order, and reconstruct's INFO line
-    after the last batch.
+    """reconstruct's streamlines before their float32 rounding: float64
+    sets, in seed order, one per streamline.blocks range of the raw tracks
+    of each batch of _BATCH seeds, and reconstruct's INFO line after the
+    last set.
 
-    Each batch is fitted, extended and filtered in place in the buffer that
-    track returns for it, and validated once at its float32 rounding, the
-    coordinates that the STRL writer and reconstruct keep. When the next
-    batch is drawn, the last set's points become empty and its buffer is
-    released, so a caller that keeps a set longer copies it
-    (StreamlineSet.take). So the memory held is one batch's, whatever the
-    number of seeds (a view that the caller keeps keeps its buffer).
+    Each block's raw tracks are fitted, extended and filtered in place in
+    the buffer they were written to. The sets are valid at float64 by
+    construction (module docstring) and are not validated here: the STRL
+    writer and reconstruct each validate the float32 rounding they make.
+    When the next set is drawn, the last set's points become empty and its
+    buffer is released, so a caller that keeps a set longer copies it
+    (StreamlineSet.take). So besides the run records of one batch, the
+    memory held is one block's, whatever the number of seeds (a view that
+    the caller keeps keeps its buffer).
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)
     tally = np.zeros(4, dtype=np.int64)  # tracks, fits skipped, rejected, ran away
-    for lo in range(0, len(pts), _BATCH):
-        raw = track(field, mask, SeedSet(pts[lo : lo + _BATCH]), cfg)
-        buf = raw.points
-        offsets = _offsets(_finish(buf, raw.offsets, mask, cfg, tally))
-        _validate(buf, offsets, as_float32=True)
-        batch = StreamlineSet._trusted(buf, offsets)
-        yield batch
+    for buf, counts in _raw_blocks(field, mask, pts, cfg):
+        counts = _finish(buf, _offsets(counts), mask, cfg, tally)
+        sset = StreamlineSet._trusted(buf, _offsets(counts))
+        yield sset
         # Shrunk in place, unless a view the caller took still needs it: to
         # free it would raise the allocator's mmap threshold, and peak RSS.
-        batch.points = np.empty((0, 3))
-        del raw
+        sset.points = np.empty((0, 3))
         with contextlib.suppress(ValueError):
             buf.resize((0, 3))
 

@@ -269,7 +269,7 @@ def _measure_default_phantom(scale=1.0):
     mask, field, gt = mt.make_phantom(spec)
     sset = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0 * scale))
     loa = mt.LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
-    return mt.summarize(mask, sset, loa), gt
+    return mt.summarize(mask, *mt.tract_ends(sset), sset, loa), gt
 
 
 def test_criterion_6_phantom_ground_truth():
@@ -293,8 +293,8 @@ def test_criterion_7_classification():
     spec = mt.PhantomSpec(shape="box_unipennate", pennation_deg=10.0, dims_mm=(16, 10, 90))
     mask, field, _ = mt.make_phantom(spec)
     sset = mt.reconstruct(field, mask, mt.seeds_3d(mask, 2.0))
-    loa_pen = mt.line_of_action(sset)
-    arch_pen = mt.summarize(mask, sset, loa_pen)
+    loa_pen = mt.line_of_action(*sset.endpoints())
+    arch_pen = mt.summarize(mask, *mt.tract_ends(sset), sset, loa_pen)
 
     rng = np.random.default_rng(7)
     scattered = []
@@ -303,8 +303,9 @@ def test_criterion_7_classification():
         u /= np.linalg.norm(u)
         scattered.append(np.array([25 * u, -25 * u + rng.normal(0, 0.2, 3)]))
     sph = pack(scattered)
-    loa_sph = mt.line_of_action(sph)
-    arch_sph = mt.summarize(VoxelMask(np.ones((5, 5, 5), dtype=bool)), sph, loa_sph)
+    loa_sph = mt.line_of_action(*sph.endpoints())
+    cube = VoxelMask(np.ones((5, 5, 5), dtype=bool))
+    arch_sph = mt.summarize(cube, *mt.tract_ends(sph), sph, loa_sph)
 
     ok = (
         loa_pen.r2 > 0.9

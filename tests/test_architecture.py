@@ -19,6 +19,7 @@ from muscletract.architecture import (
     muscle_length,
     muscle_volume,
     summarize,
+    tract_ends,
 )
 from muscletract.errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from muscletract.grid import VoxelMask
@@ -82,7 +83,7 @@ class TestMuscleVolume:
 class TestLineOfAction:
     def test_collinear_endpoints_r2_one(self):
         sls = [[(0, 0, float(i)), (0, 0, i + 5.0)] for i in range(4)]
-        loa = line_of_action(pack(sls))
+        loa = line_of_action(*pack(sls).endpoints())
         assert loa.r2 == pytest.approx(1.0, abs=1e-12)
         assert loa.source == "endpoint_fit"
         assert abs(loa.direction @ [0, 0, 1]) == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +95,7 @@ class TestLineOfAction:
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
             sls.append(np.array([20 * u, -20 * u + rng.normal(0, 0.1, 3)]))
-        loa = line_of_action(pack(sls))
+        loa = line_of_action(*pack(sls).endpoints())
         assert loa.r2 < 0.5
         assert loa.source == "mean_direction"
         assert np.linalg.norm(loa.direction) == pytest.approx(1.0, abs=1e-12)
@@ -102,7 +103,7 @@ class TestLineOfAction:
     def test_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(4)
         sset = segment_cloud(rng, 40, (0.3, 0.1, 1.0), spread=2.0)
-        loa = line_of_action(sset)
+        loa = line_of_action(*sset.endpoints())
         pts = np.array([p for s in sset for p in (s[0], s[-1])])
         centered = pts - pts.mean(axis=0)
         evals, evecs = np.linalg.eigh(centered.T @ centered / len(pts))
@@ -114,31 +115,31 @@ class TestLineOfAction:
     def test_needs_three_streamlines(self):
         sls = [[(0, 0, 0), (0, 0, 1)], [(1, 0, 0), (1, 0, 1)]]
         with pytest.raises(DegenerateGeometryError):
-            line_of_action(pack(sls))
+            line_of_action(*pack(sls).endpoints())
 
     def test_r2_invariant_to_similarity_transform(self):
         rng = np.random.default_rng(14)
         sset = segment_cloud(rng, 30, (0.2, 0.5, 1.0), spread=3.0)
-        loa = line_of_action(sset)
+        loa = line_of_action(*sset.endpoints())
         rot = _rotation(rng)
         shift = rng.uniform(-50, 50, 3)
         scale = 2.7
         moved = pack([scale * (s @ rot.T) + shift for s in sset])
-        loa2 = line_of_action(moved)
+        loa2 = line_of_action(*moved.endpoints())
         assert loa2.r2 == pytest.approx(loa.r2, abs=1e-9)
 
     def test_threshold_crossing_controls_source(self):
         rng = np.random.default_rng(15)
         sset = segment_cloud(rng, 40, (0, 0, 1.0), spread=1.0)
-        r2 = line_of_action(sset).r2
-        assert line_of_action(sset, r2_threshold=r2 - 1e-6).source == "endpoint_fit"
-        assert line_of_action(sset, r2_threshold=r2 + 1e-6).source == "mean_direction"
+        r2 = line_of_action(*sset.endpoints()).r2
+        assert line_of_action(*sset.endpoints(), r2_threshold=r2 - 1e-6).source == "endpoint_fit"
+        assert line_of_action(*sset.endpoints(), r2_threshold=r2 + 1e-6).source == "mean_direction"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_threshold_rejected(self, bad):
         sset = segment_cloud(np.random.default_rng(15), 10, (0, 0, 1.0), spread=1.0)
         with pytest.raises(InvalidSpecError):
-            line_of_action(sset, r2_threshold=bad)
+            line_of_action(*sset.endpoints(), r2_threshold=bad)
 
 
 class TestPennationAngle:
@@ -249,10 +250,46 @@ class TestBlockedMuscleLength:
 
         def scratch(copies):
             sset = pack(tracts * copies)
-            return traced_peak(lambda: summarize(mask, sset, line_of_action(sset)))[1]
+            def arch():
+                first, last, lengths = tract_ends(sset)
+                return summarize(mask, first, last, lengths, sset, line_of_action(first, last))
+
+            return traced_peak(arch)[1]
 
         one, two = scratch(1), scratch(2)
         assert two < 1.1 * one
+
+
+class TestStreamedTracts:
+    """tract_ends, muscle_length and summarize over an iterable of sets that
+    hold the tracts in turn, as the `arch` command reads them, equal the
+    same over the whole set, bit for bit."""
+
+    @pytest.mark.parametrize("budget", [1, 97, streamline.BLOCK_POINTS])
+    def test_stream_equals_the_whole_set(self, monkeypatch, budget):
+        mask, field, _ = make_phantom(PhantomSpec(shape="curved_arc", jitter_deg=1.0, seed=3))
+        sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
+        monkeypatch.setattr(streamline, "BLOCK_POINTS", budget)
+
+        def stream():
+            return (sset.take(np.arange(lo, hi)) for lo, hi in streamline.blocks(sset.offsets))
+
+        assert len(list(stream())) > 1
+        ends, whole = tract_ends(stream()), tract_ends(sset)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ends, whole))
+        loa = line_of_action(*ends[:2])
+        assert muscle_length(stream(), loa) == muscle_length(sset, loa)
+        a, b = summarize(mask, *ends, stream(), loa), summarize(mask, *whole, sset, loa)
+        assert (a.fl_median, a.ml, a.pa_median, a.pcsa) == (b.fl_median, b.ml, b.pa_median, b.pcsa)
+
+    def test_empty_stream(self):
+        first, last, lengths = tract_ends(iter([]))
+        assert first.shape == last.shape == (0, 3) and lengths.shape == (0,)
+        loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
+        with pytest.raises(EmptyDomainError):
+            muscle_length(iter([]), loa)
+        with pytest.raises(EmptyDomainError):
+            summarize(VoxelMask(np.ones((2, 2, 2), dtype=bool)), first, last, lengths, iter([]), loa)
 
 
 class TestMedian:
@@ -277,7 +314,7 @@ class TestSummarize:
     def test_pcsa_cos0(self):
         loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 0.95, "endpoint_fit")
         sset = pack([[(5, 5, -20), (5, 5, 30)]] * 3)
-        arch = summarize(self._mask(), sset, loa)
+        arch = summarize(self._mask(), *tract_ends(sset), sset, loa)
         assert arch.mv == 1000.0
         assert arch.fl_median == 50.0
         assert arch.pa_median == pytest.approx(0.0)
@@ -287,15 +324,15 @@ class TestSummarize:
         d = np.array([0.0, math.sin(math.radians(60)), math.cos(math.radians(60))])
         sset = pack([[(5, 5, 5), (5, 5 + 50 * d[1], 5 + 50 * d[2])]] * 3)
         loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 0.5, "mean_direction")
-        arch = summarize(self._mask(), sset, loa)
+        arch = summarize(self._mask(), *tract_ends(sset), sset, loa)
         assert arch.pa_median == pytest.approx(60.0)
         assert arch.pcsa == pytest.approx(1000.0 * 0.5 / 50.0)
 
     def test_pcsa_identity_exact(self):
         rng = np.random.default_rng(19)
         sset = segment_cloud(rng, 9, (0.2, 0, 1.0), spread=2.0)
-        loa = line_of_action(sset)
-        arch = summarize(self._mask(), sset, loa)
+        loa = line_of_action(*sset.endpoints())
+        arch = summarize(self._mask(), *tract_ends(sset), sset, loa)
         assert arch.pcsa == arch.mv * math.cos(math.radians(arch.pa_median)) / arch.fl_median
         assert arch.fl_ml_ratio == arch.fl_median / arch.ml
 
@@ -303,9 +340,9 @@ class TestSummarize:
         # endpoint clouds with r2 ~ 0.95 read as a linear arrangement
         rng = np.random.default_rng(20)
         sset = segment_cloud(rng, 40, (0, 0, 1.0), spread=1.5)
-        loa = line_of_action(sset)
+        loa = line_of_action(*sset.endpoints())
         assert loa.r2 > 0.9
-        arch = summarize(self._mask(), sset, loa)
+        arch = summarize(self._mask(), *tract_ends(sset), sset, loa)
         assert arch.arch_type == "pennate"
 
     def test_low_r2_classifies_non_pennate(self):
@@ -316,15 +353,15 @@ class TestSummarize:
             u /= np.linalg.norm(u)
             sls.append(np.array([20 * u, -20 * u + rng.normal(0, 0.1, 3)]))
         sset = pack(sls)
-        loa = line_of_action(sset)
-        arch = summarize(self._mask(), sset, loa)
+        loa = line_of_action(*sset.endpoints())
+        arch = summarize(self._mask(), *tract_ends(sset), sset, loa)
         assert arch.arch_type == "non_pennate"
 
     def test_median_of_odd_list_is_an_element(self):
         lengths = [10.0, 30.0, 20.0]
         sset = pack([[(0, 0, 0), (0, 0, L)] for L in lengths])
         loa = LineOfAction(np.array([0.0, 0.0, 1.0]), 1.0, "endpoint_fit")
-        arch = summarize(self._mask(), sset, loa)
+        arch = summarize(self._mask(), *tract_ends(sset), sset, loa)
         assert arch.fl_median == 20.0
 
 
@@ -337,7 +374,7 @@ class TestScaleLaw:
             mask, field, gt = make_phantom(spec)
             sset = reconstruct(field, mask, seeds_3d(mask, spacing))
             loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
-            results.append(summarize(mask, sset, loa))
+            results.append(summarize(mask, *tract_ends(sset), sset, loa))
         a, b = results
         assert b.mv == pytest.approx(8 * a.mv, rel=1e-12)
         assert b.fl_median == pytest.approx(2 * a.fl_median, rel=0.02)
@@ -351,7 +388,7 @@ class TestFlMlBand:
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
-        arch = summarize(mask, sset, loa)
+        arch = summarize(mask, *tract_ends(sset), sset, loa)
         assert 0.2 <= arch.fl_ml_ratio <= 0.6
 
     def test_ratio_at_most_one_for_axis_parallel_tracts(self):
@@ -359,7 +396,7 @@ class TestFlMlBand:
         mask, field, gt = make_phantom(spec)
         sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
-        arch = summarize(mask, sset, loa)
+        arch = summarize(mask, *tract_ends(sset), sset, loa)
         assert 0.0 < arch.fl_ml_ratio <= 1.0
 
 
@@ -431,8 +468,8 @@ class TestBatchedMatchesOneTractAtATime:
 
     def test_summarize(self):
         mask, sset = self.tracts()
-        loa = line_of_action(sset)
-        arch = summarize(mask, sset, loa)
+        loa = line_of_action(*sset.endpoints())
+        arch = summarize(mask, *tract_ends(sset), sset, loa)
         # One tract at a time, in float64 arithmetic, as the library computes.
         tracts = [s.astype(np.float64) for s in sset]
 

@@ -964,6 +964,24 @@ class TestStreamedTrack:
         one, two = peaks
         assert two < 1.1 * one
 
+    def test_peak_does_not_follow_the_step(self, parallel_box, tmp_path, traced_peak):
+        # One batch of seeds at step s and s/2 doubles the points, but the
+        # command holds the batch's voxel-run records, whose number does not
+        # depend on the step while a voxel's steps fit one run, and one block
+        # of points: its peak grows by under a tenth of the extra points at
+        # the 24 bytes each that holding the batch's points would take.
+        peaks, points = [], []
+        for step in ("0.1", "0.05"):
+            out = tmp_path / f"{step}.strl"
+            code, peak = traced_peak(self.track, parallel_box, out, "--target-candidates",
+                                     tracking._BATCH, "--step", step)
+            assert code == 0
+            peaks.append(peak)
+            points.append(len(load_streamlines(out).points))
+        extra = points[1] - points[0]
+        assert extra > 0.9 * points[0]
+        assert peaks[1] - peaks[0] < 0.1 * 24 * extra, (peaks, points)
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_in_a_later_batch_leaves_out_as_it_was(self, parallel_box, tmp_path, capsys,
                                                          monkeypatch, existing):
@@ -1006,12 +1024,17 @@ def test_baseline_filter_holds_its_float32_output_and_one_batch(parallel_box, tm
     # filter --method 3ds re-tracks the whole mask into a scratch file, one
     # batch at a time, and copies its k picks from it. Besides its inputs,
     # seeds and what the command holds before it starts (the parser and the
-    # mask, measured on a run that stops there), it holds what track() holds
-    # for one batch.
+    # mask, measured on a run that stops there), it holds what streaming one
+    # batch of seeds to a file holds: the batch's voxel-run records and one
+    # block of its tracks (tracking module docstring, "Memory").
     mask, field = load_mask(parallel_box["mask"]), load_field(parallel_box["field"])
     seeds = seeds_3d(mask, 1.0).points
     assert len(seeds) > tracking._BATCH
-    one_batch = max(traced_peak(tracking.track, field, mask, SeedSet(seeds[lo : lo + tracking._BATCH]))[1]
+
+    def stream(batch):
+        return save_streamlines(tmp_path / "one.strl", tracking.reconstruct_batches(field, mask, batch))
+
+    one_batch = max(traced_peak(stream, SeedSet(seeds[lo : lo + tracking._BATCH]))[1]
                     for lo in range(0, len(seeds), tracking._BATCH))
     inputs = field.directions.nbytes + field.fa.nbytes + seeds.nbytes
     out = tmp_path / "b.strl"
@@ -1021,7 +1044,9 @@ def test_baseline_filter_holds_its_float32_output_and_one_batch(parallel_box, tm
     assert code == 3 and not out.exists()  # no --field
     code, peak = traced_peak(run, [*argv, "--field", parallel_box["field"]])
     assert code == 0 and len(load_streamlines(out)) == 100
-    assert peak <= one_batch + inputs + start
+    bound = one_batch + inputs + start
+    assert peak <= bound, (f"peak {peak} B over bound {bound} B = one batch streamed {one_batch} B"
+                           f" + inputs {inputs} B + start {start} B")
 
 
 def test_fss_filter_holds_the_resampled_candidates_and_one_block(tmp_path, monkeypatch, traced_peak):
@@ -1054,3 +1079,27 @@ def test_fss_filter_holds_the_resampled_candidates_and_one_block(tmp_path, monke
     one, two = peak(200), peak(400)
     assert two < 1.1 * one
     assert one <= start + 3 * n * m * 24 + 100 * streamline_mod.BLOCK_POINTS
+
+
+def test_arch_scratch_does_not_grow_with_the_points(tmp_path, monkeypatch, traced_peak):
+    # arch reads its input twice, one block at a time, and keeps a few floats
+    # per tract (architecture module docstring): the same 400 tracts with
+    # twice the points each leave its peak flat.
+    monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 1 << 12)
+    mask = VoxelMask(np.ones((10, 10, 40), dtype=np.uint8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    save_mask(tmp_path / "m.mskv", mask)
+    rng = np.random.default_rng(13)
+    ends = np.column_stack([rng.uniform(1, 9, (400, 2)), rng.uniform(1, 5, 400),
+                            rng.uniform(1, 9, (400, 2)), rng.uniform(35, 39, 400)])
+
+    def peak(points):
+        t = np.linspace(0.0, 1.0, points)[:, None]
+        path = tmp_path / f"{points}.strl"
+        save_streamlines(path, pack([(1 - t) * e[:3] + t * e[3:] for e in ends]))
+        code, peak = traced_peak(run, ["arch", "--streamlines", path, "--mask", tmp_path / "m.mskv",
+                                       "--out", tmp_path / f"{points}.csv"])
+        assert code == 0
+        return peak
+
+    one, two = peak(200), peak(400)
+    assert two < 1.1 * one, (one, two)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import muscletract.streamline as streamline_mod
-from muscletract.architecture import line_of_action, muscle_length, summarize
+from muscletract.architecture import line_of_action, muscle_length, summarize, tract_ends
 from muscletract.cli import _framed
 from muscletract.errors import FrameMismatchError, InvalidStreamlineError
 from muscletract.formats import load_streamlines, save_streamlines
@@ -94,10 +94,11 @@ class TestConsumersAreBitIdentical:
 
     def test_architecture(self, twins):
         mask, single, double = twins
-        loa_a, loa_b = line_of_action(single), line_of_action(double)
+        loa_a, loa_b = line_of_action(*single.endpoints()), line_of_action(*double.endpoints())
         assert same(loa_a.direction, loa_b.direction) and loa_a.r2 == loa_b.r2
         assert muscle_length(single, loa_a) == muscle_length(double, loa_b)
-        a, b = summarize(mask, single, loa_a), summarize(mask, double, loa_b)
+        a = summarize(mask, *tract_ends(single), single, loa_a)
+        b = summarize(mask, *tract_ends(double), double, loa_b)
         assert (a.fl_median, a.ml, a.pa_median, a.pcsa) == (b.fl_median, b.ml, b.pa_median, b.pcsa)
 
     def test_frame_check(self, twins):

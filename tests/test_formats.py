@@ -178,6 +178,20 @@ class TestStreamlineRoundTrip:
         with pytest.raises(FormatError, match="truncated"):
             load_streamlines(path)
 
+    @pytest.mark.parametrize("message, far", [
+        ("zero arc length", [[1e10, 0.0, 0.0], [1e10 + 1.0, 0.0, 0.0]]),
+        ("non-finite", [[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]]),
+    ])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, message, far):
+        # Valid at float64, not at the float32 rounding the writer makes: one
+        # step float32 cannot resolve, and one coordinate beyond its range,
+        # whose cast must not warn.
+        sset = StreamlineSet(np.array(far), [2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStreamlineError, match=message):
+                save_streamlines(tmp_path / "s.strl", sset)
+
     def test_signaling_nan_coordinate_rejected(self, tmp_path):
         # 0x7f800001 is a signaling NaN; converting it to float64 raises the
         # invalid-operation flag, which must not surface as a RuntimeWarning.

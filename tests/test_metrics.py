@@ -85,6 +85,16 @@ class TestVoxelize:
         assert voxel_set(pts, mask) == want
         assert voxel_set(pts[::-1], mask) == want
 
+    def test_grazing_a_voxel_edge(self):
+        # The line x + y = 2 + 1e-6 passes 7e-7 mm from the edge x = y = 1,
+        # so it crosses voxel (1, 1) over 1.4e-6 mm: the samples 1e-7 mm
+        # either side of its two face crossings land in it.
+        mask = full_mask((3, 3, 1))
+        pts = [(0.5, 1.5 + 1e-6, 0.5), (1.5 + 1e-6, 0.5, 0.5)]
+        want = {(0, 1, 0), (1, 1, 0), (1, 0, 0)}
+        assert voxel_set(pts, mask) == want
+        assert voxel_set(pts[::-1], mask) == want
+
     def test_counts_once_per_voxel(self):
         mask = full_mask((5, 3, 3))
         # doubles back through the same voxels

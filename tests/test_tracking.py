@@ -338,6 +338,16 @@ class TestExtrapolate:
         assert _ray_exits(mask, p, d, max_dist=100.0)[0] == pytest.approx(15.0)
         assert np.isnan(_ray_exits(mask, p, d, max_dist=3.0)[0])
 
+    def test_ray_exit_from_just_inside_a_face(self):
+        # An anchor 1e-8 mm inside the mask's face starts in its voxel: its
+        # exit lies 1e-8 mm out along the ray, not at 0.
+        mask, _ = uniform_box(dims=(10, 10, 30))
+        p = np.array([[5.0, 5.0, 30.0 - 1e-8]])
+        d = np.array([[0.0, 0.0, 1.0]])
+        got = _ray_exits(mask, p, d, max_dist=100.0)[0]
+        assert got == ref.ray_exit_distance(mask, p[0], d[0], 100.0)
+        assert got == pytest.approx(1e-8, rel=1e-6)
+
     def test_frame_mismatch_raises(self):
         mask, field = uniform_box(dims=(10, 10, 30))
         other = VoxelMask(np.ones((5, 5, 5), dtype=bool))
@@ -463,6 +473,7 @@ class TestMatchesStepwiseReference:
         cfg = CONFIGS[cfg_name]
         for sign in (1.0, -1.0):
             counts, runs = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
+            runs = _sorted_runs(runs, np.zeros(len(starts), dtype=np.int64))
             ends = np.cumsum(counts)
             # Each half-track forwards from its first row, and reversed back
             # from its last, as track lays out the two halves. Writing uses
@@ -483,20 +494,23 @@ class TestMatchesStepwiseReference:
         starts = starts[mask.points_in_mask(starts)]
         idx = mask.world_to_index(starts)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
-        counts, runs = _propagate(field, mask, starts, v0, TrackingConfig(), 2000)
+        counts, pieces = _propagate(field, mask, starts, v0, TrackingConfig(), 2000)
+        runs = [np.concatenate(column) for column in pieces]
         n = len(runs[0])
         assert n > 1000
         # The records shuffled and cut into pieces, as passes leave them: the
-        # sort puts them longest first, ties in piece order, and holds 32
-        # bytes per run besides them.
+        # sort puts them by block, then longest first, ties in piece order,
+        # and holds 32 bytes per run besides them.
+        block = np.arange(len(starts)) // 50
         shuffled = np.random.default_rng(2).permutation(n)
         pieces = [np.array_split(column[shuffled], 5) for column in runs]
-        got, peak = traced_peak(_sorted_runs, pieces)
-        order = np.argsort(-runs[4][shuffled], kind="stable")
+        got, peak = traced_peak(_sorted_runs, pieces, block)
+        order = np.lexsort((-runs[4][shuffled], block[runs[0][shuffled]]))
         assert all(np.array_equal(a, b[shuffled][order]) for a, b in zip(got, runs))
         assert peak <= sum(column.nbytes for column in got) + 32 * n + 4096
         # Writing them holds 8 bytes per run.
         ends = np.cumsum(counts)
+        got = _sorted_runs([[column] for column in got], np.zeros(len(starts), dtype=np.int64))
         _, peak = traced_peak(_write_runs, np.empty((ends[-1], 3)), got, ends - counts, 1)
         assert peak <= 8 * n + 4096
 
@@ -718,8 +732,7 @@ def test_bounds_decide_most_tracks(monkeypatch, case):
 
 
 def test_track_points_own_their_memory():
-    # reconstruct_batches grows them in place, by ndarray.resize, for the
-    # exit points.
+    # track grows one buffer in place (ndarray.resize) as the blocks come.
     mask, field = CASES["box"]()
     got = track(field, mask, some_seeds(mask, 1.0))
     assert got.points.flags.owndata and len(got.points) == got.offsets[-1] > 0
@@ -743,22 +756,29 @@ class TestOneValidation:
         _validate(sset.points, sset.offsets)
 
     def test_reconstruct_validates_once(self, monkeypatch):
-        # Once per batch, at the float32 rounding that reconstruct keeps.
+        # Once, over the float32 rounding that reconstruct keeps, when its set
+        # is built: the float64 sets of reconstruct_batches are not checked.
         calls = []
 
         def counted(points, offsets, **kwargs):
-            calls.append((len(offsets) - 1, kwargs))
+            calls.append((points.dtype, len(offsets) - 1, kwargs))
             _validate(points, offsets, **kwargs)
 
         monkeypatch.setattr(streamline_mod, "_validate", counted)
-        monkeypatch.setattr(tracking, "_validate", counted)
         monkeypatch.setattr(tracking, "_BATCH", 100)
         mask, field = CASES["jittered_arc"]()
-        seeds = some_seeds(mask, 1.0)
-        out = reconstruct(field, mask, seeds)
-        assert len(out) > 0 and len(calls) == math.ceil(len(seeds) / 100)
-        assert sum(n for n, _ in calls) == len(out)
-        assert all(kwargs == {"as_float32": True} for _, kwargs in calls)
+        out = reconstruct(field, mask, some_seeds(mask, 1.0))
+        assert len(out) > 0 and calls == [(np.float32, len(out), {})]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reconstruct_batches_are_valid_at_float64(self, monkeypatch, case):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 97)
+        mask, field = CASES[case]()
+        sets = 0
+        for sset in tracking.reconstruct_batches(field, mask, some_seeds(mask, 1.0)):
+            _validate(sset.points, sset.offsets)
+            sets += 1
+        assert sets > 1
 
 
 def fine_steps():
@@ -831,15 +851,17 @@ def test_reconstruct_holds_its_output_and_one_batch(traced_peak):
 
 
 def test_kept_batches_are_released(traced_peak):
-    # Each set's buffer is emptied when the next batch is drawn, so a caller
+    # Each set's buffer is emptied when the next set is drawn, so a caller
     # that keeps every set holds what track() holds for one batch, plus the
     # sets' offsets.
     mask, field, _ = make_phantom(PhantomSpec())
     seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
     _, one_batch = traced_peak(track, field, mask, SeedSet(seeds))
+    blocks = sum(1 for _ in tracking._raw_blocks(field, mask, seeds, TrackingConfig()))
+    assert blocks > 1
     repeated = SeedSet(np.concatenate([seeds] * 3))
     kept, peak = traced_peak(lambda: list(tracking.reconstruct_batches(field, mask, repeated)))
-    assert len(kept) == 3 and all(s.points.shape == (0, 3) for s in kept)
+    assert len(kept) == 3 * blocks and all(s.points.shape == (0, 3) for s in kept)
     assert peak <= 1.1 * one_batch
 
 
@@ -878,10 +900,15 @@ def test_reconstruct_batches_are_reconstruct_in_order(monkeypatch):
 def test_result_does_not_depend_on_batching(monkeypatch, batch):
     # 62 seeds: one outside the mask, and 9 whose tracks are under
     # min_length_mm; the 61 in the mask leave the last batch of 3 partial.
+    # A block budget of 97 points splits every batch of 3 or more into
+    # blocks.
     mask, field = CASES["jittered_arc"]()
     seeds = some_seeds(mask, 1.0, limit=60)
     seeds = SeedSet(np.concatenate([seeds.points, [[-5.0, 0.0, 0.0]]]))
     cfg = TrackingConfig(min_length_mm=12.0)
     monkeypatch.setattr(tracking, "_BATCH", batch)
-    assert_same_streamlines(track(field, mask, seeds, cfg), ref.track(field, mask, seeds, cfg))
-    assert_reconstructs_reference(field, mask, seeds, cfg)
+    want = ref.track(field, mask, seeds, cfg)
+    for budget in (streamline_mod.BLOCK_POINTS, 97):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        assert_same_streamlines(track(field, mask, seeds, cfg), want)
+        assert_reconstructs_reference(field, mask, seeds, cfg)
