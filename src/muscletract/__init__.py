@@ -9,8 +9,11 @@ file formats plus the CLI (formats, cli).
 
 Streamlines travel between the stages as one StreamlineSet: a packed point
 buffer with offsets, whose iteration yields each streamline's (c, 3) points.
-fss_select returns the positions of its picks, which StreamlineSet.take
-copies into a set of their own.
+The tracker has one entry point, reconstruct_batches, which yields float64
+sets one block at a time; formats.save_streamlines writes them, rounded to
+float32, and formats.load_streamlines reads a whole set back. fss_select
+returns the positions of its picks, which StreamlineSet.take copies into a
+set of their own.
 """
 
 from .architecture import (
@@ -35,7 +38,7 @@ from .stats import (
     t_paired,
 )
 from .streamline import StreamlineSet, arc_lengths
-from .tracking import TrackingConfig, reconstruct, reconstruct_batches, track
+from .tracking import TrackingConfig, reconstruct_batches
 
 __version__ = "0.1.0"
 
@@ -66,12 +69,10 @@ __all__ = [
     "muscle_length",
     "muscle_volume",
     "percent_diff",
-    "reconstruct",
     "reconstruct_batches",
     "seeds_2d",
     "seeds_3d",
     "summarize",
     "t_paired",
-    "track",
     "tract_ends",
 ]

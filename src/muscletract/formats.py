@@ -30,10 +30,11 @@ One STRL writer, save_streamlines, serves a set and a stream of sets, such
 as the sets of tracking.reconstruct_batches: a header of count 0xFFFFFFFF,
 the records of each set in turn, then the count patched in, so the file must
 be seekable, and a write cut short leaves a file that fails to load rather
-than one that loads as fewer streamlines. It validates the float32 rounding
-of each float64 block before it writes it, so it refuses what the reader
-would reject (InvalidStreamlineError), such as a step that float32 cannot
-resolve or a coordinate beyond its range.
+than one that loads as fewer streamlines. It is the one place where tracker
+output is rounded to float32: it validates the float32 rounding of each
+float64 block before it writes it, so it refuses what the reader would
+reject (InvalidStreamlineError), such as a step that float32 cannot resolve
+or a coordinate beyond its range.
 
 One STRL reader, StreamlineFile, checks the header and every point count
 when it opens the file, then serves three readers of that one open file:
@@ -42,7 +43,8 @@ yields one validated set per block; and copy, the copier, which writes the
 records at given rows byte for byte, the header with their count first, so
 its output need not be seekable. `filter` streams its candidates with sets
 and writes its picks with copy, and `arch` reads its input with sets twice.
-Only `metrics`, among the commands, still calls load_streamlines.
+load_streamlines is the one collector of a whole set: only `metrics`, among
+the commands, still calls it.
 
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one

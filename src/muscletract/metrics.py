@@ -124,11 +124,9 @@ def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> tuple[np.ndarray, int]:
 
 
 def coverage(sset: StreamlineSet, mask: VoxelMask) -> float:
-    """Fraction of occupied voxels crossed by at least one streamline."""
-    if mask.n_occupied == 0:
-        raise EmptyDomainError("mask has no occupied voxels")
-    counts, _ = _count_grid(sset, mask)
-    return float((counts[mask.occupancy] > 0).sum() / mask.n_occupied)
+    """Fraction of occupied voxels crossed by at least one streamline: the
+    SC of density."""
+    return density(sset, mask)[1].sc
 
 
 def density(

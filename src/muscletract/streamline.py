@@ -9,21 +9,19 @@ every stage of the pipeline, from the tracker to the architecture reductions,
 takes and returns one. A set is validated once, over its whole buffer, when
 it is built; iterating over it yields each streamline's (c, 3) points as a
 view into the buffer. A set built from streamlines that are valid by
-construction (the rows of a validated set, or the tracks of tracking.track
-and tracking.reconstruct_batches) is not validated at all. The float32
-rounding of a float64 set is validated by whoever makes it: the STRL writer
-and tracking.reconstruct.
+construction (the rows of a validated set, or the sets of
+tracking.reconstruct_batches) is not validated at all. The float32 rounding
+of a float64 set is made and validated in one place, the STRL writer.
 
 The buffer is float64 or float32. A set loaded from STRL keeps the file's
 float32 coordinates, as TRK, TCK and Dipy's streamlines do, so it takes 12
-bytes per point rather than 24; tracking.reconstruct returns its
-streamlines at float32 too, rounded as the STRL writer rounds them. Every
-read that feeds arithmetic converts what it reads to float64 first, one
-block or one gather at a time (StreamlineSet.block, _float64), and computes
-in float64: a float32 value converts exactly, so every result is
-bit-identical to that of the float64 set of the same values. Validation
-tests a float32 set on its own words, with the verdict of its float64 copy
-(_validate). Copies (take, the STRL writer) keep the set's dtype.
+bytes per point rather than 24. Every read that feeds arithmetic converts
+what it reads to float64 first, one block or one gather at a time
+(StreamlineSet.block, _float64), and computes in float64: a float32 value
+converts exactly, so every result is bit-identical to that of the float64
+set of the same values. Validation tests a float32 set on its own words,
+with the verdict of its float64 copy (_validate). Copies (take, the STRL
+writer) keep the set's dtype.
 
 Work over a set runs in blocks of whole streamlines holding at most
 BLOCK_POINTS points, read when the work starts. A streamline longer than the

@@ -37,10 +37,10 @@ been propagated, every raw track's point count, and so its offset, is known
 before any point is written, so the raw tracks are written one
 streamline.blocks range at a time (at most BLOCK_POINTS points, or one track
 that alone holds more) into a buffer of their own: the seeds, the runs, and
-then the tracks under min_length_mm packed out. track collects the blocks
-into one buffer that grows in place. reconstruct_batches fits, extends and
-filters each block's tracks in the buffer they were written to, grown by two
-rows per track, so a block's points are held once, not once per stage.
+then the tracks under min_length_mm packed out. reconstruct_batches fits,
+extends and filters each block's tracks in the buffer they were written to,
+grown by two rows per track, so a block's points are held once, not once per
+stage.
 
 Memory follows the voxel runs of one batch and the points of one block, not
 the points of a batch. A batch holds one record of 72 bytes per voxel run
@@ -58,30 +58,25 @@ each, and finishing it a few arrays per track (the exit rays) and one
 design at a time while it fits the tracks grouped by point count. A batch's
 records are released before the next batch is propagated.
 
-reconstruct_batches yields each finished block as a float64 set and
-releases its buffer before it writes the next, so its peak is one batch's
-records and one block, whatever the number of seeds or the step: the
-`track` and `filter --method 3ds|2ds` commands write each set to disk as it
-comes. reconstruct, which no command calls, rounds the sets into one
-float32 buffer that grows in place, the coordinates its STRL file holds (the
-writer rounds each float64 coordinate the same way), so besides that it
-holds its output at 12 bytes per point. track holds the raw tracks of every
-seed at 24 bytes per point.
+reconstruct_batches, the one tracking entry point, yields each finished
+block as a float64 set and releases its buffer before it writes the next, so
+its peak is one batch's records and one block, whatever the number of seeds
+or the step: the `track` and `filter --method 3ds|2ds` commands write each
+set to disk as it comes (formats.save_streamlines), and a caller that wants
+the whole set reads the file back (formats.load_streamlines).
 
-Each point is validated once, by whoever rounds it to float32: the STRL
-writer as it writes a float64 set, and reconstruct when it builds its
-float32 set (the rounding can collapse a track far from the origin to a
-point). track and reconstruct_batches build their float64 sets without
-validating them, because they are valid by construction. Raw tracks are
-finite: every seed lies in the mask, whose grid is finite, and every later
-point is the previous one plus s*v, with s finite and v from a voxel whose
-anisotropy passes fa_min > 0, where OrientationField holds finite unit
-vectors. They have positive length, hence two or more points: _long_enough
-keeps only tracks of arc length >= min_length_mm, which TrackingConfig
-requires to be > 0. A finished track stays so: its cubic fit and exit
-points are finite (an exit is added only within twice the mask diagonal),
-and _surface_exits raises unless the first segment of every track has
-non-zero length.
+Each point is validated once, by the STRL writer, the one place that rounds
+it to float32 (the rounding can collapse a track far from the origin to a
+point). reconstruct_batches builds its float64 sets without validating
+them, because they are valid by construction. Raw tracks are finite: every
+seed lies in the mask, whose grid is finite, and every later point is the
+previous one plus s*v, with s finite and v from a voxel whose anisotropy
+passes fa_min > 0, where OrientationField holds finite unit vectors. They
+have positive length, hence two or more points: _long_enough keeps only
+tracks of arc length >= min_length_mm, which TrackingConfig requires to be
+> 0. A finished track stays so: its cubic fit and exit points are finite
+(an exit is added only within twice the mask diagonal), and _surface_exits
+raises unless the first segment of every track has non-zero length.
 
 Two length tests are settled by bounds, and the arc length (streamline.
 arc_lengths) is computed only for the tracks a bound leaves undecided (the
@@ -364,33 +359,6 @@ def _seeds_in_mask(field: OrientationField, mask: VoxelMask, seeds: SeedSet,
     return pts
 
 
-def track(
-    field: OrientationField,
-    mask: VoxelMask,
-    seeds: SeedSet,
-    cfg: TrackingConfig | None = None,
-) -> StreamlineSet:
-    """Track one bidirectional streamline per seed.
-
-    Seeds outside the mask are skipped (counted in the log, not fatal). Tracks
-    shorter than cfg.min_length_mm are discarded; the rest keep seed order.
-    The set's points array owns its memory (it is no view).
-
-    cfg.step_mm must not exceed the mask diagonal: a longer step takes every
-    point off the grid, so no track could hold two points. The size of the
-    output is not checked. A track holds about one point per step_mm of its
-    length, so the points grow as 1 / step_mm: track holds those of every
-    seed at 24 bytes each, besides one batch's run records and one block
-    (module docstring, "Memory"), and a tiny step_mm can make even one track
-    need more memory than the host has.
-    """
-    cfg = cfg or TrackingConfig()
-    pts = _seeds_in_mask(field, mask, seeds, cfg)
-    points, counts = _collected(_raw_blocks(field, mask, pts, cfg), np.float64)
-    # Valid by construction (module docstring): not validated again.
-    return StreamlineSet._trusted(points, _offsets(counts))
-
-
 def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: TrackingConfig):
     """The raw tracks of the seed points pts, which lie in the mask, that
     are at least cfg.min_length_mm long, in seed order: one (points, counts)
@@ -443,21 +411,6 @@ def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length
     counts = _pack_in_place(buf, local, keep)
     buf.resize((int(counts.sum()), 3), refcheck=False)
     return buf, counts
-
-
-def _collected(pieces, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """One buffer of the given dtype that holds the points of the
-    (points, counts) pieces in turn, grown in place, and their counts; each
-    piece is released before the next is drawn."""
-    buf = np.empty((0, 3), dtype=dtype)
-    counts = [np.empty(0, dtype=np.int64)]
-    for points, piece in pieces:
-        n = len(buf)
-        buf.resize((n + len(points), 3), refcheck=False)
-        buf[n:] = points
-        counts.append(piece)
-        del points
-    return buf, np.concatenate(counts)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -596,53 +549,35 @@ def _finish(buf: np.ndarray, offsets: np.ndarray, mask: VoxelMask,
     return counts
 
 
-def reconstruct(
-    field: OrientationField,
-    mask: VoxelMask,
-    seeds: SeedSet,
-    cfg: TrackingConfig | None = None,
-) -> StreamlineSet:
-    """Full per-seed reconstruction: track, cubic-fit, extrapolate, filter.
-
-    This is the pipeline order used ahead of any filtering: smoothing and
-    endpoint extrapolation happen before streamlines are sampled or compared.
-    Logs one INFO line with what each stage dropped.
-
-    A library call for callers that want the whole set in memory: the
-    commands stream reconstruct_batches to disk instead.
-
-    The set is float32-backed, the coordinates its STRL file holds: the
-    float64 sets of reconstruct_batches are rounded into one float32 buffer
-    that grows in place, so besides that output, 12 bytes per point, it
-    holds what reconstruct_batches holds for one block. That rounding is
-    validated once, when the set is built (it can collapse a track far from
-    the origin to a point).
-    """
-    sets = reconstruct_batches(field, mask, seeds, cfg)
-    points, counts = _collected(((sset.points, sset.counts) for sset in sets), np.float32)
-    return StreamlineSet(points, counts)
-
-
 def reconstruct_batches(
     field: OrientationField,
     mask: VoxelMask,
     seeds: SeedSet,
     cfg: TrackingConfig | None = None,
 ):
-    """reconstruct's streamlines before their float32 rounding: float64
-    sets, in seed order, one per streamline.blocks range of the raw tracks
-    of each batch of _BATCH seeds, and reconstruct's INFO line after the
-    last set.
+    """Full per-seed reconstruction: track, cubic-fit, extrapolate, filter.
+    Yields float64 sets, in seed order, one per streamline.blocks range of
+    the raw tracks of each batch of _BATCH seeds, and logs one INFO line
+    with what each stage dropped after the last set.
+
+    This is the pipeline order used ahead of any filtering: smoothing and
+    endpoint extrapolation happen before streamlines are sampled or
+    compared. Seeds outside the mask are skipped (counted in the log, not
+    fatal). cfg.step_mm must not exceed the mask diagonal: a longer step
+    takes every point off the grid, so no track could hold two points. The
+    size of the output is not checked: a track holds about one point per
+    step_mm of its length, and a tiny step_mm can make even one track need
+    more memory than the host has.
 
     Each block's raw tracks are fitted, extended and filtered in place in
     the buffer they were written to. The sets are valid at float64 by
     construction (module docstring) and are not validated here: the STRL
-    writer and reconstruct each validate the float32 rounding they make.
-    When the next set is drawn, the last set's points become empty and its
-    buffer is released, so a caller that keeps a set longer copies it
-    (StreamlineSet.take). So besides the run records of one batch, the
-    memory held is one block's, whatever the number of seeds (a view that
-    the caller keeps keeps its buffer).
+    writer validates the float32 rounding it makes. When the next set is
+    drawn, the last set's points become empty and its buffer is released,
+    so a caller that keeps a set longer copies it (StreamlineSet.take). So
+    besides the run records of one batch, the memory held is one block's,
+    whatever the number of seeds (a view that the caller keeps keeps its
+    buffer).
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)

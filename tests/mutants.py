@@ -1,0 +1,187 @@
+"""Mutation audit: small wrong changes to the library that tier-1 must catch.
+
+Each mutant replaces one exact piece of text in one file under src/ and names
+the test expected to kill it. For each mutant the script copies src/, tests/
+and pyproject.toml to a temporary directory, applies the replacement there
+(the working tree is never edited), and runs the named test. If that test
+passes, it runs the whole tier-1 suite with -x. A mutant is killed when a run
+fails, and survives when both pass. Before any mutant, the named tests run
+once on an unmutated copy, where all of them must pass.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # only the named mutants
+
+It prints a Markdown table with one row per mutant, and exits 1 if a mutant
+survived or a named test fails on the unmutated copy. A survivor either gets
+a test that kills it or an entry here that says why it is equivalent.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    test: str  # pytest node id of the test expected to kill it
+    why: str
+
+
+MUTANTS = (
+    Mutant(
+        "fss_ties_to_highest", "src/muscletract/sampling.py",
+        "        j = int(np.argmax(dmin))\n",
+        "        j = len(dmin) - 1 - int(np.argmax(dmin[::-1]))\n",
+        "tests/test_sampling.py::TestPrunedUpdate::test_matches_unpruned_loop_on_adversarial_sets",
+        "FSS breaks ties in dmin to the highest position, not the lowest",
+    ),
+    Mutant(
+        "median_upper_middle", "src/muscletract/architecture.py",
+        "    return float(np.partition(x, kth)[kth[0] : half + 1].mean())\n",
+        "    return float(np.partition(x, kth)[half])\n",
+        "tests/test_architecture.py::TestMedian::test_equals_np_median",
+        "_median takes the upper middle value of an even count",
+    ),
+    Mutant(
+        "mdf_plain_mean", "src/muscletract/streamline.py",
+        "    return _palindromic_mean(np.sqrt(dx * dx + dy * dy + dz * dz).T)\n",
+        "    return np.sqrt(dx * dx + dy * dy + dz * dz).T.mean(axis=-1)\n",
+        "tests/test_streamline.py::TestMDF::test_batch_bit_identical_to_scalar",
+        "MDF's mean distance as a plain mean, not summed in palindromic pairs",
+    ),
+    Mutant(
+        "extension_threshold", "src/muscletract/tracking.py",
+        "    extend = (tau > 1e-12) & ~ran_away[:, None]\n",
+        "    extend = (tau > 1e-3) & ~ran_away[:, None]\n",
+        "tests/test_tracking.py::TestMatchesStepwiseReference::test_reconstruct",
+        "an exit point is added only 1e-3 mm out, not 1e-12 mm",
+    ),
+    Mutant(
+        "fss_slack_zero", "src/muscletract/sampling.py",
+        "    slack = 16 * (cfg.m + 8) * 2.0**-53 * float(np.abs(coords).max()) + _UNDERFLOW_MARGIN\n",
+        "    slack = 0.0\n",
+        "tests/test_sampling.py::TestCentroidBound::test_symmetric_translations",
+        "the centroid bound prunes with no rounding margin",
+    ),
+    Mutant(
+        "chord_bound_margin", "src/muscletract/tracking.py",
+        "(added <= cfg.max_extrap_fraction * chord * (1.0 - rel))",
+        "(added <= cfg.max_extrap_fraction * chord)",
+        "tests/test_tracking.py::TestChordBound::test_matches_reference_where_the_fraction_lands",
+        "the chord bound accepts an extrapolation with no rounding margin",
+    ),
+    Mutant(
+        "voxel_keys_dt", "src/muscletract/metrics.py",
+        "        dt = 1e-7 / np.maximum(seg_len[seg_idx], 1e-12)\n",
+        "        dt = 1e-5 / np.maximum(seg_len[seg_idx], 1e-12)\n",
+        "tests/test_metrics.py::TestVoxelize::test_grazing_a_voxel_edge",
+        "face crossings are sampled 100 times farther from the face",
+    ),
+    Mutant(
+        "ray_exits_eps", "src/muscletract/tracking.py",
+        "    eps = 1e-9\n",
+        "    eps = 1e-6\n",
+        "tests/test_tracking.py::TestExtrapolate::test_ray_exit_from_just_inside_a_face",
+        "an extrapolation ray's start voxel is found 1e-6 mm along the ray",
+    ),
+    Mutant(
+        "writer_skips_float32_check", "src/muscletract/formats.py",
+        "_validate(points, offsets[lo : hi + 1] - offsets[lo], as_float32=True)",
+        "_validate(points, offsets[lo : hi + 1] - offsets[lo], as_float32=False)",
+        "tests/test_formats.py::TestStreamlineRoundTrip::test_writer_refuses_what_the_reader_rejects",
+        "the STRL writer validates a float64 block, not the float32 rounding it writes",
+    ),
+    Mutant(
+        "sc_counts_empty_voxels", "src/muscletract/metrics.py",
+        "    sc = float((occ_counts > 0).sum() / mask.n_occupied)\n",
+        "    sc = float((occ_counts >= 0).sum() / mask.n_occupied)\n",
+        "tests/test_metrics.py::TestCoverage::test_empty_set_zero",
+        "SC counts every occupied voxel as covered",
+    ),
+)
+
+TIER1 = ["-q", "-x", "--continue-on-collection-errors"]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def pytest(cwd: Path, args: list[str]) -> str | None:
+    """None if pytest passes in cwd, on the copy's own src/ only; otherwise
+    the first test it reports failed (or its last line of output)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-rfE", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return None
+    lines = done.stdout.splitlines() or ["(no output)"]
+    failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else lines[-1]
+
+
+def mutate(root: Path, mutant: Mutant) -> None:
+    path = root / mutant.path
+    text = path.read_text(encoding="utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: the old text occurs {found} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant) -> tuple[str, str, float]:
+    """(verdict, the test that killed it, seconds) for one mutant."""
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        mutate(root, mutant)
+        if pytest(root, ["-q", mutant.test]):
+            return "killed", "the named test", time.perf_counter() - t0
+        killer = pytest(root, TIER1)
+        if killer:
+            return "killed", f"tier-1 -x: `{killer}`", time.perf_counter() - t0
+        return "survived", "-", time.perf_counter() - t0
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="mutant-clean-") as tmp:
+        copy_tree(Path(tmp))
+        failed = pytest(Path(tmp), ["-q", *sorted({m.test for m in chosen})])
+        if failed:
+            print(f"a named test fails on the unmutated copy: {failed}", file=sys.stderr)
+            return 1
+    print("| mutant | file | expected killer | result | killed by | s |")
+    print("|---|---|---|---|---|---|")
+    survived = 0
+    for mutant in chosen:
+        verdict, by, seconds = run(mutant)
+        survived += verdict == "survived"
+        print(f"| {mutant.name}: {mutant.why} | `{mutant.path}` | `{mutant.test}` "
+              f"| {verdict} | {by} | {seconds:.0f} |", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

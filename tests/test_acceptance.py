@@ -84,7 +84,7 @@ def run_metrics(sset, mask):
 
 
 @pytest.fixture(scope="module")
-def ensemble():
+def ensemble(reconstructed):
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     instances = []
@@ -92,11 +92,11 @@ def ensemble():
         spec = ensemble_spec(rng, i)
         mask, field, _ = mt.make_phantom(spec)
         cfg = mt.TrackingConfig()
-        cands = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0), cfg)
+        cands = reconstructed(field, mask, mt.seeds_3d(mask, 1.0), cfg)
         trace = mt.fss_select(cands, mt.FSSConfig(k=ENSEMBLE_K))
         fss = cands.take(trace.selected_ids)
         base3 = cands.take(_subsample_rows(len(cands), ENSEMBLE_K))
-        cands2 = mt.reconstruct(field, mask, mt.seeds_2d(mask, 5), cfg)
+        cands2 = reconstructed(field, mask, mt.seeds_2d(mask, 5), cfg)
         base2 = cands2.take(_subsample_rows(len(cands2), ENSEMBLE_K))
 
         runs = {m: run_metrics(s, mask) for m, s in (("fss", fss), ("3ds", base3), ("2ds", base2))}
@@ -260,24 +260,24 @@ def test_criterion_5_mdf_properties():
     )
 
 
-def _measure_default_phantom(scale=1.0):
+def _measure_default_phantom(reconstructed, scale=1.0):
     spec = mt.PhantomSpec(
         shape="box_unipennate",
         pennation_deg=10.0,
         dims_mm=(20.0 * scale, 12.0 * scale, 60.0 * scale),
     )
     mask, field, gt = mt.make_phantom(spec)
-    sset = mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0 * scale))
+    sset = reconstructed(field, mask, mt.seeds_3d(mask, 1.0 * scale))
     loa = mt.LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
     return mt.summarize(mask, *mt.tract_ends(sset), sset, loa), gt
 
 
-def test_criterion_6_phantom_ground_truth():
-    arch, gt = _measure_default_phantom()
+def test_criterion_6_phantom_ground_truth(reconstructed):
+    arch, gt = _measure_default_phantom(reconstructed)
     pa_err = abs(arch.pa_median - 10.0)
     fl_err = abs(arch.fl_median - gt.fiber_length_mm) / gt.fiber_length_mm
     pcsa_exact = arch.pcsa == arch.mv * math.cos(math.radians(arch.pa_median)) / arch.fl_median
-    arch2, _ = _measure_default_phantom(scale=2.0)
+    arch2, _ = _measure_default_phantom(reconstructed, scale=2.0)
     scale_err = abs(arch2.pcsa / arch.pcsa - 4.0) / 4.0
     ok = pa_err < 0.5 and fl_err < 0.02 and pcsa_exact and scale_err < 0.03
     report(
@@ -289,10 +289,10 @@ def test_criterion_6_phantom_ground_truth():
     )
 
 
-def test_criterion_7_classification():
+def test_criterion_7_classification(reconstructed):
     spec = mt.PhantomSpec(shape="box_unipennate", pennation_deg=10.0, dims_mm=(16, 10, 90))
     mask, field, _ = mt.make_phantom(spec)
-    sset = mt.reconstruct(field, mask, mt.seeds_3d(mask, 2.0))
+    sset = reconstructed(field, mask, mt.seeds_3d(mask, 2.0))
     loa_pen = mt.line_of_action(*sset.endpoints())
     arch_pen = mt.summarize(mask, *mt.tract_ends(sset), sset, loa_pen)
 

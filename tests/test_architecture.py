@@ -25,7 +25,6 @@ from muscletract.errors import DegenerateGeometryError, EmptyDomainError, Invali
 from muscletract.grid import VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import seeds_3d
-from muscletract.tracking import reconstruct
 from reference_streamline import arc_length, pack
 
 
@@ -171,10 +170,10 @@ class TestPennationAngle:
             got = pennation(chord @ rot.T, loa_r)
             assert got == pytest.approx(base, abs=1e-9)
 
-    def test_phantom_ten_degrees_against_ground_truth_loa(self):
+    def test_phantom_ten_degrees_against_ground_truth_loa(self, reconstructed):
         spec = PhantomSpec()
         mask, field, gt = make_phantom(spec)
-        sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
+        sset = reconstructed(field, mask, seeds_3d(mask, 3.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         first, last = sset.endpoints()
         pas = _pennation_angles(last - first, loa.direction)
@@ -193,10 +192,10 @@ class TestMuscleLength:
         sset = pack([[(0, 0, 0), (0, 0, 60)], [(10, 5, 0), (10, 5, 60)]])
         assert muscle_length(sset, loa) == 60.0
 
-    def test_phantom_ml_matches_mask_extent(self):
+    def test_phantom_ml_matches_mask_extent(self, reconstructed):
         spec = PhantomSpec()
         mask, field, gt = make_phantom(spec)
-        sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
+        sset = reconstructed(field, mask, seeds_3d(mask, 3.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         assert muscle_length(sset, loa) == pytest.approx(60.0, rel=0.02)
 
@@ -266,9 +265,9 @@ class TestStreamedTracts:
     same over the whole set, bit for bit."""
 
     @pytest.mark.parametrize("budget", [1, 97, streamline.BLOCK_POINTS])
-    def test_stream_equals_the_whole_set(self, monkeypatch, budget):
+    def test_stream_equals_the_whole_set(self, reconstructed, monkeypatch, budget):
         mask, field, _ = make_phantom(PhantomSpec(shape="curved_arc", jitter_deg=1.0, seed=3))
-        sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
+        sset = reconstructed(field, mask, seeds_3d(mask, 2.0))
         monkeypatch.setattr(streamline, "BLOCK_POINTS", budget)
 
         def stream():
@@ -366,13 +365,13 @@ class TestSummarize:
 
 
 class TestScaleLaw:
-    def test_pcsa_scales_quadratically(self):
+    def test_pcsa_scales_quadratically(self, reconstructed):
         spec1 = PhantomSpec(dims_mm=(20, 12, 60))
         spec2 = PhantomSpec(dims_mm=(40, 24, 120))
         results = []
         for spec, spacing in ((spec1, 2.0), (spec2, 4.0)):
             mask, field, gt = make_phantom(spec)
-            sset = reconstruct(field, mask, seeds_3d(mask, spacing))
+            sset = reconstructed(field, mask, seeds_3d(mask, spacing))
             loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
             results.append(summarize(mask, *tract_ends(sset), sset, loa))
         a, b = results
@@ -382,19 +381,19 @@ class TestScaleLaw:
 
 
 class TestFlMlBand:
-    def test_aponeurosis_spanning_phantom_in_physiological_band(self):
+    def test_aponeurosis_spanning_phantom_in_physiological_band(self, reconstructed):
         # fibers cross wall to wall: FL = W / sin(theta), ML ~ L
         spec = PhantomSpec(shape="box_unipennate", pennation_deg=25.0, dims_mm=(10, 8, 60))
         mask, field, gt = make_phantom(spec)
-        sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
+        sset = reconstructed(field, mask, seeds_3d(mask, 2.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         arch = summarize(mask, *tract_ends(sset), sset, loa)
         assert 0.2 <= arch.fl_ml_ratio <= 0.6
 
-    def test_ratio_at_most_one_for_axis_parallel_tracts(self):
+    def test_ratio_at_most_one_for_axis_parallel_tracts(self, reconstructed):
         spec = PhantomSpec(shape="box_unipennate", pennation_deg=0.0, dims_mm=(10, 8, 40))
         mask, field, gt = make_phantom(spec)
-        sset = reconstruct(field, mask, seeds_3d(mask, 2.0))
+        sset = reconstructed(field, mask, seeds_3d(mask, 2.0))
         loa = LineOfAction(gt.line_of_action, 1.0, "endpoint_fit")
         arch = summarize(mask, *tract_ends(sset), sset, loa)
         assert 0.0 < arch.fl_ml_ratio <= 1.0
@@ -462,12 +461,12 @@ class TestBatchedMatchesOneTractAtATime:
     """summarize reads FL, PA and ML from the packed buffer; each must equal,
     bit for bit, the value computed one tract at a time."""
 
-    def tracts(self):
+    def tracts(self, reconstructed):
         mask, field, _ = make_phantom(PhantomSpec(shape="curved_arc", jitter_deg=1.0, seed=3))
-        return mask, reconstruct(field, mask, seeds_3d(mask, 2.0))
+        return mask, reconstructed(field, mask, seeds_3d(mask, 2.0))
 
-    def test_summarize(self):
-        mask, sset = self.tracts()
+    def test_summarize(self, reconstructed):
+        mask, sset = self.tracts(reconstructed)
         loa = line_of_action(*sset.endpoints())
         arch = summarize(mask, *tract_ends(sset), sset, loa)
         # One tract at a time, in float64 arithmetic, as the library computes.

@@ -15,18 +15,17 @@ from muscletract.metrics import density
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import FSSConfig, fss_select, seeds_3d
 from muscletract.streamline import StreamlineSet, _float64, _lengths, _resample_set, arc_lengths
-from muscletract.tracking import reconstruct
 
 
 @pytest.fixture(scope="module")
-def twins():
+def twins(reconstructed):
     """A jittered arc's reconstructed streamlines, float32-backed as
-    reconstruct returns them, and their float64-backed copy, with their
-    mask."""
+    load_streamlines reads them from the `track` command's file, and their
+    float64-backed copy, with their mask."""
     spec = PhantomSpec(shape="curved_arc", arc_radius_mm=14.0, arc_sweep_deg=100.0,
                        arc_thickness_mm=6.0, dims_mm=(20.0, 12.0, 20.0), jitter_deg=0.8, seed=5)
     mask, field, _ = make_phantom(spec)
-    single = reconstruct(field, mask, seeds_3d(mask, 1.5))
+    single = reconstructed(field, mask, seeds_3d(mask, 1.5))
     double = StreamlineSet(single.points.astype(np.float64), single.counts)
     assert single.points.dtype == np.float32 and len(single) > 100
     return mask, single, double

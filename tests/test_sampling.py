@@ -319,13 +319,13 @@ class TestFSSFilter:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def arc_candidates():
+def arc_candidates(reconstructed):
     spec = mt.PhantomSpec(
         shape="curved_arc", arc_radius_mm=13.0, arc_sweep_deg=90.0, arc_thickness_mm=5.0,
         dims_mm=(20.0, 26.0, 20.0), jitter_deg=0.8, seed=1,
     )
     mask, field, _ = mt.make_phantom(spec)
-    return mt.reconstruct(field, mask, mt.seeds_3d(mask, 1.0))
+    return reconstructed(field, mask, mt.seeds_3d(mask, 1.0))
 
 
 def adversarial_candidates(rng):

@@ -13,7 +13,9 @@ from muscletract.errors import DegenerateGeometryError, InvalidSpecError
 from muscletract.grid import OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
+import muscletract.formats as formats_mod
 import muscletract.streamline as streamline_mod
+from muscletract.formats import save_streamlines
 from muscletract.streamline import StreamlineSet, _validate, arc_lengths
 from muscletract import tracking
 from muscletract.tracking import (
@@ -27,8 +29,6 @@ from muscletract.tracking import (
     _surface_exits,
     _with_exits,
     _write_runs,
-    reconstruct,
-    track,
 )
 from reference_streamline import arc_length
 
@@ -80,12 +80,26 @@ def scalar_reference_track(field, mask, seed, cfg):
     return np.array(bwd[::-1] + [np.asarray(seed, dtype=float)] + fwd)
 
 
+def raw_set(field, mask, seeds, cfg=None):
+    """The raw tracks of tracking._raw_blocks joined into one float64 set,
+    built unvalidated as reconstruct_batches builds its sets, after the
+    seeds are checked and those outside the mask skipped, as there: the
+    tracks that ref.track computes one step at a time."""
+    cfg = cfg or TrackingConfig()
+    pts = tracking._seeds_in_mask(field, mask, seeds, cfg)
+    points, counts = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
+    for block, piece in tracking._raw_blocks(field, mask, pts, cfg):
+        points.append(block)
+        counts.append(piece)
+    return StreamlineSet._trusted(np.concatenate(points), tracking._offsets(np.concatenate(counts)))
+
+
 class TestTrack:
     def test_uniform_field_spans_mask(self):
         mask, field = uniform_box()
         seeds = SeedSet(np.array([[10.0, 10.0, 30.0]]))
         cfg = TrackingConfig()
-        sset = track(field, mask, seeds, cfg)
+        sset = raw_set(field, mask, seeds, cfg)
         assert len(sset) == 1
         length = arc_length(next(iter(sset)))
         assert abs(length - 60.0) <= 2 * cfg.step_mm
@@ -93,12 +107,12 @@ class TestTrack:
     def test_low_fa_seed_produces_nothing(self):
         mask, field = uniform_box(fa=0.05)
         seeds = SeedSet(np.array([[10.0, 10.0, 30.0]]))
-        assert len(track(field, mask, seeds)) == 0
+        assert len(raw_set(field, mask, seeds)) == 0
 
     def test_seed_outside_mask_skipped(self):
         mask, field = uniform_box()
         seeds = SeedSet(np.array([[10.0, 10.0, 30.0], [100.0, 100.0, 100.0]]))
-        sset = track(field, mask, seeds)
+        sset = raw_set(field, mask, seeds)
         assert len(sset) == 1
 
     def test_step_over_mask_diagonal_rejected(self):
@@ -107,22 +121,22 @@ class TestTrack:
         for step in (np.nextafter(mask.diagonal, np.inf), 1e20, 1e300):
             cfg = TrackingConfig(step_mm=float(step), min_length_mm=1e-3)
             with pytest.raises(InvalidSpecError, match="step_mm"):
-                track(field, mask, seeds, cfg)
+                raw_set(field, mask, seeds, cfg)
 
     def test_step_just_under_mask_diagonal_runs(self):
         # One step along the diagonal from the origin corner lands in the
         # opposite corner voxel.
         mask, field = uniform_box(dims=(2, 2, 2), direction=np.ones(3) / math.sqrt(3.0))
         cfg = TrackingConfig(step_mm=mask.diagonal * (1 - 1e-9), min_length_mm=1.0)
-        (got,) = track(field, mask, SeedSet([[0.0, 0.0, 0.0]]), cfg)
+        (got,) = raw_set(field, mask, SeedSet([[0.0, 0.0, 0.0]]), cfg)
         assert got.shape == (2, 3) and mask.world_to_index(got[1]).tolist() == [[1, 1, 1]]
-        track(field, mask, SeedSet([[0.0, 0.0, 0.0]]), replace(cfg, step_mm=mask.diagonal))
+        raw_set(field, mask, SeedSet([[0.0, 0.0, 0.0]]), replace(cfg, step_mm=mask.diagonal))
 
     def test_matches_scalar_reference_uniform(self):
         mask, field = uniform_box(dims=(8, 8, 30))
         cfg = TrackingConfig(min_length_mm=1.0)
         seeds = SeedSet(np.array([[4.5, 4.5, 15.5], [1.5, 2.5, 3.5]]))
-        got = track(field, mask, seeds, cfg)
+        got = raw_set(field, mask, seeds, cfg)
         for s, seed in zip(got, seeds.points):
             want = scalar_reference_track(field, mask, seed, cfg)
             assert s.shape == want.shape
@@ -134,7 +148,7 @@ class TestTrack:
         mask, field, _ = make_phantom(spec)
         cfg = TrackingConfig(min_length_mm=1.0)
         seeds = seeds_3d(mask, 6.0)
-        got = track(field, mask, seeds, cfg)
+        got = raw_set(field, mask, seeds, cfg)
         emitted = 0
         for seed in seeds.points:
             want = scalar_reference_track(field, mask, seed, cfg)
@@ -156,7 +170,7 @@ class TestTrack:
         mask, field, _ = make_phantom(spec)
         cfg = TrackingConfig()
         seeds = seeds_3d(mask, 1.0)
-        got = track(field, mask, seeds, cfg)
+        got = raw_set(field, mask, seeds, cfg)
         counts = []
         for seed in seeds.points:
             want = scalar_reference_track(field, mask, seed, cfg)
@@ -170,7 +184,7 @@ class TestTrack:
         mask, field = uniform_box()
         cfg = TrackingConfig()
         seeds = SeedSet(np.array([[10.5, 10.5, 30.5], [10.5, 10.5, 7.5]]))
-        sset = track(field, mask, seeds, cfg)
+        sset = raw_set(field, mask, seeds, cfg)
         a, b = sset
         for ends in (0, -1):
             assert np.abs(a[ends] - b[ends]).max() <= cfg.step_mm + 1e-9
@@ -179,7 +193,7 @@ class TestTrack:
         spec = PhantomSpec(shape="box_unipennate", pennation_deg=25.0, dims_mm=(14, 8, 40))
         mask, field, _ = make_phantom(spec)
         cfg = TrackingConfig()
-        sset = track(field, mask, seeds_3d(mask, 2.0), cfg)
+        sset = raw_set(field, mask, seeds_3d(mask, 2.0), cfg)
         assert len(sset) > 0
         for s in sset:
             assert arc_length(s) >= cfg.min_length_mm
@@ -213,11 +227,11 @@ def fit(points):
 
 
 class TestFitPoly3:
-    """The cubic fit that reconstruct runs on every track of 5 or more points:
-    each coordinate against the normalized point index t in [0, 1], sampled
-    back at the same t. The tracker emits points at equal arc steps, so t is
-    the normalized arc-length parameter, and a fixed grid makes the fit
-    idempotent on its own output."""
+    """The cubic fit that reconstruct_batches runs on every track of 5 or
+    more points: each coordinate against the normalized point index t in
+    [0, 1], sampled back at the same t. The tracker emits points at equal arc
+    steps, so t is the normalized arc-length parameter, and a fixed grid
+    makes the fit idempotent on its own output."""
 
     def test_exact_cubic_reproduced(self):
         u = np.linspace(0.0, 1.0, 40)
@@ -268,9 +282,9 @@ class TestFitPoly3:
 
 
 def extend(points, mask, cfg=None):
-    """One track through _surface_exits and _with_exits, as reconstruct runs
-    them: the track with the exit points added at the ends that need one,
-    and whether the added length is accepted."""
+    """One track through _surface_exits and _with_exits, as
+    reconstruct_batches runs them: the track with the exit points added at
+    the ends that need one, and whether the added length is accepted."""
     pts = np.asarray(points, dtype=float)
     offsets = np.array([0, len(pts)])
     exits, ext, accepted, _ = _surface_exits(pts, offsets, mask, cfg or TrackingConfig())
@@ -355,14 +369,14 @@ class TestExtrapolate:
         from muscletract.errors import FrameMismatchError
 
         with pytest.raises(FrameMismatchError):
-            track(field, other, seeds)
+            raw_set(field, other, seeds)
 
 
 class TestReconstruct:
-    def test_pipeline_emits_fitted_extrapolated_tracks(self):
+    def test_pipeline_emits_fitted_extrapolated_tracks(self, reconstructed):
         spec = PhantomSpec()
         mask, field, gt = make_phantom(spec)
-        sset = reconstruct(field, mask, seeds_3d(mask, 3.0))
+        sset = reconstructed(field, mask, seeds_3d(mask, 3.0))
         assert len(sset) > 50
         # extrapolated endpoints sit on the mask boundary: a nudge outward
         # along the terminal tangent leaves the mask, a nudge inward stays
@@ -427,7 +441,7 @@ def assert_same_streamlines(got, want):
 
 def unrounded(field, mask, seeds, cfg=None):
     """The float64 sets of reconstruct_batches joined into one: the bits that
-    reconstruct rounds to float32."""
+    the STRL writer rounds to float32."""
     points, counts = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
     for batch in tracking.reconstruct_batches(field, mask, seeds, cfg):
         points.append(batch.points.copy())
@@ -435,12 +449,13 @@ def unrounded(field, mask, seeds, cfg=None):
     return StreamlineSet(np.concatenate(points), np.concatenate(counts))
 
 
-def assert_reconstructs_reference(field, mask, seeds, cfg=None):
-    """reconstruct against tests/reference_tracking.py: its float64 batches
-    bit for bit, and its float32 set exactly their rounding."""
+def assert_reconstructs_reference(reconstructed, field, mask, seeds, cfg=None):
+    """reconstruct_batches against tests/reference_tracking.py: its float64
+    sets bit for bit, and the float32 set that load_streamlines reads back
+    from the STRL file they were written to exactly their rounding."""
     want = ref.reconstruct(field, mask, seeds, cfg)
     assert_same_streamlines(unrounded(field, mask, seeds, cfg), want)
-    got = reconstruct(field, mask, seeds, cfg)
+    got = reconstructed(field, mask, seeds, cfg)
     assert_same_streamlines(got, StreamlineSet(want.points.astype(np.float32), want.counts))
 
 
@@ -449,16 +464,16 @@ class TestMatchesStepwiseReference:
 
     @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_reconstruct(self, case, cfg_name):
+    def test_reconstruct(self, reconstructed, case, cfg_name):
         mask, field = CASES[case]()
         seeds = some_seeds(mask, 1.0)
-        assert_reconstructs_reference(field, mask, seeds, CONFIGS[cfg_name])
+        assert_reconstructs_reference(reconstructed, field, mask, seeds, CONFIGS[cfg_name])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_track(self, case):
         mask, field = CASES[case]()
         seeds = some_seeds(mask, 1.0)
-        got = track(field, mask, seeds)
+        got = raw_set(field, mask, seeds)
         assert len(got) > 0
         assert_same_streamlines(got, ref.track(field, mask, seeds, TrackingConfig()))
 
@@ -476,7 +491,7 @@ class TestMatchesStepwiseReference:
             runs = _sorted_runs(runs, np.zeros(len(starts), dtype=np.int64))
             ends = np.cumsum(counts)
             # Each half-track forwards from its first row, and reversed back
-            # from its last, as track lays out the two halves. Writing uses
+            # from its last, as _raw_block lays out the two halves. Writing uses
             # up the records, so the first write gets a copy.
             forward, backward = np.empty((2, ends[-1], 3))
             _write_runs(forward, [column.copy() for column in runs], ends - counts, 1)
@@ -554,10 +569,10 @@ class TestMatchesStepwiseReference:
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
             extend(stalled[::-1], mask, cfg)
 
-    def test_no_tracks(self):
+    def test_no_tracks(self, reconstructed):
         mask, field = uniform_box(dims=(10, 10, 30))
         seeds = SeedSet(np.array([[50.0, 50.0, 50.0]]))
-        assert len(reconstruct(field, mask, seeds)) == 0
+        assert len(reconstructed(field, mask, seeds)) == 0
 
 
 class TestReconstructLog:
@@ -579,13 +594,13 @@ class TestReconstructLog:
             f"{over} over max_extrap_fraction); {kept} streamlines"
         )
 
-    def test_one_info_line_with_the_counts(self, caplog):
+    def test_one_info_line_with_the_counts(self, caplog, reconstructed):
         mask, field = jittered_arc()
         pts = seeds_3d(mask, 1.0).points
         seeds = SeedSet(np.concatenate([pts, [[-5.0, 0.0, 0.0], [500.0, 1.0, 1.0]]]))
         cfg = TrackingConfig(step_mm=2.0, min_length_mm=5.0, max_extrap_fraction=0.1)
         with caplog.at_level(logging.INFO, logger="muscletract.tracking"):
-            out = reconstruct(field, mask, seeds, cfg)
+            out = reconstructed(field, mask, seeds, cfg)
         lines = [r for r in caplog.records if r.getMessage().startswith("reconstruct:")]
         assert len(lines) == 1 and lines[0].levelno == logging.INFO
         message = lines[0].getMessage()
@@ -595,13 +610,13 @@ class TestReconstructLog:
         assert all(c > 0 for c in counts[2:5]), message  # every drop reason is exercised
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
-    def test_ran_away_counted_apart(self, caplog, monkeypatch):
+    def test_ran_away_counted_apart(self, caplog, monkeypatch, reconstructed):
         mask, field = jittered_arc()
         seeds = some_seeds(mask, 2.0, limit=60)
         monkeypatch.setattr(tracking, "_ray_exits",
                             lambda mask, starts, directions, max_dist: np.full(len(starts), np.nan))
         with caplog.at_level(logging.INFO, logger="muscletract.tracking"):
-            assert len(reconstruct(field, mask, seeds)) == 0
+            assert len(reconstructed(field, mask, seeds)) == 0
         (record,) = [r for r in caplog.records if r.getMessage().startswith("reconstruct:")]
         assert record.getMessage() == self.expected(
             field, mask, seeds, TrackingConfig(), ran_away_all=True)
@@ -627,12 +642,12 @@ STEP_CASES = {  # (mask and field, step)
 def raw_tracks(case):
     mask, field = STEP_CASES[case][0]()
     cfg = TrackingConfig(step_mm=STEP_CASES[case][1], min_length_mm=1e-9)
-    sset = track(field, mask, some_seeds(mask, 1.0), cfg)
+    sset = raw_set(field, mask, some_seeds(mask, 1.0), cfg)
     return mask, field, cfg, sset
 
 
 class TestStepCountBound:
-    """track's min_length_mm test against exact lengths where the bound is
+    """The raw tracks' min_length_mm test against exact lengths where the bound is
     tight: lengths at whole numbers of steps, and every length the tracks
     have, with its neighbours one ulp away."""
 
@@ -656,7 +671,7 @@ class TestStepCountBound:
         seeds = some_seeds(mask, 1.0)
         for c in np.unique(sset.counts)[:: max(1, len(np.unique(sset.counts)) // 6)]:
             tight = TrackingConfig(step_mm=cfg.step_mm, min_length_mm=float((c - 1) * cfg.step_mm))
-            got = track(field, mask, seeds, tight)
+            got = raw_set(field, mask, seeds, tight)
             assert_same_streamlines(got, ref.track(field, mask, seeds, tight))
 
     def test_long_zigzag_in_a_small_box(self):
@@ -721,32 +736,38 @@ class TestChordBound:
 
 
 @pytest.mark.parametrize("case", ["box", "jittered_arc"])
-def test_bounds_decide_most_tracks(monkeypatch, case):
+def test_bounds_decide_most_tracks(monkeypatch, reconstructed, case):
     mask, field = CASES[case]()
     measured = []
     real = tracking._lengths
     monkeypatch.setattr(tracking, "_lengths",
                         lambda p, starts, counts: measured.append(len(counts)) or real(p, starts, counts))
-    out = reconstruct(field, mask, some_seeds(mask, 1.0))
+    out = reconstructed(field, mask, some_seeds(mask, 1.0))
     assert len(out) > 100 and sum(measured) <= 0.05 * len(out)
 
 
 def test_track_points_own_their_memory():
-    # track grows one buffer in place (ndarray.resize) as the blocks come.
+    # Each block of raw tracks is a buffer of its own, shrunk in place
+    # (ndarray.resize) once the short tracks are packed out.
     mask, field = CASES["box"]()
-    got = track(field, mask, some_seeds(mask, 1.0))
-    assert got.points.flags.owndata and len(got.points) == got.offsets[-1] > 0
+    pts = some_seeds(mask, 1.0).points
+    sizes = []
+    for points, counts in tracking._raw_blocks(field, mask, pts, TrackingConfig()):
+        assert points.flags.owndata and len(points) == counts.sum() > 0
+        sizes.append(len(points))
+    assert len(sizes) > 1
 
 
 class TestOneValidation:
-    """track builds its set unvalidated, on the argument of the module
-    docstring; so reconstruct validates only its own output."""
+    """The tracker builds its sets unvalidated, on the argument of the
+    module docstring; so the STRL writer validates only the float32 rounding
+    it makes."""
 
     @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_track_output_is_valid(self, case, cfg_name):
         mask, field = CASES[case]()
-        got = track(field, mask, some_seeds(mask, 1.0), CONFIGS[cfg_name])
+        got = raw_set(field, mask, some_seeds(mask, 1.0), CONFIGS[cfg_name])
         _validate(got.points, got.offsets)
 
     @pytest.mark.parametrize("case", sorted(STEP_CASES))
@@ -755,9 +776,9 @@ class TestOneValidation:
         assert len(sset) > 0
         _validate(sset.points, sset.offsets)
 
-    def test_reconstruct_validates_once(self, monkeypatch):
-        # Once, over the float32 rounding that reconstruct keeps, when its set
-        # is built: the float64 sets of reconstruct_batches are not checked.
+    def test_reconstruct_validates_once(self, monkeypatch, tmp_path):
+        # Once, over the float32 rounding of each block that the STRL writer
+        # makes: the float64 sets of reconstruct_batches are not checked.
         calls = []
 
         def counted(points, offsets, **kwargs):
@@ -765,10 +786,15 @@ class TestOneValidation:
             _validate(points, offsets, **kwargs)
 
         monkeypatch.setattr(streamline_mod, "_validate", counted)
+        monkeypatch.setattr(formats_mod, "_validate", counted)
         monkeypatch.setattr(tracking, "_BATCH", 100)
         mask, field = CASES["jittered_arc"]()
-        out = reconstruct(field, mask, some_seeds(mask, 1.0))
-        assert len(out) > 0 and calls == [(np.float32, len(out), {})]
+        sets = tracking.reconstruct_batches(field, mask, some_seeds(mask, 1.0))
+        written = save_streamlines(tmp_path / "out.strl", sets)
+        assert written > 0 and len(calls) > 1
+        assert all(dtype == np.float64 and kwargs == {"as_float32": True}
+                   for dtype, _, kwargs in calls)
+        assert sum(n for _, n, _ in calls) == written
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reconstruct_batches_are_valid_at_float64(self, monkeypatch, case):
@@ -804,59 +830,51 @@ def fine_steps():
 
 
 class TestFineSteps:
-    def test_matches_reference(self):
+    def test_matches_reference(self, reconstructed):
         mask, field, seeds, cfg = fine_steps()
-        got = track(field, mask, seeds, cfg)
+        got = raw_set(field, mask, seeds, cfg)
         assert len(got) == len(seeds) and got.counts.min() > 20
         assert_same_streamlines(got, ref.track(field, mask, seeds, cfg))
-        assert_reconstructs_reference(field, mask, seeds, cfg)
+        assert_reconstructs_reference(reconstructed, field, mask, seeds, cfg)
 
-    def test_memory_follows_the_output(self, traced_peak):
-        # The bound of the tracking module docstring: the output, plus one
-        # pass's temporaries and 176 bytes per voxel run, of which there are at
-        # most as many as points.
+    def test_memory_follows_the_output(self, traced_peak, tmp_path):
+        # The bound of the tracking module docstring, for the stream drained
+        # into the STRL writer: one block's points at 24 bytes each (here the
+        # whole output), plus one pass's temporaries and 176 bytes per voxel
+        # run, of which there are at most as many as points.
         mask, field, seeds, cfg = fine_steps()
-        got, peak = traced_peak(track, field, mask, seeds, cfg)
-        assert len(got) == len(seeds)
-        assert peak <= got.points.nbytes + 4 * tracking._RUN_BYTES + 176 * len(got.points)
+        points = len(raw_set(field, mask, seeds, cfg).points)
+        sets = tracking.reconstruct_batches(field, mask, seeds, cfg)
+        _, peak = traced_peak(save_streamlines, tmp_path / "out.strl", sets)
+        assert points > 20 * len(seeds)
+        assert peak <= 24 * points + 4 * tracking._RUN_BYTES + 176 * points
 
 
-def test_reconstruct_scratch_does_not_grow_with_the_seeds(traced_peak):
+def test_reconstruct_scratch_does_not_grow_with_the_seeds(traced_peak, tmp_path):
     # The same batch of seeds once and twice over, so that every batch tracks
-    # the same points: what reconstruct holds beyond the tracks that track()
-    # emits must not grow with their number.
+    # the same points: what reconstruct_batches drained into the STRL writer
+    # holds must not grow with their number.
     mask, field, _ = make_phantom(PhantomSpec())
     seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
 
     def scratch(copies):
-        repeated = SeedSet(np.concatenate([seeds] * copies))
-        tracked = track(field, mask, repeated).points.nbytes
-        return traced_peak(reconstruct, field, mask, repeated)[1] - tracked
+        sets = tracking.reconstruct_batches(field, mask, SeedSet(np.concatenate([seeds] * copies)))
+        written, peak = traced_peak(save_streamlines, tmp_path / f"{copies}.strl", sets)
+        assert written > 0.9 * copies * len(seeds)
+        return peak
 
     one, two = scratch(1), scratch(2)
     assert two < 1.1 * one
 
 
-def test_reconstruct_holds_its_output_and_one_batch(traced_peak):
-    # Each batch is rounded into the float32 output as it comes, so beside
-    # the output, 12 bytes per point, reconstruct holds what track() holds
-    # for one batch, however many.
-    mask, field, _ = make_phantom(PhantomSpec())
-    seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
-    _, one_batch = traced_peak(track, field, mask, SeedSet(seeds))
-    for copies in (1, 3):
-        out, peak = traced_peak(reconstruct, field, mask, SeedSet(np.concatenate([seeds] * copies)))
-        assert len(out) > 0.9 * copies * len(seeds) and out.points.dtype == np.float32
-        assert peak <= 12 * len(out.points) + one_batch
-
-
-def test_kept_batches_are_released(traced_peak):
+def test_kept_batches_are_released(traced_peak, tmp_path):
     # Each set's buffer is emptied when the next set is drawn, so a caller
-    # that keeps every set holds what track() holds for one batch, plus the
-    # sets' offsets.
+    # that keeps every set holds what streaming one batch to a file holds,
+    # plus the sets' offsets.
     mask, field, _ = make_phantom(PhantomSpec())
     seeds = seeds_3d(mask, 1.0).points[: tracking._BATCH]
-    _, one_batch = traced_peak(track, field, mask, SeedSet(seeds))
+    sets = tracking.reconstruct_batches(field, mask, SeedSet(seeds))
+    _, one_batch = traced_peak(save_streamlines, tmp_path / "one.strl", sets)
     blocks = sum(1 for _ in tracking._raw_blocks(field, mask, seeds, TrackingConfig()))
     assert blocks > 1
     repeated = SeedSet(np.concatenate([seeds] * 3))
@@ -887,17 +905,17 @@ assert first.points.shape == (0, 3) and np.array_equal(view, want)
     assert done.returncode == 0, done.stderr
 
 
-def test_reconstruct_batches_are_reconstruct_in_order(monkeypatch):
+def test_reconstruct_batches_are_reconstruct_in_order(monkeypatch, reconstructed):
     mask, field = CASES["jittered_arc"]()
     seeds = some_seeds(mask, 1.0, limit=60)
     monkeypatch.setattr(tracking, "_BATCH", 8)
     sizes = [len(batch) for batch in tracking.reconstruct_batches(field, mask, seeds)]
     assert len(sizes) == math.ceil(len(seeds) / 8)
-    assert_reconstructs_reference(field, mask, seeds)
+    assert_reconstructs_reference(reconstructed, field, mask, seeds)
 
 
 @pytest.mark.parametrize("batch", [1, 3, tracking._BATCH])
-def test_result_does_not_depend_on_batching(monkeypatch, batch):
+def test_result_does_not_depend_on_batching(monkeypatch, reconstructed, batch):
     # 62 seeds: one outside the mask, and 9 whose tracks are under
     # min_length_mm; the 61 in the mask leave the last batch of 3 partial.
     # A block budget of 97 points splits every batch of 3 or more into
@@ -910,5 +928,5 @@ def test_result_does_not_depend_on_batching(monkeypatch, batch):
     want = ref.track(field, mask, seeds, cfg)
     for budget in (streamline_mod.BLOCK_POINTS, 97):
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
-        assert_same_streamlines(track(field, mask, seeds, cfg), want)
-        assert_reconstructs_reference(field, mask, seeds, cfg)
+        assert_same_streamlines(raw_set(field, mask, seeds, cfg), want)
+        assert_reconstructs_reference(reconstructed, field, mask, seeds, cfg)
