@@ -7,13 +7,16 @@ fitting and extrapolation (tracking), coverage/density metrics (metrics),
 per-muscle architecture (architecture), comparison statistics (stats), and
 file formats plus the CLI (formats, cli).
 
-Streamlines travel between the stages as one StreamlineSet: a packed point
+Streamlines travel between the stages as StreamlineSets: a packed point
 buffer with offsets, whose iteration yields each streamline's (c, 3) points.
 The tracker has one entry point, reconstruct_batches, which yields float64
 sets one block at a time; formats.save_streamlines writes them, rounded to
-float32, and formats.load_streamlines reads a whole set back. fss_select
-returns the positions of its picks, which StreamlineSet.take copies into a
-set of their own.
+float32. formats.StreamlineFile.sets reads them back one block at a time.
+fss_select, density, coverage, tract_ends, muscle_length and summarize take
+such a stream of sets as well as one set, so no command holds its whole
+input; formats.load_streamlines reads a whole set. fss_select returns the
+positions of its picks, which StreamlineSet.take copies into a set of their
+own.
 """
 
 from .architecture import (

@@ -24,8 +24,8 @@ do), and a run that fails a check writes no --out. --out may not name
 3ds|2ds the directory of --out must take the scratch file, so there an
 --out such as /dev/stdout or /dev/fd/N exits 3; fss writes to it.
 
-`arch` reads --streamlines in two passes, one block at a time; `metrics`
-loads it whole.
+`metrics` reads --streamlines one block at a time, and `arch` reads it so in
+two passes.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric or
 degenerate error.
@@ -78,8 +78,7 @@ def _run_config(args) -> formats.RunConfig:
 def _framed(sets, mask):
     """Each set of an iterable of sets in turn. STRL files carry no grid
     header: after the last set, raise if they hold streamlines and none of
-    their points falls inside the mask grid's bounding box. A caller with one
-    set drains it as `(sset,) = _framed([sset], mask)`."""
+    their points falls inside the mask grid's bounding box."""
     lo, hi = mask.origin, mask.origin + mask.world_extent
     inside, count = False, 0
     for sset in sets:
@@ -213,8 +212,9 @@ def cmd_filter(args) -> int:
 def cmd_metrics(args) -> int:
     cfg = _run_config(args)
     mask = formats.load_mask(args.mask)
-    (sset,) = _framed([formats.load_streamlines(args.streamlines)], mask)
-    dmap, tm = metrics_mod.density(sset, mask, sdcv_support=cfg.sdcv_support)
+    with formats.StreamlineFile(args.streamlines) as source:
+        tracts = _framed(source.sets(), mask)
+        dmap, tm = metrics_mod.density(tracts, mask, sdcv_support=cfg.sdcv_support)
     formats.write_csv(
         args.out_csv,
         ["sc", "sd_mean", "sdcv", "sdcv_defined"],

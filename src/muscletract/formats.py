@@ -42,9 +42,10 @@ load_streamlines, which fills one buffer with the whole file; sets, which
 yields one validated set per block; and copy, the copier, which writes the
 records at given rows byte for byte, the header with their count first, so
 its output need not be seekable. `filter` streams its candidates with sets
-and writes its picks with copy, and `arch` reads its input with sets twice.
-load_streamlines is the one collector of a whole set: only `metrics`, among
-the commands, still calls it.
+and writes its picks with copy, `metrics` reads its input with sets, and
+`arch` reads it so twice. load_streamlines is the one collector of a whole
+set, and no command calls it: the tests and the benchmark's output checks
+(perfbench/checks.py) do.
 
 STRL records are read and written one streamline.blocks range at a time (at
 most BLOCK_POINTS points, or one streamline that alone holds more), as one

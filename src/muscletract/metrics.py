@@ -5,6 +5,17 @@ one streamline. Streamline density (SD) is the per-voxel count of distinct
 streamlines crossing it, averaged over all occupied voxels with zeros
 included; SDCV is its population coefficient of variation (std/mean), the
 non-uniformity measure the samplings are compared on.
+
+density and coverage take a set or an iterable of sets that hold the
+streamlines in turn, such as formats.StreamlineFile.sets, and keep no set
+once they have counted it. The voxel keys of one streamline.blocks range of
+at most BLOCK_POINTS // 8 points (8192 by default; one streamline that alone
+holds more forms its own) are built, counted and dropped before the next:
+about 170 bytes per point of that range, its float64 copy included, on
+tracks of 0.1 mm steps through 1 mm voxels (more where the segments cross
+more voxel faces), so about 1.4 MB. Besides that, a count holds the set
+being drawn, the count grid and one bincount of it (8 bytes per voxel each),
+whatever the number of streamlines or points.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streamline
 from .errors import EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
 from .streamline import StreamlineSet, _distinct, blocks
@@ -106,33 +118,42 @@ def _voxel_keys(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask) -> np.
     return _distinct(np.concatenate(found))
 
 
-def _count_grid(sset: StreamlineSet, mask: VoxelMask) -> tuple[np.ndarray, int]:
-    """Distinct-streamline count of every voxel, and how many streamlines
-    cross no in-mask voxel.
+def _count_grid(tracts, mask: VoxelMask) -> tuple[np.ndarray, int, int]:
+    """Distinct-streamline count of every voxel, how many streamlines cross
+    no in-mask voxel, and how many streamlines there are, over a set or an
+    iterable of sets that hold the streamlines in turn.
 
-    Keys are built for one block of streamlines at a time (streamline.blocks),
-    which bounds the memory they take.
+    Keys are built for one streamline.blocks range of at most
+    BLOCK_POINTS // 8 points at a time (or one streamline that alone holds
+    more): about 170 bytes per point of the range, as the module docstring
+    says.
     """
+    if isinstance(tracts, StreamlineSet):
+        tracts = [tracts]
     n_vox = mask.occupancy.size
     counts = np.zeros(n_vox, dtype=np.int64)
-    missed = 0
-    for lo, hi in blocks(sset.offsets):
-        found = _voxel_keys(sset.block(lo, hi), sset.offsets[lo : hi + 1] - sset.offsets[lo], mask)
-        counts += np.bincount(found % n_vox, minlength=n_vox)
-        missed += hi - lo - len(_distinct(found // n_vox))
-    return counts.reshape(mask.dims), missed
+    missed = total = 0
+    for sset in tracts:
+        total += len(sset)
+        for lo, hi in blocks(sset.offsets, streamline.BLOCK_POINTS // 8):
+            offsets = sset.offsets[lo : hi + 1] - sset.offsets[lo]
+            found = _voxel_keys(sset.block(lo, hi), offsets, mask)
+            counts += np.bincount(found % n_vox, minlength=n_vox)
+            missed += hi - lo - len(_distinct(found // n_vox))
+    return counts.reshape(mask.dims), missed, total
 
 
-def coverage(sset: StreamlineSet, mask: VoxelMask) -> float:
+def coverage(tracts, mask: VoxelMask) -> float:
     """Fraction of occupied voxels crossed by at least one streamline: the
     SC of density."""
-    return density(sset, mask)[1].sc
+    return density(tracts, mask)[1].sc
 
 
-def density(
-    sset: StreamlineSet, mask: VoxelMask, sdcv_support: str = "all"
-) -> tuple[DensityMap, TractMetrics]:
-    """Per-voxel distinct-streamline counts plus SC / SD / SDCV.
+def density(tracts, mask: VoxelMask, sdcv_support: str = "all") -> tuple[DensityMap, TractMetrics]:
+    """Per-voxel distinct-streamline counts plus SC / SD / SDCV of a set, or
+    of an iterable of sets that hold the streamlines in turn, such as
+    formats.StreamlineFile.sets: each set is counted when it is drawn and
+    not kept.
 
     sdcv_support selects the voxels entering the SD statistics: 'all' keeps
     zero-count in-mask voxels (default), 'nonzero' drops them.
@@ -142,8 +163,8 @@ def density(
     if mask.n_occupied == 0:
         raise EmptyDomainError("mask has no occupied voxels")
 
-    counts, missed = _count_grid(sset, mask)
-    log.info("density: %d of %d streamlines cross no in-mask voxel", missed, len(sset))
+    counts, missed, total = _count_grid(tracts, mask)
+    log.info("density: %d of %d streamlines cross no in-mask voxel", missed, total)
     occ_counts = counts[mask.occupancy]
     sc = float((occ_counts > 0).sum() / mask.n_occupied)
     sd_mean = float(occ_counts.mean())

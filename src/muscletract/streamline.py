@@ -24,11 +24,12 @@ with the verdict of its float64 copy (_validate). Copies (take, the STRL
 writer) keep the set's dtype.
 
 Work over a set runs in blocks of whole streamlines holding at most
-BLOCK_POINTS points, read when the work starts. A streamline longer than the
-budget forms a block of its own. So the temporaries of a batched step are
-bounded by the budget, not by the size of the set. Resampling sorts the
-streamlines by point count and pads every row of a block to its longest
-streamline, and the padding counts against the budget.
+BLOCK_POINTS points, read when the work starts; the voxel keys of the metrics
+module, at about 170 bytes per point, run on an eighth of it. A streamline
+longer than the budget forms a block of its own. So the temporaries of a
+batched step are bounded by the budget, not by the size of the set.
+Resampling sorts the streamlines by point count and pads every row of a
+block to its longest streamline, and the padding counts against the budget.
 
 Batched results equal the per-streamline computation bit for bit (the form
 that tests/reference_streamline.py keeps as the oracle). One kernel,
@@ -59,12 +60,14 @@ DEFAULT_RESAMPLE_POINTS = 12
 BLOCK_POINTS = 1 << 16
 
 
-def blocks(offsets: np.ndarray):
+def blocks(offsets: np.ndarray, budget: int | None = None):
     """(lo, hi) ranges of consecutive streamlines of a packed buffer that
-    hold at most BLOCK_POINTS points, or one streamline that alone holds more."""
+    hold at most budget points (BLOCK_POINTS, read at the call, by default),
+    or one streamline that alone holds more."""
+    budget = BLOCK_POINTS if budget is None else budget
     lo, n = 0, len(offsets) - 1
     while lo < n:
-        hi = int(np.searchsorted(offsets, offsets[lo] + BLOCK_POINTS, side="right")) - 1
+        hi = int(np.searchsorted(offsets, offsets[lo] + budget, side="right")) - 1
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi

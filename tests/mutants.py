@@ -112,6 +112,20 @@ MUTANTS = (
         "tests/test_metrics.py::TestCoverage::test_empty_set_zero",
         "SC counts every occupied voxel as covered",
     ),
+    Mutant(
+        "count_grid_keeps_last_range", "src/muscletract/metrics.py",
+        "            counts += np.bincount(found % n_vox, minlength=n_vox)\n",
+        "            counts = np.bincount(found % n_vox, minlength=n_vox)\n",
+        "tests/test_metrics.py::TestStreamedDensity::test_stream_equals_the_whole_set",
+        "the voxel counts keep only the last key range",
+    ),
+    Mutant(
+        "count_grid_total_of_last_set", "src/muscletract/metrics.py",
+        "        total += len(sset)\n",
+        "        total = len(sset)\n",
+        "tests/test_metrics.py::TestStreamedDensity::test_info_line_counts_the_streamlines_of_every_set",
+        "the INFO line's streamline total counts only the last set of a stream",
+    ),
 )
 
 TIER1 = ["-q", "-x", "--continue-on-collection-errors"]

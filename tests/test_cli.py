@@ -1103,3 +1103,28 @@ def test_arch_scratch_does_not_grow_with_the_points(tmp_path, monkeypatch, trace
 
     one, two = peak(200), peak(400)
     assert two < 1.1 * one, (one, two)
+
+
+def test_metrics_scratch_does_not_grow_with_the_points(tmp_path, monkeypatch, traced_peak):
+    # metrics reads its input one block at a time and keys one small range
+    # of it at a time (metrics module docstring): the same 400 tracts with
+    # twice the points each leave its peak flat.
+    monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 1 << 12)
+    mask = VoxelMask(np.ones((10, 10, 40), dtype=np.uint8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    save_mask(tmp_path / "m.mskv", mask)
+    rng = np.random.default_rng(14)
+    ends = np.column_stack([rng.uniform(1, 9, (400, 2)), rng.uniform(1, 5, 400),
+                            rng.uniform(1, 9, (400, 2)), rng.uniform(35, 39, 400)])
+
+    def peak(points):
+        t = np.linspace(0.0, 1.0, points)[:, None]
+        path = tmp_path / f"{points}.strl"
+        save_streamlines(path, pack([(1 - t) * e[:3] + t * e[3:] for e in ends]))
+        code, peak = traced_peak(run, ["metrics", "--streamlines", path, "--mask", tmp_path / "m.mskv",
+                                       "--out-csv", tmp_path / f"{points}.csv",
+                                       "--out-density", tmp_path / f"{points}.dens"])
+        assert code == 0
+        return peak
+
+    one, two = peak(200), peak(400)
+    assert two < 1.1 * one, (one, two)

@@ -345,3 +345,63 @@ class TestKernelMatchesReference:
         (record,) = [r for r in caplog.records if r.name == "muscletract.metrics"]
         assert record.levelno == logging.INFO
         assert record.getMessage() == "density: 2 of 3 streamlines cross no in-mask voxel"
+
+
+# ---------------------------------------------------------------------------
+# density and coverage over a stream of sets
+# ---------------------------------------------------------------------------
+
+from muscletract.metrics import SDCV_SUPPORTS  # noqa: E402
+from muscletract.phantom import PhantomSpec, make_phantom  # noqa: E402
+from muscletract.sampling import seeds_3d  # noqa: E402
+
+
+class TestStreamedDensity:
+    """density and coverage over an iterable of sets that hold the
+    streamlines in turn, as the `metrics` command reads them, equal the same
+    over the whole set, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def arc(self, reconstructed):
+        mask, field, _ = make_phantom(PhantomSpec(shape="curved_arc", jitter_deg=1.0, seed=3))
+        sset = reconstructed(field, mask, seeds_3d(mask, 3.0))
+        return mask, sset, ref.density_counts(sset, mask)
+
+    @staticmethod
+    def stream(sset):
+        return (sset.take(np.arange(lo, hi)) for lo, hi in streamline_mod.blocks(sset.offsets))
+
+    @pytest.mark.parametrize("support", SDCV_SUPPORTS)
+    @pytest.mark.parametrize("budget", [1, 97, streamline_mod.BLOCK_POINTS])
+    def test_stream_equals_the_whole_set(self, arc, monkeypatch, budget, support):
+        mask, sset, want = arc
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        assert len(list(self.stream(sset))) > 1
+        whole, tm = density(sset, mask, support)
+        streamed, tm_streamed = density(self.stream(sset), mask, support)
+        assert whole.counts.tobytes() == streamed.counts.tobytes() == want.tobytes()
+        assert tm.sdcv_defined and tm_streamed == tm
+        assert coverage(self.stream(sset), mask) == coverage(sset, mask) == tm.sc
+
+    def test_empty_stream(self):
+        mask = full_mask((4, 4, 4))
+        for support in SDCV_SUPPORTS:
+            (streamed, tm), (whole, want) = density(iter([]), mask, support), density(pack([]), mask, support)
+            assert streamed.counts.tobytes() == whole.counts.tobytes()
+            assert (tm.sc, tm.sd_mean, tm.sdcv_defined) == (want.sc, want.sd_mean, want.sdcv_defined)
+            assert np.isnan(tm.sdcv) and np.isnan(want.sdcv)
+        assert coverage(iter([]), mask) == coverage(pack([]), mask) == 0.0
+
+    def test_info_line_counts_the_streamlines_of_every_set(self, monkeypatch, caplog):
+        mask = full_mask((4, 4, 4))
+        sset = pack([
+            [(0.5, 0.5, 0.5), (3.5, 0.5, 0.5)],
+            [(10.0, 10.0, 10.0), (12.0, 10.0, 10.0)],
+            [(-3.0, 0.5, 0.5), (-1.0, 0.5, 0.5)],
+        ])
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", 1)  # one streamline per set
+        with caplog.at_level(logging.INFO, logger="muscletract.metrics"):
+            density(sset, mask)
+            density(self.stream(sset), mask)
+        lines = [r.getMessage() for r in caplog.records if r.name == "muscletract.metrics"]
+        assert lines == ["density: 2 of 3 streamlines cross no in-mask voxel"] * 2
