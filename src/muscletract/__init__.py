@@ -10,8 +10,8 @@ file formats plus the CLI (formats, cli).
 Streamlines travel between the stages as StreamlineSets: a packed point
 buffer with offsets, whose iteration yields each streamline's (c, 3) points.
 The tracker has one entry point, reconstruct_batches, which yields float64
-sets one block at a time; formats.save_streamlines writes them, rounded to
-float32. formats.StreamlineFile.sets reads them back one block at a time.
+sets one block at a time; formats.save_streamlines writes them as float32
+words, and formats.StreamlineFile.sets reads them back as float64 sets.
 fss_select, density, coverage, tract_ends, muscle_length and summarize take
 such a stream of sets as well as one set, so no command holds its whole
 input; formats.load_streamlines reads a whole set. fss_select returns the

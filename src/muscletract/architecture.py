@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import StreamlineSet, arc_lengths, blocks
+from .streamline import arc_lengths, as_stream, blocks
 
 R2_THRESHOLD_DEFAULT = 0.9
 
@@ -61,10 +61,8 @@ def tract_ends(tracts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(first, last, lengths): the first and last point, (n, 3) float64
     each, and the arc length of every tract, in order, in one pass over a
     set or an iterable of sets."""
-    if isinstance(tracts, StreamlineSet):
-        tracts = [tracts]
     first, last, lengths = [np.empty((0, 3))], [np.empty((0, 3))], [np.empty(0)]
-    for sset in tracts:
+    for sset in as_stream(tracts):
         a, b = sset.endpoints()
         first.append(a)
         last.append(b)
@@ -135,10 +133,8 @@ def muscle_length(tracts, loa: LineOfAction) -> float:
     Points are projected one block at a time; each point's projection is the
     same matrix-vector product as for the whole buffer at once, bit for bit.
     """
-    if isinstance(tracts, StreamlineSet):
-        tracts = [tracts]
     top, bottom, n = -math.inf, math.inf, 0
-    for sset in tracts:
+    for sset in as_stream(tracts):
         n += len(sset)
         for lo, hi in blocks(sset.offsets):
             proj = sset.block(lo, hi) @ loa.direction

@@ -16,13 +16,13 @@ checks (occupancy bytes 0 or 1, unit directions).
 
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
 
-load_streamlines keeps the file's float32 coordinates: the set it returns,
-and each set that StreamlineFile.sets yields, is float32-backed (streamline
-module docstring), 12 bytes per point. Grid payloads and headers are read as
-float64. Either way a float32 word is converted with the invalid-operation
-flag ignored (streamline._float64): a signaling NaN (0x7f800001) becomes a
-quiet NaN without a RuntimeWarning, and the finite checks of the loaded
-object reject it with the same error as any other NaN
+A STRL file is the one place where streamline points are float32: the
+sets that load_streamlines and StreamlineFile.sets return hold the float64
+values of the file's words (streamline module docstring). Grid payloads and
+headers are read as float64 too. Every float32 word is converted with the
+invalid-operation flag ignored (streamline._float64): a signaling NaN
+(0x7f800001) becomes a quiet NaN without a RuntimeWarning, and the finite
+checks of the loaded object reject it with the same error as any other NaN
 (InvalidStreamlineError for STRL coordinates, InvalidSpecError for a grid's
 voxel_size, origin or fa, FormatError for a direction).
 
@@ -30,11 +30,11 @@ One STRL writer, save_streamlines, serves a set and a stream of sets, such
 as the sets of tracking.reconstruct_batches: a header of count 0xFFFFFFFF,
 the records of each set in turn, then the count patched in, so the file must
 be seekable, and a write cut short leaves a file that fails to load rather
-than one that loads as fewer streamlines. It is the one place where tracker
-output is rounded to float32: it validates the float32 rounding of each
-float64 block before it writes it, so it refuses what the reader would
-reject (InvalidStreamlineError), such as a step that float32 cannot resolve
-or a coordinate beyond its range.
+than one that loads as fewer streamlines. It is the one place where points
+are rounded to float32: it validates the float32 rounding of each block
+before it writes it, so it refuses exactly what the reader would reject
+(InvalidStreamlineError), such as a step that float32 cannot resolve or a
+coordinate beyond its range.
 
 One STRL reader, StreamlineFile, checks the header and every point count
 when it opens the file, then serves three readers of that one open file:
@@ -88,7 +88,7 @@ from .errors import ConfigError, FormatError, InvalidSpecError
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap
 from .sampling import FSSConfig
-from .streamline import StreamlineSet, _float64, _validate, blocks
+from .streamline import StreamlineSet, _float64, _validate, as_stream, blocks
 from .tracking import TrackingConfig
 
 FORMAT_VERSION = 1
@@ -134,13 +134,11 @@ def _record_words(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
 
 def _write_records(fh, sset: StreamlineSet) -> int:
     """Write the records of a set, one block at a time; returns how many.
-    The float32 rounding of a float64 block is validated before it is
-    written: a float32 set was validated when it was built."""
+    The float32 rounding of each block is validated before it is written."""
     offsets = sset.offsets
     for lo, hi in blocks(offsets):
         points = sset.points[offsets[lo] : offsets[hi]]
-        if points.dtype != np.float32:
-            _validate(points, offsets[lo : hi + 1] - offsets[lo], as_float32=True)
+        _validate(points, offsets[lo : hi + 1] - offsets[lo], as_float32=True)
         heads, coords = _record_words(offsets, lo, hi)
         words = np.empty(len(coords), dtype="<f4")
         words.view("<u4")[heads] = offsets[lo + 1 : hi + 1] - offsets[lo:hi]
@@ -153,13 +151,11 @@ def save_streamlines(path, streamlines) -> int:
     """Write a set, or every set of an iterable of sets in turn, each
     written before the next is drawn. Returns the number of streamlines
     written."""
-    if isinstance(streamlines, StreamlineSet):
-        streamlines = [streamlines]
     with open(path, "wb") as fh:
         # Until the count is patched in, the file claims more records than
         # it holds, so a write cut short leaves a file that fails to load.
         fh.write(b"STRL" + struct.pack("<II", FORMAT_VERSION, 0xFFFFFFFF))
-        count = sum(_write_records(fh, sset) for sset in streamlines)
+        count = sum(_write_records(fh, sset) for sset in as_stream(streamlines))
         fh.seek(8)
         fh.write(_U32.pack(count))
     return count
@@ -217,20 +213,24 @@ class StreamlineFile:
         np.cumsum(counts, out=offsets[1:])
         return start, offsets
 
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        """The (P, 3) float64 points of streamlines lo..hi-1, converted from
+        the file's words, which are released when it returns."""
+        _, coords = _record_words(self.offsets, lo, hi)
+        words = np.empty(len(coords), dtype="<f4")
+        self._fh.seek(self.start + 4 * (lo + 3 * self.offsets[lo]))
+        if self._fh.readinto(words) != words.nbytes:
+            raise FormatError(f"truncated file while reading streamline {lo}")
+        return _float64(words[coords]).reshape(-1, 3)
+
     def _blocks(self):
-        """(lo, hi, float32 (P, 3) points) of each streamline.blocks range,
+        """(lo, hi, float64 (P, 3) points) of each streamline.blocks range,
         in file order, each read when it is drawn."""
-        offsets = self.offsets
-        for lo, hi in blocks(offsets):
-            _, coords = _record_words(offsets, lo, hi)
-            words = np.empty(len(coords), dtype="<f4")
-            self._fh.seek(self.start + 4 * (lo + 3 * offsets[lo]))
-            if self._fh.readinto(words) != words.nbytes:
-                raise FormatError(f"truncated file while reading streamline {lo}")
-            yield lo, hi, words[coords].reshape(-1, 3)
+        for lo, hi in blocks(self.offsets):
+            yield lo, hi, self._read(lo, hi)
 
     def sets(self):
-        """The streamlines in file order, as one validated float32 set per
+        """The streamlines in file order, as one validated set per
         streamline.blocks range, each read when it is drawn."""
         for lo, hi, points in self._blocks():
             yield StreamlineSet(points, np.diff(self.offsets[lo : hi + 1]))
@@ -255,10 +255,10 @@ class StreamlineFile:
 
 
 def load_streamlines(path) -> StreamlineSet:
-    """Load streamlines, in file order, into one float32 buffer, which the
+    """Load streamlines, in file order, into one float64 buffer, which the
     set keeps; the set is validated once it is whole."""
     with StreamlineFile(path) as strl:
-        points = np.empty((strl.offsets[-1], 3), dtype=np.float32)
+        points = np.empty((strl.offsets[-1], 3))
         for lo, hi, block in strl._blocks():
             points[strl.offsets[lo] : strl.offsets[hi]] = block
             del block  # before the next block is read

@@ -11,11 +11,11 @@ streamlines in turn, such as formats.StreamlineFile.sets, and keep no set
 once they have counted it. The voxel keys of one streamline.blocks range of
 at most BLOCK_POINTS // 8 points (8192 by default; one streamline that alone
 holds more forms its own) are built, counted and dropped before the next:
-about 170 bytes per point of that range, its float64 copy included, on
-tracks of 0.1 mm steps through 1 mm voxels (more where the segments cross
-more voxel faces), so about 1.4 MB. Besides that, a count holds the set
-being drawn, the count grid and one bincount of it (8 bytes per voxel each),
-whatever the number of streamlines or points.
+about 145 bytes per point of that range on tracks of 0.1 mm steps through
+1 mm voxels (more where the segments cross more voxel faces), so about
+1.2 MB. Besides that, a count holds the set
+being drawn and the count grid (8 bytes per voxel), whatever the number of
+streamlines or points.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import streamline
 from .errors import EmptyDomainError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import StreamlineSet, _distinct, blocks
+from .streamline import _distinct, as_stream, blocks
 
 SDCV_SUPPORTS = ("all", "nonzero")
 
@@ -125,20 +125,19 @@ def _count_grid(tracts, mask: VoxelMask) -> tuple[np.ndarray, int, int]:
 
     Keys are built for one streamline.blocks range of at most
     BLOCK_POINTS // 8 points at a time (or one streamline that alone holds
-    more): about 170 bytes per point of the range, as the module docstring
+    more): about 145 bytes per point of the range, as the module docstring
     says.
     """
-    if isinstance(tracts, StreamlineSet):
-        tracts = [tracts]
     n_vox = mask.occupancy.size
     counts = np.zeros(n_vox, dtype=np.int64)
     missed = total = 0
-    for sset in tracts:
+    for sset in as_stream(tracts):
         total += len(sset)
         for lo, hi in blocks(sset.offsets, streamline.BLOCK_POINTS // 8):
             offsets = sset.offsets[lo : hi + 1] - sset.offsets[lo]
             found = _voxel_keys(sset.block(lo, hi), offsets, mask)
-            counts += np.bincount(found % n_vox, minlength=n_vox)
+            # Unbuffered: a voxel that k streamlines of the range cross gains k.
+            np.add.at(counts, found % n_vox, 1)
             missed += hi - lo - len(_distinct(found // n_vox))
     return counts.reshape(mask.dims), missed, total
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ArityError, EmptyDomainError, InsufficientExtentError, InvalidSpecError
 from .grid import VoxelMask
-from .streamline import DEFAULT_RESAMPLE_POINTS, StreamlineSet, _distinct, _resample_set, mdf_rows
+from .streamline import DEFAULT_RESAMPLE_POINTS, _distinct, _resample_set, as_stream, mdf_rows
 
 log = logging.getLogger(__name__)
 
@@ -162,10 +162,8 @@ def fss_select(candidates, cfg: FSSConfig) -> FSSTrace:
     candidates; the trace counts the evaluations made, and one INFO line
     reports them against n * k.
     """
-    if isinstance(candidates, StreamlineSet):
-        candidates = [candidates]
     parts, lengths, n = [], [], 0
-    for sset in candidates:
+    for sset in as_stream(candidates):
         stack, arcs = _resample_set(sset, cfg.m)
         parts.append(stack.transpose(2, 1, 0))
         lengths.append(arcs)

@@ -2,30 +2,26 @@
 
 A streamline is an ordered 3D polyline in world millimeters with at least two
 points and positive arc length. A StreamlineSet packs n of them the way
-nibabel's ArraySequence does: one (N, 3) point buffer and n + 1 int64
-offsets (streamline i is points[offsets[i]:offsets[i + 1]]); its position is
-a streamline's one identity. It is the only streamline container:
-every stage of the pipeline, from the tracker to the architecture reductions,
-takes and returns one. A set is validated once, over its whole buffer, when
-it is built; iterating over it yields each streamline's (c, 3) points as a
-view into the buffer. A set built from streamlines that are valid by
-construction (the rows of a validated set, or the sets of
-tracking.reconstruct_batches) is not validated at all. The float32 rounding
-of a float64 set is made and validated in one place, the STRL writer.
+nibabel's ArraySequence does: one (N, 3) float64 point buffer and n + 1
+int64 offsets (streamline i is points[offsets[i]:offsets[i + 1]]); its
+position is a streamline's one identity. It is the only streamline
+container: every stage of the pipeline, from the tracker to the architecture
+reductions, takes and returns one, or an iterable of them that holds the
+streamlines in turn (as_stream). A set is validated once, over its whole
+buffer, when it is built; iterating over it yields each streamline's (c, 3)
+points as a view into the buffer. A set built from streamlines that are
+valid by construction (the rows of a validated set, or the sets of
+tracking.reconstruct_batches) is not validated at all.
 
-The buffer is float64 or float32. A set loaded from STRL keeps the file's
-float32 coordinates, as TRK, TCK and Dipy's streamlines do, so it takes 12
-bytes per point rather than 24. Every read that feeds arithmetic converts
-what it reads to float64 first, one block or one gather at a time
-(StreamlineSet.block, _float64), and computes in float64: a float32 value
-converts exactly, so every result is bit-identical to that of the float64
-set of the same values. Validation tests a float32 set on its own words,
-with the verdict of its float64 copy (_validate). Copies (take, the STRL
-writer) keep the set's dtype.
+A set converts the points it is built from to float64 (_float64), whatever
+their dtype, so every stage computes on one point type. The only other one
+is the 4-byte word of a STRL file (formats): the writer rounds each block to
+it and validates that rounding (_validate), and the reader converts the
+words back, exactly, so a set read from a file holds the values written.
 
 Work over a set runs in blocks of whole streamlines holding at most
 BLOCK_POINTS points, read when the work starts; the voxel keys of the metrics
-module, at about 170 bytes per point, run on an eighth of it. A streamline
+module, at about 145 bytes per point, run on an eighth of it. A streamline
 longer than the budget forms a block of its own. So the temporaries of a
 batched step are bounded by the budget, not by the size of the set.
 Resampling sorts the streamlines by point count and pads every row of a
@@ -86,15 +82,16 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 def _float64(a: np.ndarray) -> np.ndarray:
     """a as float64: a itself if it is float64, else converted. Converting a
-    signaling NaN (float32 word 0x7f800001) raises the invalid-operation
+    signaling NaN (the STRL word 0x7f800001) raises the invalid-operation
     flag, which is ignored: it becomes a quiet NaN, not a RuntimeWarning."""
     with np.errstate(invalid="ignore"):
         return a.astype(np.float64, copy=False)
 
 
 def _validate(points: np.ndarray, offsets: np.ndarray, as_float32: bool = False) -> None:
-    """Every streamline finite, of two or more points and positive length,
-    in the float32 rounding of the points if as_float32 (so also in them).
+    """Every streamline of float64 points finite, of two or more points and
+    positive length, in the float32 rounding of the points if as_float32
+    (so also in them).
 
     A streamline has zero length exactly when (seg * seg).sum(1) is zero for
     all of its segments, the test a summed chord length of zero reduces to;
@@ -102,12 +99,13 @@ def _validate(points: np.ndarray, offsets: np.ndarray, as_float32: bool = False)
     float32 points that is where every component is unchanged: the float64
     difference of two distinct float32 values is at least 2**-149 in
     magnitude, so its square, at least 2**-298, does not underflow to zero.
-    So a float32 set is tested on its own words, with no float64 copy, and
-    gives the verdict of its float64 copy.
+    So the STRL writer tests the float32 words it will write on the words
+    themselves, with no float64 copy, and refuses exactly what the reader
+    rejects when it validates the float64 values of those words.
 
     The check runs one block at a time and one axis at a time, so besides
-    the set it holds one float (float64 sets; a float32 when rounding) and
-    two flags per point of one block, and a few bytes per streamline.
+    the points it holds one float (a float32 when rounding) and two flags
+    per point of one block, and a few bytes per streamline.
     """
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidStreamlineError(f"expected (n, 3) points, got shape {points.shape}")
@@ -127,13 +125,13 @@ def _validate_block(pts: np.ndarray, offsets: np.ndarray, as_float32: bool) -> N
     sq = None
     for c in range(3):
         col = pts[:, c]
-        if as_float32 and col.dtype != np.float32:
+        if as_float32:
             # A coordinate beyond float32's range rounds to inf: non-finite.
             with np.errstate(over="ignore"):
                 col = col.astype(np.float32)
         if not np.isfinite(col).all():
             raise InvalidStreamlineError("streamline contains non-finite coordinates")
-        if col.dtype == np.float32:
+        if as_float32:
             moved |= col[1:] != col[:-1]
         else:
             sq = np.subtract(col[1:], col[:-1], out=sq)
@@ -152,11 +150,10 @@ class StreamlineSet:
 
     def __init__(self, points, counts):
         """A set over an (N, 3) point buffer that holds streamlines of the
-        given point counts one after another. A float64 or float32 buffer is
-        used as given, not copied; any other is converted to float64. Every
-        streamline is validated (_validate)."""
-        points = np.asarray(points)
-        self.points = points if points.dtype == np.float32 else np.asarray(points, dtype=np.float64)
+        given point counts one after another. A float64 buffer is used as
+        given, not copied; any other is converted to float64 (_float64).
+        Every streamline is validated (_validate)."""
+        self.points = _float64(np.asarray(points))
         self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         _validate(self.points, self.offsets)
@@ -178,35 +175,39 @@ class StreamlineSet:
 
     def __iter__(self):
         """Each streamline's (c, 3) points, in set order, as views into the
-        buffer, at its dtype."""
+        buffer."""
         bounds = self.offsets.tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield self.points[lo:hi]
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and last point of every streamline, as two (n, 3) float64
-        arrays."""
-        return _float64(self.points[self.offsets[:-1]]), _float64(self.points[self.offsets[1:] - 1])
+        """First and last point of every streamline, as two (n, 3) arrays."""
+        return self.points[self.offsets[:-1]], self.points[self.offsets[1:] - 1]
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """The points of streamlines lo..hi-1 as float64: a view of a
-        float64 buffer, a copy of a float32 one."""
-        return _float64(self.points[self.offsets[lo] : self.offsets[hi]])
+        """The points of streamlines lo..hi-1, a view of the buffer."""
+        return self.points[self.offsets[lo] : self.offsets[hi]]
 
     def take(self, rows) -> StreamlineSet:
         """The streamlines at the given positions, in that order, copied one
-        block at a time at this set's dtype. The copied rows were validated
+        block at a time. The copied rows were validated
         with this set, so they are not checked again."""
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.offsets[rows]
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(self.offsets[rows + 1] - starts, out=offsets[1:])
-        points = np.empty((offsets[-1], 3), dtype=self.points.dtype)
+        points = np.empty((offsets[-1], 3))
         for lo, hi in blocks(offsets):
             a, b = offsets[lo], offsets[hi]
             src = np.repeat(starts[lo:hi] - offsets[lo:hi], np.diff(offsets[lo : hi + 1]))
             points[a:b] = self.points[src + np.arange(a, b)]
         return StreamlineSet._trusted(points, offsets)
+
+
+def as_stream(tracts):
+    """tracts, a set or an iterable of sets that hold the streamlines in
+    turn, as an iterable of sets."""
+    return [tracts] if isinstance(tracts, StreamlineSet) else tracts
 
 
 def arc_lengths(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -228,11 +229,11 @@ def _segment_lengths(points: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The (g, w - 1) lengths of the segments between the points at
     consecutive indices of each row of a (g, w) index array, bit for bit as
     np.sqrt((seg * seg).sum(1)) of one polyline's segments seg: each axis is
-    gathered and converted to float64 on its own, and the squared
-    differences are summed x, then y, then z."""
+    gathered on its own, and the squared differences are summed x, then y,
+    then z."""
     sq = None
     for c in range(3):
-        p = _float64(points[:, c][at])
+        p = points[:, c][at]
         d = p[:, 1:] - p[:, :-1]
         d *= d
         sq = d if sq is None else np.add(sq, d, out=sq)
@@ -309,7 +310,7 @@ def _resample_rows(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, m
     length = seg_len[r, idx]
     frac = (targets - cum[r, idx]) / np.where(length > 0.0, length, 1.0)
     at = starts[:, None] + idx
-    p, q = _float64(points[at]), _float64(points[at + 1])
+    p, q = points[at], points[at + 1]
     out = p + frac[..., None] * (q - p)
     out[:, 0] = points[starts]
     out[:, -1] = points[starts + counts - 1]

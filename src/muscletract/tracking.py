@@ -65,10 +65,11 @@ or the step: the `track` and `filter --method 3ds|2ds` commands write each
 set to disk as it comes (formats.save_streamlines), and a caller that wants
 the whole set reads the file back (formats.load_streamlines).
 
-Each point is validated once, by the STRL writer, the one place that rounds
-it to float32 (the rounding can collapse a track far from the origin to a
-point). reconstruct_batches builds its float64 sets without validating
-them, because they are valid by construction. Raw tracks are finite: every
+Each point is validated once on its way to disk, by the STRL writer, at
+the float32 rounding that it writes (the rounding can collapse a track far
+from the origin to a point); a reader of the file gets the same verdict on
+the float64 values of those words. reconstruct_batches builds its sets
+without validating them, because they are valid by construction. Raw tracks are finite: every
 seed lies in the mask, whose grid is finite, and every later point is the
 previous one plus s*v, with s finite and v from a voxel whose anisotropy
 passes fa_min > 0, where OrientationField holds finite unit vectors. They

@@ -33,7 +33,7 @@ def traced_peak():
 
 
 def _reconstructed(field, mask, seeds, cfg=None):
-    """The streamlines the `track` command writes, as the float32 set that
+    """The streamlines the `track` command writes, as the set that
     load_streamlines reads back: reconstruct_batches streamed through the
     STRL writer, the one place that rounds them to float32."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -44,7 +44,7 @@ def _reconstructed(field, mask, seeds, cfg=None):
 
 @pytest.fixture(scope="session")
 def reconstructed():
-    """reconstructed(field, mask, seeds, cfg=None): the float32 candidate set
-    that every test of the tracker's output reads, so that each sees the
-    bits a STRL file of the `track` command holds."""
+    """reconstructed(field, mask, seeds, cfg=None): the candidate set that
+    every test of the tracker's output reads, so that each sees the values
+    a STRL file of the `track` command holds."""
     return _reconstructed

@@ -114,7 +114,7 @@ MUTANTS = (
     ),
     Mutant(
         "count_grid_keeps_last_range", "src/muscletract/metrics.py",
-        "            counts += np.bincount(found % n_vox, minlength=n_vox)\n",
+        "            np.add.at(counts, found % n_vox, 1)\n",
         "            counts = np.bincount(found % n_vox, minlength=n_vox)\n",
         "tests/test_metrics.py::TestStreamedDensity::test_stream_equals_the_whole_set",
         "the voxel counts keep only the last key range",
@@ -125,6 +125,27 @@ MUTANTS = (
         "        total = len(sset)\n",
         "tests/test_metrics.py::TestStreamedDensity::test_info_line_counts_the_streamlines_of_every_set",
         "the INFO line's streamline total counts only the last set of a stream",
+    ),
+    Mutant(
+        "count_grid_buffered_add", "src/muscletract/metrics.py",
+        "            np.add.at(counts, found % n_vox, 1)\n",
+        "            counts[found % n_vox] += 1\n",
+        "tests/test_metrics.py::TestStreamedDensity::test_streamlines_of_one_range_share_voxels",
+        "a voxel that several streamlines of one key range cross counts once",
+    ),
+    Mutant(
+        "writer_check_unrounded", "src/muscletract/streamline.py",
+        "                col = col.astype(np.float32)\n",
+        "                col = col\n",
+        "tests/test_formats.py::TestStreamlineRoundTrip::test_writer_refuses_what_the_reader_rejects",
+        "the STRL writer compares float64 coordinates where it should compare their float32 words",
+    ),
+    Mutant(
+        "reader_keeps_float32_words", "src/muscletract/formats.py",
+        "        return _float64(words[coords]).reshape(-1, 3)\n",
+        "        return words[coords].reshape(-1, 3)\n",
+        "tests/test_formats.py::TestStreamlineRoundTrip::test_signaling_nan_coordinate_rejected",
+        "the STRL reader yields the file's float32 words, which a later cast converts with a warning",
     ),
 )
 

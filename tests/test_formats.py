@@ -133,9 +133,9 @@ class TestStreamlineRoundTrip:
         sset = random_streamlines(np.random.default_rng(4), n=6)
         save_streamlines(path, sset)
         got = load_streamlines(path)
-        # The file's float32 words, kept as they are: 12 bytes per point.
-        assert got.points.flags.c_contiguous and got.points.dtype == np.float32
-        assert got.points.nbytes == 12 * len(got.points)
+        # The float64 values of the file's words: 24 bytes per point.
+        assert got.points.flags.c_contiguous and got.points.dtype == np.float64
+        assert got.points.nbytes == 24 * len(got.points)
         assert np.array_equal(got.points, sset.points)
         assert np.array_equal(got.offsets, sset.offsets)
 
@@ -322,7 +322,7 @@ class TestStreamlineBlocks:
         with StreamlineFile(path) as strl:
             parts = list(strl.sets())
         assert [len(p) for p in parts] == [hi - lo for lo, hi in streamline_mod.blocks(whole.offsets)]
-        assert all(p.points.dtype == np.float32 for p in parts)
+        assert all(p.points.dtype == np.float64 for p in parts)
         assert np.array_equal(np.concatenate([p.points for p in parts]), whole.points)
         assert np.array_equal(np.concatenate([p.counts for p in parts]), whole.counts)
 

@@ -383,6 +383,22 @@ class TestStreamedDensity:
         assert tm.sdcv_defined and tm_streamed == tm
         assert coverage(self.stream(sset), mask) == coverage(sset, mask) == tm.sc
 
+    def test_streamlines_of_one_range_share_voxels(self):
+        # Four streamlines in one key range: voxel (1, 1, 1) is crossed by
+        # three of them and (2, 1, 1) by two, and each counts once per
+        # streamline, as a count one streamline at a time has it.
+        mask = full_mask((4, 4, 4))
+        sset = pack([
+            [(0.5, 1.5, 1.5), (2.5, 1.5, 1.5)],
+            [(1.5, 0.5, 1.5), (1.5, 2.5, 1.5)],
+            [(1.2, 1.2, 1.2), (2.7, 1.7, 1.7)],
+            [(3.5, 3.5, 0.5), (3.5, 3.5, 2.5)],
+        ])
+        assert len(list(streamline_mod.blocks(sset.offsets, streamline_mod.BLOCK_POINTS // 8))) == 1
+        counts = density(sset, mask)[0].counts
+        assert counts.tobytes() == ref.density_counts(sset, mask).tobytes()
+        assert counts[1, 1, 1] == 3 and counts[2, 1, 1] == 2 and counts.max() == 3
+
     def test_empty_stream(self):
         mask = full_mask((4, 4, 4))
         for support in SDCV_SUPPORTS:

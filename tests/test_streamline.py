@@ -552,8 +552,9 @@ class TestValidate:
         streamline_mod._validate(points, offsets)
         with pytest.raises(InvalidStreamlineError, match=message):
             streamline_mod._validate(points, offsets, as_float32=True)
+        # The reader's check of the float64 values of those words agrees.
         with np.errstate(over="ignore"):
             single = points.astype(np.float32)
         with pytest.raises(InvalidStreamlineError, match=message):
-            streamline_mod._validate(single, offsets)
+            streamline_mod._validate(streamline_mod._float64(single), offsets)
 

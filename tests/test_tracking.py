@@ -451,9 +451,9 @@ def unrounded(field, mask, seeds, cfg=None):
 
 def assert_reconstructs_reference(reconstructed, field, mask, seeds, cfg=None):
     """reconstruct_batches against tests/reference_tracking.py: its float64
-    sets bit for bit, and the float32 set that load_streamlines reads back
-    from the STRL file they were written to exactly their rounding. Returns
-    that float32 set."""
+    sets bit for bit, and the set that load_streamlines reads back from the
+    STRL file they were written to exactly their float32 rounding. Returns
+    that set."""
     want = ref.reconstruct(field, mask, seeds, cfg)
     assert_same_streamlines(unrounded(field, mask, seeds, cfg), want)
     got = reconstructed(field, mask, seeds, cfg)
