@@ -22,9 +22,9 @@ tests/reference_tracking.py keeps as the oracle):
   step loop makes, and locates each point with the loop's own
   floor((q - origin) / voxel_size). The step that crosses a face gets the
   loop's in-grid and occupancy test. Once every
-  half-track of a batch has ended, each run adds its s*v from its start
-  point again, in the same sequence, straight into the point's row in its
-  block's buffer.
+  half-track of a batch has ended, each run looks up its v again at its
+  start point and adds s*v from there, in the same sequence, straight into
+  the point's row in its block's buffer.
 - The cubic fit calls lstsq once per track, with one Vandermonde design per
   point count; a solve with many right-hand sides, or stacked, rounds
   differently.
@@ -43,27 +43,34 @@ grown by two rows per track, so a block's points are held once, not once per
 stage.
 
 Memory follows the voxel runs of one batch and the points of one block, not
-the points of a batch. A batch holds one record of 72 bytes per voxel run
-(track, first step, start point, s*v, point count) for each of its two
-halves; while it propagates, one pass's run of points with its voxel
-indices, under 4 * _RUN_BYTES; and while it sorts a half's records by block
-and point count, 32 bytes more per run of that half: at most 176 bytes per
-run and 4 * _RUN_BYTES. The records are sorted once, straight from the
-passes that made them, and each block's share of them is written in place.
-A run holds at least one point, and about eight at the default step of a
-tenth of a voxel; while a voxel's steps fit one run, the number of runs does
-not depend on the step. None of this depends on max_steps, the step count
-at which a half-track is cut off. A block holds its points at 24 bytes
-each, and finishing it a few arrays per track (the exit rays) and one
-design at a time while it fits the tracks grouped by point count. A batch's
-records are released before the next batch is propagated.
+the points of a batch. Each voxel run is one record of 40 bytes: track, first
+step, start point, and point count, negative where the pass negated the field
+vector (s*v is looked up again at the start point, not stored). The records
+of each half fill a _Runs store that reconstruct_batches allocates once and
+every batch fills again; it grows only when a half makes more runs than any
+half before it. While a batch propagates, it also holds one pass's run of
+points with its voxel indices, under 4 * _RUN_BYTES. Its records are never
+moved: each half keeps their order by block and point count, 8 bytes per
+run, and sorting a half holds 8 bytes more per run of that half. A block's
+records are gathered with their s*v to be written, at most _RUN_BYTES // 24
+at a time, at 72 bytes each. So a batch holds at most 56 bytes per run of
+the batch with the most runs so far, and 4 * _RUN_BYTES. A run holds at
+least one point, and about eight at the default step of a tenth of a voxel;
+while a voxel's steps fit one run, the number of runs does not depend on the
+step. None of this depends on max_steps, the step count at which a
+half-track is cut off. A block holds its points at 24 bytes each, and
+finishing it a few arrays per track (the exit rays) and one design at a time
+while it fits the tracks grouped by point count. A batch's orders are
+released before the next batch is propagated, and the stores when the
+reconstruct_batches call ends.
 
 reconstruct_batches, the one tracking entry point, yields each finished
 block as a float64 set and releases its buffer before it writes the next, so
-its peak is one batch's records and one block, whatever the number of seeds
-or the step: the `track` and `filter --method 3ds|2ds` commands write each
-set to disk as it comes (formats.save_streamlines), and a caller that wants
-the whole set reads the file back (formats.load_streamlines).
+its peak is the run records of the batch with the most runs and one block,
+whatever the number of seeds or the step: the `track` and `filter --method
+3ds|2ds` commands write each set to disk as it comes
+(formats.save_streamlines), and a caller that wants the whole set reads the
+file back (formats.load_streamlines).
 
 Each point is validated once on its way to disk, by the STRL writer, at
 the float32 rounding that it writes (the rounding can collapse a track far
@@ -145,9 +152,54 @@ _RUN_BYTES = 1 << 22
 _BATCH = 1024
 
 
-def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
-    """March one half-track per seed; returns the point count of every
-    half-track (seed excluded) and its voxel runs, as _sorted_runs takes them.
+class _Runs:
+    """The voxel-run records of one half of a batch, in columns that one
+    reconstruct_batches call allocates and every batch fills again: track
+    (int32), first step (int64), start point (3 float64) and signed point
+    count (int32), 40 bytes per run. The count is negative where the pass
+    negated the field vector, so s*v is not stored: records() looks it up
+    again at the start point, with the operations _propagate made on it.
+    The columns grow only when full, and only to the size a pass needs: the
+    largest number of runs a half of any batch has made so far.
+    """
+
+    def __init__(self, field: OrientationField, mask: VoxelMask, step_mm: float):
+        self.field, self.mask, self.step_mm = field, mask, step_mm
+        self.n = 0
+        self.track = np.empty(0, dtype=np.int32)
+        self.first = np.empty(0, dtype=np.int64)
+        self.start = np.empty((0, 3))
+        self.count = np.empty(0, dtype=np.int32)
+
+    def append(self, track, first, start, count) -> None:
+        lo = self.n
+        self.n += len(track)
+        if self.n > len(self.track):
+            # In place: no view of a column outlives the call that took it.
+            for column in (self.track, self.first, self.start, self.count):
+                column.resize((self.n,) + column.shape[1:], refcheck=False)
+        self.track[lo : self.n] = track
+        self.first[lo : self.n] = first
+        self.start[lo : self.n] = start
+        self.count[lo : self.n] = count
+
+    def records(self, rows):
+        """(track, first step, start point, s*v, point count) of the runs at
+        rows, as arrays of their own."""
+        start = self.start[rows]
+        idx = self.mask.world_to_index(start)
+        sv = self.field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
+        del idx
+        count = self.count[rows]
+        np.negative(sv, out=sv, where=count[:, None] < 0)
+        sv *= self.step_mm
+        return self.track[rows], self.first[rows], start, sv, np.abs(count, out=count)
+
+
+def _propagate(field, mask, starts, init_dirs, cfg, max_steps, runs: _Runs):
+    """March one half-track per seed, with its voxel runs recorded in runs
+    (which it empties first); returns the point count of every half-track
+    (seed excluded).
 
     Each pass takes every live track through one voxel: the first step does
     the full lookup and checks, and the track then continues in a straight
@@ -157,13 +209,12 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
     take; a run still inside its voxel goes on in the next pass.
 
     A run's points are computed here only to find where it ends. What is
-    kept of it is (track, first step, start point, s*v, point count), from
-    which _write_runs adds the same points again.
+    kept of it is a _Runs record, from which _write_runs adds the same
+    points again.
     """
     n = len(starts)
     counts = np.zeros(n, dtype=np.int64)
-    # One list per record field, of one piece per pass.
-    runs = ([], [], [], [], [])
+    runs.n = 0
 
     p = starts.copy()
     prev = init_dirs.copy()
@@ -182,7 +233,8 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         alive = fa >= cfg.fa_min
 
         dot = (v * prev[active]).sum(axis=1)
-        v = np.where(dot[:, None] < 0, -v, v)
+        flip = dot < 0
+        v = np.where(flip[:, None], -v, v)
         cosang = (v * prev[active]).sum(axis=1)
         alive &= cosang >= cos_gate
         # Every later step in this voxel compares v with itself.
@@ -192,8 +244,7 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         # The run is laid out (step, coordinate, track), so that every
         # elementwise pass runs over rows of m contiguous values. Each point
         # is the previous one plus s*v, added in sequence as the loop does.
-        sv = cfg.step_mm * v
-        sv_t = np.ascontiguousarray(sv.T)
+        sv_t = np.ascontiguousarray((cfg.step_mm * v).T)
         q = np.empty((run, 3, m))
         np.add(here.T, sv_t, out=q[0])
         for j in range(1, run):
@@ -215,9 +266,8 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
 
         take = np.where(alive, np.minimum(cross, limit) + entered, 0)
         made = np.flatnonzero(take)
-        record = (active[made], counts[active[made]], here[made], sv[made], take[made])
-        for column, piece in zip(runs, record):
-            column.append(piece)
+        runs.append(active[made], counts[active[made]], here[made],
+                    np.where(flip, -take, take)[made])
         counts[active] += take
 
         go = np.flatnonzero(alive & ((cross >= limit) | entered))
@@ -226,48 +276,34 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps):
         prev[survivors] = v[go]
         active = survivors[counts[survivors] < max_steps]
 
-    return counts, runs
+    return counts
 
 
-def _sorted_runs(runs, block) -> list:
-    """The records of one _propagate call as five arrays (track, first step,
-    start point, s*v, count), the runs sorted by the block of their track
-    (block[track], ascending), then by point count, longest first, ties in
-    the order the passes made them.
+def _sorted_runs(runs: _Runs, block) -> np.ndarray:
+    """The order of the records of runs by the block of their track
+    (block[track], ascending), then by point count, longest first. The order
+    among runs of one block and count does not matter: every point row is
+    written once, by the one run that holds it.
 
-    Each field is scattered from its per-pass pieces straight into its sorted
-    place, so no field is held twice over, unsorted and sorted.
+    Only this permutation is made (16 bytes per run while it sorts); the
+    records stay where _propagate put them.
     """
-    key = np.concatenate(runs[4])
+    key = runs.count[: runs.n].astype(np.int64)
+    np.abs(key, out=key)
     top = int(key.max(initial=0)) + 1
     np.negative(key, out=key)
-    group = np.concatenate(runs[0])
-    np.take(block, group, out=group)
+    group = block[runs.track[: runs.n]]
     group *= top
     key += group
     del group
-    order = np.argsort(key, kind="stable")
-    del key
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    del order
-    out = []
-    for pieces in runs:
-        field = np.empty((len(rank),) + pieces[0].shape[1:], dtype=pieces[0].dtype)
-        at = 0
-        for piece in pieces:
-            field[rank[at : at + len(piece)]] = piece
-            at += len(piece)
-        pieces.clear()
-        out.append(field)
-    return out
+    return np.argsort(key, kind="stable")
 
 
 def _write_runs(out, runs, rows, sign) -> None:
-    """Write the points of the sorted runs of one _propagate call into out:
-    point j of a half-track goes to row rows[track] + sign * j. The records'
-    first steps and start points are overwritten, so runs can be written
-    only once.
+    """Write the points of runs, the records that _Runs.records gathers for
+    runs in order of point count, longest first, into out: point j of a
+    half-track goes to row rows[track] + sign * j. The records' first steps
+    and start points are overwritten, so they can be written only once.
 
     Each run adds its s*v to its start point again, in sequence, as
     _propagate did, so every point is bit-identical to the one the step loop
@@ -372,29 +408,28 @@ def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: 
     """
     step_range = _step_range(mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
+    fwd, bwd = _Runs(field, mask, cfg.step_mm), _Runs(field, mask, cfg.step_mm)
     for start in range(0, len(pts), _BATCH):
         batch = pts[start : start + _BATCH]
         idx = mask.world_to_index(batch)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
-        n_fwd, fwd = _propagate(field, mask, batch, v0, cfg, max_steps)
-        n_bwd, bwd = _propagate(field, mask, batch, -v0, cfg, max_steps)
+        n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps, fwd)
+        n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps, bwd)
         offsets = _offsets(n_bwd + 1 + n_fwd)
         ranges = list(blocks(offsets))
         block = np.repeat(np.arange(len(ranges)), [hi - lo for lo, hi in ranges])
         # Each track is its backward half reversed, the seed, its forward
-        # half. The runs of tracks lo..hi-1 are rows at[lo]:at[hi] of their
-        # half's records.
+        # half. The runs of tracks lo..hi-1 are order[at[lo]:at[hi]] of
+        # their half's records.
         seed_rows = offsets[:-1] + n_bwd
         halves = []
         for runs, rows, sign in ((fwd, seed_rows + 1, 1), (bwd, seed_rows - 1, -1)):
-            runs = _sorted_runs(runs, block)
-            at = _offsets(np.bincount(runs[0], minlength=len(batch)))
-            halves.append((runs, at, rows, sign))
-        del fwd, bwd
+            at = _offsets(np.bincount(runs.track[: runs.n], minlength=len(batch)))
+            halves.append((runs, _sorted_runs(runs, block), at, rows, sign))
         for lo, hi in ranges:
             yield _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range,
                              cfg.min_length_mm)
-        del halves  # before the next batch is propagated
+        del halves  # the orders, before the next batch is propagated
 
 
 def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length):
@@ -405,8 +440,13 @@ def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length
     local = offsets[lo : hi + 1] - base
     buf = np.empty((local[-1], 3))
     buf[seed_rows[lo:hi] - base] = batch[lo:hi]
-    for runs, at, rows, sign in halves:
-        _write_runs(buf, [column[at[lo] : at[hi]] for column in runs], rows - base, sign)
+    # The block's runs are gathered (_Runs.records, 72 bytes per run) at most
+    # _RUN_BYTES // 24 at a time; each slice of them is still longest first.
+    step = _RUN_BYTES // 24
+    for runs, order, at, rows, sign in halves:
+        rows = rows - base
+        for a in range(at[lo], at[hi], step):
+            _write_runs(buf, runs.records(order[a : min(a + step, at[hi])]), rows, sign)
     counts = np.diff(local)
     keep = np.flatnonzero(_long_enough(buf, local, counts, step_range, min_length))
     counts = _pack_in_place(buf, local, keep)
@@ -576,9 +616,11 @@ def reconstruct_batches(
     writer validates the float32 rounding it makes. When the next set is
     drawn, the last set's points become empty and its buffer is released,
     so a caller that keeps a set longer copies it (StreamlineSet.take). So
-    besides the run records of one batch, the memory held is one block's,
-    whatever the number of seeds (a view that the caller keeps keeps its
-    buffer).
+    besides one block, the memory held is the voxel-run records that one
+    batch makes, in stores that the call allocates once and every batch
+    reuses, at 56 bytes per run of the batch with the most runs (module
+    docstring, "Memory"), whatever the number of seeds (a view that the
+    caller keeps keeps its buffer).
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)

@@ -11,9 +11,12 @@ once on an unmutated copy, where all of them must pass.
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # only the named mutants
 
-It prints a Markdown table with one row per mutant, and exits 1 if a mutant
-survived or a named test fails on the unmutated copy. A survivor either gets
-a test that kills it or an entry here that says why it is equivalent.
+It prints a Markdown table with one row per mutant. A survivor either gets a
+test that kills it or an entry here, marked equivalent, that says why it
+changes no output. Equivalent mutants run too, and must survive: a test that
+kills one pins what the library documents as free. The script exits 1 if a
+mutant survives that is not marked equivalent, if one marked equivalent is
+killed, or if a named test fails on the unmutated copy.
 pytest does not collect this file.
 """
 
@@ -39,6 +42,7 @@ class Mutant:
     new: str
     test: str  # pytest node id of the test expected to kill it
     why: str
+    equivalent: bool = False  # changes no output; why says why
 
 
 MUTANTS = (
@@ -147,6 +151,36 @@ MUTANTS = (
         "tests/test_formats.py::TestStreamlineRoundTrip::test_signaling_nan_coordinate_rejected",
         "the STRL reader yields the file's float32 words, which a later cast converts with a warning",
     ),
+    Mutant(
+        "run_record_unsigned", "src/muscletract/tracking.py",
+        "np.where(flip, -take, take)",
+        "np.where(flip, take, take)",
+        "tests/test_tracking.py::TestMatchesStepwiseReference::test_propagate_kernel",
+        "a run record drops the sign that says the pass negated the field vector",
+    ),
+    Mutant(
+        "runs_shortest_first", "src/muscletract/tracking.py",
+        "    np.negative(key, out=key)\n",
+        "",
+        "tests/test_tracking.py::TestMatchesStepwiseReference::test_propagate_kernel",
+        "the runs of a block are ordered shortest first, so the runs still adding are no prefix",
+    ),
+    Mutant(
+        "runs_store_not_reset", "src/muscletract/tracking.py",
+        "    runs.n = 0\n",
+        "",
+        "tests/test_tracking.py::test_stores_grow_when_a_later_batch_makes_more_runs",
+        "a half's store keeps the last batch's records when the next batch fills it",
+    ),
+    Mutant(
+        "runs_unstable_sort", "src/muscletract/tracking.py",
+        'np.argsort(key, kind="stable")',
+        "np.argsort(key)",
+        "tests/test_tracking.py::test_result_does_not_depend_on_batching",
+        "the runs of one block and length in another order, which writes the same rows: each "
+        "run writes point rows of its own, once",
+        equivalent=True,
+    ),
 )
 
 TIER1 = ["-q", "-x", "--continue-on-collection-errors"]
@@ -209,13 +243,15 @@ def main(names: list[str]) -> int:
             return 1
     print("| mutant | file | expected killer | result | killed by | s |")
     print("|---|---|---|---|---|---|")
-    survived = 0
+    wrong = 0
     for mutant in chosen:
         verdict, by, seconds = run(mutant)
-        survived += verdict == "survived"
+        wrong += (verdict == "killed") == mutant.equivalent
+        if mutant.equivalent:
+            verdict += " (equivalent)"
         print(f"| {mutant.name}: {mutant.why} | `{mutant.path}` | `{mutant.test}` "
               f"| {verdict} | {by} | {seconds:.0f} |", flush=True)
-    return 1 if survived else 0
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from muscletract.streamline import StreamlineSet, _validate, arc_lengths
 from muscletract import tracking
 from muscletract.tracking import (
     TrackingConfig,
+    _Runs,
     _fit_cubic,
     _long_enough,
     _propagate,
@@ -488,16 +489,20 @@ class TestMatchesStepwiseReference:
         idx = mask.world_to_index(starts)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         cfg = CONFIGS[cfg_name]
+        # One store for both signs, as every batch refills it. Against -v0
+        # every first step negates the field vector, so the records' signs
+        # decide the points.
+        runs = _Runs(field, mask, cfg.step_mm)
         for sign in (1.0, -1.0):
-            counts, runs = _propagate(field, mask, starts, sign * v0, cfg, max_steps)
-            runs = _sorted_runs(runs, np.zeros(len(starts), dtype=np.int64))
+            counts = _propagate(field, mask, starts, sign * v0, cfg, max_steps, runs)
+            order = _sorted_runs(runs, np.zeros(len(starts), dtype=np.int64))
+            assert (runs.count[: runs.n] < 0).any() == (sign < 0)
             ends = np.cumsum(counts)
             # Each half-track forwards from its first row, and reversed back
-            # from its last, as _raw_block lays out the two halves. Writing uses
-            # up the records, so the first write gets a copy.
+            # from its last, as _raw_block lays out the two halves.
             forward, backward = np.empty((2, ends[-1], 3))
-            _write_runs(forward, [column.copy() for column in runs], ends - counts, 1)
-            _write_runs(backward, runs, ends - 1, -1)
+            _write_runs(forward, runs.records(order), ends - counts, 1)
+            _write_runs(backward, runs.records(order), ends - 1, -1)
             want = ref.propagate(field, mask, starts, sign * v0, cfg, max_steps)
             assert len(counts) == len(want) == len(starts)
             for got, flip in ((forward, 1), (backward, -1)):
@@ -511,25 +516,37 @@ class TestMatchesStepwiseReference:
         starts = starts[mask.points_in_mask(starts)]
         idx = mask.world_to_index(starts)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
-        counts, pieces = _propagate(field, mask, starts, v0, TrackingConfig(), 2000)
-        runs = [np.concatenate(column) for column in pieces]
-        n = len(runs[0])
+        runs = _Runs(field, mask, 0.1)
+        counts = _propagate(field, mask, starts, v0, TrackingConfig(), 2000, runs)
+        n = runs.n
         assert n > 1000
-        # The records shuffled and cut into pieces, as passes leave them: the
-        # sort puts them by block, then longest first, ties in piece order,
-        # and holds 32 bytes per run besides them.
+        # The store holds 40 bytes per run, and no more than it was filled with.
+        columns = (runs.track, runs.first, runs.start, runs.count)
+        assert all(len(column) == n for column in columns)
+        assert sum(column.nbytes for column in columns) <= 40 * n
+        # The order groups the runs by block, then puts the longest first;
+        # sorting holds 16 bytes per run besides the records, which it leaves
+        # as they were, and one buffer in which numpy casts the int32 tracks
+        # to index with them.
+        kept = [column.copy() for column in columns]
         block = np.arange(len(starts)) // 50
-        shuffled = np.random.default_rng(2).permutation(n)
-        pieces = [np.array_split(column[shuffled], 5) for column in runs]
-        got, peak = traced_peak(_sorted_runs, pieces, block)
-        order = np.lexsort((-runs[4][shuffled], block[runs[0][shuffled]]))
-        assert all(np.array_equal(a, b[shuffled][order]) for a, b in zip(got, runs))
-        assert peak <= sum(column.nbytes for column in got) + 32 * n + 4096
-        # Writing them holds 8 bytes per run.
+        order, peak = traced_peak(_sorted_runs, runs, block)
+        assert peak <= 16 * n + 8 * np.getbufsize() + 4096
+        assert all(np.array_equal(a, b) for a, b in zip(columns, kept))
+        assert np.array_equal(np.sort(order), np.arange(n))
+        by_block = block[runs.track[order]]
+        length = np.abs(runs.count[order])
+        assert (np.diff(by_block) >= 0).all()
+        assert (np.diff(length)[np.diff(by_block) == 0] <= 0).all()
+        # Writing one block's runs holds what it gathers of them (and the
+        # cast buffer), not a copy of the store.
         ends = np.cumsum(counts)
-        got = _sorted_runs([[column] for column in got], np.zeros(len(starts), dtype=np.int64))
-        _, peak = traced_peak(_write_runs, np.empty((ends[-1], 3)), got, ends - counts, 1)
-        assert peak <= 8 * n + 4096
+        out = np.empty((ends[-1], 3))
+        rows = np.flatnonzero(by_block == 3)
+        one = order[rows.min() : rows.max() + 1]
+        assert 0 < len(one) < n // 4
+        _, peak = traced_peak(lambda: _write_runs(out, runs.records(one), ends - counts, 1))
+        assert peak <= 80 * len(one) + 8 * len(starts) + 8 * np.getbufsize() + 4096 < 40 * n
 
     def test_fit_kernel_shares_designs_across_lengths(self):
         rng = np.random.default_rng(7)
@@ -845,14 +862,15 @@ class TestFineSteps:
     def test_memory_follows_the_output(self, traced_peak, tmp_path):
         # The bound of the tracking module docstring, for the stream drained
         # into the STRL writer: one block's points at 24 bytes each (here the
-        # whole output), plus one pass's temporaries and 176 bytes per voxel
-        # run, of which there are at most as many as points.
+        # whole output), plus one pass's temporaries and 56 bytes per voxel
+        # run (40 in the stores, 16 for the orders and the sort), of which
+        # there are at most as many as points.
         mask, field, seeds, cfg = fine_steps()
         points = len(raw_set(field, mask, seeds, cfg).points)
         sets = tracking.reconstruct_batches(field, mask, seeds, cfg)
         _, peak = traced_peak(save_streamlines, tmp_path / "out.strl", sets)
         assert points > 20 * len(seeds)
-        assert peak <= 24 * points + 4 * tracking._RUN_BYTES + 176 * points
+        assert peak <= 24 * points + 4 * tracking._RUN_BYTES + 56 * points
 
 
 def test_reconstruct_scratch_does_not_grow_with_the_seeds(traced_peak, tmp_path):
@@ -924,14 +942,56 @@ def test_result_does_not_depend_on_batching(monkeypatch, reconstructed, batch):
     # 62 seeds: one outside the mask, and 9 whose tracks are under
     # min_length_mm; the 61 in the mask leave the last batch of 3 partial.
     # A block budget of 97 points splits every batch of 3 or more into
-    # blocks.
+    # blocks. A run budget of 7 points makes every pass take one step per
+    # track, and writes each block's runs 7 at a time.
     mask, field = CASES["jittered_arc"]()
     seeds = some_seeds(mask, 1.0, limit=60)
     seeds = SeedSet(np.concatenate([seeds.points, [[-5.0, 0.0, 0.0]]]))
     cfg = TrackingConfig(min_length_mm=12.0)
     monkeypatch.setattr(tracking, "_BATCH", batch)
     want = ref.track(field, mask, seeds, cfg)
-    for budget in (streamline_mod.BLOCK_POINTS, 97):
+    for budget, run_bytes in ((streamline_mod.BLOCK_POINTS, tracking._RUN_BYTES), (97, tracking._RUN_BYTES),
+                              (97, 24 * 7)):
         monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        monkeypatch.setattr(tracking, "_RUN_BYTES", run_bytes)
         assert_same_streamlines(raw_set(field, mask, seeds, cfg), want)
         assert_reconstructs_reference(reconstructed, field, mask, seeds, cfg)
+
+
+def test_stores_grow_when_a_later_batch_makes_more_runs(monkeypatch):
+    # Tracks along z through columns 15 voxels tall for y >= 10 and 60 for
+    # y < 10. The first batch of seeds lies in the short columns and the
+    # second in the tall ones, so each half's store, filled by the first
+    # batch, grows while it takes the second batch's records.
+    occ = np.ones((20, 20, 60), dtype=bool)
+    occ[:, 10:, 15:] = False
+    d = np.broadcast_to(np.array([0.02, -0.01, 1.0]) / np.linalg.norm([0.02, -0.01, 1.0]),
+                        occ.shape + (3,)).copy()
+    mask, field = VoxelMask(occ), OrientationField(d, np.full(occ.shape, 0.5))
+    rng = np.random.default_rng(5)
+    short = rng.uniform((1.0, 10.5, 1.0), (19.0, 19.5, 14.0), (16, 3))
+    tall = rng.uniform((1.0, 0.5, 1.0), (19.0, 9.5, 59.0), (16, 3))
+    seeds = SeedSet(np.concatenate([short, tall]))
+    want = unrounded(field, mask, seeds)
+    assert len(want) == len(seeds)
+
+    sizes = []
+    real = tracking._propagate
+
+    def propagate(*args):
+        runs = args[-1]
+        before = len(runs.track)
+        counts = real(*args)
+        sizes.append((before, runs.n, len(runs.track)))
+        return counts
+
+    monkeypatch.setattr(tracking, "_propagate", propagate)
+    monkeypatch.setattr(tracking, "_BATCH", 16)
+    got = unrounded(field, mask, seeds)
+    # Forward and backward for each batch: the second batch's halves grow
+    # stores that the first one filled.
+    assert len(sizes) == 4
+    assert all(0 < filled <= before < after == n
+               for (_, filled, _), (before, n, after) in zip(sizes[:2], sizes[2:]))
+    assert_same_streamlines(got, want)
+
