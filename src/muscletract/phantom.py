@@ -72,25 +72,27 @@ class GroundTruth:
 def box_fiber_length_median(width: float, length: float, pennation_deg: float) -> float:
     """Median tracked fiber length in a unipennate box under uniform seeding.
 
-    Fibers run at the pennation angle to z in the x-z plane; fibers near the
-    x walls are clipped short. Seeds land on a fiber in proportion to its
-    length, so the median is over the length-weighted fiber family. When more
-    than half that mass is unclipped the median is exactly length/cos(angle).
+    Fibers run at the pennation angle θ to z in the x-z plane. Seeds land on a
+    fiber in proportion to its length, so the median is over the
+    length-weighted fiber family. Over the box's length a fiber moves L·tanθ
+    in x; let a = min(w, L·tanθ) and b = max(w, L·tanθ). Along the fibers' x
+    offset, their length is a plateau of height top (L/cosθ when a = L·tanθ,
+    w/sinθ when a = w) and width b - a, between two linear ramps of width a
+    whose fibers the x walls clip short. The ramps' fibers no longer than
+    m ≤ top weigh tanθ·cosθ·m² together, and tanθ·cosθ·top = a, so the family
+    weighs a·top + (b - a)·top = b·top. Half of that lies below
+    m = top·sqrt(b / (2a)); when that exceeds top, the plateau holds the
+    median, top.
     """
     theta = math.radians(pennation_deg)
-    if pennation_deg == 0.0:
+    run = length * math.tan(theta)
+    if run == 0.0:
         return length
-    t, c = math.tan(theta), math.cos(theta)
-    if width > length * t and (width - length * t) / width > 0.5:
-        return length / c
-    xi = np.linspace(-length * t, width, 400001)
-    z1 = np.maximum(0.0, -xi / t)
-    z2 = np.minimum(length, (width - xi) / t)
-    ell = np.maximum(0.0, z2 - z1) / c
-    order = np.argsort(ell)
-    ell = ell[order]
-    w = np.cumsum(ell)
-    return float(ell[np.searchsorted(w, 0.5 * w[-1])])
+    if run <= width:
+        a, b, top = run, width, length / math.cos(theta)
+    else:
+        a, b, top = width, run, width / math.sin(theta)
+    return top * min(1.0, math.sqrt(b / (2.0 * a)))
 
 
 def _grid_for(dims_mm, voxel: float):
@@ -119,39 +121,36 @@ def _apply_jitter(directions: np.ndarray, active: np.ndarray, jitter_deg: float,
 
 
 def make_phantom(spec: PhantomSpec) -> tuple[VoxelMask, OrientationField, GroundTruth]:
-    """Build the voxel mask, orientation field, and ground truth for a spec."""
-    if spec.shape == "box_unipennate":
-        mask, field, gt = _make_box(spec)
-    elif spec.shape == "fusiform":
-        mask, field, gt = _make_fusiform(spec)
-    else:
-        mask, field, gt = _make_arc(spec)
+    """Build the voxel mask, orientation field, and ground truth for a spec.
 
+    Each shape's maker returns its occupancy, its unit directions (which may
+    be anything outside the occupancy) and its truth; the rest is shared.
+    """
+    make = {"box_unipennate": _make_box, "fusiform": _make_fusiform, "curved_arc": _make_arc}
+    occ, directions, truth = make[spec.shape](spec)
+    if not occ.any():
+        raise InvalidSpecError(f"{spec.shape} phantom covers no voxel of its {occ.shape} grid "
+                               f"at voxel_mm={spec.voxel_mm}")
+    directions[~occ] = 0.0
     if spec.jitter_deg > 0:
-        _apply_jitter(field.directions, field.fa > 0, spec.jitter_deg, spec.seed)
-        field.validate_units()
-    return mask, field, gt
+        _apply_jitter(directions, occ, spec.jitter_deg, spec.seed)
+    fa = np.where(occ, FA_INSIDE, 0.0)
+    mask = VoxelMask(occ, spec.voxel_mm, 0.0)
+    return mask, OrientationField(directions, fa, spec.voxel_mm, 0.0), truth
 
 
 def _make_box(spec: PhantomSpec):
     w, h, length = spec.dims_mm
     dims = _grid_for(spec.dims_mm, spec.voxel_mm)
-    occ = np.ones(dims, dtype=bool)
     theta = math.radians(spec.pennation_deg)
     direction = np.array([math.sin(theta), 0.0, math.cos(theta)])
-
-    directions = np.broadcast_to(direction, dims + (3,)).copy()
-    fa = np.full(dims, FA_INSIDE)
-
-    mask = VoxelMask(occ, spec.voxel_mm, 0.0)
-    field = OrientationField(directions, fa, spec.voxel_mm, 0.0)
-    gt = GroundTruth(
+    truth = GroundTruth(
         fiber_length_mm=box_fiber_length_median(w, length, spec.pennation_deg),
         pennation_deg=spec.pennation_deg,
         line_of_action=np.array([0.0, 0.0, 1.0]),
         volume_mm3=w * h * length,
     )
-    return mask, field, gt
+    return np.ones(dims, dtype=bool), np.broadcast_to(direction, dims + (3,)).copy(), truth
 
 
 def _make_fusiform(spec: PhantomSpec):
@@ -160,28 +159,20 @@ def _make_fusiform(spec: PhantomSpec):
     x, y, z = _voxel_centers(dims, spec.voxel_mm)
     cx, cy, cz = (n * spec.voxel_mm / 2.0 for n in dims)
     xt, yt, zt = x - cx, y - cy, z - cz
-
     occ = (xt / a) ** 2 + (yt / b) ** 2 + (zt / c) ** 2 <= 1.0
-    if not occ.any():
-        raise InvalidSpecError("fusiform dims too small for the voxel size")
 
     # Fibers are scaled meridians (x0*g(z), y0*g(z), z) with g = sqrt(1-(z/c)^2);
     # the tangent direction at a voxel depends only on its position.
     q = -zt / np.maximum(c * c - zt * zt, 1e-9 * c * c)
     directions = np.stack([xt * q, yt * q, np.ones_like(zt)], axis=-1)
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
-    directions[~occ] = 0.0
-    fa = np.where(occ, FA_INSIDE, 0.0)
-
-    mask = VoxelMask(occ, spec.voxel_mm, 0.0)
-    field = OrientationField(directions, fa, spec.voxel_mm, 0.0)
-    gt = GroundTruth(
+    truth = GroundTruth(
         fiber_length_mm=2.0 * c,
         pennation_deg=0.0,
         line_of_action=np.array([0.0, 0.0, 1.0]),
         volume_mm3=4.0 / 3.0 * math.pi * a * b * c,
     )
-    return mask, field, gt
+    return occ, directions, truth
 
 
 def _make_arc(spec: PhantomSpec):
@@ -207,24 +198,16 @@ def _make_arc(spec: PhantomSpec):
     rho = np.hypot(rx, rz)
     phi = np.mod(np.arctan2(rz, rx), 2.0 * math.pi)
     occ = (rho >= r_in) & (rho <= r_out) & (phi <= sweep) & (y >= 0) & (y <= height)
-    if not occ.any():
-        raise InvalidSpecError("arc sector contains no voxels at this voxel size")
-
     safe_rho = np.maximum(rho, 1e-9)
     directions = np.stack([-rz / safe_rho, np.zeros_like(rho), rx / safe_rho], axis=-1)
-    directions[~occ] = 0.0
-    fa = np.where(occ, FA_INSIDE, 0.0)
 
     chord = np.array([math.cos(sweep) - 1.0, 0.0, math.sin(sweep)])
     norm = np.linalg.norm(chord)
     chord = chord / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
-
-    mask = VoxelMask(occ, spec.voxel_mm, 0.0)
-    field = OrientationField(directions, fa, spec.voxel_mm, 0.0)
-    gt = GroundTruth(
+    truth = GroundTruth(
         fiber_length_mm=sweep * r_mid,
         pennation_deg=0.0,
         line_of_action=chord,
         volume_mm3=sweep / 2.0 * (r_out**2 - r_in**2) * height,
     )
-    return mask, field, gt
+    return occ, directions, truth

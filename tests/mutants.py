@@ -173,6 +173,48 @@ MUTANTS = (
         "a half's store keeps the last batch's records when the next batch fills it",
     ),
     Mutant(
+        "box_median_no_sqrt", "src/muscletract/phantom.py",
+        "    return top * min(1.0, math.sqrt(b / (2.0 * a)))\n",
+        "    return top * min(1.0, b / (2.0 * a))\n",
+        "tests/test_phantom.py::TestBoxMedianFiberLength::test_matches_the_quadrature",
+        "the box median's closed form without its square root",
+    ),
+    Mutant(
+        "box_median_walls_swapped", "src/muscletract/phantom.py",
+        "    if run <= width:\n",
+        "    if run >= width:\n",
+        "tests/test_phantom.py::TestBoxMedianFiberLength::test_matches_the_quadrature",
+        "the box median takes the plateau from the x walls when the fibers span the length",
+    ),
+    Mutant(
+        "phantom_outside_directions_kept", "src/muscletract/phantom.py",
+        "    directions[~occ] = 0.0\n",
+        "",
+        "tests/test_phantom.py::test_grid_bytes_are_pinned",
+        "a phantom's field keeps its shape's directions outside the muscle",
+    ),
+    Mutant(
+        "lookup_bound_inclusive", "src/muscletract/grid.py",
+        "        ok = idx.view(np.uint64) < np.asarray(dims, dtype=np.uint64)\n",
+        "        ok = idx.view(np.uint64) <= np.asarray(dims, dtype=np.uint64)\n",
+        "tests/test_grid.py::TestLookup::test_matches_bounds_and_occupancy",
+        "an index equal to a grid dim counts as in-grid",
+    ),
+    Mutant(
+        "unit_tol_loose", "src/muscletract/grid.py",
+        "UNIT_TOL = 1e-6\n",
+        "UNIT_TOL = 1e-5\n",
+        "tests/test_grid.py::TestOrientationField::test_unit_tolerance",
+        "a field direction may be 1e-5 off unit norm",
+    ),
+    Mutant(
+        "frame_ignores_origin", "src/muscletract/grid.py",
+        "            and np.array_equal(self.origin, other.origin)\n",
+        "",
+        "tests/test_grid.py::TestFrame::test_every_part_must_match",
+        "two grids with different origins share a frame",
+    ),
+    Mutant(
         "runs_unstable_sort", "src/muscletract/tracking.py",
         'np.argsort(key, kind="stable")',
         "np.argsort(key)",

@@ -446,6 +446,31 @@ class TestFieldRoundTrip:
         with pytest.raises(InvalidSpecError):
             load_field(path)
 
+    def write_off_unit(self, path, off):
+        """An ORNT file whose directions are 1 + off long where fa > 0, as a
+        writer with only file-level precision leaves them; returns the
+        float32 words written, as float64, and fa."""
+        d = np.random.default_rng(11).normal(size=(3, 2, 2, 3))
+        d *= (1.0 + off) / np.linalg.norm(d, axis=-1, keepdims=True)
+        fa = np.full((3, 2, 2), 0.5)
+        fa[0, 1, 0] = 0.0
+        self.write_raw(path, d, fa)
+        return d.astype("<f4").astype(np.float64), fa
+
+    def test_foreign_precision_is_renormalized(self, tmp_path):
+        stored, fa = self.write_off_unit(tmp_path / "f.ornt", 1e-5)
+        field = load_field(tmp_path / "f.ornt")
+        active = fa > 0
+        want = stored[active] / np.linalg.norm(stored[active], axis=1)[:, None]
+        assert np.array_equal(field.directions[active], want)
+        assert not np.array_equal(want, stored[active])
+        assert np.array_equal(field.directions[~active], stored[~active])
+
+    def test_beyond_file_precision_is_rejected(self, tmp_path):
+        self.write_off_unit(tmp_path / "f.ornt", 2e-4)
+        with pytest.raises(FormatError, match="non-unit directions") as err:
+            load_field(tmp_path / "f.ornt")
+        assert err.value.exit_code == 3
 
     @pytest.mark.parametrize("channel, error", [(0, FormatError), (3, InvalidSpecError)])
     def test_signaling_nan_payload_rejected(self, tmp_path, channel, error):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muscletract.errors import InvalidSpecError
+from muscletract.errors import FrameMismatchError, InvalidSpecError
 from muscletract.grid import OrientationField, VoxelMask
 
 NONFINITE = (np.nan, np.inf, -np.inf)
@@ -44,7 +44,34 @@ class TestLookup:
         assert np.array_equal(mask.indices_occupied(idx), want)
 
 
+class TestFrame:
+    @pytest.mark.parametrize("part, value", [
+        ("occupancy", np.ones((2, 3, 5), dtype=bool)),
+        ("voxel_size", (1.0, 1.0, 1.0)),
+        ("origin", (0.0, 5.0, 1e-9)),
+    ])
+    def test_every_part_must_match(self, part, value):
+        frame = {"occupancy": np.ones((2, 3, 4), dtype=bool), "voxel_size": (1.0, 1.0, 2.0),
+                 "origin": (0.0, 5.0, 0.0)}
+        mask = VoxelMask(**frame)
+        mask.require_same_frame(VoxelMask(**frame))
+        with pytest.raises(FrameMismatchError):
+            mask.require_same_frame(VoxelMask(**{**frame, part: value}))
+
+
 class TestOrientationField:
+    @pytest.mark.parametrize("off, ok", [(5e-7, True), (-5e-7, True),
+                                         (2e-6, False), (-2e-6, False)])
+    def test_unit_tolerance(self, off, ok):
+        # Float32 words of a unit vector are within 5e-7 of unit norm; 1e-6 admits them.
+        d, fa = unit_field()
+        d[1, 2, 0, 2] = 1.0 + off
+        if ok:
+            OrientationField(d, fa)
+        else:
+            with pytest.raises(InvalidSpecError, match="unit-norm"):
+                OrientationField(d, fa)
+
     def test_nan_direction_where_active_rejected(self):
         d, fa = unit_field()
         d[1, 1, 1] = np.nan

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from muscletract.errors import InvalidSpecError
+from muscletract.formats import save_field, save_mask
+from muscletract.grid import OrientationField
 from muscletract.phantom import GroundTruth, PhantomSpec, box_fiber_length_median, make_phantom
 
 
@@ -75,6 +78,30 @@ class TestBoxMedianFiberLength:
     def test_zero_angle(self):
         assert box_fiber_length_median(20, 60, 0.0) == 60.0
 
+    @pytest.mark.parametrize("width, length, angle", [
+        (20, 40, 10), (20, 60, 0.5), (10, 60, 30), (20, 60, 80),  # plateau
+        (20, 60, 10), (40, 120, 10), (16, 90, 10), (30, 30, 45),  # ramp, w >= L tan
+        (10, 12.75, 26), (10, 14.25, 30), (10, 12, 24), (10, 15, 32),  # ensemble boxes
+        (12, 20, 45), (10, 15, 40), (20, 60, 25),  # ramp, w < L tan
+    ])
+    def test_matches_the_quadrature(self, width, length, angle):
+        want = quadrature_median(width, length, angle)
+        assert box_fiber_length_median(width, length, angle) == pytest.approx(want, rel=1e-5)
+
+
+def quadrature_median(width, length, pennation_deg):
+    """The length-weighted median fiber length of a box by brute force:
+    400 001 fibers evenly spaced in their x offset at z = 0, sorted by length.
+    Its own error is about one sample spacing over the ramp's slope."""
+    theta = math.radians(pennation_deg)
+    t, c = math.tan(theta), math.cos(theta)
+    xi = np.linspace(-length * t, width, 400001)
+    z1 = np.maximum(0.0, -xi / t)
+    z2 = np.minimum(length, (width - xi) / t)
+    ell = np.sort(np.maximum(0.0, z2 - z1) / c)
+    w = np.cumsum(ell)
+    return float(ell[np.searchsorted(w, 0.5 * w[-1])])
+
 
 class TestFusiformPhantom:
     def test_mask_is_ellipsoid(self):
@@ -142,6 +169,15 @@ class TestCurvedArcPhantom:
             PhantomSpec(shape="curved_arc", arc_radius_mm=4.0, arc_thickness_mm=10.0)
 
 
+@pytest.mark.parametrize("spec, grid", [
+    (PhantomSpec(shape="fusiform", dims_mm=(1.5, 1.5, 1.5)), r"\(2, 2, 2\)"),
+    (PhantomSpec(shape="curved_arc", arc_thickness_mm=0.01, voxel_mm=3.0), r"\(13, 4, 13\)"),
+])
+def test_a_phantom_between_voxel_centers_is_rejected(spec, grid):
+    with pytest.raises(InvalidSpecError, match=f"{spec.shape} phantom covers no voxel of its {grid}"):
+        make_phantom(spec)
+
+
 class TestJitter:
     def test_jitter_preserves_unit_norm_and_is_seeded(self):
         spec = PhantomSpec(shape="box_unipennate", jitter_deg=2.0, seed=5)
@@ -173,3 +209,42 @@ def test_ground_truth_fields_complete():
         assert gt.fiber_length_mm > 0
         assert gt.volume_mm3 > 0
         assert np.linalg.norm(gt.line_of_action) == pytest.approx(1.0, abs=1e-9)
+
+
+# Leading half of the SHA-256 of save_mask's then save_field's bytes for
+# PhantomSpec(shape, voxel_mm=voxel, jitter_deg=jitter, seed=7). The contract
+# digests cover arc phantoms only; these pin every shape's grids.
+GRID_DIGESTS = {
+    ("box_unipennate", 0.0, 1.0): "bf487dd66c16ee7557a13819494d3657",
+    ("box_unipennate", 0.0, 0.7): "c30c0eefd2ac399974bbc28575fec5f4",
+    ("box_unipennate", 1.5, 1.0): "8fd70153219fb1105f819653f9298fff",
+    ("box_unipennate", 1.5, 0.7): "265e46ff74b9eca666e0fea5443b846f",
+    ("fusiform", 0.0, 1.0): "da0fe213b4a4d5194cdd0ae03d179ba9",
+    ("fusiform", 0.0, 0.7): "a18830bf014850ec38d0c349d1a0efda",
+    ("fusiform", 1.5, 1.0): "4052884050e28385185ed764d37f2359",
+    ("fusiform", 1.5, 0.7): "3216f917c13128afc3e11143e76d8457",
+    ("curved_arc", 0.0, 1.0): "9677ebac86befab844dd1590defc1c2e",
+    ("curved_arc", 0.0, 0.7): "304cb41f13af69634995ff39e5aae6f9",
+    ("curved_arc", 1.5, 1.0): "73c96154cd3ca8be49fdf0f09e3936e1",
+    ("curved_arc", 1.5, 0.7): "5dcee6e19bc662a6f23148ff20b7fa23",
+}
+
+
+@pytest.mark.parametrize("shape, jitter, voxel", sorted(GRID_DIGESTS))
+def test_grid_bytes_are_pinned(tmp_path, shape, jitter, voxel):
+    spec = PhantomSpec(shape=shape, voxel_mm=voxel, jitter_deg=jitter, seed=7)
+    mask, field, _ = make_phantom(spec)
+    digest = hashlib.sha256()
+    for save, grid in ((save_mask, mask), (save_field, field)):
+        save(tmp_path / "grid", grid)
+        digest.update((tmp_path / "grid").read_bytes())
+    assert digest.hexdigest()[:32] == GRID_DIGESTS[shape, jitter, voxel]
+
+
+def test_a_jittered_field_is_checked_once(monkeypatch):
+    calls = []
+    check = OrientationField.validate_units
+    monkeypatch.setattr(OrientationField, "validate_units",
+                        lambda self: calls.append(1) or check(self))
+    make_phantom(PhantomSpec(jitter_deg=2.0, seed=5))
+    assert len(calls) == 1
