@@ -37,6 +37,14 @@ class InvalidSpecError(DataError):
     """Non-physical phantom specification."""
 
 
+class NonUnitError(InvalidSpecError):
+    """Field directions off unit norm where fa > 0; carries their norms and the worst."""
+
+    def __init__(self, norms, worst: float):
+        super().__init__(f"directions must be unit-norm where fa > 0 (worst deviation {worst:.3g})")
+        self.norms, self.worst = norms, worst
+
+
 class NumericError(MuscleTractError):
     """Degenerate geometry or distribution that has no defined result."""
 

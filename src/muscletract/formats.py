@@ -7,12 +7,13 @@ All formats are little-endian with a 4-byte magic and a u32 version:
   MSKV  voxel mask: dims 3*u32, voxel_size 3*float32, origin 3*float32, then
         dims.x*dims.y*dims.z occupancy bytes {0,1}, x-fastest.
   ORNT  orientation field: MSKV header, payload 4*float32 per voxel
-        (dir x, y, z, fa), x-fastest. Unit norm is validated where fa > 0.
+        (dir x, y, z, fa), x-fastest. Directions the field rejects as off
+        unit norm where fa > 0 are renormalized if within 1e-4, else refused.
   DENS  density volume: MSKV header, payload 1*float32 per voxel, x-fastest.
 
 The grid formats differ only in magic and payload: one writer (_save_grid)
 and one reader (_load_grid) serve all three, and each loader adds its own
-checks (occupancy bytes 0 or 1, unit directions).
+checks (occupancy bytes 0 or 1; the ORNT renormalization band).
 
 Round-trips are byte-exact: save(load(save(x))) writes identical bytes.
 
@@ -84,11 +85,11 @@ from pathlib import Path
 import numpy as np
 
 from .architecture import R2_THRESHOLD_DEFAULT
-from .errors import ConfigError, FormatError, InvalidSpecError
+from .errors import ConfigError, FormatError, InvalidSpecError, NonUnitError
 from .grid import OrientationField, VoxelMask
 from .metrics import DensityMap
 from .sampling import FSSConfig
-from .streamline import StreamlineSet, _float64, _validate, as_stream, blocks
+from .streamline import StreamlineSet, _float64, _offsets, _validate, as_stream, blocks
 from .tracking import TrackingConfig
 
 FORMAT_VERSION = 1
@@ -209,9 +210,7 @@ class StreamlineFile:
             counts.append(npoints)
         if pos < size:
             raise FormatError(f"{path}: trailing bytes after {count} streamlines")
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return start, offsets
+        return start, _offsets(counts)
 
     def _read(self, lo: int, hi: int) -> np.ndarray:
         """The (P, 3) float64 points of streamlines lo..hi-1, converted from
@@ -316,19 +315,16 @@ def save_field(path, field: OrientationField) -> None:
 def load_field(path) -> OrientationField:
     raw, voxel_size, origin = _load_grid(path, b"ORNT", "<f4", 4, "field payload")
     grid = _float64(raw)
-    directions = grid[..., :3]
-    fa = grid[..., 3]
-    active = fa > 0
-    if active.any():
-        norms = np.linalg.norm(directions[active], axis=1)
-        worst = float(np.abs(norms - 1.0).max())
-        if not worst <= 1e-4:  # NaN fails
-            raise FormatError(f"{path}: non-unit directions where fa > 0 (worst {worst:.3g})")
-        if worst > 5e-7:
-            # Foreign writers may carry only file-level precision; our own
-            # float32 output stays below this and round-trips untouched.
-            directions = directions.copy()
-            directions[active] /= norms[:, None]
+    directions, fa = grid[..., :3], grid[..., 3]
+    try:
+        return OrientationField(directions, fa, voxel_size, origin)
+    except NonUnitError as exc:
+        # A file's directions are renormalized exactly when the field rejects
+        # them, up to 1e-4: foreign writers may carry only file precision.
+        # This program's float32 output stays inside grid.UNIT_TOL, untouched.
+        if not exc.worst <= 1e-4:  # NaN fails
+            raise FormatError(f"{path}: non-unit directions where fa > 0 (worst {exc.worst:.3g})")
+        directions[fa > 0] /= exc.norms[:, None]
     return OrientationField(directions, fa, voxel_size, origin)
 
 

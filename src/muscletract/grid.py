@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatchError, InvalidSpecError
+from .errors import FrameMismatchError, InvalidSpecError, NonUnitError
 
 # Largest deviation from unit norm an OrientationField direction may have
 # where fa > 0.
@@ -131,7 +131,8 @@ class OrientationField:
     """Per-voxel unit direction and scalar anisotropy on the same grid as a mask.
 
     Directions are unsigned fiber axes; the tracker sign-aligns them step by
-    step. Unit norm is required wherever fa > 0.
+    step. Unit norm (UNIT_TOL) is required wherever fa > 0; validate_units
+    raises NonUnitError, with the norms it computed, where it is not.
     """
 
     directions: np.ndarray
@@ -164,6 +165,4 @@ class OrientationField:
             norms = np.linalg.norm(self.directions[active], axis=1)
             worst = float(np.abs(norms - 1.0).max())
             if not worst <= UNIT_TOL:  # NaN fails
-                raise InvalidSpecError(
-                    f"directions must be unit-norm where fa > 0 (worst deviation {worst:.3g})"
-                )
+                raise NonUnitError(norms, worst)

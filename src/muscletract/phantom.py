@@ -24,6 +24,11 @@ from .grid import OrientationField, VoxelMask
 
 SHAPES = ("box_unipennate", "fusiform", "curved_arc")
 FA_INSIDE = 0.5
+# Most voxels a phantom grid may have: 145 times the 40 x 24 x 120 box. A
+# jittered box, the largest case, peaks at 184 bytes per voxel in
+# make_phantom (tracemalloc; 98 unjittered, 121 fusiform, 114 arc), so about
+# 3.1 GB at this bound.
+MAX_VOXELS = 2**24
 
 
 @dataclass
@@ -96,8 +101,15 @@ def box_fiber_length_median(width: float, length: float, pennation_deg: float) -
 
 
 def _grid_for(dims_mm, voxel: float):
-    dims = tuple(int(math.ceil(d / voxel)) for d in dims_mm)
-    return dims
+    """The grid dims of a phantom, checked against MAX_VOXELS before its
+    maker allocates the grid. They are counted in floats first, where a size
+    past the float range is inf rather than an OverflowError."""
+    sizes = np.ceil([float(d) / float(voxel) for d in dims_mm]).tolist()
+    count = math.prod(sizes)
+    if not count <= MAX_VOXELS:
+        raise InvalidSpecError(f"phantom grid {' x '.join(f'{s:.0f}' for s in sizes)} at "
+                               f"voxel_mm={voxel} has {count:.3g} voxels, more than {MAX_VOXELS}")
+    return tuple(int(s) for s in sizes)
 
 
 def _voxel_centers(dims, voxel: float):

@@ -69,6 +69,13 @@ def blocks(offsets: np.ndarray, budget: int | None = None):
         lo = hi
 
 
+def _offsets(counts) -> np.ndarray:
+    """The n + 1 offsets that pack streamlines of the given point counts."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The sorted distinct values of an integer array, as np.unique(a) gives
     them. np.unique's test for a masked array imports numpy.ma (~14 ms of
@@ -154,8 +161,7 @@ class StreamlineSet:
         given, not copied; any other is converted to float64 (_float64).
         Every streamline is validated (_validate)."""
         self.points = _float64(np.asarray(points))
-        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.offsets[1:])
+        self.offsets = _offsets(counts)
         _validate(self.points, self.offsets)
 
     @classmethod
@@ -194,8 +200,7 @@ class StreamlineSet:
         with this set, so they are not checked again."""
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.offsets[rows]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(self.offsets[rows + 1] - starts, out=offsets[1:])
+        offsets = _offsets(self.offsets[rows + 1] - starts)
         points = np.empty((offsets[-1], 3))
         for lo, hi in blocks(offsets):
             a, b = offsets[lo], offsets[hi]

@@ -120,7 +120,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidSpecError
 from .grid import UNIT_TOL, OrientationField, VoxelMask
 from .sampling import SeedSet
-from .streamline import StreamlineSet, _by_count, _lengths, blocks
+from .streamline import StreamlineSet, _by_count, _lengths, _offsets, blocks
 
 log = logging.getLogger(__name__)
 
@@ -452,13 +452,6 @@ def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length
     counts = _pack_in_place(buf, local, keep)
     buf.resize((int(counts.sum()), 3), refcheck=False)
     return buf, counts
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """The n + 1 offsets that pack streamlines of the given point counts."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
 
 
 def _fit_cubic(points: np.ndarray, design: np.ndarray) -> np.ndarray:

@@ -215,6 +215,83 @@ MUTANTS = (
         "two grids with different origins share a frame",
     ),
     Mutant(
+        "phantom_voxel_budget_off", "src/muscletract/phantom.py",
+        "MAX_VOXELS = 2**24\n",
+        "MAX_VOXELS = math.inf\n",
+        "tests/test_cli.py::TestPhantomCommand::test_a_grid_over_the_voxel_budget_exits_3",
+        "a phantom grid of any size is allocated",
+    ),
+    Mutant(
+        "loader_band_loose", "src/muscletract/formats.py",
+        "        if not exc.worst <= 1e-4:  # NaN fails\n",
+        "        if not exc.worst <= 1e-3:  # NaN fails\n",
+        "tests/test_formats.py::TestFieldRoundTrip::test_beyond_file_precision_is_rejected",
+        "an ORNT file 1e-3 off unit norm is renormalized, not refused",
+    ),
+    Mutant(
+        "data_error_exit_4", "src/muscletract/errors.py",
+        "    exit_code = 3\n",
+        "    exit_code = 4\n",
+        "tests/test_formats.py::TestFieldRoundTrip::test_beyond_file_precision_is_rejected",
+        "bad input data exits 4, the code of degenerate geometry",
+    ),
+    Mutant(
+        "numeric_error_exit_1", "src/muscletract/errors.py",
+        "    exit_code = 4\n",
+        "    exit_code = 1\n",
+        "tests/test_cli.py::TestExitCodes::test_degenerate_data_is_4",
+        "degenerate geometry exits 1, the code of an unexpected failure",
+    ),
+    Mutant(
+        "non_unit_not_a_spec_error", "src/muscletract/errors.py",
+        "class NonUnitError(InvalidSpecError):\n",
+        "class NonUnitError(DataError):\n",
+        "tests/test_grid.py::TestOrientationField::test_unit_tolerance",
+        "a field off unit norm raises no InvalidSpecError",
+    ),
+    Mutant(
+        "framed_open_upper_bound", "src/muscletract/cli.py",
+        "            ok = (pts >= lo) & (pts <= hi)\n",
+        "            ok = (pts >= lo) & (pts < hi)\n",
+        "tests/test_cli.py::TestFrameCheck::test_only_inside_point_on_last_streamline_accepted",
+        "the frame check leaves out the upper faces of the mask grid's box",
+    ),
+    Mutant(
+        "main_exit_code_fixed", "src/muscletract/cli.py",
+        "        return exc.exit_code\n",
+        "        return 3\n",
+        "tests/test_cli.py::TestExitCodes::test_degenerate_data_is_4",
+        "every package error exits 3",
+    ),
+    Mutant(
+        "os_error_exit_1", "src/muscletract/cli.py",
+        "        return 3\n",
+        "        return 1\n",
+        "tests/test_cli.py::TestExitCodes::test_missing_file_is_3",
+        "a file that cannot be opened exits 1, not 3",
+    ),
+    Mutant(
+        "betainc_log1p_sign", "src/muscletract/stats.py",
+        "        + b * math.log1p(-x)\n",
+        "        + b * math.log1p(x)\n",
+        "tests/test_stats.py::TestTTestPValues::test_matches_mpmath_betainc",
+        "the prefactor of I_x(a, b) takes b log(1 + x), not b log(1 - x)",
+    ),
+    Mutant(
+        "lentz_eps_loose", "src/muscletract/stats.py",
+        "_EPS = 1e-16\n",
+        "_EPS = 1e-6\n",
+        "tests/test_stats.py::TestTTestPValues::test_matches_mpmath_betainc",
+        "the continued fraction stops once a step changes it by under 1e-6",
+    ),
+    Mutant(
+        "paired_sd_population", "src/muscletract/stats.py",
+        "    sd = float(d.std(ddof=1))\n",
+        "    sd = float(d.std(ddof=0))\n",
+        "tests/test_stats.py::TestPairedT::test_fixed_ten_pairs_against_quadrature",
+        "the paired t statistic uses the population, not the sample, standard deviation",
+    ),
+    Mutant(
         "runs_unstable_sort", "src/muscletract/tracking.py",
         'np.argsort(key, kind="stable")',
         "np.argsort(key)",

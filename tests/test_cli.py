@@ -92,6 +92,22 @@ class TestPhantomCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
         assert not mask.exists()
 
+    @pytest.mark.parametrize("extra, grid", [
+        (["--voxel", "1e-6"], "20000000 x 12000000 x 60000000"),
+        (["--voxel", "5e-324"], "inf x inf x inf"),
+        (["--shape", "arc", "--voxel", "5e-324"], "inf x inf x inf"),
+    ])
+    def test_a_grid_over_the_voxel_budget_exits_3(self, tmp_path, capsys, extra, grid):
+        mask = tmp_path / "m.mskv"
+        capsys.readouterr()
+        code = run(["phantom", *extra, "--out-mask", mask, "--out-field",
+                    tmp_path / "f.ornt", "--out-truth", tmp_path / "t.txt"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith(f"error: phantom grid {grid} ")
+        assert "voxels, more than 16777216" in err[0]
+        assert not mask.exists()
+
     def test_phantom_flags_store_under_spec_fields(self):
         # Phantom flags default to SUPPRESS, so PhantomSpec holds the one
         # default of each; every other option keeps a real default.

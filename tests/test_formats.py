@@ -32,7 +32,7 @@ from muscletract.formats import (
     save_streamlines,
     write_csv,
 )
-from muscletract.grid import OrientationField, VoxelMask
+from muscletract.grid import UNIT_TOL, OrientationField, VoxelMask
 from muscletract.metrics import DensityMap
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import seeds_3d
@@ -465,6 +465,28 @@ class TestFieldRoundTrip:
         assert np.array_equal(field.directions[active], want)
         assert not np.array_equal(want, stored[active])
         assert np.array_equal(field.directions[~active], stored[~active])
+
+    @pytest.mark.parametrize("off, renormalized", [(8e-7, False), (2e-6, True)])
+    def test_renormalized_exactly_when_the_field_rejects(self, tmp_path, off, renormalized):
+        # Stored float32 words 8e-7 off are inside UNIT_TOL and load as they are.
+        stored, fa = self.write_off_unit(tmp_path / "f.ornt", off)
+        active = fa > 0
+        norms = np.linalg.norm(stored[active], axis=1)
+        assert ((np.abs(norms - 1.0) > UNIT_TOL) == renormalized).all()
+        want = stored.copy()
+        if renormalized:
+            want[active] /= norms[:, None]
+        assert np.array_equal(load_field(tmp_path / "f.ornt").directions, want)
+
+    def test_a_written_field_is_normed_once(self, tmp_path, monkeypatch):
+        save_field(tmp_path / "f.ornt", make_phantom(PhantomSpec(jitter_deg=2.0, seed=5))[1])
+        norms, checks = [], []
+        norm, check = np.linalg.norm, OrientationField.validate_units
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
+        monkeypatch.setattr(OrientationField, "validate_units",
+                            lambda self: checks.append(1) or check(self))
+        load_field(tmp_path / "f.ornt")
+        assert (len(norms), len(checks)) == (1, 1)
 
     def test_beyond_file_precision_is_rejected(self, tmp_path):
         self.write_off_unit(tmp_path / "f.ornt", 2e-4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muscletract.errors import FrameMismatchError, InvalidSpecError
+from muscletract.errors import FrameMismatchError, InvalidSpecError, NonUnitError
 from muscletract.grid import OrientationField, VoxelMask
 
 NONFINITE = (np.nan, np.inf, -np.inf)
@@ -71,6 +71,16 @@ class TestOrientationField:
         else:
             with pytest.raises(InvalidSpecError, match="unit-norm"):
                 OrientationField(d, fa)
+
+    def test_rejection_carries_the_norms_it_computed(self):
+        d, fa = unit_field()
+        d[1, 2, 0, 2] = 1.0 + 2e-6
+        fa[0, 0, 0] = 0.0
+        d[0, 0, 0] = 7.0
+        with pytest.raises(NonUnitError, match="unit-norm") as err:
+            OrientationField(d, fa)
+        assert np.array_equal(err.value.norms, np.linalg.norm(d[fa > 0], axis=1))
+        assert err.value.worst == float(np.abs(err.value.norms - 1.0).max())
 
     def test_nan_direction_where_active_rejected(self):
         d, fa = unit_field()

@@ -92,7 +92,7 @@ def raw_set(field, mask, seeds, cfg=None):
     for block, piece in tracking._raw_blocks(field, mask, pts, cfg):
         points.append(block)
         counts.append(piece)
-    return StreamlineSet._trusted(np.concatenate(points), tracking._offsets(np.concatenate(counts)))
+    return StreamlineSet._trusted(np.concatenate(points), streamline_mod._offsets(np.concatenate(counts)))
 
 
 class TestTrack:
