@@ -300,7 +300,8 @@ def cmd_compare(args) -> int:
         runs.setdefault(label, {})[instance] = _load_run(path)
         mask_path = path / "mask.mskv"
         if mask_path.exists():
-            header = mask_path.read_bytes()[:44]
+            with open(mask_path, "rb") as fh:
+                header = fh.read(44)  # magic, version, dims, voxel size, origin
             if instance in masks and masks[instance] != header:
                 raise FrameMismatchError(f"instance {instance}: runs use different phantom frames")
             masks[instance] = header

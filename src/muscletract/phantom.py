@@ -25,10 +25,12 @@ from .grid import OrientationField, VoxelMask
 SHAPES = ("box_unipennate", "fusiform", "curved_arc")
 FA_INSIDE = 0.5
 # Most voxels a phantom grid may have: 145 times the 40 x 24 x 120 box. A
-# jittered box, the largest case, peaks at 184 bytes per voxel in
-# make_phantom (tracemalloc; 98 unjittered, 121 fusiform, 114 arc), so about
-# 3.1 GB at this bound.
+# fusiform, the largest case, peaks at 121 bytes per voxel in make_phantom
+# (tracemalloc; a box 98, jittered or not, an arc 114), so about 2.0 GB at
+# this bound.
 MAX_VOXELS = 2**24
+# Active voxels that _apply_jitter tilts at a time.
+_JITTER_ROWS = 1 << 14
 
 
 @dataclass
@@ -118,18 +120,27 @@ def _voxel_centers(dims, voxel: float):
 
 
 def _apply_jitter(directions: np.ndarray, active: np.ndarray, jitter_deg: float, seed: int):
+    """Tilt each active direction, in place, by a normal angle of sd
+    jitter_deg towards a random perpendicular. The random draws are made
+    whole, in the order that fixes their stream; the tilt is computed for
+    _JITTER_ROWS active voxels at a time (directions is C-contiguous, so its
+    flat view writes through)."""
     rng = np.random.default_rng(seed)
-    v = directions[active]
-    n = len(v)
-    raw = rng.normal(size=(n, 3))
-    perp = raw - (raw * v).sum(axis=1, keepdims=True) * v
-    norms = np.linalg.norm(perp, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    perp /= norms
-    alpha = rng.normal(scale=math.radians(jitter_deg), size=(n, 1))
-    out = v * np.cos(alpha) + perp * np.sin(alpha)
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
-    directions[active] = out
+    where = np.flatnonzero(active)
+    raw = rng.normal(size=(len(where), 3))
+    alpha = rng.normal(scale=math.radians(jitter_deg), size=(len(where), 1))
+    flat = directions.reshape(-1, 3)
+    for lo in range(0, len(where), _JITTER_ROWS):
+        part = slice(lo, lo + _JITTER_ROWS)
+        rows, r, a = where[part], raw[part], alpha[part]
+        v = flat[rows]
+        perp = r - (r * v).sum(axis=1, keepdims=True) * v
+        norms = np.linalg.norm(perp, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        perp /= norms
+        out = v * np.cos(a) + perp * np.sin(a)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        flat[rows] = out
 
 
 def make_phantom(spec: PhantomSpec) -> tuple[VoxelMask, OrientationField, GroundTruth]:

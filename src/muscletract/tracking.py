@@ -32,15 +32,15 @@ tests/reference_tracking.py keeps as the oracle):
   endpoints. The tangent norms come from a stacked matmul, which rounds like
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
-Seeds are tracked in batches of _BATCH. Once both halves of a batch have
-been propagated, every raw track's point count, and so its offset, is known
-before any point is written, so the raw tracks are written one
-streamline.blocks range at a time (at most BLOCK_POINTS points, or one track
-that alone holds more) into a buffer of their own: the seeds, the runs, and
-then the tracks under min_length_mm packed out. reconstruct_batches fits,
-extends and filters each block's tracks in the buffer they were written to,
-grown by two rows per track, so a block's points are held once, not once per
-stage.
+Seeds are tracked in batches sized from the mask ("Memory" below). Once
+both halves of a batch have been propagated, every raw track's point count,
+and so its offset, is known before any point is written, so the raw tracks
+are written one streamline.blocks range at a time (at most BLOCK_POINTS
+points, or one track that alone holds more) into a buffer of their own: the
+seeds, the runs, and then the tracks under min_length_mm packed out.
+reconstruct_batches fits, extends and filters each block's tracks in the
+buffer they were written to, grown by two rows per track, so a block's
+points are held once, not once per stage.
 
 Memory follows the voxel runs of one batch and the points of one block, not
 the points of a batch. Each voxel run is one record of 40 bytes: track, first
@@ -54,23 +54,32 @@ moved: each half keeps their order by block and point count, 8 bytes per
 run, and sorting a half holds 8 bytes more per run of that half. A block's
 records are gathered with their s*v to be written, at most _RUN_BYTES // 24
 at a time, at 72 bytes each. So a batch holds at most 56 bytes per run of
-the batch with the most runs so far, and 4 * _RUN_BYTES. A run holds at
-least one point, and about eight at the default step of a tenth of a voxel;
-while a voxel's steps fit one run, the number of runs does not depend on the
-step. None of this depends on max_steps, the step count at which a
-half-track is cut off. A block holds its points at 24 bytes each, and
-finishing it a few arrays per track (the exit rays) and one design at a time
-while it fits the tracks grouped by point count. A batch's orders are
-released before the next batch is propagated, and the stores when the
-reconstruct_batches call ends.
+the batch with the most runs so far, and 4 * _RUN_BYTES.
+
+A batch of an nx x ny x nz mask holds min(_BATCH, _BATCH_RUNS // (nx + ny +
+nz)) seeds. A straight fibre crosses at most nx + ny + nz - 2 voxels, and
+its track makes one run per voxel it crosses and one more (both halves
+start in the seed's voxel), since _pass_steps splits no run across two
+passes while _RUN_BYTES does not cut a pass shorter. So a batch of straight
+fibres makes at most _BATCH_RUNS runs, 56 bytes each. For curved fibres
+_BATCH_RUNS only estimates them: per seed and per voxel of nx + ny + nz,
+the benchmark's default and long boxes make 0.62 runs, its arcs 0.34-0.38
+and its thin jittered boxes 0.27. A run holds at least one point, and about
+eight at the default step of a tenth of a voxel; while a voxel's steps fit
+one run, the number of runs does not depend on the step. None of this
+depends on max_steps, the step count at which a half-track is cut off. A
+block holds its points at 24 bytes each, and finishing it a few arrays per
+track (the exit rays) and one design at a time while it fits the tracks
+grouped by point count. A batch's orders are released before the next batch
+is propagated, and the stores when the reconstruct_batches call ends.
 
 reconstruct_batches, the one tracking entry point, yields each finished
 block as a float64 set and releases its buffer before it writes the next, so
 its peak is the run records of the batch with the most runs and one block,
-whatever the number of seeds or the step: the `track` and `filter --method
-3ds|2ds` commands write each set to disk as it comes
-(formats.save_streamlines), and a caller that wants the whole set reads the
-file back (formats.load_streamlines).
+whatever the number of seeds or the step, and for straight fibres whatever
+the extent of the mask: the `track` and `filter --method 3ds|2ds` commands
+write each set to disk as it comes (formats.save_streamlines), and a caller
+that wants the whole set reads the file back (formats.load_streamlines).
 
 Each point is validated once on its way to disk, by the STRL writer, at
 the float32 rounding that it writes (the rounding can collapse a track far
@@ -148,8 +157,16 @@ class TrackingConfig:
 # Upper bound on the bytes of the points one propagation pass computes ahead.
 _RUN_BYTES = 1 << 22
 
-# Seeds tracked together in one batch (module docstring, "Memory").
+# Most seeds tracked together in one batch (module docstring, "Memory").
 _BATCH = 1024
+
+# Voxel runs one batch of straight fibres may make: a batch holds _BATCH_RUNS
+# // (nx + ny + nz) seeds, at most _BATCH. The CLI-default 20 x 12 x 60 box
+# holds 1024.
+_BATCH_RUNS = 1024 * 92
+
+# Voxels whose directions _pass_steps reads at a time.
+_SLAB_VOXELS = 1 << 12
 
 
 class _Runs:
@@ -196,7 +213,35 @@ class _Runs:
         return self.track[rows], self.first[rows], start, sv, np.abs(count, out=count)
 
 
-def _propagate(field, mask, starts, init_dirs, cfg, max_steps, runs: _Runs):
+def _pass_steps(field: OrientationField, mask: VoxelMask, cfg: TrackingConfig) -> int:
+    """The steps one _propagate pass computes ahead: the longest chord that
+    a usable field direction (fa >= fa_min) can run inside one voxel, in
+    steps, capped at the voxel diagonal's ceil(|h| / s) + 1.
+
+    A run moves s*|v_a| along axis a per step and stays in its start voxel,
+    h_a wide, so at most floor(h_a / (s*|v_a|)) of its steps stay inside and
+    the next one leaves. Over the voxels whose direction a run can use, that
+    is floor(max_voxels min_a h_a / (s*|v_a|)) + 1 steps; one more covers
+    the rounding of the bound and of the run's additions, so that no run is
+    split across two passes. The bound only helps where usable directions
+    avoid voxel diagonals: at the default step on 1 mm voxels it is 12 to 16
+    steps on every benchmark phantom, and a field with one near-diagonal
+    usable direction falls back to the diagonal's 19. The field is read
+    _SLAB_VOXELS voxels at a time.
+    """
+    vs = mask.voxel_size
+    diagonal = int(math.ceil(float(np.linalg.norm(vs)) / cfg.step_mm)) + 1
+    rows = max(1, _SLAB_VOXELS // (field.dims[1] * field.dims[2]))
+    chord = 0.0
+    for x in range(0, field.dims[0], rows):
+        v = np.abs(field.directions[x : x + rows][field.fa[x : x + rows] >= cfg.fa_min])
+        with np.errstate(divide="ignore"):  # inf along an axis that v does not move on
+            steps = (vs / cfg.step_mm) / v
+        chord = max(chord, float(steps.min(axis=1).max(initial=0.0)))
+    return min(diagonal, math.floor(chord) + 2)
+
+
+def _propagate(field, mask, starts, init_dirs, cfg, max_steps, pass_steps, runs: _Runs):
     """March one half-track per seed, with its voxel runs recorded in runs
     (which it empties first); returns the point count of every half-track
     (seed excluded).
@@ -205,8 +250,11 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps, runs: _Runs):
     the full lookup and checks, and the track then continues in a straight
     run to the first step that leaves the voxel, which gets the in-grid and
     occupancy test. The module docstring says why this equals one step at a
-    time bit for bit. The run length only sets how many steps a pass may
-    take; a run still inside its voxel goes on in the next pass.
+    time bit for bit. A pass computes pass_steps steps ahead (_pass_steps,
+    cut to max_steps and to _RUN_BYTES of points), which only sets how many
+    steps it may take: a run still inside its voxel goes on in the next
+    pass, so every pass length gives the same bits, and at _pass_steps'
+    chord bound no run needs a second pass.
 
     A run's points are computed here only to find where it ends. What is
     kept of it is a _Runs record, from which _write_runs adds the same
@@ -221,8 +269,7 @@ def _propagate(field, mask, starts, init_dirs, cfg, max_steps, runs: _Runs):
     active = np.arange(n)
     cos_gate = math.cos(math.radians(cfg.max_angle_deg))
     origin, vs = mask.origin[:, None], mask.voxel_size[:, None]
-    per_voxel = int(math.ceil(float(np.linalg.norm(mask.voxel_size)) / cfg.step_mm)) + 1
-    run = max(1, min(max_steps, per_voxel, _RUN_BYTES // (24 * max(n, 1))))
+    run = max(1, min(max_steps, pass_steps, _RUN_BYTES // (24 * max(n, 1))))
 
     while active.size:
         m = len(active)
@@ -399,22 +446,25 @@ def _seeds_in_mask(field: OrientationField, mask: VoxelMask, seeds: SeedSet,
 def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: TrackingConfig):
     """The raw tracks of the seed points pts, which lie in the mask, that
     are at least cfg.min_length_mm long, in seed order: one (points, counts)
-    per streamline.blocks range of the raw tracks of each batch of _BATCH
-    seeds, points a float64 buffer that owns its memory and holds the tracks
-    packed, counts their point counts.
+    per streamline.blocks range of the raw tracks of each batch of seeds
+    (module docstring, "Memory"), points a float64 buffer that owns its
+    memory and holds the tracks packed, counts their point counts. The pass
+    length (_pass_steps) and the batch size are set once per call.
 
     The generator keeps no reference to a buffer it has yielded, so a
     consumer can release it before the next block is drawn.
     """
     step_range = _step_range(mask, cfg)
     max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
+    pass_steps = _pass_steps(field, mask, cfg)
+    size = max(1, min(_BATCH, _BATCH_RUNS // sum(mask.dims)))
     fwd, bwd = _Runs(field, mask, cfg.step_mm), _Runs(field, mask, cfg.step_mm)
-    for start in range(0, len(pts), _BATCH):
-        batch = pts[start : start + _BATCH]
+    for start in range(0, len(pts), size):
+        batch = pts[start : start + size]
         idx = mask.world_to_index(batch)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
-        n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps, fwd)
-        n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps, bwd)
+        n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps, pass_steps, fwd)
+        n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps, pass_steps, bwd)
         offsets = _offsets(n_bwd + 1 + n_fwd)
         ranges = list(blocks(offsets))
         block = np.repeat(np.arange(len(ranges)), [hi - lo for lo, hi in ranges])
@@ -591,8 +641,12 @@ def reconstruct_batches(
 ):
     """Full per-seed reconstruction: track, cubic-fit, extrapolate, filter.
     Yields float64 sets, in seed order, one per streamline.blocks range of
-    the raw tracks of each batch of _BATCH seeds, and logs one INFO line
-    with what each stage dropped after the last set.
+    the raw tracks of each batch of seeds, and logs one INFO line with what
+    each stage dropped after the last set. A batch holds min(_BATCH,
+    _BATCH_RUNS // (nx + ny + nz)) seeds of an nx x ny x nz mask, and every
+    propagation pass computes the steps of the longest chord that a usable
+    field direction runs inside one voxel (_pass_steps), both set once per
+    call; neither changes a bit of the output.
 
     This is the pipeline order used ahead of any filtering: smoothing and
     endpoint extrapolation happen before streamlines are sampled or
@@ -612,8 +666,9 @@ def reconstruct_batches(
     besides one block, the memory held is the voxel-run records that one
     batch makes, in stores that the call allocates once and every batch
     reuses, at 56 bytes per run of the batch with the most runs (module
-    docstring, "Memory"), whatever the number of seeds (a view that the
-    caller keeps keeps its buffer).
+    docstring, "Memory"), whatever the number of seeds: at most _BATCH_RUNS
+    runs for straight fibres, which it only estimates for curved ones (a
+    view that the caller keeps keeps its buffer).
     """
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)

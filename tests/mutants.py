@@ -292,6 +292,29 @@ MUTANTS = (
         "the paired t statistic uses the population, not the sample, standard deviation",
     ),
     Mutant(
+        "pass_steps_no_margin", "src/muscletract/tracking.py",
+        "    return min(diagonal, math.floor(chord) + 2)\n",
+        "    return min(diagonal, math.floor(chord))\n",
+        "tests/test_tracking.py::TestPassLength::test_the_chord_bound_splits_no_run",
+        "the chord bound without its margin: a run that takes the voxel's longest chord needs a "
+        "second pass",
+    ),
+    Mutant(
+        "batch_ignores_mask_extent", "src/muscletract/tracking.py",
+        "    size = max(1, min(_BATCH, _BATCH_RUNS // sum(mask.dims)))\n",
+        "    size = max(1, min(_BATCH, _BATCH_RUNS))\n",
+        "tests/test_cli.py::TestStreamedTrack::test_peak_does_not_follow_the_fibre_length",
+        "a batch holds _BATCH seeds whatever the mask's voxel extent",
+    ),
+    Mutant(
+        "mean_direction_unaligned", "src/muscletract/architecture.py",
+        "    signs = np.where(chords @ chords[0] < 0, -1.0, 1.0)\n",
+        "    signs = np.ones(len(chords))\n",
+        "tests/test_architecture.py::TestLineOfAction::"
+        "test_mean_direction_ignores_which_end_a_tract_starts_at",
+        "the mean-direction line of action averages the chords without aligning their signs",
+    ),
+    Mutant(
         "runs_unstable_sort", "src/muscletract/tracking.py",
         'np.argsort(key, kind="stable")',
         "np.argsort(key)",

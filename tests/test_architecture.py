@@ -99,6 +99,20 @@ class TestLineOfAction:
         assert loa.source == "mean_direction"
         assert np.linalg.norm(loa.direction) == pytest.approx(1.0, abs=1e-12)
 
+    def test_mean_direction_ignores_which_end_a_tract_starts_at(self):
+        # Short tracts along z over a wide disc: their endpoints form no
+        # line, so the mean chord is used, and every other tract runs down.
+        # Each chord is sign-aligned with the first before they are averaged.
+        rng = np.random.default_rng(9)
+        sls = []
+        for i in range(40):
+            c = np.append(rng.uniform(-20.0, 20.0, 2), 0.0)
+            d = np.append(rng.normal(0.0, 0.05, 2), 1.0)
+            sls.append(np.array([c - d, c + d])[:: 1 if i % 2 else -1])
+        loa = line_of_action(*pack(sls).endpoints())
+        assert loa.source == "mean_direction"
+        assert abs(loa.direction[2]) > 0.99
+
     def test_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(4)
         sset = segment_cloud(rng, 40, (0.3, 0.1, 1.0), spread=2.0)

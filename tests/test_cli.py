@@ -357,6 +357,20 @@ class TestCompareCommand:
         assert pct["pa_median"] == "nan" and float(pct["sc"]) == 0.0
         assert "error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("origin, code", [(0.0, 0), (0.5, 3)])
+    def test_runs_of_one_instance_share_a_phantom_frame(self, tmp_path, capsys, origin, code):
+        # compare checks the MSKV header of each run's mask: here the two
+        # masks of instance 0 differ in origin, or not at all.
+        dirs = [_fake_run_dir(tmp_path, f"{m}{i}", 0.9, 0.3, 50.0 + i) for m in "ab" for i in (0, 1)]
+        save_mask(dirs[2] / "mask.mskv", VoxelMask(np.ones((4, 4, 4), dtype=bool), 1.0, origin))
+        capsys.readouterr()
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", f"fss:0:{dirs[0]}", f"fss:1:{dirs[1]}", f"3ds:0:{dirs[2]}",
+                    f"3ds:1:{dirs[3]}", "--out", out]) == code
+        err = capsys.readouterr().err
+        assert ("instance 0: runs use different phantom frames" in err) == (code == 3)
+        assert out.exists() == (code == 0)
+
     def test_single_method_rejected(self, tmp_path):
         a0 = _fake_run_dir(tmp_path, "a0", 0.9, 0.3, 50.0)
         code = run(["compare", f"fss:0:{a0}", "--out", tmp_path / "c.csv"])
@@ -997,6 +1011,25 @@ class TestStreamedTrack:
         extra = points[1] - points[0]
         assert extra > 0.9 * points[0]
         assert peaks[1] - peaks[0] < 0.1 * 24 * extra, (peaks, points)
+
+    def test_peak_does_not_follow_the_fibre_length(self, tmp_path, traced_peak):
+        # The same number of seeds on parallel boxes 40 and 120 mm long:
+        # each track crosses three times the voxels, so a batch of a fixed
+        # number of seeds would hold three times the voxel-run records (56
+        # bytes per run, one run per voxel crossed and one more). A batch
+        # holds _BATCH_RUNS // (nx + ny + nz) seeds instead, 1024 and 672
+        # here, so the peak grows by 0.88 times the short box's records
+        # (tracemalloc), against 1.77 times with 1024-seed batches.
+        peaks, records = [], 56 * tracking._BATCH * 41
+        for length in (40, 120):
+            f = {"mask": tmp_path / f"{length}.mskv", "field": tmp_path / f"{length}.ornt"}
+            assert run(["phantom", "--pennation", "0", "--dims", f"10x10x{length}", "--out-mask",
+                        f["mask"], "--out-field", f["field"], "--out-truth", tmp_path / "t.txt"]) == 0
+            code, peak = traced_peak(self.track, f, tmp_path / "c.strl", "--target-candidates",
+                                     tracking._BATCH)
+            assert code == 0 and len(load_streamlines(tmp_path / "c.strl")) == tracking._BATCH
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 1.2 * records, (peaks, records)
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_in_a_later_batch_leaves_out_as_it_was(self, parallel_box, tmp_path, capsys,

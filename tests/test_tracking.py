@@ -494,7 +494,8 @@ class TestMatchesStepwiseReference:
         # decide the points.
         runs = _Runs(field, mask, cfg.step_mm)
         for sign in (1.0, -1.0):
-            counts = _propagate(field, mask, starts, sign * v0, cfg, max_steps, runs)
+            counts = _propagate(field, mask, starts, sign * v0, cfg, max_steps,
+                                tracking._pass_steps(field, mask, cfg), runs)
             order = _sorted_runs(runs, np.zeros(len(starts), dtype=np.int64))
             assert (runs.count[: runs.n] < 0).any() == (sign < 0)
             ends = np.cumsum(counts)
@@ -517,7 +518,7 @@ class TestMatchesStepwiseReference:
         idx = mask.world_to_index(starts)
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         runs = _Runs(field, mask, 0.1)
-        counts = _propagate(field, mask, starts, v0, TrackingConfig(), 2000, runs)
+        counts = _propagate(field, mask, starts, v0, TrackingConfig(), 2000, 19, runs)
         n = runs.n
         assert n > 1000
         # The store holds 40 bytes per run, and no more than it was filled with.
@@ -752,6 +753,64 @@ class TestChordBound:
             _, _, accepted, _ = _surface_exits(points, offsets, mask, cfg)
             want = [ref.extrapolate(t, mask, cfg)[1] for t in tracks]
             assert accepted.tolist() == want, f
+
+
+def diagonal_steps(mask, cfg):
+    """The pass length that the voxel diagonal sets: ceil(|h| / s) + 1."""
+    return int(math.ceil(float(np.linalg.norm(mask.voxel_size)) / cfg.step_mm)) + 1
+
+
+_REFERENCE = {}
+
+
+class TestPassLength:
+    """A pass's length only sets how many steps it computes ahead
+    (_propagate); _pass_steps sets it from the field's voxel chord."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, "chord", "diagonal", 64])
+    @pytest.mark.parametrize("case", ["box", "jittered_arc"])
+    def test_output_does_not_depend_on_it(self, monkeypatch, case, steps):
+        mask, field = CASES[case]()
+        seeds, cfg = some_seeds(mask, 1.0), TrackingConfig()
+        if case not in _REFERENCE:
+            _REFERENCE[case] = ref.reconstruct(field, mask, seeds, cfg)
+        if steps != "chord":
+            forced = diagonal_steps(mask, cfg) if steps == "diagonal" else steps
+            monkeypatch.setattr(tracking, "_pass_steps", lambda *args: forced)
+        assert_same_streamlines(unrounded(field, mask, seeds, cfg), _REFERENCE[case])
+
+    @pytest.mark.parametrize("case, chord", [("box", 12), ("jittered_arc", 16), ("arc_0.7mm", 11)])
+    def test_the_chord_bound_splits_no_run(self, case, chord):
+        # Every run ends within the chord bound's pass, so a pass of the
+        # diagonal's length makes the same records, no more.
+        mask, field = CASES[case]()
+        cfg = TrackingConfig()
+        steps = tracking._pass_steps(field, mask, cfg)
+        starts = some_seeds(mask, 1.0).points
+        starts = starts[mask.points_in_mask(starts)]
+        idx = mask.world_to_index(starts)
+        v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
+        max_steps = int(math.ceil(math.pi * mask.diagonal / cfg.step_mm)) + 4
+        records = []
+        for pass_steps in (steps, diagonal_steps(mask, cfg)):
+            runs, made = _Runs(field, mask, cfg.step_mm), 0
+            for sign in (1.0, -1.0):
+                _propagate(field, mask, starts, sign * v0, cfg, max_steps, pass_steps, runs)
+                made += runs.n
+            records.append(made)
+        assert records[0] == records[1] > 10 * len(starts)
+        assert steps == chord < diagonal_steps(mask, cfg)
+
+    def test_a_diagonal_direction_falls_back_to_the_diagonal(self):
+        # One usable voxel along the voxel diagonal can run its whole length.
+        mask, field = uniform_box(dims=(6, 6, 6))
+        d = field.directions.copy()
+        d[3, 3, 3] = np.full(3, 1.0 / math.sqrt(3.0))
+        field = OrientationField(d, field.fa)
+        cfg = TrackingConfig()
+        assert tracking._pass_steps(field, mask, cfg) == diagonal_steps(mask, cfg) == 19
+        field.fa[3, 3, 3] = 0.05  # below fa_min: no run can use it
+        assert tracking._pass_steps(field, mask, cfg) == 12
 
 
 @pytest.mark.parametrize("case", ["box", "jittered_arc"])
