@@ -222,17 +222,11 @@ class StreamlineFile:
             raise FormatError(f"truncated file while reading streamline {lo}")
         return _float64(words[coords]).reshape(-1, 3)
 
-    def _blocks(self):
-        """(lo, hi, float64 (P, 3) points) of each streamline.blocks range,
-        in file order, each read when it is drawn."""
-        for lo, hi in blocks(self.offsets):
-            yield lo, hi, self._read(lo, hi)
-
     def sets(self):
         """The streamlines in file order, as one validated set per
         streamline.blocks range, each read when it is drawn."""
-        for lo, hi, points in self._blocks():
-            yield StreamlineSet(points, np.diff(self.offsets[lo : hi + 1]))
+        for lo, hi in blocks(self.offsets):
+            yield StreamlineSet(self._read(lo, hi), np.diff(self.offsets[lo : hi + 1]))
 
     def copy(self, path, rows) -> int:
         """Write the streamlines at rows, in that order, to path: the header
@@ -255,13 +249,14 @@ class StreamlineFile:
 
 def load_streamlines(path) -> StreamlineSet:
     """Load streamlines, in file order, into one float64 buffer, which the
-    set keeps; the set is validated once it is whole."""
+    set keeps. Each block is validated once, as sets() reads it."""
     with StreamlineFile(path) as strl:
-        points = np.empty((strl.offsets[-1], 3))
-        for lo, hi, block in strl._blocks():
-            points[strl.offsets[lo] : strl.offsets[hi]] = block
+        points, at = np.empty((strl.offsets[-1], 3)), 0
+        for block in strl.sets():
+            points[at : at + len(block.points)] = block.points
+            at += len(block.points)
             del block  # before the next block is read
-    return StreamlineSet(points, np.diff(strl.offsets))
+    return StreamlineSet._trusted(points, strl.offsets)
 
 
 def _save_grid(path, magic: bytes, grid: np.ndarray, voxel_size, origin, dtype) -> None:

@@ -33,14 +33,14 @@ tests/reference_tracking.py keeps as the oracle):
   np.linalg.norm of one vector; an elementwise sum of squares does not.
 
 Seeds are tracked in batches sized from the mask ("Memory" below). Once
-both halves of a batch have been propagated, every raw track's point count,
-and so its offset, is known before any point is written, so the raw tracks
-are written one streamline.blocks range at a time (at most BLOCK_POINTS
-points, or one track that alone holds more) into a buffer of their own: the
-seeds, the runs, and then the tracks under min_length_mm packed out.
-reconstruct_batches fits, extends and filters each block's tracks in the
-buffer they were written to, grown by two rows per track, so a block's
-points are held once, not once per stage.
+both halves of a batch have been propagated, every raw track's point count
+is known before any point is written, so each track gets a slot: a free
+row, its backward half reversed, the seed, its forward half and a free row.
+The slots are written one streamline.blocks range at a time (at most
+BLOCK_POINTS rows, or one slot that alone holds more) into a buffer of
+their own. reconstruct_batches fits and extends each block's tracks there,
+writes each exit point into its free row, and packs the accepted tracks to
+the front once, so a block's points are held once, not once per stage.
 
 Memory follows the voxel runs of one batch and the points of one block, not
 the points of a batch. Each voxel run is one record of 40 bytes: track, first
@@ -68,10 +68,11 @@ and its thin jittered boxes 0.27. A run holds at least one point, and about
 eight at the default step of a tenth of a voxel; while a voxel's steps fit
 one run, the number of runs does not depend on the step. None of this
 depends on max_steps, the step count at which a half-track is cut off. A
-block holds its points at 24 bytes each, and finishing it a few arrays per
-track (the exit rays) and one design at a time while it fits the tracks
-grouped by point count. A batch's orders are released before the next batch
-is propagated, and the stores when the reconstruct_batches call ends.
+block holds its rows at 24 bytes each, two free rows per track among them,
+and finishing it a few arrays per track (the exit rays) and one design at a
+time while it fits the tracks grouped by point count. A batch's orders are
+released before the next batch is propagated, and the stores when the
+reconstruct_batches call ends.
 
 reconstruct_batches, the one tracking entry point, yields each finished
 block as a float64 set and releases its buffer before it writes the next, so
@@ -372,28 +373,6 @@ def _write_runs(out, runs, rows, sign) -> None:
         dest[:k] += sign
 
 
-def _pack_in_place(buf, offsets, rows, head=0, tail=0) -> np.ndarray:
-    """Move the tracks at rows (ascending) to the front of buf, leaving one
-    free row before each track whose head is set and one after each whose
-    tail is set; returns their new point counts. buf must have the room.
-
-    Closing the gaps left by the other tracks moves every track towards the
-    front, so that pass runs first to last; opening the free rows moves them
-    towards the back, so that pass runs last to first. Neither pass
-    overwrites a track it has yet to move.
-    """
-    starts, counts = offsets[rows], offsets[rows + 1] - offsets[rows]
-    packed = np.cumsum(counts) - counts
-    new_counts = counts + head + tail
-    opened = np.cumsum(new_counts) - new_counts + head
-    moves = list(zip(starts.tolist(), packed.tolist(), counts.tolist()))
-    moves += reversed(list(zip(packed.tolist(), opened.tolist(), counts.tolist())))
-    for src, dst, n in moves:
-        if src != dst:
-            buf[dst : dst + n] = buf[src : src + n]
-    return new_counts
-
-
 def _step_range(mask: VoxelMask, cfg: TrackingConfig):
     """(low, high, slack): every computed segment length of a raw track lies
     in [low - slack, high + slack], up to the relative rounding that
@@ -410,17 +389,17 @@ def _step_range(mask: VoxelMask, cfg: TrackingConfig):
     return low, high, 8 * 2.0**-53 * (reach + high)
 
 
-def _long_enough(points, offsets, counts, step_range, min_length: float) -> np.ndarray:
-    """arc_lengths(points, offsets) >= min_length for the raw tracks of a
-    packed buffer, with exact lengths only for the tracks that the
-    step-count bound of the module docstring leaves undecided."""
+def _long_enough(points, starts, counts, step_range, min_length: float) -> np.ndarray:
+    """Arc length >= min_length for the raw tracks of counts points that
+    start at rows starts of points, with exact lengths only for the tracks
+    that the step-count bound of the module docstring leaves undecided."""
     low, high, slack = step_range
     segments = counts - 1  # every track holds its seed
     rel = 2 * (counts + 16) * 2.0**-53
     keep = segments * (low - slack) * (1.0 - rel) >= min_length
     unsure = np.flatnonzero(~keep & (segments * (high + slack) * (1.0 + rel) >= min_length))
     if unsure.size:
-        keep[unsure] = _lengths(points, offsets[unsure], counts[unsure]) >= min_length
+        keep[unsure] = _lengths(points, starts[unsure], counts[unsure]) >= min_length
     return keep
 
 
@@ -445,11 +424,12 @@ def _seeds_in_mask(field: OrientationField, mask: VoxelMask, seeds: SeedSet,
 
 def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: TrackingConfig):
     """The raw tracks of the seed points pts, which lie in the mask, that
-    are at least cfg.min_length_mm long, in seed order: one (points, counts)
-    per streamline.blocks range of the raw tracks of each batch of seeds
-    (module docstring, "Memory"), points a float64 buffer that owns its
-    memory and holds the tracks packed, counts their point counts. The pass
-    length (_pass_steps) and the batch size are set once per call.
+    are at least cfg.min_length_mm long, in seed order: one (buf, starts,
+    counts) per streamline.blocks range of the slots of each batch of seeds
+    (module docstring), buf a float64 buffer that owns its memory and holds
+    the block's slots, starts and counts the first rows and point counts of
+    the tracks kept. Each kept track has a free row before and after it.
+    The pass length (_pass_steps) and the batch size are set once per call.
 
     The generator keeps no reference to a buffer it has yielded, so a
     consumer can release it before the next block is drawn.
@@ -465,13 +445,13 @@ def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: 
         v0 = field.directions[idx[:, 0], idx[:, 1], idx[:, 2]]
         n_fwd = _propagate(field, mask, batch, v0, cfg, max_steps, pass_steps, fwd)
         n_bwd = _propagate(field, mask, batch, -v0, cfg, max_steps, pass_steps, bwd)
-        offsets = _offsets(n_bwd + 1 + n_fwd)
+        offsets = _offsets(n_bwd + 3 + n_fwd)
         ranges = list(blocks(offsets))
         block = np.repeat(np.arange(len(ranges)), [hi - lo for lo, hi in ranges])
-        # Each track is its backward half reversed, the seed, its forward
-        # half. The runs of tracks lo..hi-1 are order[at[lo]:at[hi]] of
-        # their half's records.
-        seed_rows = offsets[:-1] + n_bwd
+        # Each slot is a free row, the backward half reversed, the seed, the
+        # forward half and a free row. The runs of tracks lo..hi-1 are
+        # order[at[lo]:at[hi]] of their half's records.
+        seed_rows = offsets[:-1] + 1 + n_bwd
         halves = []
         for runs, rows, sign in ((fwd, seed_rows + 1, 1), (bwd, seed_rows - 1, -1)):
             at = _offsets(np.bincount(runs.track[: runs.n], minlength=len(batch)))
@@ -483,12 +463,12 @@ def _raw_blocks(field: OrientationField, mask: VoxelMask, pts: np.ndarray, cfg: 
 
 
 def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length):
-    """_raw_blocks' (points, counts) for tracks lo..hi-1 of a batch whose
-    raw tracks offsets pack: their seeds and runs written into a new buffer,
-    and the tracks under min_length packed out of it."""
+    """_raw_blocks' (buf, starts, counts) for tracks lo..hi-1 of a batch
+    whose slots offsets pack: their seeds and runs written into a new
+    buffer of the slots, and the first rows and point counts of the tracks
+    at least min_length long."""
     base = offsets[lo]
-    local = offsets[lo : hi + 1] - base
-    buf = np.empty((local[-1], 3))
+    buf = np.empty((offsets[hi] - base, 3))
     buf[seed_rows[lo:hi] - base] = batch[lo:hi]
     # The block's runs are gathered (_Runs.records, 72 bytes per run) at most
     # _RUN_BYTES // 24 at a time; each slice of them is still longest first.
@@ -497,11 +477,9 @@ def _raw_block(batch, offsets, seed_rows, halves, lo, hi, step_range, min_length
         rows = rows - base
         for a in range(at[lo], at[hi], step):
             _write_runs(buf, runs.records(order[a : min(a + step, at[hi])]), rows, sign)
-    counts = np.diff(local)
-    keep = np.flatnonzero(_long_enough(buf, local, counts, step_range, min_length))
-    counts = _pack_in_place(buf, local, keep)
-    buf.resize((int(counts.sum()), 3), refcheck=False)
-    return buf, counts
+    starts, counts = offsets[lo:hi] + 1 - base, np.diff(offsets[lo : hi + 1]) - 2
+    keep = _long_enough(buf, starts, counts, step_range, min_length)
+    return buf, starts[keep], counts[keep]
 
 
 def _fit_cubic(points: np.ndarray, design: np.ndarray) -> np.ndarray:
@@ -555,9 +533,10 @@ def _ray_exits(mask: VoxelMask, starts: np.ndarray, directions: np.ndarray, max_
     return tau
 
 
-def _surface_exits(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask, cfg: TrackingConfig):
-    """Where both terminal tangents of every track of a packed buffer leave
-    the mask.
+def _surface_exits(points: np.ndarray, starts: np.ndarray, counts: np.ndarray, mask: VoxelMask,
+                   cfg: TrackingConfig):
+    """Where both terminal tangents of every track, counts points from row
+    starts of points, leave the mask.
 
     Returns (exits, extend, accepted, ran_away): exits (n, 2, 3) holds the
     exit points beyond the first and the last point, and extend (n, 2) marks
@@ -566,7 +545,7 @@ def _surface_exits(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask, cfg
     extended) or where the added length exceeds cfg.max_extrap_fraction of
     the track's arc length.
     """
-    first, last = offsets[:-1], offsets[1:] - 1
+    first, last = starts, starts + counts - 1
     anchors = np.stack([points[first], points[last]], axis=1).reshape(-1, 3)
     d = anchors - np.stack([points[first + 1], points[last - 1]], axis=1).reshape(-1, 3)
     # A stacked matmul rounds each squared norm like np.linalg.norm of one vector.
@@ -584,7 +563,6 @@ def _surface_exits(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask, cfg
     added = added[:, 0] + added[:, 1]
     # The chord bound of the module docstring accepts most tracks; the rest
     # are measured.
-    counts = last + 1 - first
     span = points[last] - points[first]
     chord = np.sqrt((span * span).sum(axis=1))
     rel = 2 * (counts + 16) * 2.0**-53
@@ -596,39 +574,42 @@ def _surface_exits(points: np.ndarray, offsets: np.ndarray, mask: VoxelMask, cfg
     return exits, extend, accepted, ran_away
 
 
-def _with_exits(buf, offsets, exits, extend, rows) -> np.ndarray:
-    """Pack the tracks at rows into the front of buf, adding at each end the
-    exit point that extend marks; returns their point counts."""
+def _with_exits(buf, starts, counts, exits, extend, rows) -> np.ndarray:
+    """Move the tracks at rows (ascending), counts points from row starts
+    of buf, to the front of buf with the exit points that extend marks,
+    each written into its slot's free row, and shrink buf to them; returns
+    their point counts. Every track moves towards the front, so the pass
+    runs first to last and overwrites no track it has yet to move."""
     head, tail = extend[rows, 0], extend[rows, 1]
-    counts = _pack_in_place(buf, offsets, rows, head, tail)
-    first = np.cumsum(counts) - counts
-    buf[first[head]] = exits[rows[head], 0]
-    buf[(first + counts - 1)[tail]] = exits[rows[tail], 1]
+    starts, counts = starts[rows] - head, counts[rows] + head + tail
+    buf[starts[head]] = exits[rows[head], 0]
+    buf[(starts + counts - 1)[tail]] = exits[rows[tail], 1]
+    packed = np.cumsum(counts) - counts
+    for src, dst, n in zip(starts.tolist(), packed.tolist(), counts.tolist()):
+        if src != dst:
+            buf[dst : dst + n] = buf[src : src + n]
+    buf.resize((int(counts.sum()), 3), refcheck=False)
     return counts
 
 
-def _finish(buf: np.ndarray, offsets: np.ndarray, mask: VoxelMask,
+def _finish(buf: np.ndarray, starts: np.ndarray, counts: np.ndarray, mask: VoxelMask,
             cfg: TrackingConfig, tally: np.ndarray) -> np.ndarray:
-    """Fit and extend the raw tracks that fill buf, packed at offsets, and
-    pack the accepted ones with their exit points in place; buf then ends at
-    the last of them. Returns their point counts, and adds the tracks, fits
-    skipped, extrapolations rejected and run-aways to tally."""
-    n_tracks = len(offsets) - 1
-    # Room for the two exit points a track may gain.
-    buf.resize((offsets[-1] + 2 * n_tracks, 3), refcheck=False)
-    points = buf[: offsets[-1]]
+    """Fit and extend the raw tracks of buf, counts points from row starts,
+    in place, and pack the accepted ones with their exit points to the front
+    of buf, which then ends at the last of them (_with_exits). Returns their
+    point counts, and adds the tracks, fits skipped, extrapolations rejected
+    and run-aways to tally."""
     unfitted = 0
-    for c, rows in _by_count(np.diff(offsets)):
+    for c, rows in _by_count(counts):
         if c < 5:
             unfitted += len(rows)
             continue
         design = np.vander(np.linspace(0.0, 1.0, c), 4, increasing=True)
-        for a in offsets[rows].tolist():
-            points[a : a + c] = _fit_cubic(points[a : a + c], design)
-    exits, extend, accepted, ran_away = _surface_exits(points, offsets, mask, cfg)
-    del points
-    counts = _with_exits(buf, offsets, exits, extend, np.flatnonzero(accepted))
-    buf.resize((int(counts.sum()), 3), refcheck=False)
+        for a in starts[rows].tolist():
+            buf[a : a + c] = _fit_cubic(buf[a : a + c], design)
+    exits, extend, accepted, ran_away = _surface_exits(buf, starts, counts, mask, cfg)
+    n_tracks = len(counts)
+    counts = _with_exits(buf, starts, counts, exits, extend, np.flatnonzero(accepted))
     tally += (n_tracks, unfitted, n_tracks - len(counts), int(ran_away.sum()))
     return counts
 
@@ -673,8 +654,8 @@ def reconstruct_batches(
     cfg = cfg or TrackingConfig()
     pts = _seeds_in_mask(field, mask, seeds, cfg)
     tally = np.zeros(4, dtype=np.int64)  # tracks, fits skipped, rejected, ran away
-    for buf, counts in _raw_blocks(field, mask, pts, cfg):
-        counts = _finish(buf, _offsets(counts), mask, cfg, tally)
+    for buf, starts, counts in _raw_blocks(field, mask, pts, cfg):
+        counts = _finish(buf, starts, counts, mask, cfg, tally)
         sset = StreamlineSet._trusted(buf, _offsets(counts))
         yield sset
         # Shrunk in place, unless a view the caller took still needs it: to

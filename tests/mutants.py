@@ -149,7 +149,10 @@ MUTANTS = (
         "        return _float64(words[coords]).reshape(-1, 3)\n",
         "        return words[coords].reshape(-1, 3)\n",
         "tests/test_formats.py::TestStreamlineRoundTrip::test_signaling_nan_coordinate_rejected",
-        "the STRL reader yields the file's float32 words, which a later cast converts with a warning",
+        "the STRL reader yields the file's float32 words: its one caller, StreamlineFile.sets, "
+        "builds each set with the StreamlineSet constructor, which converts them with _float64 "
+        "as the reader does",
+        equivalent=True,
     ),
     Mutant(
         "run_record_unsigned", "src/muscletract/tracking.py",
@@ -322,6 +325,61 @@ MUTANTS = (
         "the runs of one block and length in another order, which writes the same rows: each "
         "run writes point rows of its own, once",
         equivalent=True,
+    ),
+    Mutant(
+        "fss_no_underflow_margin", "src/muscletract/sampling.py",
+        "_UNDERFLOW_MARGIN = 1e-150\n",
+        "_UNDERFLOW_MARGIN = 0.0\n",
+        "tests/test_sampling.py::TestCentroidBound::test_squared_differences_that_underflow",
+        "the FSS pruning margin without its absolute part, which covers squared differences that "
+        "underflow",
+    ),
+    Mutant(
+        "fss_longest_ties_to_last", "src/muscletract/sampling.py",
+        '    first = int(np.argmax(np.concatenate(lengths))) if cfg.init_rule == "longest" else 0\n',
+        "    lengths = np.concatenate(lengths)\n"
+        '    first = len(lengths) - 1 - int(np.argmax(lengths[::-1])) if cfg.init_rule == "longest" '
+        "else 0\n",
+        "tests/test_sampling.py::TestPrunedUpdate::test_matches_unpruned_loop_on_adversarial_sets",
+        "the longest-first rule takes the last, not the first, of the longest candidates",
+    ),
+    Mutant(
+        "long_enough_no_sum_margin", "src/muscletract/tracking.py",
+        "    segments = counts - 1  # every track holds its seed\n"
+        "    rel = 2 * (counts + 16) * 2.0**-53\n",
+        "    segments = counts - 1  # every track holds its seed\n"
+        "    rel = 0.0\n",
+        "tests/test_tracking.py::TestStepCountBound::test_equal_steps_where_only_the_sum_rounds",
+        "the step-count bound without the relative margin for the rounding of the summed length",
+    ),
+    Mutant(
+        "step_range_no_slack", "src/muscletract/tracking.py",
+        "    return low, high, 8 * 2.0**-53 * (reach + high)\n",
+        "    return low, high, 0.0\n",
+        "tests/test_tracking.py::TestStepCountBound::"
+        "test_matches_exact_lengths_at_every_boundary[short_norms_origin_1e5]",
+        "the step range without the slack for the rounding of a step at the mask's coordinates",
+    ),
+    Mutant(
+        "seeds_2d_ties_to_x", "src/muscletract/sampling.py",
+        "    axis = 2 - int(np.argmax(extents[::-1]))\n",
+        "    axis = int(np.argmax(extents))\n",
+        "tests/test_sampling.py::TestSeeds2D::test_ties_prefer_z",
+        "2DS takes x, not z, as the longitudinal axis when the extents tie",
+    ),
+    Mutant(
+        "head_exit_over_first_point", "src/muscletract/tracking.py",
+        "    buf[starts[head]] = exits[rows[head], 0]\n",
+        "    buf[starts[head] + 1] = exits[rows[head], 0]\n",
+        "tests/test_tracking.py::test_with_exits_packs_each_track_with_its_exit_points",
+        "the head exit point overwrites the track's first point, not the free row before it",
+    ),
+    Mutant(
+        "pack_last_to_first", "src/muscletract/tracking.py",
+        "    for src, dst, n in zip(starts.tolist(), packed.tolist(), counts.tolist()):\n",
+        "    for src, dst, n in reversed(list(zip(starts.tolist(), packed.tolist(), counts.tolist()))):\n",
+        "tests/test_tracking.py::test_with_exits_packs_each_track_with_its_exit_points",
+        "the accepted tracks move to the front last to first, over tracks yet to move",
     ),
 )
 

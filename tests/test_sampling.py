@@ -190,6 +190,11 @@ class TestSeeds2D:
         with pytest.raises(InsufficientExtentError):
             seeds_2d(mask, 5)
 
+    def test_ties_prefer_z(self):
+        seeds = seeds_2d(VoxelMask(np.ones((9, 9, 9), dtype=bool)), 5)
+        assert np.unique(np.floor(seeds.points[:, 2])).tolist() == [0, 2, 4, 6, 8]
+        assert len(np.unique(seeds.points[:, 0])) == 9
+
     def test_longitudinal_axis_detection(self):
         occ = np.zeros((50, 6, 6), dtype=bool)
         occ[0:41] = True  # x is the long axis here
@@ -450,6 +455,24 @@ class TestCentroidBound:
         gap, d = centroid_gaps(cands)
         assert gap.max() < 1e-9 * (1.0 + offset) and d.max() > 5.0
         assert_matches_unpruned(cands, (1, 2, 5, len(cands)))
+
+    @pytest.mark.parametrize("ints", [
+        [[[9, -24, -17], [-20, -37, 29]], [[19, -36, 16], [15, -47, -47]], [[17, 36, -13], [14, -43, -44]]],
+        [[[11, 16, 9], [35, 5, -3]], [[-18, 24, -23], [23, -23, -21]], [[9, -32, 24], [26, -27, -21]]],
+        [[[-35, 21, 17], [3, 21, -31]], [[45, -37, -3], [-17, 26, -10]], [[40, 22, -44], [-17, 30, -10]]],
+    ])
+    def test_squared_differences_that_underflow(self, ints):
+        # Three two-point streamlines at multiples of 2**-540 mm, which m = 2
+        # resamples to themselves: every squared difference is a subnormal a
+        # few units of 2**-1074 wide, so a computed MDF can fall below the
+        # computed centroid distance, and only the margin's absolute part,
+        # not its part relative to the coordinates, keeps the pick's third
+        # distance.
+        cands = pack(list(np.array(ints, dtype=float) * 2.0**-540))
+        trace = fss_select(cands, FSSConfig(k=3, m=2, init_rule="index"))
+        picks, dists = unpruned_fss(cands, 3, 2, "index")
+        assert np.array_equal(trace.selected_ids, picks)
+        assert np.array_equal(trace.selection_distance, dists)
 
     @pytest.mark.parametrize("m", [2, 3, 12, 17])
     def test_adversarial_sets_offset_by_1e4_mm(self, m):

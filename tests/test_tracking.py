@@ -10,7 +10,7 @@ import pytest
 
 import reference_tracking as ref
 from muscletract.errors import DegenerateGeometryError, InvalidSpecError
-from muscletract.grid import OrientationField, VoxelMask
+from muscletract.grid import UNIT_TOL, OrientationField, VoxelMask
 from muscletract.phantom import PhantomSpec, make_phantom
 from muscletract.sampling import SeedSet, seeds_3d
 import muscletract.formats as formats_mod
@@ -89,8 +89,8 @@ def raw_set(field, mask, seeds, cfg=None):
     cfg = cfg or TrackingConfig()
     pts = tracking._seeds_in_mask(field, mask, seeds, cfg)
     points, counts = [np.empty((0, 3))], [np.empty(0, dtype=np.int64)]
-    for block, piece in tracking._raw_blocks(field, mask, pts, cfg):
-        points.append(block)
+    for block, starts, piece in tracking._raw_blocks(field, mask, pts, cfg):
+        points += [block[a : a + c] for a, c in zip(starts.tolist(), piece.tolist())]
         counts.append(piece)
     return StreamlineSet._trusted(np.concatenate(points), streamline_mod._offsets(np.concatenate(counts)))
 
@@ -287,11 +287,11 @@ def extend(points, mask, cfg=None):
     reconstruct_batches runs them: the track with the exit points added at
     the ends that need one, and whether the added length is accepted."""
     pts = np.asarray(points, dtype=float)
-    offsets = np.array([0, len(pts)])
-    exits, ext, accepted, _ = _surface_exits(pts, offsets, mask, cfg or TrackingConfig())
-    buf = np.concatenate([pts, np.empty((2, 3))])
-    (n,) = _with_exits(buf, offsets, exits, ext, np.array([0]))
-    return buf[:n], bool(accepted[0])
+    buf = np.concatenate([np.empty((1, 3)), pts, np.empty((1, 3))])
+    starts, counts = np.array([1]), np.array([len(pts)])
+    exits, ext, accepted, _ = _surface_exits(buf, starts, counts, mask, cfg or TrackingConfig())
+    _with_exits(buf, starts, counts, exits, ext, np.array([0]))
+    return buf, bool(accepted[0])
 
 
 class TestExtrapolate:
@@ -585,7 +585,7 @@ class TestMatchesStepwiseReference:
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
             ref.extrapolate(stalled, mask, cfg)
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
-            _surface_exits(np.concatenate([good, stalled]), np.array([0, 11, 23]), mask, cfg)
+            _surface_exits(np.concatenate([good, stalled]), np.array([0, 11]), np.array([11, 12]), mask, cfg)
         with pytest.raises(DegenerateGeometryError, match="zero-length terminal segment"):
             extend(stalled[::-1], mask, cfg)
 
@@ -656,7 +656,23 @@ STEP_CASES = {  # (mask and field, step)
     "anisotropic_shifted": (CASES["anisotropic_shifted"], 0.1),
     "step_over_voxel": (jittered_arc, 1.3),
     "origin_1e4": (lambda: reframed(*uniform_box(dims=(6, 6, 30)), 1.0, (1e4, -2e4, 3e3)), 0.1),
+    "short_norms_origin_1e5": (lambda: short_by_unit_tol((0.1, 0.05, 1.0), (1e5, -2e5, 1e5)), 0.1),
 }
+
+
+def short_by_unit_tol(direction, origin):
+    """A uniform box along direction whose vectors are as far short of unit
+    norm as OrientationField accepts (grid.UNIT_TOL), far from the origin:
+    a segment's length is then within the rounding of the coordinates of
+    the low end of the step-count bound, and only _step_range's slack
+    covers it."""
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    scale = 1.0 - UNIT_TOL
+    while True:
+        try:
+            return reframed(*uniform_box(dims=(6, 6, 30), direction=tuple(scale * u)), 1.0, origin)
+        except InvalidSpecError:
+            scale = float(np.nextafter(scale, 1.0))
 
 
 def raw_tracks(case):
@@ -682,7 +698,7 @@ class TestStepCountBound:
         limits = np.concatenate([limits, np.nextafter(limits, 0), np.nextafter(limits, np.inf)])
         rng = np.random.default_rng(0)
         for limit in rng.choice(limits, min(len(limits), 300), replace=False):
-            got = _long_enough(sset.points, sset.offsets, counts, step_range, limit)
+            got = _long_enough(sset.points, sset.offsets[:-1], counts, step_range, limit)
             assert np.array_equal(got, lengths >= limit), limit
 
     @pytest.mark.parametrize("case", sorted(STEP_CASES))
@@ -693,6 +709,23 @@ class TestStepCountBound:
             tight = TrackingConfig(step_mm=cfg.step_mm, min_length_mm=float((c - 1) * cfg.step_mm))
             got = raw_set(field, mask, seeds, tight)
             assert_same_streamlines(got, ref.track(field, mask, seeds, tight))
+
+    def test_equal_steps_where_only_the_sum_rounds(self):
+        # Zigzags between z = 1 and 1.1, whose every segment is exactly d
+        # long, against the step range (d, d, 0): the summed length of 43 or
+        # more segments can round below (c - 1) * d, and only the relative
+        # margin sends such a track to be measured.
+        d = 1.1 - 1.0
+        counts = np.array([5, 43, 44, 51, 200, 1001, 4001])
+        points = np.concatenate([np.column_stack([np.zeros(c), np.zeros(c), 1.0 + d * (np.arange(c) % 2)])
+                                 for c in counts])
+        starts = np.cumsum(counts) - counts
+        lengths = tracking._lengths(points, starts, counts)
+        wholes = (counts - 1) * d
+        assert (lengths < wholes).any()
+        for limit in np.concatenate([lengths, wholes, np.nextafter(wholes, 0), np.nextafter(wholes, 1e9)]):
+            got = _long_enough(points, starts, counts, (d, d, 0.0), limit)
+            assert np.array_equal(got, lengths >= limit), limit
 
     def test_long_zigzag_in_a_small_box(self):
         # Up to 40 000 Euler steps of 0.1 mm, up or down at random, inside
@@ -714,7 +747,7 @@ class TestStepCountBound:
         wholes = (counts - 1) * cfg.step_mm
         step_range = _step_range(mask, cfg)
         for limit in np.concatenate([lengths, wholes, np.nextafter(wholes, 0), np.nextafter(wholes, 1e9)]):
-            got = _long_enough(points, offsets, counts, step_range, limit)
+            got = _long_enough(points, offsets[:-1], counts, step_range, limit)
             assert np.array_equal(got, lengths >= limit), limit
 
 
@@ -750,7 +783,7 @@ class TestChordBound:
         assert len(fractions) > 20
         for f in np.concatenate([fractions, np.nextafter(fractions, 0), np.nextafter(fractions, 1)]):
             cfg = TrackingConfig(max_extrap_fraction=float(f))
-            _, _, accepted, _ = _surface_exits(points, offsets, mask, cfg)
+            _, _, accepted, _ = _surface_exits(points, offsets[:-1], np.diff(offsets), mask, cfg)
             want = [ref.extrapolate(t, mask, cfg)[1] for t in tracks]
             assert accepted.tolist() == want, f
 
@@ -824,16 +857,51 @@ def test_bounds_decide_most_tracks(monkeypatch, reconstructed, case):
     assert len(out) > 100 and sum(measured) <= 0.05 * len(out)
 
 
-def test_track_points_own_their_memory():
-    # Each block of raw tracks is a buffer of its own, shrunk in place
-    # (ndarray.resize) once the short tracks are packed out.
+def test_track_points_own_their_memory(monkeypatch):
+    # Each block of raw tracks is a buffer of its own that holds the slots of
+    # its tracks, a free row, the track and a free row each: at most
+    # BLOCK_POINTS rows, the room for the exit points included, or one slot
+    # that alone holds more. The kept tracks lie in their own slots.
+    halves = []
+    real = tracking._propagate
+    monkeypatch.setattr(tracking, "_propagate", lambda *args: halves.append(real(*args)) or halves[-1])
     mask, field = CASES["box"]()
     pts = some_seeds(mask, 1.0).points
-    sizes = []
-    for points, counts in tracking._raw_blocks(field, mask, pts, TrackingConfig()):
-        assert points.flags.owndata and len(points) == counts.sum() > 0
-        sizes.append(len(points))
-    assert len(sizes) > 1
+    for budget in (streamline_mod.BLOCK_POINTS, 97):
+        monkeypatch.setattr(streamline_mod, "BLOCK_POINTS", budget)
+        halves.clear()
+        sizes, kept = [], 0
+        for points, starts, counts in tracking._raw_blocks(field, mask, pts, TrackingConfig()):
+            assert points.flags.owndata and len(points) > 0
+            ends = np.concatenate([[-1], starts + counts, [len(points) + 1]])
+            assert (ends[:-1] + 2 <= np.concatenate([starts, [len(points) + 1]])).all()
+            assert len(points) <= budget or len(counts) <= 1
+            sizes.append(len(points))
+            kept += len(counts)
+        slots = np.concatenate(halves[0::2]) + np.concatenate(halves[1::2]) + 3
+        assert len(sizes) > 1 and sum(sizes) == slots.sum() and kept > 0.9 * len(slots)
+        assert max(sizes) <= max(budget, slots.max())
+
+
+def test_with_exits_packs_each_track_with_its_exit_points():
+    # Tracks in slots of a free row, the track and a free row, with exit
+    # points at the head only, the tail only, both ends and neither end, and
+    # one rejected track, whose slot is dropped; the free rows hold NaN.
+    rng = np.random.default_rng(21)
+    counts = np.array([4, 7, 3, 5, 6, 2])
+    extend = np.array([[True, False], [False, True], [True, True], [False, False],
+                       [True, True], [False, True]])
+    rows = np.array([0, 1, 2, 3, 5])  # track 4 is rejected
+    tracks = [rng.normal(size=(c, 3)) for c in counts]
+    exits = rng.normal(size=(len(counts), 2, 3))
+    buf = np.concatenate([np.vstack([np.full((1, 3), np.nan), t, np.full((1, 3), np.nan)])
+                          for t in tracks])
+    starts = np.cumsum(counts + 2) - counts - 1
+    want = [np.concatenate([exits[i, :1][extend[i, :1]], tracks[i], exits[i, 1:][extend[i, 1:]]])
+            for i in rows]
+    got = _with_exits(buf, starts, counts, exits, extend, rows)
+    assert got.tolist() == [len(w) for w in want]
+    assert np.array_equal(buf, np.concatenate(want))
 
 
 class TestOneValidation:
